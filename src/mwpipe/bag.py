@@ -16,7 +16,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 
-from .bus import Bus, ManualClock, TimedSample, TopicDescriptor
+from .bus import Bus, ManualClock, TimedSample, TopicDescriptor, merge_samples
 from .errors import CorruptBag, UnknownMagic
 
 MAGIC = "MWBAG1"
@@ -75,9 +75,8 @@ class BagWriter:
 
     def flush_until(self, watermark_ns: int):
         with self._lock:
-            due = [s for s in self._buffer if s.t_ns < watermark_ns]
+            due = merge_samples([[s for s in self._buffer if s.t_ns < watermark_ns]])
             self._buffer = [s for s in self._buffer if s.t_ns >= watermark_ns]
-        due.sort(key=lambda s: (s.t_ns, s.topic, s.seq))
         self._ensure_started()
         if due:
             if self._last_written_ns is not None and due[0].t_ns < self._last_written_ns:
@@ -95,25 +94,30 @@ class BagWriter:
         self._fh = None
 
 
-def record(bus: Bus, path, session_meta: dict | None = None) -> BagWriter:
-    """Attach a recorder to a bus; caller drives flush/close."""
-    return BagWriter(path, bus, session_meta)
+def header_lines(path) -> tuple[bytes, bytes]:
+    """The magic line and the manifest line of a bag, as raw bytes."""
+    with open(path, "rb") as fh:
+        return fh.readline(), fh.readline()
 
 
 def read_manifest(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != MAGIC:
-            raise UnknownMagic(f"expected {MAGIC!r}, found {magic!r}")
-        line = fh.readline()
-        if not line:
-            raise CorruptBag("missing manifest line")
-        try:
-            manifest = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CorruptBag(f"manifest is not valid JSON: {e}") from e
-    if not isinstance(manifest.get("topics"), list):
+    """Check the magic and parse the manifest; a malformed header raises
+    UnknownMagic or CorruptBag."""
+    magic, line = header_lines(path)
+    magic = magic.decode("utf-8", "replace").rstrip("\r\n")
+    if magic != MAGIC:
+        raise UnknownMagic(f"expected {MAGIC!r}, found {magic!r}")
+    if not line:
+        raise CorruptBag("missing manifest line")
+    try:
+        manifest = json.loads(line.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise CorruptBag(f"manifest is not UTF-8 JSON: {e}") from e
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("topics"), list):
         raise CorruptBag("manifest has no topic list")
+    for t in manifest["topics"]:
+        if not isinstance(t, dict) or not isinstance(t.get("name"), str):
+            raise CorruptBag(f"manifest topic entry without a name: {t!r}")
     return manifest
 
 
@@ -152,7 +156,7 @@ def iter_samples(path, strict: bool = False):
                     rec["topic"], rec["t"], rec["seq"],
                     _canonicalize(rec["data"], schemas.get(rec["topic"], {})),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError) as e:
                 if not next_line and not line.endswith(b"\n"):
                     warnings.warn(f"skipping truncated final record in {path}")
                     return
@@ -172,16 +176,37 @@ def load_samples(path) -> list[TimedSample]:
     return [s for _, s in iter_samples(path, strict=True) if s is not None]
 
 
-def replay(path, bus: Bus | None = None, rate: float | str = "max",
-           retain: bool = True) -> Bus:
-    """Republish a bag onto a bus, preserving stamps and per-topic seqs.
+def paced_samples(path, rate: float | str = "max"):
+    """Iterator over a bag's samples, released in wall-clock time.
 
     rate "max" skips pacing; a numeric rate scales inter-record wall-clock
-    delays by 1/rate. Downstream extraction over a replayed bag matches the
-    live run bit-exactly because records are reproduced verbatim.
+    delays by 1/rate. The rate is checked on the call, before the bag is read.
     """
     if rate != "max" and not (isinstance(rate, (int, float)) and rate > 0):
         raise ValueError(f"rate must be positive or 'max': {rate!r}")
+
+    def paced():
+        start_wall = time.monotonic()
+        t0 = None
+        for _, sample in iter_samples(path, strict=True):
+            if rate != "max":
+                if t0 is None:
+                    t0 = sample.t_ns
+                delay = start_wall + (sample.t_ns - t0) / 1e9 / rate - time.monotonic()
+                if delay > 0:
+                    time.sleep(delay)
+            yield sample
+
+    return paced()
+
+
+def replay(path, bus: Bus | None = None, rate: float | str = "max",
+           retain: bool = True) -> Bus:
+    """Republish a bag onto a bus, preserving stamps and per-topic seqs,
+    paced as paced_samples does. Downstream extraction over a replayed bag
+    matches the live run bit-exactly because records are reproduced verbatim.
+    """
+    samples = paced_samples(path, rate)
     manifest = read_manifest(path)
     if bus is None:
         bus = Bus(clock=ManualClock())
@@ -190,18 +215,7 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
             TopicDescriptor(t["name"], t.get("schema", {}), t.get("nominal_rate_hz")),
             retain=retain,
         )
-    start_wall = time.monotonic()
-    t0 = None
-    for _, sample in iter_samples(path, strict=True):
-        if sample is None:
-            continue
-        if rate != "max":
-            if t0 is None:
-                t0 = sample.t_ns
-            target = start_wall + (sample.t_ns - t0) / 1e9 / float(rate)
-            delay = target - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+    for sample in samples:
         bus.publish(sample.topic, sample.payload, t_ns=sample.t_ns)
     return bus
 
@@ -245,7 +259,7 @@ def validate(path) -> ValidationReport:
             descs[t["name"]] = TopicDescriptor(t["name"], t.get("schema", {}),
                                                t.get("nominal_rate_hz"))
         except Exception as e:
-            report.issues.append(ValidationIssue("manifest", t.get("name", "?"), str(e)))
+            report.issues.append(ValidationIssue("manifest", t["name"], str(e)))
     last_global_t = None
     last_seq: dict[str, int] = {}
     last_t: dict[str, int] = {}

@@ -15,9 +15,7 @@ import bisect
 import math
 import re
 import threading
-import time
 from dataclasses import dataclass
-from queue import SimpleQueue
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -37,11 +35,6 @@ _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
 # Schema field kinds. A trailing "?" marks the field optional.
 _KINDS = ("f64", "i64", "bool", "str", "vec")
-
-
-def ns_from_s(seconds: float) -> int:
-    """Convert seconds to integer nanoseconds (round half away from grid drift)."""
-    return round(seconds * NS_PER_S)
 
 
 def sample_time_ns(t0_ns: int, index: int, fs_hz: float) -> int:
@@ -87,10 +80,6 @@ class TopicDescriptor:
             if kind.rstrip("?") not in _KINDS:
                 raise InvalidName(f"unknown schema kind {kind!r} for field {fname!r}")
         object.__setattr__(self, "schema", dict(self.schema))
-
-    @property
-    def schema_id(self) -> str:
-        return ",".join(f"{k}:{v}" for k, v in sorted(self.schema.items()))
 
 
 def _canonical_value(kind: str, value, fname: str):
@@ -156,19 +145,6 @@ class ManualClock:
             raise TimestampRegression(f"clock cannot move backwards to {t_ns}")
         self._now = t_ns
 
-    def advance(self, dt_ns: int):
-        self.advance_to(self._now + dt_ns)
-
-
-class WallClock:
-    """Monotonic wall clock, session-relative from construction time."""
-
-    def __init__(self):
-        self._origin = time.monotonic_ns()
-
-    def now_ns(self) -> int:
-        return time.monotonic_ns() - self._origin
-
 
 class Topic:
     """Handle for one registered topic; retains history when retain=True."""
@@ -180,7 +156,6 @@ class Topic:
         self.last_t_ns: int | None = None
         self.next_seq = 0
         self._lock = threading.Lock()
-        self._listeners: list[Callable[[TimedSample], None]] = []
 
     @property
     def name(self) -> str:
@@ -233,21 +208,11 @@ class Bus:
             handle.next_seq += 1
             if handle.retain:
                 handle.samples.append(sample)
-            for fn in handle._listeners:
-                fn(sample)
             for fn in self._bus_listeners:
                 fn(sample)
         return sample
 
     # -- subscription ---------------------------------------------------
-
-    def subscribe(self, name: str) -> SimpleQueue:
-        """Live queue of samples for one topic, in publish order."""
-        q: SimpleQueue = SimpleQueue()
-        topic = self.topic(name)
-        with topic._lock:
-            topic._listeners.append(q.put)
-        return q
 
     def add_listener(self, fn: Callable[[TimedSample], None]):
         """Bus-wide listener (used by the bag recorder). Called under the
@@ -258,16 +223,6 @@ class Bus:
         """Deterministic merge of the retained history of the given topics."""
         streams = [self.topic(n).samples for n in names]
         return merge_samples(streams)
-
-    def align_nearest(
-        self,
-        anchor: str,
-        others: Iterable[str],
-        tolerance_ns: int = DEFAULT_ALIGN_TOLERANCE_NS,
-    ) -> list[AlignedFrame]:
-        anchor_samples = self.topic(anchor).samples
-        other_samples = {n: self.topic(n).samples for n in others}
-        return align_nearest_samples(anchor_samples, other_samples, tolerance_ns)
 
 
 # -- pure stream operators ----------------------------------------------------

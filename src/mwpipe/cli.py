@@ -6,25 +6,13 @@ import sys
 
 import click
 
-from .bag import BagWriter, read_manifest
+from .bag import BagWriter
 from .bag import replay as bag_replay
 from .bag import validate as bag_validate
-from .bus import Bus, ManualClock, TopicDescriptor
-from .config import load_config, plan_from_config, profile_from_config
+from .bus import Bus, ManualClock
+from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
 from .export import extract_csv
-from .session import run_session
-from .synth import (
-    default_gaze_script,
-    default_scr_events,
-    gen_drift_st,
-    gen_eda,
-    gen_gaze,
-    gen_resp,
-    gen_rr_series,
-    render_cardiac,
-)
-
-from dataclasses import replace
+from .session import StitchState, bio_topic_descriptors, phase_waveforms, run_session
 
 
 @click.group()
@@ -43,46 +31,19 @@ def synth(profile_path, duration_s, out_path):
     profile = profile_from_config(load_config(profile_path))
     if duration_s is not None:
         profile.duration_s = duration_s
-    dur = profile.duration_s
     profile.validate()
 
     bus = Bus(clock=ManualClock())
-    topics = {
-        "ecg": bus.open_topic(TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0), retain=False),
-        "ppg": bus.open_topic(TopicDescriptor("bio.ppg", {"v": "f64"}, 64.0), retain=False),
-        "resp": bus.open_topic(TopicDescriptor("bio.resp", {"v": "f64"}, 1.008), retain=False),
-        "eda": bus.open_topic(TopicDescriptor("bio.eda", {"v": "f64"}, 4.0), retain=False),
-        "st": bus.open_topic(TopicDescriptor("bio.st", {"v": "f64"}, 4.0), retain=False),
-        "gaze": bus.open_topic(
-            TopicDescriptor("bio.gaze", {"x_deg": "f64", "y_deg": "f64", "d_mm": "f64"}, 120.0),
-            retain=False),
-    }
+    topics = {d.name: bus.open_topic(d, retain=False) for d in bio_topic_descriptors()}
     writer = BagWriter(out_path, bus, session_meta={"kind": "synth", "seed": profile.seed})
     writer.start()
-    rr = gen_rr_series(profile)
-    waveforms = {
-        "ecg": render_cardiac(rr, "ecg"),
-        "ppg": render_cardiac(rr, "ppg", amplitude=profile.ppg_amplitude),
-        "resp": gen_resp(profile.resp_rate_bpm, duration_s=dur),
-        "eda": gen_eda(replace(
-            profile, scr_events=profile.scr_events or default_scr_events(dur, profile.seed))),
-        "st": gen_drift_st(profile),
-        "gaze": gen_gaze(profile.gaze_script or default_gaze_script(dur, profile.seed),
-                         profile.pupil_base_mm, duration_s=dur,
-                         fixation_noise_deg=profile.fixation_noise_deg, seed=profile.seed),
-    }
+    waveforms = phase_waveforms(profile, profile.duration_s, profile.seed, StitchState())
     n = 0
     for m, wf in waveforms.items():
-        times = wf.times_ns()
-        if m == "gaze":
-            for t, (x, y, d) in zip(times, wf.values):
-                bus.publish(topics[m], {"x_deg": float(x), "y_deg": float(y),
-                                        "d_mm": float(d)}, t_ns=int(t))
-                n += 1
-        else:
-            for t, v in zip(times, wf.values.tolist()):
-                bus.publish(topics[m], {"v": v}, t_ns=int(t))
-                n += 1
+        rows = wf.values.reshape(wf.n, -1).tolist()
+        for t, row in zip(wf.times_ns().tolist(), rows):
+            bus.publish(topics[f"bio.{m}"], dict(zip(wf.fields, row)), t_ns=t)
+        n += wf.n
     writer.close()
     click.echo(f"wrote {n} samples across {len(waveforms)} topics to {out_path}")
 
@@ -120,13 +81,9 @@ def simulate(config_path, out_path, tlx):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
     """Derive the per-window feature table from a bag."""
-    from .config import gaze_thresholds_from_config
-    from .features import DEFAULT_THRESHOLDS
-
-    thresholds = gaze_thresholds_from_config(load_config(config_path)) or DEFAULT_THRESHOLDS
     path = extract_csv(bag_path, out_path, window_s=window_s, stride_s=stride_s,
                        align_tolerance_ns=round(tolerance_ms * 1e6),
-                       gaze_thresholds=thresholds)
+                       gaze_thresholds=gaze_thresholds_from_config(load_config(config_path)))
     with open(path, "r", encoding="utf-8") as fh:
         rows = sum(1 for _ in fh) - 1
     click.echo(f"wrote {rows} rows to {path}")
@@ -152,7 +109,7 @@ def replay(bag_path, rate, bind_addr):
         click.echo(f"sent {sent} records")
         return
     bus = bag_replay(bag_path, rate=rate_val, retain=False)
-    total = sum(t.next_seq for t in bus._topics.values())
+    total = sum(bus.topic(d.name).next_seq for d in bus.topics())
     click.echo(f"replayed {total} records across {len(bus.topics())} topics")
 
 
@@ -160,11 +117,6 @@ def replay(bag_path, rate, bind_addr):
 @click.option("--bag", "bag_path", type=click.Path(exists=True), required=True)
 def validate(bag_path):
     """Check a bag's structure; exit nonzero on any error."""
-    try:
-        read_manifest(bag_path)
-    except Exception as e:
-        click.echo(f"invalid bag: {e}", err=True)
-        sys.exit(1)
     report = bag_validate(bag_path)
     for issue in report.issues:
         click.echo(str(issue), err=True)

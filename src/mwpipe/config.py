@@ -55,10 +55,8 @@ def seed_override(seed: int) -> int:
     return int(env) if env else seed
 
 
-def gaze_thresholds_from_config(cfg: dict) -> GazeThresholds | None:
-    if "gaze_thresholds" not in cfg:
-        return None
-    return GazeThresholds(**cfg["gaze_thresholds"])
+def gaze_thresholds_from_config(cfg: dict) -> GazeThresholds:
+    return GazeThresholds(**cfg.get("gaze_thresholds", {}))
 
 
 def plan_from_config(cfg: dict) -> SessionPlan:

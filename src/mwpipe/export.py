@@ -13,15 +13,17 @@ import numpy as np
 
 from .bag import iter_samples, read_manifest
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
-from .features import DEFAULT_THRESHOLDS, FEATURE_CATALOG, MODALITY_RATES, FeaturePipeline
+from .features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
 
 BIO_PREFIX = "bio."
 
+# Telemetry topic -> {payload field: CSV column}.
 SIM_COLUMNS = {
-    "sim.rover": ("x_m", "y_m", "heading_deg", "speed_m_s", "angular_vel_deg_s",
-                  "battery_pct", "motor_temp_c", "distance_m"),
-    "sim.resources": ("o2_pct", "co2_pct"),
-    "sim.radar": ("state",),
+    "sim.rover": {f: f"sim.{f}" for f in (
+        "x_m", "y_m", "heading_deg", "speed_m_s", "angular_vel_deg_s",
+        "battery_pct", "motor_temp_c", "distance_m")},
+    "sim.resources": {"o2_pct": "sim.o2_pct", "co2_pct": "sim.co2_pct"},
+    "sim.radar": {"state": "sim.radar_state"},
 }
 META_TOPIC = "sim.meta"
 META_COLUMNS = ("phase", "difficulty", "run_index")
@@ -55,8 +57,6 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
     sim_samples: dict[str, list[TimedSample]] = {t: [] for t in SIM_COLUMNS}
     meta_samples: list[TimedSample] = []
     for _, sample in iter_samples(bag_path, strict=True):
-        if sample is None:
-            continue
         if sample.topic.startswith(BIO_PREFIX):
             modality = sample.topic[len(BIO_PREFIX):]
             times, values = bio.setdefault(modality, ([], []))
@@ -71,12 +71,12 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
         elif sample.topic == META_TOPIC:
             meta_samples.append(sample)
 
-    modalities = tuple(sorted(m for m in bio if m in MODALITY_RATES))
+    modalities = tuple(sorted(m for m in bio if m in BIO_TOPICS))
     rows: list = []
     if modalities:
         t0 = min(times[0] for times, _ in (bio[m] for m in modalities))
         end = max(
-            bio[m][0][-1] + round(NS_PER_S / MODALITY_RATES[m]) for m in modalities
+            bio[m][0][-1] + round(NS_PER_S / BIO_TOPICS[m].rate_hz) for m in modalities
         )
         pipeline = FeaturePipeline(len_s=window_s, stride_s=stride_s, t0_ns=t0,
                                    modalities=modalities, gaze_thresholds=gaze_thresholds)
@@ -107,9 +107,8 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
         for topic, fields in SIM_COLUMNS.items():
             if topic in frame.joined:
                 payload = frame.joined[topic][0].payload
-                for f in fields:
-                    name = "sim.radar_state" if (topic, f) == ("sim.radar", "state") else f"sim.{f}"
-                    cells[name] = payload[f]
+                for f, column in fields.items():
+                    cells[column] = payload[f]
         if META_TOPIC in frame.joined:
             payload = frame.joined[META_TOPIC][0].payload
             for f in META_COLUMNS:
@@ -121,8 +120,7 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
         columns.add(f"{m}.quality")
     for topic, fields in SIM_COLUMNS.items():
         if sim_samples[topic]:
-            for f in fields:
-                columns.add("sim.radar_state" if (topic, f) == ("sim.radar", "state") else f"sim.{f}")
+            columns.update(fields.values())
     if meta_samples:
         columns.update(f"meta.{f}" for f in META_COLUMNS)
     ordered = sorted(columns)

@@ -1,6 +1,6 @@
 """Rolling-window biofeature extraction for the six raw modalities."""
 
-from .catalog import FEATURE_CATALOG, MODALITY_RATES
+from .catalog import BIO_TOPICS, FEATURE_CATALOG
 from .windowing import Window, SlidingWindower, make_windows
 from .beats import BeatSeries, detect_beats
 from .hrv import hrv_stat_features, hrv_frequency
@@ -12,8 +12,8 @@ from .gaze import DEFAULT_THRESHOLDS, GazeEventRec, GazeThresholds, classify_gaz
 from .extract import FeatureRow, FeaturePipeline, extract_window, MIN_QUALITY
 
 __all__ = [
+    "BIO_TOPICS",
     "FEATURE_CATALOG",
-    "MODALITY_RATES",
     "Window",
     "SlidingWindower",
     "make_windows",

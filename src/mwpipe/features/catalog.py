@@ -3,15 +3,26 @@
 Every FeatureRow draws its keys from these tuples; absent values are omitted
 from the row (never encoded as 0 or NaN). CSV export emits every catalog
 column for each modality present in a bag.
+
+BIO_TOPICS holds the one definition of each raw bio topic (bio.<modality>):
+its sensor-native sampling rate and the f64 fields of its payload.
 """
 
-MODALITY_RATES = {
-    "ecg": 252.0,
-    "ppg": 64.0,
-    "resp": 1.008,
-    "eda": 4.0,
-    "st": 4.0,
-    "gaze": 120.0,
+from typing import NamedTuple
+
+
+class BioTopic(NamedTuple):
+    rate_hz: float
+    fields: tuple
+
+
+BIO_TOPICS = {
+    "ecg": BioTopic(252.0, ("v",)),
+    "ppg": BioTopic(64.0, ("v",)),
+    "resp": BioTopic(1.008, ("v",)),
+    "eda": BioTopic(4.0, ("v",)),
+    "st": BioTopic(4.0, ("v",)),
+    "gaze": BioTopic(120.0, ("x_deg", "y_deg", "d_mm")),
 }
 
 FEATURE_CATALOG = {

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import TooManyInvalidSamples
 from .beats import detect_beats
-from .catalog import FEATURE_CATALOG, MODALITY_RATES
+from .catalog import BIO_TOPICS, FEATURE_CATALOG
 from .eda import eda_decompose, eda_features
 from .gaze import DEFAULT_THRESHOLDS, GazeThresholds, classify_gaze, gaze_features
 from .hrv import hrv_frequency, hrv_stat_features
@@ -92,7 +92,7 @@ class FeaturePipeline:
     len_s: float = 30.0
     stride_s: float = 1.0
     t0_ns: int = 0
-    modalities: tuple = tuple(MODALITY_RATES)
+    modalities: tuple = tuple(BIO_TOPICS)
     gaze_thresholds: GazeThresholds = DEFAULT_THRESHOLDS
     _windowers: dict = field(init=False)
     ppg_baseline_pa: float | None = field(default=None, init=False)
@@ -100,7 +100,7 @@ class FeaturePipeline:
 
     def __post_init__(self):
         self._windowers = {
-            m: SlidingWindower(m, MODALITY_RATES[m], self.len_s, self.stride_s, self.t0_ns)
+            m: SlidingWindower(m, BIO_TOPICS[m].rate_hz, self.len_s, self.stride_s, self.t0_ns)
             for m in self.modalities
         }
 

@@ -18,10 +18,12 @@ import numpy as np
 from .bag import BagWriter
 from .bus import Bus, ManualClock, NS_PER_S, TopicDescriptor
 from .errors import PlanInvalid, ScaleOutOfRange
-from .features import FEATURE_CATALOG, FeaturePipeline
-from .sim import PolicyConfig, RoverSim, ScriptedOperator, evaluate_run, preset
+from .features import BIO_TOPICS, FEATURE_CATALOG, FeaturePipeline
+from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
+from .sim import PhysicsParams, PolicyConfig, RoverSim, ScriptedOperator, evaluate_run, preset
 from .sim.operator import WanderOperator
-from .sim.outcome import TickRecord
+from .sim.outcome import TickRecord, run_end
+from .sim.rover import DEFAULT_PHYSICS
 from .synth import (
     SynthProfile,
     default_gaze_script,
@@ -124,8 +126,8 @@ class SessionPlan:
     phase_profiles: dict = field(default_factory=dict)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     tlx_jitter: int = 8
-    gaze_thresholds: object = None
-    physics: object = None
+    gaze_thresholds: GazeThresholds = DEFAULT_THRESHOLDS
+    physics: PhysicsParams = DEFAULT_PHYSICS
 
     def validate(self):
         order = tuple(self.run_order)
@@ -157,14 +159,14 @@ def _feature_schema(modality: str) -> dict:
     return schema
 
 
+def bio_topic_descriptors() -> list[TopicDescriptor]:
+    """The raw bio.<modality> topics, in BIO_TOPICS order."""
+    return [TopicDescriptor(f"bio.{m}", dict.fromkeys(t.fields, "f64"), t.rate_hz)
+            for m, t in BIO_TOPICS.items()]
+
+
 def _open_topics(bus: Bus):
     topics = [
-        ("bio.ecg", {"v": "f64"}, 252.0),
-        ("bio.ppg", {"v": "f64"}, 64.0),
-        ("bio.resp", {"v": "f64"}, 1.008),
-        ("bio.eda", {"v": "f64"}, 4.0),
-        ("bio.st", {"v": "f64"}, 4.0),
-        ("bio.gaze", {"x_deg": "f64", "y_deg": "f64", "d_mm": "f64"}, 120.0),
         ("sim.rover", {"x_m": "f64", "y_m": "f64", "heading_deg": "f64",
                        "speed_m_s": "f64", "angular_vel_deg_s": "f64",
                        "battery_pct": "f64", "motor_temp_c": "f64",
@@ -181,10 +183,9 @@ def _open_topics(bus: Bus):
                         "temporal": "i64", "performance": "i64", "effort": "i64",
                         "frustration": "i64"}, None),
     ]
-    for m in FEATURE_CATALOG:
-        topics.append((f"feat.{m}", _feature_schema(m), None))
-    return {name: bus.open_topic(TopicDescriptor(name, schema, rate), retain=False)
-            for name, schema, rate in topics}
+    topics += [(f"feat.{m}", _feature_schema(m), None) for m in FEATURE_CATALOG]
+    descs = bio_topic_descriptors() + [TopicDescriptor(*t) for t in topics]
+    return {d.name: bus.open_topic(d, retain=False) for d in descs}
 
 
 CARDIAC_FADE_S = 0.08
@@ -205,11 +206,35 @@ def _taper_edges(values: np.ndarray, fs: float, dc: float,
 
 
 @dataclass
-class _StitchState:
+class StitchState:
     """Continuity carried from one phase's streams into the next."""
 
     resp_phase_rad: float = 0.0
     gaze_x_deg: float = -4.0
+
+
+def phase_waveforms(profile: SynthProfile, duration_s: float, seed: int,
+                    stitch: StitchState) -> dict:
+    """The six raw waveforms of one phase, keyed by modality, untapered.
+
+    Respiration continues the cycle and the gaze script opens at the
+    position that stitch carries over from the previous phase.
+    """
+    p = replace(profile, seed=seed, duration_s=duration_s)
+    rr = gen_rr_series(p)
+    gaze_script = p.gaze_script or default_gaze_script(
+        duration_s, seed, start_x_deg=stitch.gaze_x_deg)
+    return {
+        "ecg": render_cardiac(rr, "ecg"),
+        "ppg": render_cardiac(rr, "ppg", amplitude=p.ppg_amplitude),
+        "resp": gen_resp(p.resp_rate_bpm, duration_s=duration_s,
+                         phase0_rad=stitch.resp_phase_rad),
+        "eda": gen_eda(replace(
+            p, scr_events=p.scr_events or default_scr_events(duration_s, seed))),
+        "st": gen_drift_st(p),
+        "gaze": gen_gaze(gaze_script, p.pupil_base_mm, duration_s=duration_s,
+                         fixation_noise_deg=p.fixation_noise_deg, seed=seed),
+    }
 
 
 class _PhaseStreams:
@@ -221,28 +246,12 @@ class _PhaseStreams:
     """
 
     def __init__(self, profile: SynthProfile, duration_s: float, phase_seed: int,
-                 t0_ns: int, stitch: _StitchState):
-        p = replace(profile, seed=phase_seed, duration_s=duration_s)
-        rr = gen_rr_series(p)
-        ecg = render_cardiac(rr, "ecg")
-        ppg = render_cardiac(rr, "ppg", amplitude=p.ppg_amplitude)
-        ecg.values = _taper_edges(ecg.values, ecg.fs_hz, 0.0)
-        ppg.values = _taper_edges(ppg.values, ppg.fs_hz, -0.3 * p.ppg_amplitude)
-        gaze_script = p.gaze_script or default_gaze_script(
-            duration_s, phase_seed, start_x_deg=stitch.gaze_x_deg)
-        waveforms = {
-            "ecg": ecg,
-            "ppg": ppg,
-            "resp": gen_resp(p.resp_rate_bpm, duration_s=duration_s,
-                             phase0_rad=stitch.resp_phase_rad),
-            "eda": gen_eda(replace(
-                p, scr_events=p.scr_events or default_scr_events(duration_s, phase_seed))),
-            "st": gen_drift_st(p),
-            "gaze": gen_gaze(gaze_script, p.pupil_base_mm, duration_s=duration_s,
-                             fixation_noise_deg=p.fixation_noise_deg, seed=phase_seed),
-        }
-        self.t0_ns = t0_ns
-        self.breath_rate_bpm = p.resp_rate_bpm
+                 t0_ns: int, stitch: StitchState):
+        waveforms = phase_waveforms(profile, duration_s, phase_seed, stitch)
+        for m, dc in (("ecg", 0.0), ("ppg", -0.3 * profile.ppg_amplitude)):
+            wf = waveforms[m]
+            wf.values = _taper_edges(wf.values, wf.fs_hz, dc)
+        self.breath_rate_bpm = profile.resp_rate_bpm
         self.streams = {}
         for m, wf in waveforms.items():
             times = wf.times_ns() + t0_ns
@@ -253,17 +262,15 @@ class _PhaseStreams:
                 scalars = wf.values.tolist()
             self.streams[m] = {"times": times, "scalars": scalars,
                                "feed": feed_vals, "ptr": 0}
-        self._gaze_wf = waveforms["gaze"]
-        self._resp_rate = p.resp_rate_bpm
 
-    def carry_out(self, actual_duration_s: float, stitch: _StitchState) -> _StitchState:
+    def carry_out(self, actual_duration_s: float, stitch: StitchState) -> StitchState:
         """Continuity values at the point this phase actually ended."""
         resp_phase = (stitch.resp_phase_rad
-                      + 2.0 * math.pi * (self._resp_rate / 60.0) * actual_duration_s)
+                      + 2.0 * math.pi * (self.breath_rate_bpm / 60.0) * actual_duration_s)
         gaze = self.streams["gaze"]
         idx = min(max(gaze["ptr"] - 1, 0), len(gaze["scalars"]) - 1)
         gaze_x = gaze["scalars"][idx][0] if gaze["scalars"] else stitch.gaze_x_deg
-        return _StitchState(resp_phase_rad=resp_phase % (2.0 * math.pi), gaze_x_deg=gaze_x)
+        return StitchState(resp_phase_rad=resp_phase % (2.0 * math.pi), gaze_x_deg=gaze_x)
 
     def publish_until(self, bus, topics, pipeline, t_limit_ns: int):
         """Publish and feed every sample with t < t_limit_ns."""
@@ -306,10 +313,7 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
         "run_timeout_s": plan.run_timeout_s,
     })
     writer.start()
-    if plan.gaze_thresholds is not None:
-        pipeline = FeaturePipeline(t0_ns=0, gaze_thresholds=plan.gaze_thresholds)
-    else:
-        pipeline = FeaturePipeline(t0_ns=0)
+    pipeline = FeaturePipeline(t0_ns=0, gaze_thresholds=plan.gaze_thresholds)
 
     phases = [("baseline", None)]
     for i, level in enumerate(plan.run_order):
@@ -321,7 +325,7 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
     phase_spans: list[tuple] = []
     t_ns = 0
     last_meta_ns = -1
-    stitch = _StitchState()
+    stitch = StitchState()
 
     def publish_meta(t, phase_name, run_index, difficulty):
         nonlocal last_meta_ns
@@ -346,13 +350,12 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
             phase_start = t_ns
             streams = _PhaseStreams(plan.profile_for(phase_name), duration_s,
                                     phase_seed, phase_start, stitch)
-            sim_kwargs = {} if plan.physics is None else {"physics": plan.physics}
             if is_run:
                 sim = RoverSim(plan.seed * 100 + 50 + run_index, preset(level),
-                               task_active=True, **sim_kwargs)
+                               plan.physics, task_active=True)
                 operator = ScriptedOperator(plan.policy, phase_seed)
             else:
-                sim = RoverSim(phase_seed, preset("low"), task_active=False, **sim_kwargs)
+                sim = RoverSim(phase_seed, preset("low"), plan.physics, task_active=False)
                 operator = WanderOperator(phase_seed)
 
             publish_meta(phase_start, phase_name, run_index if run_index is not None else -1, level)
@@ -399,19 +402,13 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                 _publish_feature_rows(bus, topics, pipeline.advance_to(tick_end))
                 if is_run:
                     trace.append(TickRecord(state, action, events))
-                    done = (
-                        state.battery_pct <= 0.0 or state.o2_pct <= 0.0
-                        or state.co2_pct >= sim.physics.co2_fail_pct
-                        or (action.drop_marker
-                            and sim.distance_to_goal(state) <= sim.physics.goal_radius_m)
-                    )
-                    if done:
+                    if run_end(sim, state, action) is not None:
                         t_ns = tick_end
                         break
                 t_ns = tick_end
             phase_end = t_ns
             if is_run:
-                outcome = evaluate_run(trace, sim.physics.goal_radius_m, sim.distance_to_goal)
+                outcome = evaluate_run(trace, sim)
                 tlx = collect_tlx(run_index, level, outcome.status, plan.seed,
                                   plan.tlx_jitter, tlx_interactive_prompt)
                 bus.publish(topics["survey.tlx"], tlx.as_payload(), t_ns=phase_end)

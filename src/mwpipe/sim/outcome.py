@@ -63,27 +63,35 @@ def _radar_stats(trace) -> dict:
     }
 
 
-def evaluate_run(trace: list, goal_radius_m: float = DEFAULT_PHYSICS.goal_radius_m,
-                 goal_distance_fn=None) -> RunOutcome:
-    """Apply the failure/completion rules to a complete per-tick trace."""
+def run_end(sim: RoverSim, state: RoverState, action: OperatorAction) -> str | None:
+    """The status that ends a run at this tick, or None while it goes on.
+
+    The limits are the simulator's own physics, so the tick that stops a
+    run and the status reported for it always agree.
+    """
+    physics = sim.physics
+    if state.battery_pct <= 0.0:
+        return "failed_battery"
+    if state.o2_pct <= 0.0:
+        return "failed_o2"
+    if state.co2_pct >= physics.co2_fail_pct:
+        return "failed_co2"
+    if action.drop_marker and sim.distance_to_goal(state) <= physics.goal_radius_m:
+        return "completed"
+    return None
+
+
+def evaluate_run(trace: list, sim: RoverSim) -> RunOutcome:
+    """Apply the run-end rule to a per-tick trace of sim's run; a trace that
+    never meets it is aborted."""
     if not trace:
         raise IncompleteTrace("empty trace")
     status = "aborted"
     end_index = len(trace) - 1
     for i, rec in enumerate(trace):
-        s = rec.state
-        if s.battery_pct <= 0.0:
-            status, end_index = "failed_battery", i
-            break
-        if s.o2_pct <= 0.0:
-            status, end_index = "failed_o2", i
-            break
-        if s.co2_pct >= DEFAULT_PHYSICS.co2_fail_pct:
-            status, end_index = "failed_co2", i
-            break
-        if rec.action.drop_marker and goal_distance_fn is not None \
-                and goal_distance_fn(s) <= goal_radius_m:
-            status, end_index = "completed", i
+        end = run_end(sim, rec.state, rec.action)
+        if end is not None:
+            status, end_index = end, i
             break
     last = trace[end_index].state
     stats = _comm_stats(trace[: end_index + 1])
@@ -100,13 +108,8 @@ def run_closed_loop(seed: int, difficulty: DifficultyParams,
                     policy: PolicyConfig = PolicyConfig(),
                     breath_rate_bpm: float = 15.0,
                     timeout_s: float = 720.0,
-                    physics: PhysicsParams = DEFAULT_PHYSICS,
-                    on_tick=None):
-    """Run one full closed-loop trial; returns (trace, outcome).
-
-    on_tick(state, action, events) is called after every step (telemetry
-    hook for the session runner).
-    """
+                    physics: PhysicsParams = DEFAULT_PHYSICS):
+    """Run one full closed-loop trial; returns (trace, outcome)."""
     sim = RoverSim(seed, difficulty, physics)
     op = ScriptedOperator(policy, seed)
     trace = []
@@ -114,14 +117,8 @@ def run_closed_loop(seed: int, difficulty: DifficultyParams,
     for _ in range(max_ticks):
         action = op.act(sim, sim.state)
         state, events = sim.step(action, breath_rate_bpm)
-        rec = TickRecord(state, action, events)
-        trace.append(rec)
-        if on_tick is not None:
-            on_tick(state, action, events)
-        if state.battery_pct <= 0.0 or state.o2_pct <= 0.0 \
-                or state.co2_pct >= physics.co2_fail_pct:
+        trace.append(TickRecord(state, action, events))
+        if run_end(sim, state, action) is not None:
             break
-        if action.drop_marker and sim.distance_to_goal(state) <= physics.goal_radius_m:
-            break
-    outcome = evaluate_run(trace, physics.goal_radius_m, sim.distance_to_goal)
+    outcome = evaluate_run(trace, sim)
     return trace, outcome

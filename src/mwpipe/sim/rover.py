@@ -130,9 +130,6 @@ class Terrain:
         self._phase = rng.uniform(0.0, 2.0 * math.pi, self.N_COMPONENTS)
         self._amp = rng.uniform(2.0, 6.0, self.N_COMPONENTS) * roughness
 
-    def height(self, x: float, y: float) -> float:
-        return float(np.sum(self._amp * np.sin(self._kx * x + self._ky * y + self._phase)))
-
     def gradient(self, x: float, y: float) -> tuple:
         c = self._amp * np.cos(self._kx * x + self._ky * y + self._phase)
         return float(np.sum(c * self._kx)), float(np.sum(c * self._ky))

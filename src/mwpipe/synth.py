@@ -26,14 +26,14 @@ from .errors import (
     OverlapTooDense,
     OverlappingEvents,
 )
+from .features.catalog import BIO_TOPICS
 
-# Sensor-native sampling rates.
-ECG_FS = 252.0
-PPG_FS = 64.0
-RESP_FS = 1.008
-EDA_FS = 4.0
-ST_FS = 4.0
-GAZE_FS = 120.0
+ECG_FS = BIO_TOPICS["ecg"].rate_hz
+PPG_FS = BIO_TOPICS["ppg"].rate_hz
+RESP_FS = BIO_TOPICS["resp"].rate_hz
+EDA_FS = BIO_TOPICS["eda"].rate_hz
+ST_FS = BIO_TOPICS["st"].rate_hz
+GAZE_FS = BIO_TOPICS["gaze"].rate_hz
 
 # RNG substream ids, so generators stay independent under one seed.
 _STREAM_RR = 1
@@ -159,10 +159,14 @@ class Waveform:
     modality: str
     fs_hz: float
     values: np.ndarray  # shape (n,) or (n, k)
-    fields: tuple = ("v",)
     t0_ns: int = 0
     truth: dict = field(default_factory=dict)
     nominal_duration_ns: int | None = None
+
+    @property
+    def fields(self) -> tuple:
+        """Payload fields of one sample, from the modality's bio topic."""
+        return BIO_TOPICS[self.modality].fields
 
     @property
     def n(self) -> int:
@@ -259,7 +263,7 @@ def render_cardiac(rr: RRSeries, modality: str, amplitude: float | None = None) 
         x = _ecg_from_beats(beat_times, duration, fs)
         truth_beats = np.array([round(bt * NS_PER_S) for bt in beat_times], dtype=np.int64)
         truth = {"beat_times_ns": truth_beats, "intervals_ms": rr.intervals_ms.copy()}
-        return Waveform("ecg", fs, x, ("v",), rr.t0_ns, truth, round(duration * NS_PER_S))
+        return Waveform("ecg", fs, x, rr.t0_ns, truth, round(duration * NS_PER_S))
     if modality == "ppg":
         fs = PPG_FS
         amp = float(amplitude) if amplitude is not None else 100.0
@@ -285,7 +289,7 @@ def render_cardiac(rr: RRSeries, modality: str, amplitude: float | None = None) 
             "intervals_ms": rr.intervals_ms.copy(),
             "amplitude": amp,
         }
-        return Waveform("ppg", fs, x, ("v",), rr.t0_ns, truth, round(duration * NS_PER_S))
+        return Waveform("ppg", fs, x, rr.t0_ns, truth, round(duration * NS_PER_S))
     raise ValueError(f"unknown cardiac modality {modality!r}")
 
 
@@ -305,7 +309,7 @@ def gen_resp(rate_bpm: float, fs_hz: float = RESP_FS, duration_s: float = 60.0,
     n = int(duration_s * fs_hz + 1e-9)
     t = np.arange(n) / fs_hz
     x = amplitude * np.sin(2.0 * math.pi * (rate_bpm / 60.0) * t + phase0_rad)
-    return Waveform("resp", fs_hz, x, ("v",), 0, {"rate_bpm": rate_bpm},
+    return Waveform("resp", fs_hz, x, 0, {"rate_bpm": rate_bpm},
                     round(duration_s * NS_PER_S))
 
 
@@ -342,7 +346,7 @@ def gen_eda(profile: SynthProfile, duration_s: float | None = None) -> Waveform:
                                        - np.exp(-tau[mask] / SCR_TAU_RISE))
     if profile.eda_noise_uS > 0:
         x = x + _rng(profile.seed, _STREAM_EDA).standard_normal(n) * profile.eda_noise_uS
-    return Waveform("eda", EDA_FS, x, ("v",), 0,
+    return Waveform("eda", EDA_FS, x, 0,
                     {"scr_events": events, "tonic_uS": profile.eda_tonic_uS},
                     round(dur * NS_PER_S))
 
@@ -360,7 +364,7 @@ def gen_drift_st(profile: SynthProfile, duration_s: float | None = None) -> Wave
     x = profile.st_base_c + (profile.st_drift_c_per_min / 60.0) * t
     if profile.st_noise_c > 0:
         x = x + _rng(profile.seed, _STREAM_ST).standard_normal(n) * profile.st_noise_c
-    return Waveform("st", ST_FS, x, ("v",), 0,
+    return Waveform("st", ST_FS, x, 0,
                     {"base_c": profile.st_base_c, "drift_c_per_min": profile.st_drift_c_per_min},
                     round(dur * NS_PER_S))
 
@@ -474,7 +478,7 @@ def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5, fs: float = GA
         raise InvalidProfile("gaze positions exceed +-60 deg horizontal / +-45 deg vertical")
     diameter = pupil_base_mm + 0.15 * np.sin(2 * math.pi * 0.1 * t)
     values = np.column_stack([x, y, diameter])
-    return Waveform("gaze", fs, values, ("x_deg", "y_deg", "d_mm"), 0,
+    return Waveform("gaze", fs, values, 0,
                     {"script": list(script), "pupil_base_mm": pupil_base_mm},
                     round(dur * NS_PER_S))
 

@@ -9,9 +9,8 @@ unambiguous for binary-safe readers.
 from __future__ import annotations
 
 import socket
-import time
 
-from .bag import iter_samples, read_manifest, _record_line
+from .bag import _record_line, header_lines, paced_samples, read_manifest
 
 
 def send_frame(sock: socket.socket, payload: bytes):
@@ -45,8 +44,9 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
     The manifest is sent as frame 0. ready, when given, is a callable
     invoked with (host, port) once listening (used to synchronize tests).
     """
-    manifest_line = open(path, "r", encoding="utf-8").readlines()[1].rstrip("\n")
-    read_manifest(path)  # raises on bad magic before we bind
+    samples = paced_samples(path, rate)
+    read_manifest(path)  # raises on a bad header before we bind
+    manifest_line = header_lines(path)[1].rstrip(b"\r\n")
     srv = socket.create_server((host, port))
     bound = srv.getsockname()
     if ready is not None:
@@ -54,19 +54,8 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
     conn, _ = srv.accept()
     sent = 0
     try:
-        send_frame(conn, manifest_line.encode("utf-8"))
-        start_wall = time.monotonic()
-        t0 = None
-        for _, sample in iter_samples(path, strict=True):
-            if sample is None:
-                continue
-            if rate != "max":
-                if t0 is None:
-                    t0 = sample.t_ns
-                target = start_wall + (sample.t_ns - t0) / 1e9 / float(rate)
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
+        send_frame(conn, manifest_line)
+        for sample in samples:
             send_frame(conn, _record_line(sample).rstrip("\n").encode("utf-8"))
             sent += 1
     finally:

@@ -12,7 +12,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mwpipe.bag import body_bytes, iter_samples, record, replay, validate
+from mwpipe.bag import BagWriter, body_bytes, iter_samples, replay, validate
 from mwpipe.bus import Bus, ManualClock, NS_PER_S
 from mwpipe.export import extract_csv
 from mwpipe.features.beats import BeatSeries, detect_beats
@@ -200,7 +200,7 @@ def test_criterion_7_determinism(default_session, tmp_path_factory):
     second = run_session(SessionPlan(seed=plan.seed), tmp / "second.bag")
     assert body_bytes(result.bag_path) == body_bytes(second.bag_path)
     bus = Bus(clock=ManualClock())
-    w = record(bus, tmp / "replayed.bag")
+    w = BagWriter(tmp / "replayed.bag", bus)
     replay(result.bag_path, bus=bus, rate="max", retain=False)
     w.close()
     live_csv = extract_csv(result.bag_path, tmp / "live.csv")

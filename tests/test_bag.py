@@ -6,14 +6,14 @@ import pytest
 from mwpipe.bag import (
     BagWriter,
     body_bytes,
+    iter_samples,
     load_samples,
     read_manifest,
-    record,
     replay,
     validate,
 )
 from mwpipe.bus import Bus, ManualClock, TopicDescriptor
-from mwpipe.errors import UnknownMagic
+from mwpipe.errors import CorruptBag, UnknownMagic
 
 
 def small_bus():
@@ -25,7 +25,7 @@ def small_bus():
 
 def write_small_bag(path, n=50):
     bus, a, b = small_bus()
-    w = record(bus, path, session_meta={"kind": "test"})
+    w = BagWriter(path, bus, session_meta={"kind": "test"})
     w.start()
     for i in range(n):
         bus.publish(a, {"v": float(i)}, t_ns=i * 100_000_000)
@@ -37,7 +37,7 @@ def write_small_bag(path, n=50):
 
 def test_empty_session_header_only(tmp_path):
     bus, _, _ = small_bus()
-    w = record(bus, tmp_path / "empty.bag")
+    w = BagWriter(tmp_path / "empty.bag", bus)
     w.start()
     w.close()
     manifest = read_manifest(tmp_path / "empty.bag")
@@ -64,7 +64,7 @@ def test_record_read_round_trip_exact(tmp_path):
 def test_float_payloads_round_trip_bit_exact(tmp_path):
     bus = Bus(clock=ManualClock())
     t = bus.open_topic(TopicDescriptor("f.x", {"v": "f64"}))
-    w = record(bus, tmp_path / "f.bag")
+    w = BagWriter(tmp_path / "f.bag", bus)
     w.start()
     values = [0.1, 1 / 3, 2**-52, 1e300, -7.000000000000001]
     for i, v in enumerate(values):
@@ -85,7 +85,7 @@ def test_replay_preserves_samples_and_seqs(tmp_path):
 def test_replay_record_identity_on_body(tmp_path):
     src = write_small_bag(tmp_path / "src.bag")
     bus = Bus(clock=ManualClock())
-    w = record(bus, tmp_path / "dst.bag")
+    w = BagWriter(tmp_path / "dst.bag", bus)
     replay(src, bus=bus, rate="max", retain=False)
     w.close()
     assert body_bytes(tmp_path / "dst.bag") == body_bytes(src)
@@ -94,7 +94,7 @@ def test_replay_record_identity_on_body(tmp_path):
 def test_replay_rate_pacing(tmp_path):
     # 0.5 s of data at rate 2.0 should take about 0.25 s wall
     bus, a, _ = small_bus()
-    w = record(bus, tmp_path / "paced.bag")
+    w = BagWriter(tmp_path / "paced.bag", bus)
     w.start()
     for i in range(6):
         bus.publish(a, {"v": 0.0}, t_ns=i * 100_000_000)
@@ -123,6 +123,34 @@ def test_unknown_magic(tmp_path):
     p.write_text("NOTABAG\n{}\n")
     with pytest.raises(UnknownMagic):
         read_manifest(p)
+
+
+MALFORMED_HEADERS = {
+    "magic_not_utf8": b"\xffMWBAG1\n{}\n",
+    "manifest_is_list": b"MWBAG1\n[1,2]\n",
+    "manifest_not_utf8": b"MWBAG1\n\xff\xfe{}\n",
+    "topic_without_name": (b'MWBAG1\n{"topics":[{"schema":{"v":"f64"}}]}\n'
+                           b'{"t":0,"topic":"a.b","seq":0,"data":{"v":1.0}}\n'),
+}
+
+
+@pytest.mark.parametrize("raw", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+def test_malformed_header_is_a_typed_error(tmp_path, raw):
+    p = tmp_path / "h.bag"
+    p.write_bytes(raw)
+    report = validate(p)
+    assert [i.kind for i in report.issues] == ["header"]
+    with pytest.raises(CorruptBag):
+        list(iter_samples(p))
+
+
+def test_validate_reports_non_utf8_record(tmp_path):
+    path = write_small_bag(tmp_path / "enc.bag")
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[5] = b'{"t":\xff}\n'
+    path.write_bytes(b"".join(lines))
+    report = validate(path)
+    assert any(i.kind == "parse" and i.byte_offset for i in report.issues)
 
 
 def test_validate_accepts_recorded_bag(tmp_path):
@@ -182,7 +210,7 @@ def test_validate_detects_schema_violation(tmp_path):
 def test_validate_detects_rate_gap(tmp_path):
     bus = Bus(clock=ManualClock())
     t = bus.open_topic(TopicDescriptor("g.x", {"v": "f64"}, 10.0))
-    w = record(bus, tmp_path / "gap.bag")
+    w = BagWriter(tmp_path / "gap.bag", bus)
     w.start()
     for i in range(10):
         bus.publish(t, {"v": 0.0}, t_ns=i * 100_000_000)

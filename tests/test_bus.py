@@ -165,15 +165,6 @@ def test_align_infinite_tolerance_joins_every_topic_once():
     assert all(len(f.joined) == 1 for f in frames)
 
 
-def test_live_subscription_queue():
-    bus = make_bus()
-    h = bus.open_topic(ECG)
-    q = bus.subscribe("bio.ecg")
-    bus.publish(h, {"v": 1.5}, t_ns=10)
-    got = q.get_nowait()
-    assert got.payload["v"] == 1.5
-
-
 def test_concurrent_publishers_per_topic_order():
     bus = make_bus()
     topics = [bus.open_topic(TopicDescriptor(f"th.t{i}", {"v": "f64"})) for i in range(4)]

@@ -37,6 +37,14 @@ def test_validate_exits_nonzero_on_corruption(runner, tmp_path):
     assert r.exit_code == 1
 
 
+def test_validate_exits_nonzero_on_bad_header(runner, tmp_path):
+    bag = tmp_path / "h.bag"
+    bag.write_bytes(b"MWBAG1\n[1,2]\n")
+    r = runner.invoke(main, ["validate", "--bag", str(bag)])
+    assert r.exit_code == 1
+    assert "[header]" in r.output
+
+
 def test_replay_local(runner, tmp_path):
     bag = tmp_path / "r.bag"
     runner.invoke(main, ["synth", "--duration", "35", "--out", str(bag)])

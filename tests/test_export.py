@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from mwpipe.bag import record, replay
+from mwpipe.bag import BagWriter, replay
 from mwpipe.bus import Bus, ManualClock, TopicDescriptor
 from mwpipe.export import extract_csv
 from mwpipe.features import FEATURE_CATALOG
@@ -13,7 +13,7 @@ from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
 def write_single_modality_bag(path, duration_s=60):
     bus = Bus(clock=ManualClock())
     t = bus.open_topic(TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0), retain=False)
-    w = record(bus, path)
+    w = BagWriter(path, bus)
     w.start()
     p = SynthProfile(seed=4, duration_s=duration_s, rr_sdnn_ms=30)
     wf = render_cardiac(gen_rr_series(p), "ecg")
@@ -105,7 +105,7 @@ def test_live_feature_rows_match_reextraction(session_bag, tmp_path):
 
 def test_extract_over_replayed_bag_identical(session_bag, tmp_path):
     bus = Bus(clock=ManualClock())
-    w = record(bus, tmp_path / "re.bag")
+    w = BagWriter(tmp_path / "re.bag", bus)
     replay(session_bag, bus=bus, rate="max", retain=False)
     w.close()
     a = extract_csv(session_bag, tmp_path / "orig.csv")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -196,7 +197,15 @@ def test_evaluate_run_failure_rules():
     assert out.status == "completed"
     assert out.distance_m > 0
     with pytest.raises(IncompleteTrace):
-        evaluate_run([])
+        evaluate_run([], RoverSim(3, LOW))
+
+
+def test_configured_co2_limit_ends_and_reports_the_run():
+    physics = replace(DEFAULT_PHYSICS, co2_fail_pct=36.06)
+    trace, out = run_closed_loop(3, preset("high"), timeout_s=60.0, physics=physics)
+    assert len(trace) == 301
+    assert trace[-1].state.co2_pct >= physics.co2_fail_pct
+    assert out.status == "failed_co2"
 
 
 def test_out_of_band_rules_marker_radius():

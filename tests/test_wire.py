@@ -2,16 +2,18 @@ import json
 import socket
 import threading
 
+import pytest
+
 from mwpipe.bag import load_samples
 from mwpipe.bus import Bus, ManualClock, TopicDescriptor
-from mwpipe.bag import record
+from mwpipe.bag import BagWriter
 from mwpipe.wire import recv_frames, send_frame, serve_bag
 
 
 def make_bag(path, n=40):
     bus = Bus(clock=ManualClock())
     t = bus.open_topic(TopicDescriptor("w.x", {"v": "f64"}, 10.0))
-    w = record(bus, path)
+    w = BagWriter(path, bus)
     w.start()
     for i in range(n):
         bus.publish(t, {"v": i / 7.0}, t_ns=i * 100_000_000)
@@ -55,3 +57,13 @@ def test_serve_bag_streams_all_records(tmp_path):
         assert rec["topic"] == sample.topic
         assert rec["seq"] == sample.seq
         assert rec["data"]["v"] == sample.payload["v"]
+
+
+def test_serve_bag_rejects_bad_rate_before_binding(tmp_path):
+    path = make_bag(tmp_path / "rate.bag")
+
+    def ready(host, port):
+        raise AssertionError(f"bound {host}:{port} before checking the rate")
+
+    with pytest.raises(ValueError):
+        serve_bag(path, port=0, rate=0, ready=ready)
