@@ -11,6 +11,7 @@ re-extraction bit-exact. A truncated final line is tolerated by readers.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 import warnings
@@ -122,6 +123,8 @@ def read_manifest(path) -> dict:
 
 
 def _canonicalize(data: dict, schema: dict) -> dict:
+    if not isinstance(data, dict):
+        raise TypeError(f"record data is not an object: {data!r:.40}")
     out = {}
     for k, v in data.items():
         kind = schema.get(k, "").rstrip("?")
@@ -133,43 +136,86 @@ def _canonicalize(data: dict, schema: dict) -> dict:
     return out
 
 
+def _decode_record(line: bytes, schemas: dict) -> TimedSample:
+    """The reference record decoder: any JSON record line, canonicalized
+    against its topic's schema. Raises ValueError, KeyError, TypeError or
+    OverflowError on a record it cannot decode."""
+    rec = json.loads(line)
+    return TimedSample(rec["topic"], rec["t"], rec["seq"],
+                       _canonicalize(rec["data"], schemas.get(rec["topic"], {})))
+
+
+# Integers as JSON writes them, kept short enough that int() is cheap; floats
+# only in the forms float.__repr__ writes (with a fraction or an exponent), so
+# that float() of the text is exactly what json.loads and _canonicalize give.
+_INT = rb"(-?(?:0|[1-9]\d{0,18}))"
+_FLOAT = rb"(-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+))"
+_TOPIC_KEY = b'"topic":"'
+
+
+def _fast_decoders(schemas: dict) -> dict:
+    """Topic bytes -> (name, fields, pattern) for each topic whose schema is
+    all required f64. A pattern matches exactly the line BagWriter writes for
+    such a record, so its groups decode to what _decode_record returns."""
+    out = {}
+    for name, schema in schemas.items():
+        if not isinstance(schema, dict) or any(kind != "f64" for kind in schema.values()):
+            continue
+        quoted = json.dumps(name).encode()
+        data = b",".join(re.escape(json.dumps(f).encode()) + b":" + _FLOAT for f in schema)
+        pattern = re.compile(rb'\{"t":' + _INT + b',"topic":' + re.escape(quoted)
+                             + b',"seq":' + _INT + rb',"data":\{' + data + rb"\}\}\n")
+        out[quoted[1:-1]] = (name, tuple(schema), pattern)
+    return out
+
+
 def iter_samples(path, strict: bool = False):
     """Yield (byte_offset, TimedSample) from a bag.
 
     A truncated or corrupt final line is skipped with a warning; corruption
     before the final line raises CorruptBag unless strict is False and the
     caller prefers the validator's itemized report.
+
+    Lines in BagWriter's canonical form for an all-f64 topic are decoded by
+    a compiled pattern; every other line goes through _decode_record.
     """
     manifest = read_manifest(path)
     schemas = {t["name"]: t.get("schema", {}) for t in manifest["topics"]}
+    fast = _fast_decoders(schemas)
     with open(path, "rb") as fh:
         fh.readline()
         fh.readline()
         offset = fh.tell()
-        line = fh.readline()
+        lines = iter(fh)
+        line = next(lines, b"")
         while line:
-            next_offset = fh.tell()
-            next_line = fh.readline()
-            try:
-                rec = json.loads(line)
-                sample = TimedSample(
-                    rec["topic"], rec["t"], rec["seq"],
-                    _canonicalize(rec["data"], schemas.get(rec["topic"], {})),
-                )
-            except (ValueError, KeyError, TypeError) as e:
-                if not next_line and not line.endswith(b"\n"):
-                    warnings.warn(f"skipping truncated final record in {path}")
-                    return
-                if not next_line:
-                    warnings.warn(f"skipping corrupt final record in {path}: {e}")
-                    return
-                if strict:
-                    raise CorruptBag(f"corrupt record at byte {offset}: {e}") from e
-                yield offset, None
-                offset, line = next_offset, next_line
-                continue
+            i = line.find(_TOPIC_KEY) + len(_TOPIC_KEY)
+            decoder = fast.get(line[i:line.find(b'"', i)])
+            m = decoder[2].fullmatch(line) if decoder is not None else None
+            if m is not None:
+                g = m.groups()
+                sample = TimedSample(decoder[0], int(g[0]), int(g[1]),
+                                     dict(zip(decoder[1], map(float, g[2:]))))
+            else:
+                try:
+                    sample = _decode_record(line, schemas)
+                except (ValueError, KeyError, TypeError, OverflowError) as e:
+                    next_line = next(lines, b"")
+                    if not next_line and not line.endswith(b"\n"):
+                        warnings.warn(f"skipping truncated final record in {path}")
+                        return
+                    if not next_line:
+                        warnings.warn(f"skipping corrupt final record in {path}: {e}")
+                        return
+                    if strict:
+                        raise CorruptBag(f"corrupt record at byte {offset}: {e}") from e
+                    yield offset, None
+                    offset += len(line)
+                    line = next_line
+                    continue
             yield offset, sample
-            offset, line = next_offset, next_line
+            offset += len(line)
+            line = next(lines, b"")
 
 
 def load_samples(path) -> list[TimedSample]:
@@ -177,7 +223,8 @@ def load_samples(path) -> list[TimedSample]:
 
 
 def paced_samples(path, rate: float | str = "max"):
-    """Iterator over a bag's samples, released in wall-clock time.
+    """Iterator over a bag's (byte_offset, TimedSample) pairs, released in
+    wall-clock time.
 
     rate "max" skips pacing; a numeric rate scales inter-record wall-clock
     delays by 1/rate. The rate is checked on the call, before the bag is read.
@@ -188,14 +235,14 @@ def paced_samples(path, rate: float | str = "max"):
     def paced():
         start_wall = time.monotonic()
         t0 = None
-        for _, sample in iter_samples(path, strict=True):
+        for offset, sample in iter_samples(path, strict=True):
             if rate != "max":
                 if t0 is None:
                     t0 = sample.t_ns
                 delay = start_wall + (sample.t_ns - t0) / 1e9 / rate - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
-            yield sample
+            yield offset, sample
 
     return paced()
 
@@ -215,7 +262,7 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
             TopicDescriptor(t["name"], t.get("schema", {}), t.get("nominal_rate_hz")),
             retain=retain,
         )
-    for sample in samples:
+    for _, sample in samples:
         bus.publish(sample.topic, sample.payload, t_ns=sample.t_ns)
     return bus
 

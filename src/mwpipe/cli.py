@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -13,6 +14,23 @@ from .bus import Bus, ManualClock
 from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
 from .export import extract_csv
 from .session import StitchState, bio_topic_descriptors, phase_waveforms, run_session
+
+
+class RateType(click.ParamType):
+    """A replay rate: "max" or a positive, finite speed multiplier."""
+
+    name = "rate"
+
+    def convert(self, value, param, ctx):
+        if value == "max":
+            return value
+        try:
+            rate = float(value)
+            if math.isfinite(rate) and rate > 0:
+                return rate
+        except ValueError:
+            pass
+        self.fail(f"{value!r} is not 'max' or a positive number", param, ctx)
 
 
 @click.group()
@@ -91,24 +109,23 @@ def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
 
 @main.command()
 @click.option("--bag", "bag_path", type=click.Path(exists=True), required=True)
-@click.option("--rate", default="max", show_default=True,
+@click.option("--rate", type=RateType(), default="max", show_default=True,
               help="Playback speed multiplier, or 'max' for no pacing.")
 @click.option("--bind", "bind_addr", default=None,
               help="HOST:PORT to serve the live-adapter wire protocol.")
 def replay(bag_path, rate, bind_addr):
     """Republish a bag, paced or at full speed, locally or over a socket."""
-    rate_val = "max" if rate == "max" else float(rate)
     if bind_addr is not None:
         from .wire import serve_bag
 
         host, _, port = bind_addr.partition(":")
         click.echo(f"serving {bag_path} on {host}:{port or 0} (rate={rate})")
         bound_host, bound_port, sent = serve_bag(
-            bag_path, host or "127.0.0.1", int(port or 0), rate_val,
+            bag_path, host or "127.0.0.1", int(port or 0), rate,
             ready=lambda h, p: click.echo(f"listening on {h}:{p}"))
         click.echo(f"sent {sent} records")
         return
-    bus = bag_replay(bag_path, rate=rate_val, retain=False)
+    bus = bag_replay(bag_path, rate=rate, retain=False)
     total = sum(bus.topic(d.name).next_seq for d in bus.topics())
     click.echo(f"replayed {total} records across {len(bus.topics())} topics")
 

@@ -85,3 +85,9 @@ class CorruptBag(MwpipeError):
 
 class UnknownMagic(CorruptBag):
     pass
+
+
+# -- wire --------------------------------------------------------------------
+
+class WireError(MwpipeError):
+    pass

@@ -1,10 +1,15 @@
 import json
+import struct
 import time
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mwpipe.bag import (
     BagWriter,
+    _decode_record,
+    _fast_decoders,
+    _record_line,
     body_bytes,
     iter_samples,
     load_samples,
@@ -12,7 +17,7 @@ from mwpipe.bag import (
     replay,
     validate,
 )
-from mwpipe.bus import Bus, ManualClock, TopicDescriptor
+from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor
 from mwpipe.errors import CorruptBag, UnknownMagic
 
 
@@ -107,8 +112,10 @@ def test_replay_rate_pacing(tmp_path):
 
 def test_truncated_final_line_tolerated(tmp_path):
     path = write_small_bag(tmp_path / "trunc.bag")
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-9])  # cut into the final record
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:-9])  # cut into the final record
     full = write_small_bag(tmp_path / "full.bag")
     with pytest.warns(UserWarning):
         loaded = load_samples(path)
@@ -161,14 +168,16 @@ def test_validate_accepts_recorded_bag(tmp_path):
 
 
 def corrupt_line(path, match, mutate):
-    lines = open(path, "r").read().splitlines(keepends=True)
+    with open(path, "r") as fh:
+        lines = fh.read().splitlines(keepends=True)
     for i, line in enumerate(lines):
         if i >= 2 and match(json.loads(line)):
             rec = json.loads(line)
             mutate(rec)
             lines[i] = json.dumps(rec, separators=(",", ":")) + "\n"
             break
-    open(path, "w").write("".join(lines))
+    with open(path, "w") as fh:
+        fh.write("".join(lines))
 
 
 def test_validate_detects_seq_jump(tmp_path):
@@ -222,9 +231,11 @@ def test_validate_detects_rate_gap(tmp_path):
 
 def test_validate_detects_unknown_topic(tmp_path):
     path = write_small_bag(tmp_path / "unk.bag")
-    lines = open(path).read().splitlines(keepends=True)
+    with open(path) as fh:
+        lines = fh.read().splitlines(keepends=True)
     rogue = '{"t":99999999999,"topic":"no.topic","seq":0,"data":{"v":1.0}}\n'
-    open(path, "w").write("".join(lines) + rogue)
+    with open(path, "w") as fh:
+        fh.write("".join(lines) + rogue)
     report = validate(path)
     assert any(i.kind == "manifest" and i.topic == "no.topic" for i in report.issues)
 
@@ -236,7 +247,106 @@ def test_flush_watermark_keeps_future_samples(tmp_path):
     for i in range(10):
         bus.publish(a, {"v": float(i)}, t_ns=i * 10)
     w.flush_until(50)
-    on_disk = open(tmp_path / "wm.bag").read().splitlines()
+    with open(tmp_path / "wm.bag") as fh:
+        on_disk = fh.read().splitlines()
     assert len(on_disk) == 2 + 5  # magic + manifest + five records below t=50
     w.close()
     assert len(load_samples(tmp_path / "wm.bag")) == 10
+
+
+BAD_RECORDS = {
+    "data_not_object": b'{"t":1,"topic":"t.a","seq":0,"data":5}\n',
+    "int_overflows_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1' + b"0" * 400 + b"}}\n",
+}
+
+
+@pytest.mark.parametrize("bad", BAD_RECORDS.values(), ids=BAD_RECORDS)
+def test_undecodable_record_is_a_typed_error(tmp_path, bad):
+    path = write_small_bag(tmp_path / "bad.bag")
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[5] = bad
+    path.write_bytes(b"".join(lines))
+    offset = len(b"".join(lines[:5]))
+    report = validate(path)
+    assert ("parse", offset) in [(i.kind, i.byte_offset) for i in report.issues]
+    with pytest.raises(CorruptBag):
+        list(iter_samples(path, strict=True))
+
+
+# -- the compiled decode path against the json.loads reference ---------------
+
+DECODE_TOPICS = {"t.a": {"v": "f64"}, "t.o": {"v": "f64?"}, "f.x": {"a": "f64", "b": "f64"}}
+GOOD_LINE = b'{"t":0,"topic":"t.a","seq":0,"data":{"v":1.5}}\n'
+
+
+def bag_with_lines(path, lines):
+    manifest = {"format": "MWBAG1",
+                "topics": [{"name": n, "schema": s} for n, s in DECODE_TOPICS.items()]}
+    with open(path, "wb") as fh:
+        fh.write(b"MWBAG1\n" + json.dumps(manifest).encode() + b"\n" + b"".join(lines))
+    return path
+
+
+def reference_decode(line):
+    try:
+        return _decode_record(line, DECODE_TOPICS)
+    except (ValueError, KeyError, TypeError, OverflowError):
+        return None
+
+
+def exact(sample):
+    """A sample with every float as its type and bit pattern."""
+    if sample is None:
+        return None
+    payload = [(k, type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+               for k, v in sample.payload.items()]
+    return sample.topic, type(sample.t_ns), sample.t_ns, type(sample.seq), sample.seq, payload
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(t=st.integers(0, 2**63 - 1), seq=st.integers(0, 2**40), a=finite, b=finite)
+@example(t=0, seq=0, a=-0.0, b=0.0)
+@example(t=1, seq=1, a=5e-324, b=-2.225073858507201e-308)
+@example(t=2, seq=2, a=1e308, b=-1e308)
+@example(t=3, seq=3, a=1.7976931348623157e308, b=1e-05)
+def test_fast_decoder_matches_json_path(tmp_path_factory, t, seq, a, b):
+    line = _record_line(TimedSample("f.x", t, seq, {"a": a, "b": b})).encode()
+    assert _fast_decoders(DECODE_TOPICS)[b"f.x"][2].fullmatch(line)
+    path = bag_with_lines(tmp_path_factory.mktemp("fast") / "f.bag", [line, GOOD_LINE])
+    (_, got), _ = iter_samples(path, strict=True)
+    assert exact(got) == exact(reference_decode(line))
+
+
+PERTURBED = {
+    **BAD_RECORDS,
+    "minus_zero_int": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":-0}}\n',
+    "minus_zero_float": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":-0.0}}\n',
+    "int_in_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":5}}\n',
+    "t_401_digits": b'{"t":1' + b"0" * 400 + b',"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
+    "leading_zero": b'{"t":01,"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
+    "bare_fraction": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1.}}\n',
+    "nan": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":NaN}}\n',
+    "whitespace": b'{"t": 1, "topic": "t.a", "seq": 0, "data": {"v": 1.5}}\n',
+    "crlf": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1.5}}\r\n',
+    "reordered_keys": b'{"topic":"t.a","t":1,"seq":0,"data":{"v":1.5}}\n',
+    "reordered_fields": b'{"t":1,"topic":"f.x","seq":0,"data":{"b":2.5,"a":1.5}}\n',
+    "missing_field": b'{"t":1,"topic":"f.x","seq":0,"data":{"a":1.5}}\n',
+    "unknown_topic": b'{"t":1,"topic":"no.such","seq":0,"data":{"v":1.5}}\n',
+    "optional_field": b'{"t":1,"topic":"t.o","seq":0,"data":{"v":1.5}}\n',
+    "not_a_record": b"[1,2]\n",
+}
+
+
+@pytest.mark.parametrize("line", PERTURBED.values(), ids=PERTURBED)
+def test_perturbed_line_decodes_as_json_path(tmp_path, line):
+    path = bag_with_lines(tmp_path / "p.bag", [GOOD_LINE, line, GOOD_LINE])
+    expected = reference_decode(line)
+    _, (offset, got), _ = iter_samples(path)
+    assert offset == path.read_bytes().index(line)
+    assert exact(got) == exact(expected)
+    if expected is None:
+        with pytest.raises(CorruptBag):
+            list(iter_samples(path, strict=True))
+

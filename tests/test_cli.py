@@ -53,6 +53,15 @@ def test_replay_local(runner, tmp_path):
     assert "replayed" in r.output
 
 
+@pytest.mark.parametrize("rate", ["fast", "0", "-1", "nan"])
+def test_replay_bad_rate_is_a_usage_error(runner, tmp_path, rate):
+    bag = tmp_path / "r.bag"
+    bag.write_bytes(b"MWBAG1\n{\"topics\":[]}\n")
+    r = runner.invoke(main, ["replay", "--bag", str(bag), "--rate", rate])
+    assert r.exit_code == 2, r.output
+    assert "--rate" in r.output
+
+
 def test_simulate_short_session(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,13 +1,16 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mwpipe.bag import load_samples
 from mwpipe.bus import Bus, ManualClock, TopicDescriptor
-from mwpipe.bag import BagWriter
-from mwpipe.wire import recv_frames, send_frame, serve_bag
+from mwpipe.bag import BagWriter, body_bytes, header_lines
+from mwpipe.errors import CorruptBag, WireError
+from mwpipe.wire import MAX_FRAME_BYTES, recv_frames, send_frame, serve_bag
 
 
 def make_bag(path, n=40):
@@ -67,3 +70,140 @@ def test_serve_bag_rejects_bad_rate_before_binding(tmp_path):
 
     with pytest.raises(ValueError):
         serve_bag(path, port=0, rate=0, ready=ready)
+
+
+class ChunkedSocket:
+    """A socket stand-in whose recv returns the stream cut at given sizes."""
+
+    def __init__(self, data: bytes, sizes):
+        self.data = data
+        self.sizes = list(sizes)
+
+    def recv(self, n: int) -> bytes:
+        size = min(n, self.sizes.pop(0) if self.sizes else n)
+        chunk, self.data = self.data[:size], self.data[size:]
+        return chunk
+
+
+@given(payloads=st.lists(st.binary(max_size=300), max_size=20),
+       sizes=st.lists(st.integers(1, 400), max_size=50))
+def test_recv_frames_ignores_how_the_stream_is_split(payloads, sizes):
+    a, b = socket.socketpair()
+    with a, b:
+        for p in payloads:
+            send_frame(a, p)
+        a.shutdown(socket.SHUT_WR)
+        stream = b""
+        while chunk := b.recv(65536):
+            stream += chunk
+    assert list(recv_frames(ChunkedSocket(stream, sizes))) == payloads
+    assert list(recv_frames(ChunkedSocket(stream, [1] * len(stream)))) == payloads
+
+
+BAD_STREAMS = {
+    "not_decimal": b"abc\n",
+    "negative": b"-1\nx",
+    "empty_header": b"\nx",
+    "over_cap": b"%d\n" % (MAX_FRAME_BYTES + 1),
+    "header_without_newline": b"1" * 64,
+}
+
+
+@pytest.mark.parametrize("stream", BAD_STREAMS.values(), ids=BAD_STREAMS)
+def test_recv_frames_rejects_bad_header(stream):
+    a, b = socket.socketpair()
+    with a, b:
+        a.sendall(b"5\nhello" + stream)
+        a.close()
+        frames = recv_frames(b)
+        assert next(frames) == b"hello"
+        with pytest.raises(WireError):
+            next(frames)
+
+
+def test_send_frame_rejects_payload_over_cap():
+    a, b = socket.socketpair()
+    with a, b, pytest.raises(WireError):
+        send_frame(a, bytes(MAX_FRAME_BYTES + 1))
+
+
+def serve_in_thread(path, rate):
+    """serve_bag on a thread; returns (frames received, server outcome)."""
+    bound = {}
+    ready = threading.Event()
+    outcome = {}
+
+    def on_ready(host, port):
+        bound["addr"] = (host, port)
+        ready.set()
+
+    def serve():
+        try:
+            outcome["sent"] = serve_bag(path, port=0, rate=rate, ready=on_ready)[2]
+        except Exception as e:
+            outcome["error"] = e
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(5.0)
+    with socket.create_connection(bound["addr"], timeout=5.0) as sock:
+        frames = list(recv_frames(sock))
+    server.join(timeout=5.0)
+    assert not server.is_alive()
+    return frames, outcome
+
+
+@pytest.mark.parametrize("rate", ["max", 1000.0])
+def test_serve_bag_frames_are_the_bag_lines(tmp_path, rate):
+    path = make_bag(tmp_path / "lines.bag", n=2000)
+    lines = path.read_bytes().splitlines(keepends=True)
+    # A valid record that is not canonical is forwarded as written.
+    lines[7] = lines[7].replace(b'"seq":', b' "seq" : ')
+    path.write_bytes(b"".join(lines))
+    frames, outcome = serve_in_thread(path, rate)
+    assert frames[0] == header_lines(path)[1].rstrip(b"\n")
+    assert frames[1:] == body_bytes(path).split(b"\n")[:-1]
+    assert outcome == {"sent": 2000}
+
+
+def test_serve_bag_corrupt_record_raises_after_earlier_frames(tmp_path):
+    path = make_bag(tmp_path / "corrupt.bag")
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[12] = b'{"t":\n'
+    path.write_bytes(b"".join(lines))
+    frames, outcome = serve_in_thread(path, "max")
+    assert isinstance(outcome["error"], CorruptBag)
+    assert frames[1:] == [line.rstrip(b"\n") for line in lines[2:12]]
+
+
+def test_paced_serve_sends_each_frame_when_due(tmp_path):
+    bus = Bus(clock=ManualClock())
+    t = bus.open_topic(TopicDescriptor("w.x", {"v": "f64"}))
+    w = BagWriter(tmp_path / "paced.bag", bus)
+    w.start()
+    bus.publish(t, {"v": 0.0}, t_ns=0)
+    bus.publish(t, {"v": 1.0}, t_ns=1_000_000_000)
+    w.close()
+    bound = {}
+    ready = threading.Event()
+
+    def on_ready(host, port):
+        bound["addr"] = (host, port)
+        ready.set()
+
+    server = threading.Thread(target=serve_bag, args=(tmp_path / "paced.bag",),
+                              kwargs={"port": 0, "rate": 1.0, "ready": on_ready})
+    server.start()
+    assert ready.wait(5.0)
+    with socket.create_connection(bound["addr"], timeout=5.0) as sock:
+        frames = recv_frames(sock)
+        start = time.monotonic()
+        next(frames)
+        next(frames)
+        first_record_s = time.monotonic() - start
+        next(frames)
+        second_record_s = time.monotonic() - start
+    server.join(timeout=5.0)
+    assert not server.is_alive()
+    assert first_record_s < 0.5 < second_record_s
+
