@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .bus import Bus, ManualClock, TimedSample, TopicDescriptor, merge_samples
-from .errors import CorruptBag, UnknownMagic
+from .errors import CorruptBag, InvalidName, UnknownMagic
 
 MAGIC = "MWBAG1"
 
@@ -101,9 +101,26 @@ def header_lines(path) -> tuple[bytes, bytes]:
         return fh.readline(), fh.readline()
 
 
+def manifest_topics(manifest: dict) -> dict[str, TopicDescriptor]:
+    """Name -> TopicDescriptor of each topic entry of a manifest; an entry
+    that is not a valid descriptor, or repeats a name, raises CorruptBag."""
+    descs = {}
+    for t in manifest["topics"]:
+        if not isinstance(t, dict):
+            raise CorruptBag(f"manifest topic entry is not an object: {t!r}")
+        try:
+            desc = TopicDescriptor(t.get("name"), t.get("schema", {}), t.get("nominal_rate_hz"))
+        except InvalidName as e:
+            raise CorruptBag(f"bad manifest topic entry: {e}") from e
+        if desc.name in descs:
+            raise CorruptBag(f"manifest lists topic {desc.name!r} twice")
+        descs[desc.name] = desc
+    return descs
+
+
 def read_manifest(path) -> dict:
-    """Check the magic and parse the manifest; a malformed header raises
-    UnknownMagic or CorruptBag."""
+    """Check the magic and parse the manifest; a malformed header, topic
+    entries included, raises UnknownMagic or CorruptBag."""
     magic, line = header_lines(path)
     magic = magic.decode("utf-8", "replace").rstrip("\r\n")
     if magic != MAGIC:
@@ -116,9 +133,7 @@ def read_manifest(path) -> dict:
         raise CorruptBag(f"manifest is not UTF-8 JSON: {e}") from e
     if not isinstance(manifest, dict) or not isinstance(manifest.get("topics"), list):
         raise CorruptBag("manifest has no topic list")
-    for t in manifest["topics"]:
-        if not isinstance(t, dict) or not isinstance(t.get("name"), str):
-            raise CorruptBag(f"manifest topic entry without a name: {t!r}")
+    manifest_topics(manifest)
     return manifest
 
 
@@ -139,10 +154,13 @@ def _canonicalize(data: dict, schema: dict) -> dict:
 def _decode_record(line: bytes, schemas: dict) -> TimedSample:
     """The reference record decoder: any JSON record line, canonicalized
     against its topic's schema. Raises ValueError, KeyError, TypeError or
-    OverflowError on a record it cannot decode."""
+    OverflowError on a record it cannot decode, such as one whose t or seq
+    is not an integer or whose topic is not a string."""
     rec = json.loads(line)
-    return TimedSample(rec["topic"], rec["t"], rec["seq"],
-                       _canonicalize(rec["data"], schemas.get(rec["topic"], {})))
+    topic, t, seq = rec["topic"], rec["t"], rec["seq"]
+    if not isinstance(topic, str) or type(t) is not int or type(seq) is not int:
+        raise TypeError(f"record topic, t or seq of the wrong type: {line[:80]!r}")
+    return TimedSample(topic, t, seq, _canonicalize(rec["data"], schemas.get(topic, {})))
 
 
 # Integers as JSON writes them, kept short enough that int() is cheap; floats
@@ -159,7 +177,7 @@ def _fast_decoders(schemas: dict) -> dict:
     such a record, so its groups decode to what _decode_record returns."""
     out = {}
     for name, schema in schemas.items():
-        if not isinstance(schema, dict) or any(kind != "f64" for kind in schema.values()):
+        if any(kind != "f64" for kind in schema.values()):
             continue
         quoted = json.dumps(name).encode()
         data = b",".join(re.escape(json.dumps(f).encode()) + b":" + _FLOAT for f in schema)
@@ -179,8 +197,7 @@ def iter_samples(path, strict: bool = False):
     Lines in BagWriter's canonical form for an all-f64 topic are decoded by
     a compiled pattern; every other line goes through _decode_record.
     """
-    manifest = read_manifest(path)
-    schemas = {t["name"]: t.get("schema", {}) for t in manifest["topics"]}
+    schemas = {name: d.schema for name, d in manifest_topics(read_manifest(path)).items()}
     fast = _fast_decoders(schemas)
     with open(path, "rb") as fh:
         fh.readline()
@@ -254,14 +271,11 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
     matches the live run bit-exactly because records are reproduced verbatim.
     """
     samples = paced_samples(path, rate)
-    manifest = read_manifest(path)
+    descs = manifest_topics(read_manifest(path))
     if bus is None:
         bus = Bus(clock=ManualClock())
-    for t in manifest["topics"]:
-        bus.open_topic(
-            TopicDescriptor(t["name"], t.get("schema", {}), t.get("nominal_rate_hz")),
-            retain=retain,
-        )
+    for desc in descs.values():
+        bus.open_topic(desc, retain=retain)
     for _, sample in samples:
         bus.publish(sample.topic, sample.payload, t_ns=sample.t_ns)
     return bus
@@ -296,17 +310,10 @@ def validate(path) -> ValidationReport:
 
     report = ValidationReport()
     try:
-        manifest = read_manifest(path)
-    except (UnknownMagic, CorruptBag, OSError) as e:
+        descs = manifest_topics(read_manifest(path))
+    except (CorruptBag, OSError) as e:
         report.issues.append(ValidationIssue("header", "", str(e)))
         return report
-    descs = {}
-    for t in manifest["topics"]:
-        try:
-            descs[t["name"]] = TopicDescriptor(t["name"], t.get("schema", {}),
-                                               t.get("nominal_rate_hz"))
-        except Exception as e:
-            report.issues.append(ValidationIssue("manifest", t["name"], str(e)))
     last_global_t = None
     last_seq: dict[str, int] = {}
     last_t: dict[str, int] = {}

@@ -74,10 +74,14 @@ class TopicDescriptor:
     def __post_init__(self):
         if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise InvalidName(f"topic name must be dot-separated words: {self.name!r}")
-        if self.nominal_rate_hz is not None and not self.nominal_rate_hz > 0:
-            raise InvalidName(f"nominal_rate_hz must be positive: {self.nominal_rate_hz}")
+        rate = self.nominal_rate_hz
+        if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
+                                 or not rate > 0):
+            raise InvalidName(f"nominal_rate_hz must be positive: {rate!r}")
+        if not isinstance(self.schema, Mapping):
+            raise InvalidName(f"schema must map field names to kinds: {self.schema!r}")
         for fname, kind in self.schema.items():
-            if kind.rstrip("?") not in _KINDS:
+            if not isinstance(kind, str) or kind.rstrip("?") not in _KINDS:
                 raise InvalidName(f"unknown schema kind {kind!r} for field {fname!r}")
         object.__setattr__(self, "schema", dict(self.schema))
 

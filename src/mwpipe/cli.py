@@ -10,10 +10,10 @@ import click
 from .bag import BagWriter
 from .bag import replay as bag_replay
 from .bag import validate as bag_validate
-from .bus import Bus, ManualClock
+from .bus import DEFAULT_ALIGN_TOLERANCE_NS, Bus, ManualClock
 from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
 from .export import extract_csv
-from .session import StitchState, bio_topic_descriptors, phase_waveforms, run_session
+from .session import SESSION_TOPICS, StitchState, phase_waveforms, run_session
 
 
 class RateType(click.ParamType):
@@ -52,7 +52,8 @@ def synth(profile_path, duration_s, out_path):
     profile.validate()
 
     bus = Bus(clock=ManualClock())
-    topics = {d.name: bus.open_topic(d, retain=False) for d in bio_topic_descriptors()}
+    topics = {t.name: bus.open_topic(t, retain=False)
+              for t in SESSION_TOPICS if t.name.startswith("bio.")}
     writer = BagWriter(out_path, bus, session_meta={"kind": "synth", "seed": profile.seed})
     writer.start()
     waveforms = phase_waveforms(profile, profile.duration_s, profile.seed, StitchState())
@@ -92,8 +93,8 @@ def simulate(config_path, out_path, tlx):
 @click.option("--bag", "bag_path", type=click.Path(exists=True), required=True)
 @click.option("--window", "window_s", type=float, default=30.0, show_default=True)
 @click.option("--stride", "stride_s", type=float, default=1.0, show_default=True)
-@click.option("--tolerance-ms", type=float, default=50.0, show_default=True,
-              help="Telemetry alignment tolerance.")
+@click.option("--tolerance-ms", type=float, default=DEFAULT_ALIGN_TOLERANCE_NS / 1e6,
+              show_default=True, help="Telemetry alignment tolerance.")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="Shared config (picks up gaze_thresholds).")
 @click.option("--out", "out_path", type=click.Path(), required=True)

@@ -44,10 +44,27 @@ def profile_from_dict(d: dict) -> SynthProfile:
 
 
 def load_config(path: str | None) -> dict:
+    """The config object in a JSON file; a file that is not UTF-8 JSON, or
+    holds anything but an object, raises PlanInvalid."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+            raise PlanInvalid(f"config {path} is not UTF-8 JSON: {e}") from e
+    if not isinstance(cfg, dict):
+        raise PlanInvalid(f"config {path} is not a JSON object")
+    return cfg
+
+
+def _from_fields(cls, key: str, fields):
+    """cls(**fields) for the config object under key; an unknown field
+    raises PlanInvalid."""
+    try:
+        return cls(**fields)
+    except TypeError as e:
+        raise PlanInvalid(f"bad {key} config: {e}") from e
 
 
 def seed_override(seed: int) -> int:
@@ -56,7 +73,7 @@ def seed_override(seed: int) -> int:
 
 
 def gaze_thresholds_from_config(cfg: dict) -> GazeThresholds:
-    return GazeThresholds(**cfg.get("gaze_thresholds", {}))
+    return _from_fields(GazeThresholds, "gaze_thresholds", cfg.get("gaze_thresholds", {}))
 
 
 def plan_from_config(cfg: dict) -> SessionPlan:
@@ -68,12 +85,12 @@ def plan_from_config(cfg: dict) -> SessionPlan:
             name: profile_from_dict(d) for name, d in cfg["phase_profiles"].items()
         }
     if "policy" in cfg:
-        plan.policy = PolicyConfig(**cfg["policy"])
+        plan.policy = _from_fields(PolicyConfig, "policy", cfg["policy"])
     if "physics" in cfg:
         phys = dict(cfg["physics"])
         if "relay_pos_m" in phys:
             phys["relay_pos_m"] = tuple(phys["relay_pos_m"])
-        plan.physics = PhysicsParams(**phys)
+        plan.physics = _from_fields(PhysicsParams, "physics", phys)
     plan.gaze_thresholds = gaze_thresholds_from_config(cfg)
     for key in ("seed", "baseline_s", "interrun_s", "run_timeout_s", "tlx_jitter"):
         if key in cfg:

@@ -9,24 +9,18 @@ with shortest round-trip decimals, and absent values are empty cells.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 
-from .bag import iter_samples, read_manifest
+from .bag import iter_samples
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
 from .features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
+from .session import SESSION_TOPICS
 
-BIO_PREFIX = "bio."
-
-# Telemetry topic -> {payload field: CSV column}.
-SIM_COLUMNS = {
-    "sim.rover": {f: f"sim.{f}" for f in (
-        "x_m", "y_m", "heading_deg", "speed_m_s", "angular_vel_deg_s",
-        "battery_pct", "motor_temp_c", "distance_m")},
-    "sim.resources": {"o2_pct": "sim.o2_pct", "co2_pct": "sim.co2_pct"},
-    "sim.radar": {"state": "sim.radar_state"},
-}
+# Topic -> {payload field: CSV column} of every topic joined onto the rows.
+JOINED_COLUMNS = {t.name: t.columns for t in SESSION_TOPICS if t.columns}
 META_TOPIC = "sim.meta"
-META_COLUMNS = ("phase", "difficulty", "run_index")
 
 
 def _fmt(value) -> str:
@@ -51,27 +45,19 @@ def _baseline_interval(meta_samples) -> tuple | None:
 def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.0,
                 align_tolerance_ns: int = DEFAULT_ALIGN_TOLERANCE_NS,
                 gaze_thresholds=DEFAULT_THRESHOLDS) -> str:
-    read_manifest(bag_path)
-
+    getters = {f"bio.{m}": (m, itemgetter(*t.fields)) for m, t in BIO_TOPICS.items()}
     bio: dict[str, tuple[list, list]] = {}
-    sim_samples: dict[str, list[TimedSample]] = {t: [] for t in SIM_COLUMNS}
-    meta_samples: list[TimedSample] = []
+    joined: dict[str, list[TimedSample]] = {t: [] for t in JOINED_COLUMNS}
     for _, sample in iter_samples(bag_path, strict=True):
-        if sample.topic.startswith(BIO_PREFIX):
-            modality = sample.topic[len(BIO_PREFIX):]
-            times, values = bio.setdefault(modality, ([], []))
+        getter = getters.get(sample.topic)
+        if getter is not None:
+            times, values = bio.setdefault(getter[0], ([], []))
             times.append(sample.t_ns)
-            if modality == "gaze":
-                p = sample.payload
-                values.append((p["x_deg"], p["y_deg"], p["d_mm"]))
-            else:
-                values.append(sample.payload["v"])
-        elif sample.topic in sim_samples:
-            sim_samples[sample.topic].append(sample)
-        elif sample.topic == META_TOPIC:
-            meta_samples.append(sample)
+            values.append(getter[1](sample.payload))
+        elif sample.topic in joined:
+            joined[sample.topic].append(sample)
 
-    modalities = tuple(sorted(m for m in bio if m in BIO_TOPICS))
+    modalities = tuple(sorted(bio))
     rows: list = []
     if modalities:
         t0 = min(times[0] for times, _ in (bio[m] for m in modalities))
@@ -83,7 +69,7 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
         for m in modalities:
             times, values = bio[m]
             pipeline.feed(m, np.asarray(times, dtype=np.int64), np.asarray(values, dtype=float))
-        baseline = _baseline_interval(meta_samples)
+        baseline = _baseline_interval(joined[META_TOPIC])
         if baseline is not None and baseline[1] <= end:
             rows.extend(pipeline.advance_to(baseline[1]))
             pipeline.freeze_baseline_from_observations()
@@ -98,31 +84,20 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
 
     t_ends = sorted(table)
     anchors = [TimedSample("rows", t, i, {}) for i, t in enumerate(t_ends)]
-    joined_topics = {t: s for t, s in sim_samples.items() if s}
-    if meta_samples:
-        joined_topics[META_TOPIC] = meta_samples
-    frames = align_nearest_samples(anchors, joined_topics, align_tolerance_ns) if anchors else []
+    frames = align_nearest_samples(anchors, joined, align_tolerance_ns) if anchors else []
     for t_end, frame in zip(t_ends, frames):
         cells = table[t_end]
-        for topic, fields in SIM_COLUMNS.items():
-            if topic in frame.joined:
-                payload = frame.joined[topic][0].payload
-                for f, column in fields.items():
-                    cells[column] = payload[f]
-        if META_TOPIC in frame.joined:
-            payload = frame.joined[META_TOPIC][0].payload
-            for f in META_COLUMNS:
-                cells[f"meta.{f}"] = payload[f]
+        for topic, (sample, _) in frame.joined.items():
+            for f, column in JOINED_COLUMNS[topic].items():
+                cells[column] = sample.payload[f]
 
     columns: set[str] = set()
     for m in modalities:
         columns.update(f"{m}.{feat}" for feat in FEATURE_CATALOG[m])
         columns.add(f"{m}.quality")
-    for topic, fields in SIM_COLUMNS.items():
-        if sim_samples[topic]:
+    for topic, fields in JOINED_COLUMNS.items():
+        if joined[topic]:
             columns.update(fields.values())
-    if meta_samples:
-        columns.update(f"meta.{f}" for f in META_COLUMNS)
     ordered = sorted(columns)
 
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -2,7 +2,7 @@
 free-play gaps, TLX capture after each run, everything on one bus and into
 one bag.
 
-The session clock is manual and tick-driven (0.1 s). Physiology streams run
+The session clock is manual and tick-driven (DT_S). Physiology streams run
 through every phase; the task information systems (prompts, radar drift,
 resource drain) are active only during runs. Identical plan and seed yield
 a byte-identical bag body.
@@ -23,7 +23,7 @@ from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
 from .sim import PhysicsParams, PolicyConfig, RoverSim, ScriptedOperator, evaluate_run, preset
 from .sim.operator import WanderOperator
 from .sim.outcome import TickRecord, run_end
-from .sim.rover import DEFAULT_PHYSICS
+from .sim.rover import DEFAULT_PHYSICS, DT_S
 from .synth import (
     SynthProfile,
     default_gaze_script,
@@ -36,7 +36,8 @@ from .synth import (
     render_cardiac,
 )
 
-TICK_NS = 100_000_000  # 0.1 s
+TICK_NS = round(DT_S * NS_PER_S)
+TICK_HZ = 1 / DT_S
 
 TLX_SCALES = ("mental", "physical", "temporal", "performance", "effort", "frustration")
 
@@ -47,6 +48,42 @@ TLX_BASE = {
              "performance": 55, "effort": 70, "frustration": 45},
 }
 TLX_FAILURE_ADJUST = {"performance": -25, "frustration": +20}
+
+
+
+@dataclass(frozen=True)
+class SessionTopic(TopicDescriptor):
+    """A topic the session records, with the feature-table columns that
+    export joins from it (payload field -> CSV column)."""
+
+    columns: dict = field(default_factory=dict)
+
+
+# Every topic a session records, in the order the bag manifest lists them.
+SESSION_TOPICS = (
+    *(SessionTopic(f"bio.{m}", dict.fromkeys(t.fields, "f64"), t.rate_hz)
+      for m, t in BIO_TOPICS.items()),
+    SessionTopic("sim.rover", {"x_m": "f64", "y_m": "f64", "heading_deg": "f64",
+                               "speed_m_s": "f64", "angular_vel_deg_s": "f64",
+                               "battery_pct": "f64", "motor_temp_c": "f64",
+                               "stalled": "bool", "overdrive_s": "f64",
+                               "distance_m": "f64"}, TICK_HZ,
+                 {f: f"sim.{f}" for f in ("x_m", "y_m", "heading_deg", "speed_m_s",
+                                          "angular_vel_deg_s", "battery_pct",
+                                          "motor_temp_c", "distance_m")}),
+    SessionTopic("sim.resources", {"o2_pct": "f64", "co2_pct": "f64"}, TICK_HZ,
+                 {"o2_pct": "sim.o2_pct", "co2_pct": "sim.co2_pct"}),
+    SessionTopic("sim.radar", {"state": "i64", "dish_heading_deg": "f64", "flash_hz": "f64"},
+                 TICK_HZ, {"state": "sim.radar_state"}),
+    SessionTopic("sim.comms", {"request": "bool", "response": "bool", "kind": "str",
+                               "target": "str", "channel": "str", "latency_s": "f64?"}),
+    SessionTopic("sim.meta", {"phase": "str", "run_index": "i64", "difficulty": "str",
+                              "elapsed_s": "f64"}, 1.0,
+                 {f: f"meta.{f}" for f in ("phase", "difficulty", "run_index")}),
+    SessionTopic("survey.tlx", dict.fromkeys(("run_index",) + TLX_SCALES, "i64")),
+    *(SessionTopic(f"feat.{m}", {**dict.fromkeys(names, "f64?"), "quality": "f64"})
+      for m, names in FEATURE_CATALOG.items()),
+)
 
 
 @dataclass(frozen=True)
@@ -153,41 +190,6 @@ class SessionResult:
     phases: list  # (name, start_ns, end_ns)
 
 
-def _feature_schema(modality: str) -> dict:
-    schema = {name: "f64?" for name in FEATURE_CATALOG[modality]}
-    schema["quality"] = "f64"
-    return schema
-
-
-def bio_topic_descriptors() -> list[TopicDescriptor]:
-    """The raw bio.<modality> topics, in BIO_TOPICS order."""
-    return [TopicDescriptor(f"bio.{m}", dict.fromkeys(t.fields, "f64"), t.rate_hz)
-            for m, t in BIO_TOPICS.items()]
-
-
-def _open_topics(bus: Bus):
-    topics = [
-        ("sim.rover", {"x_m": "f64", "y_m": "f64", "heading_deg": "f64",
-                       "speed_m_s": "f64", "angular_vel_deg_s": "f64",
-                       "battery_pct": "f64", "motor_temp_c": "f64",
-                       "stalled": "bool", "overdrive_s": "f64",
-                       "distance_m": "f64"}, 10.0),
-        ("sim.resources", {"o2_pct": "f64", "co2_pct": "f64"}, 10.0),
-        ("sim.radar", {"state": "i64", "dish_heading_deg": "f64",
-                       "flash_hz": "f64"}, 10.0),
-        ("sim.comms", {"request": "bool", "response": "bool", "kind": "str",
-                       "target": "str", "channel": "str", "latency_s": "f64?"}, None),
-        ("sim.meta", {"phase": "str", "run_index": "i64", "difficulty": "str",
-                      "elapsed_s": "f64"}, 1.0),
-        ("survey.tlx", {"run_index": "i64", "mental": "i64", "physical": "i64",
-                        "temporal": "i64", "performance": "i64", "effort": "i64",
-                        "frustration": "i64"}, None),
-    ]
-    topics += [(f"feat.{m}", _feature_schema(m), None) for m in FEATURE_CATALOG]
-    descs = bio_topic_descriptors() + [TopicDescriptor(*t) for t in topics]
-    return {d.name: bus.open_topic(d, retain=False) for d in descs}
-
-
 CARDIAC_FADE_S = 0.08
 
 
@@ -254,43 +256,31 @@ class _PhaseStreams:
         self.breath_rate_bpm = profile.resp_rate_bpm
         self.streams = {}
         for m, wf in waveforms.items():
-            times = wf.times_ns() + t0_ns
-            feed_vals = np.asarray(wf.values, dtype=float)
-            if m == "gaze":
-                scalars = [tuple(map(float, row)) for row in wf.values]
-            else:
-                scalars = wf.values.tolist()
-            self.streams[m] = {"times": times, "scalars": scalars,
-                               "feed": feed_vals, "ptr": 0}
+            self.streams[m] = {"times": wf.times_ns() + t0_ns,
+                               "feed": np.asarray(wf.values, dtype=float), "ptr": 0}
 
     def carry_out(self, actual_duration_s: float, stitch: StitchState) -> StitchState:
         """Continuity values at the point this phase actually ended."""
         resp_phase = (stitch.resp_phase_rad
                       + 2.0 * math.pi * (self.breath_rate_bpm / 60.0) * actual_duration_s)
         gaze = self.streams["gaze"]
-        idx = min(max(gaze["ptr"] - 1, 0), len(gaze["scalars"]) - 1)
-        gaze_x = gaze["scalars"][idx][0] if gaze["scalars"] else stitch.gaze_x_deg
+        feed = gaze["feed"]
+        idx = min(max(gaze["ptr"] - 1, 0), len(feed) - 1)
+        gaze_x = float(feed[idx, 0]) if len(feed) else stitch.gaze_x_deg
         return StitchState(resp_phase_rad=resp_phase % (2.0 * math.pi), gaze_x_deg=gaze_x)
 
     def publish_until(self, bus, topics, pipeline, t_limit_ns: int):
         """Publish and feed every sample with t < t_limit_ns."""
         for m, s in self.streams.items():
-            times = s["times"]
-            i = s["ptr"]
+            times, feed, i = s["times"], s["feed"], s["ptr"]
             j = int(np.searchsorted(times, t_limit_ns, side="left"))
             if j <= i:
                 continue
             topic = topics[f"bio.{m}"]
-            scalars = s["scalars"]
-            if m == "gaze":
-                for k in range(i, j):
-                    x, y, d = scalars[k]
-                    bus.publish(topic, {"x_deg": x, "y_deg": y, "d_mm": d},
-                                t_ns=int(times[k]))
-            else:
-                for k in range(i, j):
-                    bus.publish(topic, {"v": scalars[k]}, t_ns=int(times[k]))
-            pipeline.feed(m, times[i:j], s["feed"][i:j])
+            fields = BIO_TOPICS[m].fields
+            for t, row in zip(times[i:j].tolist(), feed[i:j].reshape(j - i, -1).tolist()):
+                bus.publish(topic, dict(zip(fields, row)), t_ns=t)
+            pipeline.feed(m, times[i:j], feed[i:j])
             s["ptr"] = j
 
 
@@ -304,7 +294,7 @@ def _publish_feature_rows(bus, topics, rows):
 def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> SessionResult:
     plan.validate()
     bus = Bus(clock=ManualClock())
-    topics = _open_topics(bus)
+    topics = {t.name: bus.open_topic(t, retain=False) for t in SESSION_TOPICS}
     writer = BagWriter(out_path, bus, session_meta={
         "seed": plan.seed,
         "run_order": list(plan.run_order),
@@ -360,7 +350,7 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
 
             publish_meta(phase_start, phase_name, run_index if run_index is not None else -1, level)
             trace: list[TickRecord] = []
-            n_ticks = round(duration_s / 0.1)
+            n_ticks = round(duration_s / DT_S)
             for k in range(n_ticks):
                 tick_t = phase_start + k * TICK_NS
                 tick_end = tick_t + TICK_NS

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rover import NS_PER_S, OperatorAction, RoverSim, RoverState, bearing_deg, wrap_deg
+from ..bus import NS_PER_S
+from .rover import OperatorAction, RoverSim, RoverState, bearing_deg, wrap_deg
 
 _STREAM_OPERATOR = 13
 

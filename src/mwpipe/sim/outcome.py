@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..bus import NS_PER_S
 from ..errors import IncompleteTrace
 from .difficulty import DifficultyParams
 from .operator import PolicyConfig, ScriptedOperator
-from .rover import DT_S, NS_PER_S, OperatorAction, PhysicsParams, DEFAULT_PHYSICS, RoverSim, RoverState
+from .rover import DT_S, OperatorAction, PhysicsParams, DEFAULT_PHYSICS, RoverSim, RoverState
 
 
 @dataclass

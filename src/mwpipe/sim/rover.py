@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..bus import NS_PER_S
 from .difficulty import DifficultyParams
 
-DT_S = 0.1
-NS_PER_S = 1_000_000_000
+DT_S = 0.1  # the one tick of the simulator and of the session clock
 
 _STREAM_PLACEMENT = 10
 _STREAM_COMMS = 11

@@ -43,8 +43,9 @@ def recv_frames(sock: socket.socket):
     """Yield payload bytes per frame until the peer closes the stream.
 
     A header that is not a decimal length, or a length above
-    MAX_FRAME_BYTES, raises WireError. A frame cut short by the close is
-    dropped. Each received byte is copied a bounded number of times.
+    MAX_FRAME_BYTES, raises WireError, and so does a close inside a frame,
+    in its header or its payload; a close between frames ends the stream.
+    Each received byte is copied a bounded number of times.
     """
     buf = b""
     pos = 0  # start of the first unread frame in buf
@@ -56,6 +57,8 @@ def recv_frames(sock: socket.socket):
                                 f"{buf[pos:pos + 32]!r}")
             chunk = sock.recv(_RECV_BYTES)
             if not chunk:
+                if len(buf) > pos:
+                    raise WireError(f"stream ended inside a frame header: {buf[pos:]!r}")
                 return
             buf = buf[pos:] + chunk
             pos = 0
@@ -74,7 +77,8 @@ def recv_frames(sock: socket.socket):
             while have < end:
                 chunk = sock.recv(_RECV_BYTES)
                 if not chunk:
-                    return
+                    raise WireError(f"stream ended {end - have} bytes short of a "
+                                    f"{length}-byte frame")
                 parts.append(chunk)
                 have += len(chunk)
             buf = b"".join(parts)

@@ -132,12 +132,25 @@ def test_unknown_magic(tmp_path):
         read_manifest(p)
 
 
+def bag_with_topics(entries: bytes) -> bytes:
+    """A bag whose manifest lists the given topic entries, then one record
+    on topic a.b."""
+    return (b'MWBAG1\n{"topics":[' + entries + b']}\n'
+            b'{"t":0,"topic":"a.b","seq":0,"data":{"v":1.0}}\n')
+
+
 MALFORMED_HEADERS = {
     "magic_not_utf8": b"\xffMWBAG1\n{}\n",
     "manifest_is_list": b"MWBAG1\n[1,2]\n",
     "manifest_not_utf8": b"MWBAG1\n\xff\xfe{}\n",
     "topic_without_name": (b'MWBAG1\n{"topics":[{"schema":{"v":"f64"}}]}\n'
                            b'{"t":0,"topic":"a.b","seq":0,"data":{"v":1.0}}\n'),
+    "schema_not_object": bag_with_topics(b'{"name":"a.b","schema":5}'),
+    "kind_not_string": bag_with_topics(b'{"name":"a.b","schema":{"v":5}}'),
+    "unknown_kind": bag_with_topics(b'{"name":"a.b","schema":{"v":"f32"}}'),
+    "negative_rate": bag_with_topics(b'{"name":"a.b","schema":{"v":"f64"},"nominal_rate_hz":-1}'),
+    "rate_not_number": bag_with_topics(b'{"name":"a.b","nominal_rate_hz":"x"}'),
+    "repeated_name": bag_with_topics(b'{"name":"a.b"},{"name":"a.b"}'),
 }
 
 
@@ -149,6 +162,8 @@ def test_malformed_header_is_a_typed_error(tmp_path, raw):
     assert [i.kind for i in report.issues] == ["header"]
     with pytest.raises(CorruptBag):
         list(iter_samples(p))
+    with pytest.raises(CorruptBag):
+        replay(p, retain=False)
 
 
 def test_validate_reports_non_utf8_record(tmp_path):
@@ -257,6 +272,9 @@ def test_flush_watermark_keeps_future_samples(tmp_path):
 BAD_RECORDS = {
     "data_not_object": b'{"t":1,"topic":"t.a","seq":0,"data":5}\n',
     "int_overflows_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1' + b"0" * 400 + b"}}\n",
+    "t_not_int": b'{"t":"x","topic":"t.a","seq":0,"data":{"v":1.0}}\n',
+    "seq_not_int": b'{"t":1,"topic":"t.a","seq":1.5,"data":{"v":1.0}}\n',
+    "t_bool": b'{"t":true,"topic":"t.a","seq":0,"data":{"v":1.0}}\n',
 }
 
 

@@ -100,3 +100,20 @@ def test_session_error_leaves_valid_truncated_bag(tmp_path, monkeypatch):
     gap_free = [i for i in report.issues if i.kind != "gap"]
     assert gap_free == []
     assert report.records > 0
+
+
+BAD_CONFIGS = {
+    "not_json": "{seed: 4",
+    "not_an_object": "[1, 2]",
+    "unknown_policy_key": '{"policy": {"no_such_key": 1}}',
+    "unknown_physics_key": '{"physics": {"no_such_key": 1}}',
+    "unknown_gaze_thresholds_key": '{"gaze_thresholds": {"no_such_key": 1}}',
+}
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+def test_bad_config_is_plan_invalid(tmp_path, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    with pytest.raises(PlanInvalid):
+        plan_from_config(load_config(str(cfg)))

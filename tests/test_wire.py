@@ -106,6 +106,8 @@ BAD_STREAMS = {
     "empty_header": b"\nx",
     "over_cap": b"%d\n" % (MAX_FRAME_BYTES + 1),
     "header_without_newline": b"1" * 64,
+    "cut_in_header": b"12",
+    "cut_in_payload": b"9\nhel",
 }
 
 
