@@ -145,8 +145,6 @@ def _canonicalize(data: dict, schema: dict) -> dict:
         kind = schema.get(k, "").rstrip("?")
         if kind == "f64" and isinstance(v, int):
             v = float(v)
-        elif kind == "vec" and isinstance(v, list):
-            v = tuple(float(x) for x in v)
         out[k] = v
     return out
 

@@ -34,7 +34,7 @@ DEFAULT_ALIGN_TOLERANCE_NS = 50_000_000
 _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
 # Schema field kinds. A trailing "?" marks the field optional.
-_KINDS = ("f64", "i64", "bool", "str", "vec")
+_KINDS = ("f64", "i64", "bool", "str")
 
 
 def sample_time_ns(t0_ns: int, index: int, fs_hz: float) -> int:
@@ -106,15 +106,6 @@ def _canonical_value(kind: str, value, fname: str):
         if not isinstance(value, str):
             raise SchemaMismatch(f"field {fname!r} expects str, got {type(value).__name__}")
         return value
-    if kind == "vec":
-        if not isinstance(value, (list, tuple)):
-            raise SchemaMismatch(f"field {fname!r} expects a float vector")
-        out = []
-        for x in value:
-            if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(float(x)):
-                raise SchemaMismatch(f"field {fname!r} vector entries must be finite floats")
-            out.append(float(x))
-        return tuple(out)
     raise SchemaMismatch(f"unknown kind {kind!r}")
 
 

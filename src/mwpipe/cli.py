@@ -16,21 +16,44 @@ from .export import extract_csv
 from .session import SESSION_TOPICS, StitchState, phase_waveforms, run_session
 
 
-class RateType(click.ParamType):
+class _Positive(click.ParamType):
+    """A positive, finite number."""
+
+    name = "positive number"
+    expected = "a positive number"
+
+    def convert(self, value, param, ctx):
+        try:
+            number = float(value)
+            if math.isfinite(number) and number > 0:
+                return number
+        except ValueError:
+            pass
+        self.fail(f"{value!r} is not {self.expected}", param, ctx)
+
+
+class RateType(_Positive):
     """A replay rate: "max" or a positive, finite speed multiplier."""
 
     name = "rate"
+    expected = "'max' or a positive number"
 
     def convert(self, value, param, ctx):
-        if value == "max":
-            return value
-        try:
-            rate = float(value)
-            if math.isfinite(rate) and rate > 0:
-                return rate
-        except ValueError:
-            pass
-        self.fail(f"{value!r} is not 'max' or a positive number", param, ctx)
+        return value if value == "max" else super().convert(value, param, ctx)
+
+
+def _host_port(ctx, param, value):
+    """--bind HOST:PORT as (host, port); the host may be empty, and an empty
+    port is 0."""
+    if value is None:
+        return None
+    host, _, port = value.partition(":")
+    if not port or (port.isdecimal() and int(port) <= 65535):
+        return host, int(port or 0)
+    raise click.BadParameter(f"{value!r} is not HOST:PORT with a port in 0-65535")
+
+
+_FILE = click.Path(exists=True, dir_okay=False)
 
 
 @click.group()
@@ -39,7 +62,7 @@ def main():
 
 
 @main.command()
-@click.option("--profile", "profile_path", type=click.Path(exists=True), default=None,
+@click.option("--profile", "profile_path", type=_FILE, default=None,
               help="JSON profile (defaults apply when omitted).")
 @click.option("--duration", "duration_s", type=float, default=None,
               help="Override profile duration in seconds.")
@@ -59,7 +82,7 @@ def synth(profile_path, duration_s, out_path):
     waveforms = phase_waveforms(profile, profile.duration_s, profile.seed, StitchState())
     n = 0
     for m, wf in waveforms.items():
-        rows = wf.values.reshape(wf.n, -1).tolist()
+        rows = wf.values.reshape(wf.n, len(wf.fields)).tolist()
         for t, row in zip(wf.times_ns().tolist(), rows):
             bus.publish(topics[f"bio.{m}"], dict(zip(wf.fields, row)), t_ns=t)
         n += wf.n
@@ -68,7 +91,7 @@ def synth(profile_path, duration_s, out_path):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+@click.option("--config", "config_path", type=_FILE, default=None,
               help="JSON session config (defaults apply when omitted).")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--tlx", type=click.Choice(["scripted", "interactive"]), default="scripted")
@@ -90,12 +113,12 @@ def simulate(config_path, out_path, tlx):
 
 
 @main.command()
-@click.option("--bag", "bag_path", type=click.Path(exists=True), required=True)
-@click.option("--window", "window_s", type=float, default=30.0, show_default=True)
-@click.option("--stride", "stride_s", type=float, default=1.0, show_default=True)
-@click.option("--tolerance-ms", type=float, default=DEFAULT_ALIGN_TOLERANCE_NS / 1e6,
+@click.option("--bag", "bag_path", type=_FILE, required=True)
+@click.option("--window", "window_s", type=_Positive(), default=30.0, show_default=True)
+@click.option("--stride", "stride_s", type=_Positive(), default=1.0, show_default=True)
+@click.option("--tolerance-ms", type=_Positive(), default=DEFAULT_ALIGN_TOLERANCE_NS / 1e6,
               show_default=True, help="Telemetry alignment tolerance.")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+@click.option("--config", "config_path", type=_FILE, default=None,
               help="Shared config (picks up gaze_thresholds).")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
@@ -109,20 +132,20 @@ def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
 
 
 @main.command()
-@click.option("--bag", "bag_path", type=click.Path(exists=True), required=True)
+@click.option("--bag", "bag_path", type=_FILE, required=True)
 @click.option("--rate", type=RateType(), default="max", show_default=True,
               help="Playback speed multiplier, or 'max' for no pacing.")
-@click.option("--bind", "bind_addr", default=None,
+@click.option("--bind", "bind_addr", default=None, callback=_host_port,
               help="HOST:PORT to serve the live-adapter wire protocol.")
 def replay(bag_path, rate, bind_addr):
     """Republish a bag, paced or at full speed, locally or over a socket."""
     if bind_addr is not None:
         from .wire import serve_bag
 
-        host, _, port = bind_addr.partition(":")
-        click.echo(f"serving {bag_path} on {host}:{port or 0} (rate={rate})")
+        host, port = bind_addr
+        click.echo(f"serving {bag_path} on {host}:{port} (rate={rate})")
         bound_host, bound_port, sent = serve_bag(
-            bag_path, host or "127.0.0.1", int(port or 0), rate,
+            bag_path, host or "127.0.0.1", port, rate,
             ready=lambda h, p: click.echo(f"listening on {h}:{p}"))
         click.echo(f"sent {sent} records")
         return
@@ -132,7 +155,7 @@ def replay(bag_path, rate, bind_addr):
 
 
 @main.command()
-@click.option("--bag", "bag_path", type=click.Path(exists=True), required=True)
+@click.option("--bag", "bag_path", type=_FILE, required=True)
 def validate(bag_path):
     """Check a bag's structure; exit nonzero on any error."""
     report = bag_validate(bag_path)

@@ -30,15 +30,34 @@ def _gaze_event_from_dict(d: dict) -> GazeEvent:
     )
 
 
+_NUMBER = (int, float)
+
+
+def _of_type(key: str, value, kind):
+    """value when it is an instance of kind (a bool never is); otherwise
+    PlanInvalid."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise PlanInvalid(f"config {key} has the wrong type: {value!r:.40}")
+    return value
+
+
 def profile_from_dict(d: dict) -> SynthProfile:
+    """A profile whose fields have the types of SynthProfile's defaults
+    (a float field also takes an int); anything else raises PlanInvalid."""
     profile = SynthProfile()
-    for key, value in d.items():
-        if key == "scr_events":
-            value = [(float(t), float(a)) for t, a in value]
-        elif key == "gaze_script":
-            value = [_gaze_event_from_dict(e) for e in value]
+    for key, value in _of_type("profile", d, dict).items():
         if not hasattr(profile, key):
             raise PlanInvalid(f"unknown profile field {key!r}")
+        default = getattr(profile, key)
+        value = _of_type(f"profile {key}", value,
+                         _NUMBER if isinstance(default, float) else type(default))
+        try:
+            if key == "scr_events":
+                value = [(float(t), float(a)) for t, a in value]
+            elif key == "gaze_script":
+                value = [_gaze_event_from_dict(e) for e in value]
+        except (TypeError, ValueError, KeyError) as e:
+            raise PlanInvalid(f"bad profile {key}: {e}") from e
         setattr(profile, key, value)
     return profile
 
@@ -76,27 +95,35 @@ def gaze_thresholds_from_config(cfg: dict) -> GazeThresholds:
     return _from_fields(GazeThresholds, "gaze_thresholds", cfg.get("gaze_thresholds", {}))
 
 
+_PLAN_SCALARS = {"seed": int, "baseline_s": _NUMBER, "interrun_s": _NUMBER,
+                 "run_timeout_s": _NUMBER, "tlx_jitter": int}
+
+
 def plan_from_config(cfg: dict) -> SessionPlan:
+    """The session plan a config object describes; a value of the wrong type
+    or out of range raises PlanInvalid."""
     plan = SessionPlan()
     if "profile" in cfg:
         plan.profile = profile_from_dict(cfg["profile"])
     if "phase_profiles" in cfg:
         plan.phase_profiles = {
-            name: profile_from_dict(d) for name, d in cfg["phase_profiles"].items()
+            name: profile_from_dict(d)
+            for name, d in _of_type("phase_profiles", cfg["phase_profiles"], dict).items()
         }
     if "policy" in cfg:
         plan.policy = _from_fields(PolicyConfig, "policy", cfg["policy"])
     if "physics" in cfg:
-        phys = dict(cfg["physics"])
+        phys = dict(_of_type("physics", cfg["physics"], dict))
         if "relay_pos_m" in phys:
-            phys["relay_pos_m"] = tuple(phys["relay_pos_m"])
+            phys["relay_pos_m"] = tuple(_of_type("physics relay_pos_m", phys["relay_pos_m"], list))
         plan.physics = _from_fields(PhysicsParams, "physics", phys)
     plan.gaze_thresholds = gaze_thresholds_from_config(cfg)
-    for key in ("seed", "baseline_s", "interrun_s", "run_timeout_s", "tlx_jitter"):
+    for key, kind in _PLAN_SCALARS.items():
         if key in cfg:
-            setattr(plan, key, cfg[key])
+            setattr(plan, key, _of_type(key, cfg[key], kind))
     if "run_order" in cfg:
-        plan.run_order = tuple(cfg["run_order"])
+        plan.run_order = tuple(_of_type("run_order", x, str)
+                               for x in _of_type("run_order", cfg["run_order"], list))
     plan.seed = seed_override(plan.seed)
     plan.profile.seed = plan.seed
     return plan.validate()

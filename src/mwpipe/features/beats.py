@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
 from scipy.signal import butter, sosfiltfilt
 
@@ -35,8 +36,7 @@ class BeatSeries:
     def __post_init__(self):
         self.beat_times_ns = np.asarray(self.beat_times_ns, dtype=np.int64)
         if self.intervals_ms is None:
-            raw = np.diff(self.beat_times_ns) / 1e6
-            self.intervals_ms = raw[(raw > INTERVAL_MIN_MS) & (raw < INTERVAL_MAX_MS)]
+            self.intervals_ms = self.tachogram()[1]
         else:
             self.intervals_ms = np.asarray(self.intervals_ms, dtype=float)
 
@@ -59,6 +59,21 @@ def _local_maxima(x: np.ndarray) -> np.ndarray:
     return np.flatnonzero((x[1:-1] >= x[:-2]) & (x[1:-1] > x[2:])) + 1
 
 
+def _peaks_above_half_rollmax(x: np.ndarray, fs: float) -> np.ndarray:
+    """Local maxima of x above half its rolling maximum over ROLLMAX_S."""
+    size = max(3, int(ROLLMAX_S * fs) | 1)
+    thr = 0.5 * maximum_filter1d(x, size=size, mode="nearest")
+    idx = _local_maxima(x)
+    return idx[x[idx] > thr[idx]]
+
+
+def _argmax_near(x: np.ndarray, idx: np.ndarray, half: int) -> np.ndarray:
+    """For each of idx, the first index of the maximum of x within half
+    samples of it; the -inf padding is never that first maximum."""
+    padded = np.pad(x, half, constant_values=-np.inf)
+    return idx - half + np.argmax(sliding_window_view(padded, 2 * half + 1)[idx], axis=1)
+
+
 def _apply_refractory(indices: np.ndarray, fs: float) -> list[int]:
     keep: list[int] = []
     min_gap = REFRACTORY_S * fs
@@ -71,27 +86,16 @@ def _apply_refractory(indices: np.ndarray, fs: float) -> list[int]:
 def _detect_ecg(x: np.ndarray, fs: float) -> list[int]:
     xf = sosfiltfilt(_bandpass_sos(5.0, 25.0, fs), x)
     energy = (np.diff(xf) * fs) ** 2
-    size = max(3, int(ROLLMAX_S * fs) | 1)
-    thr = 0.5 * maximum_filter1d(energy, size=size, mode="nearest")
-    cands = [i for i in _local_maxima(energy) if energy[i] > thr[i]]
-    cands = _apply_refractory(np.asarray(cands), fs)
+    cands = np.array(_apply_refractory(_peaks_above_half_rollmax(energy, fs), fs), dtype=np.int64)
     # snap each detection to the R peak of the band-passed signal
-    half = int(0.06 * fs)
-    peaks = []
-    for i in cands:
-        lo = max(0, i - half)
-        hi = min(len(xf), i + half + 1)
-        peaks.append(lo + int(np.argmax(xf[lo:hi])))
-    peaks = sorted(set(peaks))
-    return _apply_refractory(np.asarray(peaks), fs)
+    peaks = _argmax_near(xf, cands, int(0.06 * fs))
+    return _apply_refractory(np.unique(peaks), fs)
 
 
 def _detect_ppg(x: np.ndarray, fs: float) -> list[int]:
     xf = sosfiltfilt(_bandpass_sos(0.5, 8.0, fs), x)
-    size = max(3, int(ROLLMAX_S * fs) | 1)
-    thr = 0.5 * maximum_filter1d(xf, size=size, mode="nearest")
-    cands = [i for i in _local_maxima(xf) if xf[i] > thr[i] and xf[i] > 0]
-    return _apply_refractory(np.asarray(cands), fs)
+    cands = _peaks_above_half_rollmax(xf, fs)
+    return _apply_refractory(cands[xf[cands] > 0], fs)
 
 
 def detect_beats(window: Window) -> BeatSeries:

@@ -85,8 +85,9 @@ class FeaturePipeline:
     Feed raw sample blocks per modality, then advance_to(watermark) to
     collect every newly complete row, serialized by (t_end, modality) so
     emission onto feature topics respects the bus ordering contract.
-    The PPG baseline is frozen once via set_ppg_baseline (typically when a
-    session's baseline phase completes) and is 1.0-equivalent until then.
+    The PPG baseline is frozen once via freeze_baseline_from_observations
+    (when a session's baseline phase completes) and is 1.0-equivalent until
+    then.
     """
 
     len_s: float = 30.0
@@ -107,14 +108,13 @@ class FeaturePipeline:
     def feed(self, modality: str, times_ns, values):
         self._windowers[modality].feed(times_ns, values)
 
-    def set_ppg_baseline(self, pa: float | None):
-        if pa is not None and pa > 0:
-            self.ppg_baseline_pa = float(pa)
-
     def freeze_baseline_from_observations(self):
-        """Freeze the baseline PA as the mean over rows observed so far."""
+        """Freeze the baseline PA as the mean over rows observed so far,
+        when that mean is positive."""
         if self._baseline_pa_samples and self.ppg_baseline_pa is None:
-            self.set_ppg_baseline(float(np.mean(self._baseline_pa_samples)))
+            pa = float(np.mean(self._baseline_pa_samples))
+            if pa > 0:
+                self.ppg_baseline_pa = pa
 
     def advance_to(self, watermark_ns: int) -> list[FeatureRow]:
         rows = []

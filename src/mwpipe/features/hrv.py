@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.signal import welch
 
 from .beats import BeatSeries
 
@@ -67,23 +68,22 @@ def hrv_stat_features(beats: BeatSeries) -> dict:
     return out
 
 
-def _band_power(freqs: np.ndarray, psd: np.ndarray, band: tuple) -> float:
-    lo, hi = band
-    mask = (freqs >= lo) & (freqs < hi)
-    if not np.any(mask):
-        return 0.0
+def band_powers(x: np.ndarray, fs: float, nperseg: int, bands) -> list[float]:
+    """Power of x in each [lo, hi) band, in x's units squared.
+
+    Welch: Hann-windowed segments of nperseg samples overlapping by half,
+    each mean-removed, averaged into a density-scaled periodogram whose
+    bins in a band are summed and multiplied by the bin width.
+    """
+    freqs, psd = welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
+                       detrend="constant", scaling="density")
     df = freqs[1] - freqs[0] if len(freqs) > 1 else 0.0
-    return float(np.sum(psd[mask]) * df)
+    return [float(np.sum(psd[(freqs >= lo) & (freqs < hi)]) * df) for lo, hi in bands]
 
 
 def hrv_frequency(beats: BeatSeries) -> dict:
-    """Band powers of the tachogram resampled to a uniform 4 Hz grid.
-
-    Mean-removed, Hann-windowed periodogram averaged over 50%-overlapping
-    segments (Welch); powers integrated over VLF/LF/HF in ms^2.
-    """
-    from scipy.signal import welch
-
+    """VLF/LF/HF band powers, in ms^2, of the tachogram resampled to a
+    uniform 4 Hz grid."""
     times_s, iv_ms = beats.tachogram()
     if len(iv_ms) < 3 or len(beats.beat_times_ns) < 4:
         return {}
@@ -92,18 +92,7 @@ def hrv_frequency(beats: BeatSeries) -> dict:
     grid = np.arange(times_s[0], times_s[-1] + 1e-12, 1.0 / TACHOGRAM_GRID_HZ)
     resampled = np.interp(grid, times_s, iv_ms)
     nperseg = min(len(resampled), int(MAX_SEGMENT_S * TACHOGRAM_GRID_HZ))
-    freqs, psd = welch(
-        resampled,
-        fs=TACHOGRAM_GRID_HZ,
-        window="hann",
-        nperseg=nperseg,
-        noverlap=nperseg // 2,
-        detrend="constant",
-        scaling="density",
-    )
-    vlf = _band_power(freqs, psd, VLF_BAND)
-    lf = _band_power(freqs, psd, LF_BAND)
-    hf = _band_power(freqs, psd, HF_BAND)
+    vlf, lf, hf = band_powers(resampled, TACHOGRAM_GRID_HZ, nperseg, (VLF_BAND, LF_BAND, HF_BAND))
     return {
         "vlf_power_ms2": vlf,
         "lf_power_ms2": lf,

@@ -15,22 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..bus import NS_PER_S
-from .beats import BeatSeries
+from .beats import BeatSeries, _local_maxima
 from .windowing import Window
 
 
-def _first_derivative_local_min(d: np.ndarray, lo: int, hi: int) -> int | None:
-    for i in range(max(lo, 1), min(hi, len(d) - 1)):
-        if d[i] <= d[i - 1] and d[i] < d[i + 1]:
-            return i
-    return None
-
-
-def _first_local_max(x: np.ndarray, lo: int, hi: int) -> int | None:
-    for i in range(max(lo, 1), min(hi, len(x) - 1)):
-        if x[i] >= x[i - 1] and x[i] > x[i + 1]:
-            return i
-    return None
+def _first_in(indices: np.ndarray, lo: int, hi: int) -> int | None:
+    """The first of the sorted indices in [lo, hi), or None."""
+    j = np.searchsorted(indices, lo)
+    return int(indices[j]) if j < len(indices) and indices[j] < hi else None
 
 
 def ppg_features(window: Window, beats: BeatSeries, baseline_pa: float | None = None) -> dict:
@@ -41,7 +33,8 @@ def ppg_features(window: Window, beats: BeatSeries, baseline_pa: float | None = 
         return {}
     peak_idx = np.searchsorted(times, bt)
     peak_idx = np.clip(peak_idx, 0, len(x) - 1)
-    d = np.diff(x)
+    notches = _local_maxima(-np.diff(x))  # local minima of the first derivative
+    maxima = _local_maxima(x)
 
     pas, ris, aucs, ipas = [], [], [], []
     feet = []
@@ -60,8 +53,8 @@ def ppg_features(window: Window, beats: BeatSeries, baseline_pa: float | None = 
         span_end = feet[k + 1] if k + 1 < len(peak_idx) and feet[k + 1] is not None else None
         bound = span_end if span_end is not None else len(x)
         # a notch only counts when a diastolic peak follows it within the beat
-        notch = _first_derivative_local_min(d, p + 1, bound - 1)
-        diast = _first_local_max(x, notch + 1, bound) if notch is not None else None
+        notch = _first_in(notches, p + 1, bound - 1)
+        diast = _first_in(maxima, notch + 1, bound) if notch is not None else None
         pa = x[p] - x[foot]
         if notch is not None and diast is not None and pa > 0:
             ris.append(float((x[diast] - x[foot]) / pa))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .hrv import band_powers
 from .windowing import Window
 
 RESP_LF_BAND = (0.05, 0.15)
@@ -16,10 +17,6 @@ RESP_HF_BAND = (0.15, 0.5)
 
 
 def resp_features(window: Window) -> dict:
-    from scipy.signal import welch
-
-    from .hrv import _band_power
-
     x = np.asarray(window.values, dtype=float)
     out: dict[str, float] = {}
     if len(x) == 0:
@@ -29,10 +26,7 @@ def resp_features(window: Window) -> dict:
     out["rate_bpm"] = 60.0 * crossings / window.span_s
     if len(x) >= 8 and np.ptp(x) > 0:
         nperseg = min(len(x), int(window.span_s * window.fs_hz))
-        freqs, psd = welch(x, fs=window.fs_hz, window="hann", nperseg=nperseg,
-                           noverlap=nperseg // 2, detrend="constant", scaling="density")
-        lf = _band_power(freqs, psd, RESP_LF_BAND)
-        hf = _band_power(freqs, psd, RESP_HF_BAND)
+        lf, hf = band_powers(x, window.fs_hz, nperseg, (RESP_LF_BAND, RESP_HF_BAND))
         out["lf_power"] = lf
         out["hf_power"] = hf
         if hf > 0:

@@ -36,78 +36,55 @@ class Window:
         return len(self.times_ns)
 
 
-class _GrowBuffer:
-    """Append-only array with doubling capacity (amortized O(1) appends)."""
-
-    def __init__(self, dtype, columns: int = 0):
-        self._cols = columns
-        shape = (256,) if columns == 0 else (256, columns)
-        self._arr = np.empty(shape, dtype=dtype)
-        self.n = 0
-
-    def append(self, block: np.ndarray):
-        m = len(block)
-        if m == 0:
-            return
-        while self.n + m > len(self._arr):
-            shape = (2 * len(self._arr),) if self._cols == 0 else (2 * len(self._arr), self._cols)
-            bigger = np.empty(shape, dtype=self._arr.dtype)
-            bigger[: self.n] = self._arr[: self.n]
-            self._arr = bigger
-        self._arr[self.n:self.n + m] = block
-        self.n += m
-
-    def view(self) -> np.ndarray:
-        return self._arr[: self.n]
-
-
 class SlidingWindower:
     """Incremental windower fed by sample blocks and an explicit watermark.
 
     advance_to(w_ns) emits every not-yet-emitted window whose end is <= the
     watermark; windows only ever contain samples strictly before their end,
-    so emission at the watermark is exact.
+    so emission at the watermark is exact. Once windows are cut, samples
+    before the next window's start are dropped, so a windower holds about
+    one window plus one stride of samples, plus what was fed since.
     """
 
     def __init__(self, modality: str, fs_hz: float, len_s: float = 30.0,
                  stride_s: float = 1.0, t0_ns: int = 0):
-        if len_s <= 0 or stride_s <= 0:
-            raise ValueError("len_s and stride_s must be positive")
         self.modality = modality
         self.fs_hz = fs_hz
         self.len_ns = round(len_s * NS_PER_S)
         self.stride_ns = round(stride_s * NS_PER_S)
+        if self.len_ns <= 0 or self.stride_ns <= 0:
+            raise ValueError("len_s and stride_s must be at least 1 ns")
         self._next_end = t0_ns + self.len_ns
-        self._times = _GrowBuffer(np.int64)
-        self._values: _GrowBuffer | None = None
+        self._times: list[np.ndarray] = []
+        self._values: list[np.ndarray] = []
 
     def feed(self, times_ns: np.ndarray, values: np.ndarray):
+        """Queue one block of time-ordered samples.
+
+        The block is not copied: the windower holds the caller's arrays
+        until the next window is cut, and they must not change until then.
+        """
         times_ns = np.asarray(times_ns, dtype=np.int64)
         if not len(times_ns):
             return
-        values = np.asarray(values, dtype=float)
-        if self._values is None:
-            cols = 0 if values.ndim == 1 else values.shape[1]
-            self._values = _GrowBuffer(np.float64, cols)
         self._times.append(times_ns)
-        self._values.append(values)
+        self._values.append(np.asarray(values, dtype=float))
 
     def advance_to(self, watermark_ns: int) -> list[Window]:
+        if self._next_end > watermark_ns:
+            return []
+        times = np.concatenate(self._times) if self._times else np.empty(0, dtype=np.int64)
+        values = np.concatenate(self._values) if self._values else np.empty(0)
         out = []
         while self._next_end <= watermark_ns:
             end = self._next_end
             start = end - self.len_ns
-            if self._values is None:
-                times = np.empty(0, dtype=np.int64)
-                vals = np.empty(0)
-            else:
-                t_all = self._times.view()
-                lo = int(np.searchsorted(t_all, start, side="left"))
-                hi = int(np.searchsorted(t_all, end, side="left"))
-                times = t_all[lo:hi]
-                vals = self._values.view()[lo:hi]
-            out.append(Window(self.modality, start, end, times, vals, self.fs_hz))
+            lo, hi = np.searchsorted(times, (start, end), side="left")
+            out.append(Window(self.modality, start, end, times[lo:hi], values[lo:hi], self.fs_hz))
             self._next_end += self.stride_ns
+        if self._times:
+            keep = np.searchsorted(times, self._next_end - self.len_ns, side="left")
+            self._times, self._values = [times[keep:]], [values[keep:]]
         return out
 
 

@@ -60,3 +60,42 @@ def trapezoid_oracle(ts, vs):
     for i in range(len(ts) - 1):
         total += 0.5 * (vs[i] + vs[i + 1]) * (ts[i + 1] - ts[i])
     return total
+
+
+def first_local_max_oracle(x, lo, hi):
+    """First i in [lo, hi) with x[i-1] <= x[i] > x[i+1], or None."""
+    for i in range(max(lo, 1), min(hi, len(x) - 1)):
+        if x[i - 1] <= x[i] > x[i + 1]:
+            return i
+    return None
+
+
+def first_local_min_oracle(d, lo, hi):
+    """First i in [lo, hi) with d[i-1] >= d[i] < d[i+1], or None."""
+    for i in range(max(lo, 1), min(hi, len(d) - 1)):
+        if d[i - 1] >= d[i] < d[i + 1]:
+            return i
+    return None
+
+
+def half_rollmax_peaks_oracle(x, fs, rollmax_s=2.0):
+    """Local maxima above half the maximum over the odd number (at least 3)
+    of samples in rollmax_s centred on them, clipped at the ends."""
+    half = max(3, int(rollmax_s * fs) | 1) // 2
+    return [i for i in range(1, len(x) - 1)
+            if x[i - 1] <= x[i] > x[i + 1]
+            and x[i] > 0.5 * max(x[max(0, i - half):i + half + 1])]
+
+
+def argmax_near_oracle(x, indices, half):
+    """For each index, the first position of the maximum of x within half
+    samples of it."""
+    out = []
+    for i in indices:
+        lo, hi = max(0, i - half), min(len(x), i + half + 1)
+        best = lo
+        for j in range(lo, hi):
+            if x[j] > x[best]:
+                best = j
+        out.append(best)
+    return out

@@ -148,6 +148,7 @@ MALFORMED_HEADERS = {
     "schema_not_object": bag_with_topics(b'{"name":"a.b","schema":5}'),
     "kind_not_string": bag_with_topics(b'{"name":"a.b","schema":{"v":5}}'),
     "unknown_kind": bag_with_topics(b'{"name":"a.b","schema":{"v":"f32"}}'),
+    "vec_kind": bag_with_topics(b'{"name":"a.b","schema":{"v":"vec"}}'),
     "negative_rate": bag_with_topics(b'{"name":"a.b","schema":{"v":"f64"},"nominal_rate_hz":-1}'),
     "rate_not_number": bag_with_topics(b'{"name":"a.b","nominal_rate_hz":"x"}'),
     "repeated_name": bag_with_topics(b'{"name":"a.b"},{"name":"a.b"}'),

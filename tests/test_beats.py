@@ -1,8 +1,15 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from mwpipe.features.beats import BeatSeries, detect_beats
+from mwpipe.features.beats import (
+    BeatSeries,
+    _argmax_near,
+    _peaks_above_half_rollmax,
+    detect_beats,
+)
 from mwpipe.features.windowing import Window, make_windows
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
+from oracles import argmax_near_oracle, half_rollmax_peaks_oracle
 
 
 def windows_of(wf, len_s=30, stride_s=30):
@@ -70,3 +77,22 @@ def test_nonphysiological_intervals_discarded():
 def test_fewer_than_two_beats_empty_intervals():
     b = BeatSeries(np.array([10**9], dtype=np.int64))
     assert len(b.intervals_ms) == 0
+
+
+# Small integers give plateaus and ties, where ">=" against ">" matters.
+small_ints = st.lists(st.integers(min_value=-3, max_value=3), max_size=40)
+
+
+@settings(max_examples=200)
+@given(values=small_ints, fs=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+def test_peaks_above_half_rollmax_equal_the_loop_oracle(values, fs):
+    x = np.array(values, dtype=float)
+    assert _peaks_above_half_rollmax(x, fs).tolist() == half_rollmax_peaks_oracle(values, fs)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), values=small_ints.filter(len), half=st.integers(min_value=0, max_value=5))
+def test_argmax_near_equals_the_loop_oracle(data, values, half):
+    idx = data.draw(st.lists(st.integers(min_value=0, max_value=len(values) - 1), max_size=10))
+    got = _argmax_near(np.array(values, dtype=float), np.array(idx, dtype=np.int64), half)
+    assert got.tolist() == argmax_near_oracle(values, idx, half)

@@ -62,6 +62,46 @@ def test_replay_bad_rate_is_a_usage_error(runner, tmp_path, rate):
     assert "--rate" in r.output
 
 
+# (arguments, the option named in the error); DIR, BAG and OUT stand for a
+# directory, an existing file and a path to write.
+BAD_OPTIONS = {
+    "validate_bag_is_dir": (["validate", "--bag", "DIR"], "--bag"),
+    "replay_bag_is_dir": (["replay", "--bag", "DIR"], "--bag"),
+    "extract_bag_is_dir": (["extract", "--bag", "DIR", "--out", "OUT"], "--bag"),
+    "extract_config_is_dir": (["extract", "--bag", "BAG", "--config", "DIR", "--out", "OUT"],
+                              "--config"),
+    "simulate_config_is_dir": (["simulate", "--config", "DIR", "--out", "OUT"], "--config"),
+    "synth_profile_is_dir": (["synth", "--profile", "DIR", "--out", "OUT"], "--profile"),
+    "window_0": (["extract", "--bag", "BAG", "--window", "0", "--out", "OUT"], "--window"),
+    "window_-1": (["extract", "--bag", "BAG", "--window", "-1", "--out", "OUT"], "--window"),
+    "window_nan": (["extract", "--bag", "BAG", "--window", "nan", "--out", "OUT"], "--window"),
+    "stride_-1": (["extract", "--bag", "BAG", "--stride", "-1", "--out", "OUT"], "--stride"),
+    "tolerance_ms_0": (["extract", "--bag", "BAG", "--tolerance-ms", "0", "--out", "OUT"],
+                       "--tolerance-ms"),
+    "bind_port_not_a_number": (["replay", "--bag", "BAG", "--bind", "127.0.0.1:notaport"],
+                               "--bind"),
+}
+
+
+@pytest.mark.parametrize("args, option", BAD_OPTIONS.values(), ids=BAD_OPTIONS)
+def test_bad_option_is_a_usage_error(runner, tmp_path, args, option):
+    bag = tmp_path / "r.bag"
+    bag.write_bytes(b"MWBAG1\n{\"topics\":[]}\n")
+    paths = {"DIR": str(tmp_path), "BAG": str(bag), "OUT": str(tmp_path / "out")}
+    r = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert r.exit_code == 2, r.output
+    assert option in r.output
+
+
+def test_synth_shorter_than_one_respiration_sample(runner, tmp_path):
+    bag = tmp_path / "short.bag"
+    r = runner.invoke(main, ["synth", "--duration", "0.5", "--out", str(bag)])
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["validate", "--bag", str(bag)])
+    assert r.exit_code == 0, r.output
+    assert "0 issues" in r.output
+
+
 def test_simulate_short_session(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -108,6 +108,15 @@ BAD_CONFIGS = {
     "unknown_policy_key": '{"policy": {"no_such_key": 1}}',
     "unknown_physics_key": '{"physics": {"no_such_key": 1}}',
     "unknown_gaze_thresholds_key": '{"gaze_thresholds": {"no_such_key": 1}}',
+    "profile_not_object": '{"profile": 5}',
+    "phase_profiles_not_object": '{"phase_profiles": 5}',
+    "run_order_not_list": '{"run_order": 5}',
+    "baseline_s_not_number": '{"baseline_s": "x"}',
+    "physics_not_object": '{"physics": 5}',
+    "scr_events_not_list": '{"profile": {"scr_events": 5}}',
+    "gaze_script_entry_not_object": '{"profile": {"gaze_script": [5]}}',
+    "seed_not_integer": '{"seed": "x"}',
+    "tlx_jitter_not_integer": '{"tlx_jitter": "x"}',
 }
 
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwpipe.bus import NS_PER_S
 from mwpipe.errors import TooManyInvalidSamples
-from mwpipe.features.beats import detect_beats
+from mwpipe.features.beats import _local_maxima, detect_beats
 from mwpipe.features.gaze import classify_gaze, gaze_features
-from mwpipe.features.ppg import ppg_features
+from mwpipe.features.ppg import _first_in, ppg_features
 from mwpipe.features.windowing import Window, make_windows
 from mwpipe.synth import (
     GazeEvent,
@@ -16,6 +17,7 @@ from mwpipe.synth import (
     render_cardiac,
     saccade_battery_script,
 )
+from oracles import first_local_max_oracle, first_local_min_oracle
 
 
 def one_window(wf):
@@ -86,6 +88,17 @@ def test_ppg_svri_against_frozen_baseline():
     w = ppg_window(amp=50.0)
     f = ppg_features(w, detect_beats(w), baseline_pa=25.0)
     assert f["svri"] == pytest.approx(f["digital_pa"] / 25.0)
+
+
+# Small integers give plateaus and ties, where ">=" against ">" matters.
+@settings(max_examples=300)
+@given(values=st.lists(st.integers(min_value=-3, max_value=3), max_size=30),
+       lo=st.integers(min_value=-2, max_value=32), hi=st.integers(min_value=-2, max_value=32))
+def test_first_in_local_extrema_equals_the_loop_oracles(values, lo, hi):
+    x = np.array(values, dtype=float)
+    d = np.diff(x)
+    assert _first_in(_local_maxima(x), lo, hi) == first_local_max_oracle(values, lo, hi)
+    assert _first_in(_local_maxima(-d), lo, hi) == first_local_min_oracle(d.tolist(), lo, hi)
 
 
 # -- gaze ------------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwpipe.bus import NS_PER_S
@@ -101,3 +102,49 @@ def test_window_count_matches_enumeration_oracle(duration, len_s, stride):
 
 def test_empty_input_empty_output():
     assert make_windows(np.empty(0, dtype=np.int64), np.empty(0), "st", 4.0) == []
+
+
+def test_stride_below_one_ns_is_rejected():
+    with pytest.raises(ValueError):
+        SlidingWindower("st", 4.0, len_s=30, stride_s=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cols=st.sampled_from([0, 3]),
+       len_s=st.integers(min_value=1, max_value=6), stride_s=st.integers(min_value=1, max_value=3))
+def test_windower_equals_batch_and_holds_one_window(data, cols, len_s, stride_s):
+    fs = 4.0
+    unit_ns = round(NS_PER_S / fs)
+    # at least 20 windows: every gap is at least one sample period
+    n = data.draw(st.integers(min_value=round((len_s + 20 * stride_s) * fs),
+                              max_value=round((len_s + 40 * stride_s) * fs)))
+    gaps = data.draw(st.lists(st.integers(min_value=1, max_value=3), min_size=n, max_size=n))
+    times = np.cumsum(gaps, dtype=np.int64) * unit_ns
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    values = rng.normal(size=(n, cols) if cols else n)
+    cuts = sorted(set(data.draw(st.lists(st.integers(min_value=1, max_value=n - 1), max_size=12))))
+    bounds = [0, *cuts, n]
+    max_block = max(b - a for a, b in zip(bounds, bounds[1:]))
+    held_cap = round(len_s * fs) + round(stride_s * fs) + max_block
+
+    inc = SlidingWindower("w", fs, len_s=len_s, stride_s=stride_s, t0_ns=int(times[0]))
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        inc.feed(times[a:b], values[a:b])
+        # any watermark up to just past the block: a no-op or several windows
+        watermark = data.draw(st.integers(min_value=int(times[a]), max_value=int(times[b - 1]) + 1))
+        out.extend(inc.advance_to(watermark))
+        assert inc.advance_to(watermark) == []
+        assert sum(map(len, inc._times)) <= held_cap
+    end = int(times[-1]) + unit_ns
+    out.extend(inc.advance_to(end))
+
+    batch = make_windows(times, values, "w", fs, len_s=len_s, stride_s=stride_s)
+    assert len(batch) >= 20
+    assert [w.t_end_ns for w in out] == [w.t_end_ns for w in batch]
+    for a, b in zip(out, batch):
+        assert np.array_equal(a.times_ns, b.times_ns)
+        assert np.array_equal(a.values, b.values)
+        mask = (times >= b.t_start_ns) & (times < b.t_end_ns)
+        assert np.array_equal(b.times_ns, times[mask])
+        assert np.array_equal(b.values, values[mask])
