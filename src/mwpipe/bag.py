@@ -10,46 +10,153 @@ re-extraction bit-exact. A truncated final line is tolerated by readers.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import re
 import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
-from .bus import Bus, ManualClock, TimedSample, TopicDescriptor, merge_samples
+import numpy as np
+
+from .bus import Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor
 from .errors import CorruptBag, InvalidName, UnknownMagic
 
 MAGIC = "MWBAG1"
 
 
+# -- the record encoder --------------------------------------------------------
+#
+# A record line is a %-template compiled once per (topic, present fields,
+# kinds). Each conversion writes what json.dumps writes for that kind: %d is
+# int.__repr__, %r of a float is float.__repr__ (json.dumps' float encoder),
+# a bool is true/false and a string goes through json's ASCII escaper.
+
+_FORMATS = {"f64": "%r", "i64": "%d", "bool": "%s", "str": "%s"}
+
+
+def _finite_float(value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"a record cannot hold the float {value!r}")
+    return value
+
+
+_CONVERT = {"f64": _finite_float, "i64": int, "bool": ("false", "true").__getitem__,
+            "str": encode_basestring_ascii}
+
+
+def _kind_of(tp: type) -> str:
+    for base, kind in ((bool, "bool"), (int, "i64"), (float, "f64"), (str, "str")):
+        if issubclass(tp, base):
+            return kind
+    raise TypeError(f"a record cannot hold a {tp.__name__}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _template(topic: str, fields: tuple, kinds: tuple) -> str:
+    """The %-template of a record line; format it with (t, seq, *values),
+    each value converted as _CONVERT says for its kind (an f64 value that
+    is already a finite float needs no conversion)."""
+    data = ",".join(encode_basestring_ascii(f).replace("%", "%%") + ":" + _FORMATS[k]
+                    for f, k in zip(fields, kinds))
+    return '{"t":%d,"topic":"' + topic.replace("%", "%%") + '","seq":%d,"data":{' + data + "}}\n"
+
+
+@functools.lru_cache(maxsize=1024)
+def _sample_encoder(topic: str, fields: tuple, types: tuple) -> tuple:
+    """The template and the per-field conversions for a payload whose values
+    have the given types."""
+    kinds = tuple(map(_kind_of, types))
+    return _template(topic, fields, kinds), tuple(_CONVERT[k] for k in kinds)
+
+
 def _record_line(sample: TimedSample) -> str:
-    data = json.dumps(sample.payload, separators=(",", ":"), allow_nan=False)
-    return f'{{"t":{sample.t_ns},"topic":"{sample.topic}","seq":{sample.seq},"data":{data}}}\n'
+    """The bag line of one record."""
+    values = sample.payload.values()
+    template, convert = _sample_encoder(sample.topic, tuple(sample.payload),
+                                        tuple(map(type, values)))
+    return template % (sample.t_ns, sample.seq, *[f(v) for f, v in zip(convert, values)])
+
+
+def _merged_lines(samples: list[TimedSample], blocks: list[SampleBlock]):
+    """The lines of the given samples and block rows, with their t in line
+    order and the permutation that puts the lines in merge_samples order:
+    t, then topic name, then seq."""
+    by_topic: dict[str, list[SampleBlock]] = {}
+    for b in blocks:
+        by_topic.setdefault(b.topic, []).append(b)
+    rank = {name: i for i, name in enumerate(sorted({*by_topic, *(s.topic for s in samples)}))}
+    lines: list[str] = []
+    keys = []  # (t, topic rank, seq) of each run of lines
+    for name, group in by_topic.items():
+        times = np.concatenate([b.times_ns for b in group])
+        seqs = np.concatenate([np.arange(b.seq0, b.seq0 + len(b.times_ns)) for b in group])
+        columns = np.concatenate([b.columns for b in group], axis=1)
+        fields = group[0].fields
+        template = _template(name, fields, ("f64",) * len(fields))
+        lines += map(template.__mod__, zip(times.tolist(), seqs.tolist(), *columns.tolist()))
+        keys.append((times, np.full(len(times), rank[name]), seqs))
+    if samples:
+        lines += map(_record_line, samples)
+        keys.append(np.array([(s.t_ns, rank[s.topic], s.seq) for s in samples],
+                             dtype=np.int64).T)
+    t, ranks, seqs = (np.concatenate(k) for k in zip(*keys))
+    return lines, t, np.lexsort((seqs, ranks, t))
+
+
+def _rows(block: SampleBlock, lo: int, hi: int | None) -> SampleBlock:
+    return block._replace(times_ns=block.times_ns[lo:hi], seq0=block.seq0 + lo,
+                          columns=block.columns[:, lo:hi])
 
 
 class BagWriter:
-    """Buffers published samples and writes them in merged timestamp order.
+    """Buffers published samples and blocks and writes them in merged
+    timestamp order.
 
     flush_until(w) may be called whenever the orchestrator can guarantee no
     future publish carries t < w (e.g. at watermarks/phase boundaries); the
     manifest is written on the first flush so the file stays readable after
-    abnormal termination.
+    abnormal termination. A block from Bus.publish_block is kept as the
+    publisher's arrays until its rows are written, so those arrays must not
+    change after publishing.
     """
 
     def __init__(self, path, bus: Bus, session_meta: dict | None = None):
         self.path = str(path)
         self._bus = bus
         self._meta = dict(session_meta or {})
-        self._buffer: list[TimedSample] = []
+        self._samples: list[TimedSample] = []
+        self._blocks: list[SampleBlock] = []
         self._lock = threading.Lock()
         self._fh = None
         self._last_written_ns = None
-        bus.add_listener(self._on_sample)
+        bus.add_listener(self._on_publish)
 
-    def _on_sample(self, sample: TimedSample):
+    def _on_publish(self, item: TimedSample | SampleBlock):
         with self._lock:
-            self._buffer.append(sample)
+            (self._blocks if isinstance(item, SampleBlock) else self._samples).append(item)
+
+    def _take_due(self, watermark_ns: int):
+        """Remove and return the buffered samples and block rows with t < watermark_ns."""
+        with self._lock:
+            samples = [s for s in self._samples if s.t_ns < watermark_ns]
+            self._samples = [s for s in self._samples if s.t_ns >= watermark_ns]
+            blocks, kept = [], []
+            for b in self._blocks:
+                k = int(b.times_ns.searchsorted(watermark_ns))
+                if k == len(b.times_ns):
+                    blocks.append(b)
+                elif k == 0:
+                    kept.append(b)
+                else:
+                    blocks.append(_rows(b, 0, k))
+                    kept.append(_rows(b, k, None))
+            self._blocks = kept
+        return samples, blocks
 
     def _ensure_started(self):
         if self._fh is not None:
@@ -75,18 +182,18 @@ class BagWriter:
         self._ensure_started()
 
     def flush_until(self, watermark_ns: int):
-        with self._lock:
-            due = merge_samples([[s for s in self._buffer if s.t_ns < watermark_ns]])
-            self._buffer = [s for s in self._buffer if s.t_ns >= watermark_ns]
+        samples, blocks = self._take_due(watermark_ns)
         self._ensure_started()
-        if due:
-            if self._last_written_ns is not None and due[0].t_ns < self._last_written_ns:
+        if samples or blocks:
+            lines, t, order = _merged_lines(samples, blocks)
+            first, last = int(t[order[0]]), int(t[order[-1]])
+            if self._last_written_ns is not None and first < self._last_written_ns:
                 raise CorruptBag(
-                    f"flush watermark violated: sample at {due[0].t_ns} after "
+                    f"flush watermark violated: sample at {first} after "
                     f"writing up to {self._last_written_ns}"
                 )
-            self._fh.write("".join(_record_line(s) for s in due))
-            self._last_written_ns = due[-1].t_ns
+            self._fh.write("".join(map(lines.__getitem__, order.tolist())))
+            self._last_written_ns = last
         self._fh.flush()
 
     def close(self):

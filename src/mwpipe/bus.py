@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import re
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DuplicateTopic,
@@ -49,6 +52,29 @@ class TimedSample(NamedTuple):
     t_ns: int
     seq: int
     payload: dict
+
+
+class SampleBlock(NamedTuple):
+    """Consecutive samples of one all-f64 topic, published together.
+
+    Sample i has time times_ns[i], seq seq0 + i and payload
+    {fields[k]: columns[k, i]}. times_ns is a 1-D int64 array and columns a
+    (len(fields), n) float64 array; both may be views of the publisher's
+    arrays, which must not change after publishing.
+    """
+
+    topic: str
+    times_ns: np.ndarray
+    seq0: int
+    fields: tuple
+    columns: np.ndarray
+
+    def samples(self) -> list[TimedSample]:
+        """The block as per-sample records."""
+        seqs = range(self.seq0, self.seq0 + len(self.times_ns))
+        return [TimedSample(self.topic, t, seq, dict(zip(self.fields, row)))
+                for t, seq, row in zip(self.times_ns.tolist(), seqs,
+                                       self.columns.T.tolist())]
 
 
 class AlignedFrame(NamedTuple):
@@ -164,7 +190,7 @@ class Bus:
         self.clock = clock if clock is not None else ManualClock()
         self._topics: dict[str, Topic] = {}
         self._registry_lock = threading.Lock()
-        self._bus_listeners: list[Callable[[TimedSample], None]] = []
+        self._bus_listeners: list[Callable[[TimedSample | SampleBlock], None]] = []
 
     # -- registration ---------------------------------------------------
 
@@ -194,6 +220,9 @@ class Bus:
         with handle._lock:
             if t_ns is None:
                 t_ns = self.clock.now_ns()
+            if type(t_ns) is not int and (isinstance(t_ns, bool)
+                                          or not isinstance(t_ns, numbers.Integral)):
+                raise SchemaMismatch(f"{handle.name}: t={t_ns!r} is not integer nanoseconds")
             if handle.last_t_ns is not None and t_ns <= handle.last_t_ns:
                 raise TimestampRegression(
                     f"{handle.name}: t={t_ns} not after previous t={handle.last_t_ns}"
@@ -207,11 +236,63 @@ class Bus:
                 fn(sample)
         return sample
 
+    def publish_block(self, topic: str | Topic, times_ns, columns) -> SampleBlock:
+        """Publish consecutive samples of a topic whose fields are all
+        required f64, as one block.
+
+        times_ns is a 1-D integer array of strictly increasing stamps, all
+        after the topic's last one; columns holds one row per schema field,
+        in schema order (a 2-D array of shape (fields, len(times_ns)), or a
+        sequence of such rows), of finite real numbers. A block that breaks
+        a rule raises SchemaMismatch or TimestampRegression, as publish
+        does, and leaves the topic unchanged. The arrays are kept, not
+        copied: they must not change after publishing.
+        """
+        handle = topic if isinstance(topic, Topic) else self.topic(topic)
+        schema = handle.desc.schema
+        if any(kind != "f64" for kind in schema.values()):
+            raise SchemaMismatch(f"{handle.name}: publish_block needs a schema of "
+                                 f"required f64 fields, got {schema}")
+        times = np.asarray(times_ns)
+        try:
+            cols = np.asarray(columns)
+        except ValueError as e:  # ragged rows
+            raise SchemaMismatch(f"{handle.name}: block columns are not one array: {e}") from e
+        if times.ndim != 1 or times.dtype.kind != "i":
+            raise SchemaMismatch(f"{handle.name}: block times must be a 1-D integer array")
+        if cols.shape != (len(schema), len(times)) or cols.dtype.kind not in "fiu":
+            raise SchemaMismatch(
+                f"{handle.name}: block columns must be {len(schema)} rows of "
+                f"{len(times)} real numbers, got {cols.dtype} {cols.shape}")
+        times = times.astype(np.int64, copy=False)
+        cols = cols.astype(np.float64, copy=False)
+        if not np.isfinite(cols).all():
+            raise SchemaMismatch(f"{handle.name}: block values must be finite")
+        if (times[1:] <= times[:-1]).any():
+            raise TimestampRegression(f"{handle.name}: block times are not strictly increasing")
+        with handle._lock:
+            block = SampleBlock(handle.name, times, handle.next_seq, tuple(schema), cols)
+            if not len(times):
+                return block
+            if handle.last_t_ns is not None and times[0] <= handle.last_t_ns:
+                raise TimestampRegression(
+                    f"{handle.name}: t={int(times[0])} not after previous t={handle.last_t_ns}"
+                )
+            handle.last_t_ns = int(times[-1])
+            handle.next_seq += len(times)
+            if handle.retain:
+                handle.samples.extend(block.samples())
+            for fn in self._bus_listeners:
+                fn(block)
+        return block
+
     # -- subscription ---------------------------------------------------
 
-    def add_listener(self, fn: Callable[[TimedSample], None]):
-        """Bus-wide listener (used by the bag recorder). Called under the
-        publishing topic's lock; cross-topic call order is unspecified."""
+    def add_listener(self, fn: Callable[[TimedSample | SampleBlock], None]):
+        """Bus-wide listener (used by the bag recorder), called with each
+        TimedSample that publish makes and each SampleBlock that
+        publish_block makes. Called under the publishing topic's lock;
+        cross-topic call order is unspecified."""
         self._bus_listeners.append(fn)
 
     def subscribe_merged(self, names: Iterable[str]) -> list[TimedSample]:

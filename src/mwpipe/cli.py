@@ -10,26 +10,33 @@ import click
 from .bag import BagWriter
 from .bag import replay as bag_replay
 from .bag import validate as bag_validate
-from .bus import DEFAULT_ALIGN_TOLERANCE_NS, Bus, ManualClock
+from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, Bus, ManualClock
 from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
+from .errors import PlanInvalid
 from .export import extract_csv
 from .session import SESSION_TOPICS, StitchState, phase_waveforms, run_session
 
 
 class _Positive(click.ParamType):
-    """A positive, finite number."""
+    """A positive, finite number; with ns_per_unit, also one that is at
+    least 1 ns once rounded to whole nanoseconds."""
 
     name = "positive number"
     expected = "a positive number"
 
+    def __init__(self, ns_per_unit: float | None = None):
+        self.ns_per_unit = ns_per_unit
+
     def convert(self, value, param, ctx):
         try:
             number = float(value)
-            if math.isfinite(number) and number > 0:
-                return number
         except ValueError:
-            pass
-        self.fail(f"{value!r} is not {self.expected}", param, ctx)
+            number = math.nan
+        if not (math.isfinite(number) and number > 0):
+            self.fail(f"{value!r} is not {self.expected}", param, ctx)
+        if self.ns_per_unit is not None and round(number * self.ns_per_unit) < 1:
+            self.fail(f"{value!r} is under 1 ns", param, ctx)
+        return number
 
 
 class RateType(_Positive):
@@ -56,6 +63,15 @@ def _host_port(ctx, param, value):
 _FILE = click.Path(exists=True, dir_okay=False)
 
 
+def _from_config(build, path):
+    """build(load_config(path)); a bad config file or MWPIPE_SEED value is
+    reported as a command-line error, not a traceback."""
+    try:
+        return build(load_config(path))
+    except PlanInvalid as e:
+        raise click.ClickException(str(e)) from e
+
+
 @click.group()
 def main():
     """Workload data pipeline: synthesis, simulation, extraction, replay."""
@@ -69,7 +85,7 @@ def main():
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def synth(profile_path, duration_s, out_path):
     """Generate all six raw biosignals into a bag."""
-    profile = profile_from_config(load_config(profile_path))
+    profile = _from_config(profile_from_config, profile_path)
     if duration_s is not None:
         profile.duration_s = duration_s
     profile.validate()
@@ -82,9 +98,8 @@ def synth(profile_path, duration_s, out_path):
     waveforms = phase_waveforms(profile, profile.duration_s, profile.seed, StitchState())
     n = 0
     for m, wf in waveforms.items():
-        rows = wf.values.reshape(wf.n, len(wf.fields)).tolist()
-        for t, row in zip(wf.times_ns().tolist(), rows):
-            bus.publish(topics[f"bio.{m}"], dict(zip(wf.fields, row)), t_ns=t)
+        bus.publish_block(topics[f"bio.{m}"], wf.times_ns(),
+                          wf.values.reshape(wf.n, len(wf.fields)).T)
         n += wf.n
     writer.close()
     click.echo(f"wrote {n} samples across {len(waveforms)} topics to {out_path}")
@@ -97,7 +112,7 @@ def synth(profile_path, duration_s, out_path):
 @click.option("--tlx", type=click.Choice(["scripted", "interactive"]), default="scripted")
 def simulate(config_path, out_path, tlx):
     """Run the full trial protocol and record everything into one bag."""
-    plan = plan_from_config(load_config(config_path))
+    plan = _from_config(plan_from_config, config_path)
     prompt = None
     if tlx == "interactive":
         def prompt(scale):
@@ -114,9 +129,9 @@ def simulate(config_path, out_path, tlx):
 
 @main.command()
 @click.option("--bag", "bag_path", type=_FILE, required=True)
-@click.option("--window", "window_s", type=_Positive(), default=30.0, show_default=True)
-@click.option("--stride", "stride_s", type=_Positive(), default=1.0, show_default=True)
-@click.option("--tolerance-ms", type=_Positive(), default=DEFAULT_ALIGN_TOLERANCE_NS / 1e6,
+@click.option("--window", "window_s", type=_Positive(NS_PER_S), default=30.0, show_default=True)
+@click.option("--stride", "stride_s", type=_Positive(NS_PER_S), default=1.0, show_default=True)
+@click.option("--tolerance-ms", type=_Positive(1e6), default=DEFAULT_ALIGN_TOLERANCE_NS / 1e6,
               show_default=True, help="Telemetry alignment tolerance.")
 @click.option("--config", "config_path", type=_FILE, default=None,
               help="Shared config (picks up gaze_thresholds).")
@@ -125,7 +140,7 @@ def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
     """Derive the per-window feature table from a bag."""
     path = extract_csv(bag_path, out_path, window_s=window_s, stride_s=stride_s,
                        align_tolerance_ns=round(tolerance_ms * 1e6),
-                       gaze_thresholds=gaze_thresholds_from_config(load_config(config_path)))
+                       gaze_thresholds=_from_config(gaze_thresholds_from_config, config_path))
     with open(path, "r", encoding="utf-8") as fh:
         rows = sum(1 for _ in fh) - 1
     click.echo(f"wrote {rows} rows to {path}")

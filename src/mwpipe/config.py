@@ -17,19 +17,6 @@ from .sim import PhysicsParams, PolicyConfig
 from .synth import GazeEvent, SynthProfile
 
 
-def _gaze_event_from_dict(d: dict) -> GazeEvent:
-    return GazeEvent(
-        kind=d["kind"],
-        start_s=float(d["start_s"]),
-        duration_s=float(d["duration_s"]),
-        x_deg=d.get("x_deg"),
-        y_deg=d.get("y_deg"),
-        amplitude_deg=d.get("amplitude_deg"),
-        velocity_deg_s=d.get("velocity_deg_s"),
-        direction_deg=float(d.get("direction_deg", 0.0)),
-    )
-
-
 _NUMBER = (int, float)
 
 
@@ -41,6 +28,29 @@ def _of_type(key: str, value, kind):
     return value
 
 
+def _like(key: str, value, default):
+    """value when it has the type of default (a float also takes an int)."""
+    return _of_type(key, value, _NUMBER if isinstance(default, float) else type(default))
+
+
+_GAZE_PARAMS = ("x_deg", "y_deg", "amplitude_deg", "velocity_deg_s")
+
+
+def _gaze_event_from_dict(d) -> GazeEvent:
+    """A gaze_script event: a string kind, numeric times and direction, and
+    each target parameter a number or null; anything else raises PlanInvalid."""
+    d = _of_type("gaze_script event", d, dict)
+    return GazeEvent(
+        kind=_of_type("gaze_script kind", d["kind"], str),
+        start_s=float(_of_type("gaze_script start_s", d["start_s"], _NUMBER)),
+        duration_s=float(_of_type("gaze_script duration_s", d["duration_s"], _NUMBER)),
+        direction_deg=float(_of_type("gaze_script direction_deg",
+                                     d.get("direction_deg", 0.0), _NUMBER)),
+        **{k: _of_type(f"gaze_script {k}", d[k], _NUMBER)
+           for k in _GAZE_PARAMS if d.get(k) is not None},
+    )
+
+
 def profile_from_dict(d: dict) -> SynthProfile:
     """A profile whose fields have the types of SynthProfile's defaults
     (a float field also takes an int); anything else raises PlanInvalid."""
@@ -48,9 +58,7 @@ def profile_from_dict(d: dict) -> SynthProfile:
     for key, value in _of_type("profile", d, dict).items():
         if not hasattr(profile, key):
             raise PlanInvalid(f"unknown profile field {key!r}")
-        default = getattr(profile, key)
-        value = _of_type(f"profile {key}", value,
-                         _NUMBER if isinstance(default, float) else type(default))
+        value = _like(f"profile {key}", value, getattr(profile, key))
         try:
             if key == "scr_events":
                 value = [(float(t), float(a)) for t, a in value]
@@ -78,17 +86,27 @@ def load_config(path: str | None) -> dict:
 
 
 def _from_fields(cls, key: str, fields):
-    """cls(**fields) for the config object under key; an unknown field
-    raises PlanInvalid."""
-    try:
-        return cls(**fields)
-    except TypeError as e:
-        raise PlanInvalid(f"bad {key} config: {e}") from e
+    """cls(**fields) for the config object under key, each field of the type
+    of cls's default for it; an unknown field or a wrong type raises
+    PlanInvalid."""
+    defaults = cls()
+    for name, value in _of_type(key, fields, dict).items():
+        if not hasattr(defaults, name):
+            raise PlanInvalid(f"unknown {key} field {name!r}")
+        _like(f"{key} {name}", value, getattr(defaults, name))
+    return cls(**fields)
 
 
 def seed_override(seed: int) -> int:
+    """MWPIPE_SEED from the environment when set, else seed; a value that is
+    not an integer raises PlanInvalid."""
     env = os.environ.get("MWPIPE_SEED")
-    return int(env) if env else seed
+    if not env:
+        return seed
+    try:
+        return int(env)
+    except ValueError:
+        raise PlanInvalid(f"MWPIPE_SEED is not an integer: {env!r}") from None
 
 
 def gaze_thresholds_from_config(cfg: dict) -> GazeThresholds:
@@ -115,7 +133,9 @@ def plan_from_config(cfg: dict) -> SessionPlan:
     if "physics" in cfg:
         phys = dict(_of_type("physics", cfg["physics"], dict))
         if "relay_pos_m" in phys:
-            phys["relay_pos_m"] = tuple(_of_type("physics relay_pos_m", phys["relay_pos_m"], list))
+            phys["relay_pos_m"] = tuple(
+                _of_type("physics relay_pos_m", x, _NUMBER)
+                for x in _of_type("physics relay_pos_m", phys["relay_pos_m"], list))
         plan.physics = _from_fields(PhysicsParams, "physics", phys)
     plan.gaze_thresholds = gaze_thresholds_from_config(cfg)
     for key, kind in _PLAN_SCALARS.items():

@@ -25,6 +25,13 @@ def _first_in(indices: np.ndarray, lo: int, hi: int) -> int | None:
     return int(indices[j]) if j < len(indices) and indices[j] < hi else None
 
 
+def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """np.trapezoid(y, x) for 1-D float arrays, by the expression NumPy
+    evaluates, without its per-call argument handling."""
+    d = x[1:] - x[:-1]
+    return float((d * (y[1:] + y[:-1]) / 2.0).sum())
+
+
 def ppg_features(window: Window, beats: BeatSeries, baseline_pa: float | None = None) -> dict:
     x = np.asarray(window.values, dtype=float)
     times = window.times_ns
@@ -61,12 +68,12 @@ def ppg_features(window: Window, beats: BeatSeries, baseline_pa: float | None = 
         if span_end is not None:
             seg_t = (times[foot:span_end + 1] - times[foot]) / NS_PER_S
             seg_v = x[foot:span_end + 1] - x[foot]
-            aucs.append(float(np.trapezoid(seg_v, seg_t)))
+            aucs.append(_trapezoid(seg_v, seg_t))
             if notch is not None and diast is not None and foot < notch < span_end:
                 before_t = (times[foot:notch + 1] - times[foot]) / NS_PER_S
-                before = float(np.trapezoid(seg_v[: notch - foot + 1], before_t))
+                before = _trapezoid(seg_v[: notch - foot + 1], before_t)
                 after_t = (times[notch:span_end + 1] - times[notch]) / NS_PER_S
-                after = float(np.trapezoid(seg_v[notch - foot:], after_t))
+                after = _trapezoid(seg_v[notch - foot:], after_t)
                 if before > 0:
                     ipas.append(after / before)
 

@@ -276,10 +276,7 @@ class _PhaseStreams:
             j = int(np.searchsorted(times, t_limit_ns, side="left"))
             if j <= i:
                 continue
-            topic = topics[f"bio.{m}"]
-            fields = BIO_TOPICS[m].fields
-            for t, row in zip(times[i:j].tolist(), feed[i:j].reshape(j - i, -1).tolist()):
-                bus.publish(topic, dict(zip(fields, row)), t_ns=t)
+            bus.publish_block(topics[f"bio.{m}"], times[i:j], feed[i:j].reshape(j - i, -1).T)
             pipeline.feed(m, times[i:j], feed[i:j])
             s["ptr"] = j
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bus import NS_PER_S, sample_time_ns
+from .bus import NS_PER_S
 from .errors import (
     EmptySeries,
     InvalidBase,
@@ -173,8 +173,10 @@ class Waveform:
         return len(self.values)
 
     def times_ns(self) -> np.ndarray:
-        return np.array([sample_time_ns(self.t0_ns, i, self.fs_hz) for i in range(self.n)],
-                        dtype=np.int64)
+        """Sample times: t0 + round(i * NS_PER_S / fs) per index i, as
+        sample_time_ns gives them (np.rint rounds half to even, as round does)."""
+        idx = np.arange(self.n, dtype=np.int64)
+        return self.t0_ns + np.rint(idx * NS_PER_S / self.fs_hz).astype(np.int64)
 
     @property
     def duration_ns(self) -> int:

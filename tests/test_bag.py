@@ -2,8 +2,9 @@ import json
 import struct
 import time
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mwpipe.bag import (
     BagWriter,
@@ -369,3 +370,119 @@ def test_perturbed_line_decodes_as_json_path(tmp_path, line):
         with pytest.raises(CorruptBag):
             list(iter_samples(path, strict=True))
 
+
+
+# -- the template encoder against the json.dumps reference -------------------
+
+
+def json_line(sample):
+    """The record line as json.dumps writes it: the reference encoder."""
+    data = json.dumps(sample.payload, separators=(",", ":"), allow_nan=False)
+    return f'{{"t":{sample.t_ns},"topic":"{sample.topic}","seq":{sample.seq},"data":{data}}}\n'
+
+
+field_names = st.text(st.characters(codec="utf-8"), max_size=6)
+any_value = st.one_of(finite, st.integers(-2**70, 2**70), st.booleans(),
+                      st.text(st.characters(codec="utf-8"), max_size=8))
+COMMS = {"request": True, "response": False, "kind": "fault", "target": "radar",
+         "channel": "B"}
+
+
+@given(t=st.integers(-2**63, 2**63 - 1), seq=st.integers(0, 2**63 - 1),
+       payload=st.dictionaries(field_names, any_value, max_size=6))
+@example(t=0, seq=0, payload={"a": -0.0, "b": 5e-324, "c": -2.225073858507201e-308})
+@example(t=1, seq=1, payload={"a": 1e308, "b": -1e308, "c": 1.7976931348623157e308})
+@example(t=2, seq=2, payload={"s": 'q"uo\\te\x00\x1f\n\u00e9\u2603\U0001f600', "%d": "%r%%"})
+@example(t=3, seq=3, payload={"n": 2**63 - 1, "m": -2**63, "big": 10**30, "b": True})
+@example(t=4, seq=4, payload={**COMMS, "latency_s": 1.25})
+@example(t=5, seq=5, payload=COMMS)
+@example(t=6, seq=6, payload={})
+def test_template_line_equals_json_line(t, seq, payload):
+    sample = TimedSample("sim.comms", t, seq, payload)
+    assert _record_line(sample) == json_line(sample)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_record_line_refuses_non_finite_floats(value):
+    sample = TimedSample("t.a", 0, 0, {"v": value})
+    with pytest.raises(ValueError):
+        json_line(sample)
+    with pytest.raises(ValueError):
+        _record_line(sample)
+
+
+# -- block publishing against one-by-one publishing ------------------------------
+
+BLOCK_TOPICS = {"b.one": {"v": "f64"}, "b.xyz": {"x": "f64", "y": "f64", "z": "f64"},
+                "a.mix": {"n": "i64", "s": "str", "ok": "bool", "l": "f64?"},
+                "c.flt": {"v": "f64"}}
+SINGLE_ONLY = {"a.mix", "c.flt"}
+
+
+@st.composite
+def publish_scripts(draw):
+    """Per-topic samples with times from a small range (so topics tie on t),
+    each topic cut into blocks, and one interleaving of the blocks."""
+    events = []
+    for name, schema in BLOCK_TOPICS.items():
+        times = sorted(draw(st.sets(st.integers(0, 60), max_size=25)))
+        rows = []
+        for _ in times:
+            if name == "a.mix":
+                row = {"n": draw(st.integers(-2**63, 2**63 - 1)), "s": draw(st.text(max_size=3)),
+                       "ok": draw(st.booleans())}
+                if draw(st.booleans()):
+                    row["l"] = draw(finite)
+            else:
+                row = {f: draw(finite) for f in schema}
+            rows.append(row)
+        i = 0
+        while i < len(times):
+            size = 1 if name in SINGLE_ONLY else draw(st.integers(1, 6))
+            events.append((name, times[i:i + size], rows[i:i + size]))
+            i += size
+    order = draw(st.permutations(range(len(events))))
+    # keep each topic's blocks in time order, interleaving topics freely
+    by_topic = {}
+    for k in order:
+        by_topic.setdefault(events[k][0], []).append(k)
+    queues = {n: sorted(ks) for n, ks in by_topic.items()}
+    script = [events[queues[events[k][0]].pop(0)] for k in order]
+    flushes = draw(st.sets(st.integers(0, len(script)), max_size=4))
+    return script, flushes
+
+
+def write_script(path, script, flushes, blocks: bool):
+    bus = Bus(clock=ManualClock())
+    topics = {n: bus.open_topic(TopicDescriptor(n, s), retain=False)
+              for n, s in BLOCK_TOPICS.items()}
+    w = BagWriter(path, bus)
+    w.start()
+    pending = {n: [t for name, ts, _ in script if name == n for t in ts] for n in topics}
+    for k, (name, times, rows) in enumerate(script):
+        if k in flushes:  # the latest watermark no later sample falls before
+            w.flush_until(min((ts[0] for ts in pending.values() if ts), default=10**6))
+        if blocks and name not in SINGLE_ONLY:
+            columns = np.array([[r[f] for r in rows] for f in BLOCK_TOPICS[name]])
+            bus.publish_block(topics[name], np.array(times), columns)
+        else:
+            for t, row in zip(times, rows):
+                bus.publish(topics[name], row, t_ns=t)
+        del pending[name][:len(times)]
+    w.close()
+    return body_bytes(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(publish_scripts())
+def test_block_bag_equals_one_by_one_bag(tmp_path_factory, script_and_flushes):
+    script, flushes = script_and_flushes
+    d = tmp_path_factory.mktemp("blocks")
+    by_block = write_script(d / "block.bag", script, flushes, blocks=True)
+    by_sample = write_script(d / "sample.bag", script, flushes, blocks=False)
+    assert by_block == by_sample
+    lines = by_sample.decode().splitlines(keepends=True)
+    samples = load_samples(d / "sample.bag")
+    assert lines == [json_line(s) for s in samples]
+    assert [(s.t_ns, s.topic, s.seq) for s in samples] == \
+        sorted((s.t_ns, s.topic, s.seq) for s in samples)

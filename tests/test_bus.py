@@ -1,5 +1,7 @@
+import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from mwpipe.bus import (
     Bus,
     DEFAULT_ALIGN_TOLERANCE_NS,
     ManualClock,
+    SampleBlock,
     TimedSample,
     TopicDescriptor,
     align_nearest_samples,
@@ -81,6 +84,16 @@ def test_publish_schema_mismatch():
         bus.publish(h, {}, t_ns=2)
     with pytest.raises(SchemaMismatch):
         bus.publish(h, {"v": float("nan")}, t_ns=3)
+
+
+@pytest.mark.parametrize("t_ns", [1.5, 2.0, True, "5"])
+def test_publish_rejects_a_stamp_that_is_not_integer_ns(t_ns):
+    bus = make_bus()
+    h = bus.open_topic(ECG)
+    with pytest.raises(SchemaMismatch):
+        bus.publish(h, {"v": 1.0}, t_ns=t_ns)
+    assert (h.next_seq, h.last_t_ns) == (0, None)
+    assert bus.publish(h, {"v": 1.0}, t_ns=np.int64(3)).t_ns == 3
 
 
 def test_publish_252_samples_spacing():
@@ -181,6 +194,100 @@ def test_concurrent_publishers_per_topic_order():
     for h in topics:
         assert [s.seq for s in h.samples] == list(range(200))
         assert [s.t_ns for s in h.samples] == list(range(1, 201))
+
+
+def test_concurrent_block_publishers_per_topic_order():
+    bus = make_bus()
+    topics = [bus.open_topic(TopicDescriptor(f"th.t{i}", {"a": "f64", "b": "f64"}))
+              for i in range(4)]
+    seen = []
+    bus.add_listener(seen.append)
+
+    def worker(h, n=600):
+        k = 0
+        while k < n:
+            size = 1 + k % 7
+            t = np.arange(k + 1, min(k + size, n) + 1)
+            bus.publish_block(h, t, np.stack([t * 0.5, -t * 1.0]))
+            k += len(t)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(h,)) for h in topics]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for h in topics:
+        assert [s.seq for s in h.samples] == list(range(600))
+        assert [s.t_ns for s in h.samples] == list(range(1, 601))
+        assert [s.payload for s in h.samples] == [{"a": t * 0.5, "b": -t * 1.0}
+                                                  for t in range(1, 601)]
+        blocks = [b for b in seen if b.topic == h.name]
+        assert [b.seq0 for b in blocks] == [int(b.times_ns[0]) - 1 for b in blocks]
+        assert sum(len(b.times_ns) for b in blocks) == 600
+
+
+def test_publish_block_hands_listeners_one_block():
+    bus = make_bus()
+    h = bus.open_topic(TopicDescriptor("bio.gaze", {"x": "f64", "y": "f64"}, 120.0))
+    seen = []
+    bus.add_listener(seen.append)
+    bus.publish(h, {"x": 0.0, "y": 0.0}, t_ns=5)
+    block = bus.publish_block(h, np.array([7, 9]), np.array([[1, 2], [3.5, 4.5]]))
+    assert seen[1] is block
+    assert isinstance(block, SampleBlock) and block.seq0 == 1
+    assert block.columns.dtype == np.float64  # integer values publish as floats
+    assert block.samples() == [TimedSample("bio.gaze", 7, 1, {"x": 1.0, "y": 3.5}),
+                               TimedSample("bio.gaze", 9, 2, {"x": 2.0, "y": 4.5})]
+    assert h.samples == seen[:1] + block.samples()
+    assert (h.next_seq, h.last_t_ns) == (3, 9)
+    assert bus.publish_block(h, np.array([], dtype=np.int64), np.empty((2, 0))).seq0 == 3
+    assert len(seen) == 2 and (h.next_seq, h.last_t_ns) == (3, 9)
+
+
+XY = {"x": "f64", "y": "f64"}
+T = np.array([20, 30])
+COLS = np.array([[1.0, 2.0], [3.0, 4.0]])
+# (schema, times, columns, error); the topic's last sample is at t=10.
+BAD_BLOCKS = {
+    "nan": (XY, T, [[1.0, np.nan], [3.0, 4.0]], SchemaMismatch),
+    "inf": (XY, T, [[1.0, 2.0], [-np.inf, 4.0]], SchemaMismatch),
+    "bool_values": (XY, T, np.ones((2, 2), dtype=bool), SchemaMismatch),
+    "str_values": (XY, T, [["a", "b"], ["c", "d"]], SchemaMismatch),
+    "repeated_t": (XY, np.array([20, 20]), COLS, TimestampRegression),
+    "decreasing_t": (XY, np.array([30, 20]), COLS, TimestampRegression),
+    "t0_equals_last_t": (XY, np.array([10, 30]), COLS, TimestampRegression),
+    "t0_before_last_t": (XY, np.array([5, 30]), COLS, TimestampRegression),
+    "float_times": (XY, np.array([20.0, 30.0]), COLS, SchemaMismatch),
+    "times_2d": (XY, T.reshape(1, 2), COLS, SchemaMismatch),
+    "one_column_short": (XY, T, COLS[:1], SchemaMismatch),
+    "one_column_extra": (XY, T, np.vstack([COLS, COLS[:1]]), SchemaMismatch),
+    "column_too_short": (XY, T, COLS[:, :1], SchemaMismatch),
+    "column_too_long": (XY, T, np.hstack([COLS, COLS]), SchemaMismatch),
+    "ragged_columns": (XY, T, [[1.0, 2.0], [3.0]], SchemaMismatch),
+    "i64_field": ({"x": "f64", "n": "i64"}, T, COLS, SchemaMismatch),
+    "str_field": ({"x": "f64", "s": "str"}, T, COLS, SchemaMismatch),
+    "optional_field": ({"x": "f64", "y": "f64?"}, T, COLS, SchemaMismatch),
+}
+
+
+@pytest.mark.parametrize("schema, times, columns, error", BAD_BLOCKS.values(), ids=BAD_BLOCKS)
+def test_bad_block_is_rejected_and_changes_nothing(schema, times, columns, error):
+    bus = make_bus()
+    h = bus.open_topic(TopicDescriptor("a.b", schema), retain=True)
+    zero = {"f64": 0.0, "f64?": 0.0, "i64": 0, "str": ""}
+    bus.publish(h, {f: zero[kind] for f, kind in schema.items()}, t_ns=10)
+    seen = []
+    bus.add_listener(seen.append)
+    retained = list(h.samples)
+    with pytest.raises(error):
+        bus.publish_block(h, times, columns)
+    assert (h.next_seq, h.last_t_ns, h.samples, seen) == (1, 10, retained, [])
 
 
 @given(

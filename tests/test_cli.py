@@ -80,6 +80,12 @@ BAD_OPTIONS = {
                        "--tolerance-ms"),
     "bind_port_not_a_number": (["replay", "--bag", "BAG", "--bind", "127.0.0.1:notaport"],
                                "--bind"),
+    "window_under_1ns": (["extract", "--bag", "BAG", "--window", "1e-10", "--out", "OUT"],
+                         "--window"),
+    "stride_under_1ns": (["extract", "--bag", "BAG", "--stride", "1e-10", "--out", "OUT"],
+                         "--stride"),
+    "tolerance_under_1ns": (["extract", "--bag", "BAG", "--tolerance-ms", "4e-7",
+                             "--out", "OUT"], "--tolerance-ms"),
 }
 
 
@@ -131,6 +137,24 @@ def test_seed_env_override(runner, tmp_path, monkeypatch):
 
     assert body_bytes(bag_a) == body_bytes(bag_b)
     assert body_bytes(bag_a) != body_bytes(bag_c)
+
+
+def test_seed_env_not_integer_is_a_command_line_error(runner, tmp_path):
+    bag = tmp_path / "x.bag"
+    r = runner.invoke(main, ["synth", "--duration", "0.5", "--out", str(bag)],
+                      env={"MWPIPE_SEED": "x"})
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)  # a clean exit, no traceback
+    assert "MWPIPE_SEED" in r.output
+
+
+def test_bad_config_file_is_a_command_line_error(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"policy": {"reaction_mean_s": "x"}}')
+    r = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.bag")])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)
+    assert "reaction_mean_s" in r.output
 
 
 def test_synth_profile_file(runner, tmp_path):

@@ -65,6 +65,14 @@ def test_seed_env_override(monkeypatch):
     assert plan.profile.seed == 123
 
 
+def test_seed_env_not_integer_is_plan_invalid(monkeypatch):
+    monkeypatch.setenv("MWPIPE_SEED", "x")
+    with pytest.raises(PlanInvalid):
+        plan_from_config({})
+    with pytest.raises(PlanInvalid):
+        profile_from_config({})
+
+
 def test_phase_profile_override_runs(tmp_path):
     base = SynthProfile(rr_mean_ms=800.0)
     fast = SynthProfile(rr_mean_ms=650.0, resp_rate_bpm=20.0)
@@ -117,6 +125,20 @@ BAD_CONFIGS = {
     "gaze_script_entry_not_object": '{"profile": {"gaze_script": [5]}}',
     "seed_not_integer": '{"seed": "x"}',
     "tlx_jitter_not_integer": '{"tlx_jitter": "x"}',
+    "policy_value_not_number": '{"policy": {"reaction_mean_s": "x"}}',
+    "policy_value_bool": '{"policy": {"error_rate": true}}',
+    "policy_not_object": '{"policy": [1]}',
+    "physics_value_not_number": '{"physics": {"v_max_m_s": "x"}}',
+    "relay_pos_entry_not_number": '{"physics": {"relay_pos_m": ["a", 1.0]}}',
+    "gaze_thresholds_value_not_number": '{"gaze_thresholds": {"saccade_speed_deg_s": "x"}}',
+    "gaze_thresholds_int_field_float": '{"gaze_thresholds": {"saccade_min_samples": 2.5}}',
+    "gaze_event_x_not_number": ('{"profile": {"gaze_script": [{"kind": "fixation", '
+                                '"start_s": 0, "duration_s": 1, "x_deg": "a"}]}}'),
+    "gaze_event_start_is_text": ('{"profile": {"gaze_script": [{"kind": "fixation", '
+                                 '"start_s": "0", "duration_s": 1}]}}'),
+    "gaze_event_kind_not_text": '{"profile": {"gaze_script": [{"kind": 5, "start_s": 0, '
+                                '"duration_s": 1}]}}',
+    "gaze_event_without_kind": '{"profile": {"gaze_script": [{"start_s": 0, "duration_s": 1}]}}',
 }
 
 

@@ -6,7 +6,7 @@ from mwpipe.bus import NS_PER_S
 from mwpipe.errors import TooManyInvalidSamples
 from mwpipe.features.beats import _local_maxima, detect_beats
 from mwpipe.features.gaze import classify_gaze, gaze_features
-from mwpipe.features.ppg import _first_in, ppg_features
+from mwpipe.features.ppg import _first_in, _trapezoid, ppg_features
 from mwpipe.features.windowing import Window, make_windows
 from mwpipe.synth import (
     GazeEvent,
@@ -194,3 +194,18 @@ def test_gaze_too_many_invalid_samples():
     w2 = Window("gaze", w.t_start_ns, w.t_end_ns, w.times_ns, vals, w.fs_hz)
     with pytest.raises(TooManyInvalidSamples):
         classify_gaze(w2)
+
+
+edge_floats = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  1e308, -1e308, 1.7976931348623157e308]))
+
+
+@given(st.integers(2, 40).flatmap(
+    lambda n: st.tuples(st.lists(edge_floats, min_size=n, max_size=n),
+                        st.lists(edge_floats, min_size=n, max_size=n))))
+def test_trapezoid_equals_numpy_bit_for_bit(yx):
+    y, x = (np.array(v, dtype=float) for v in yx)
+    with np.errstate(all="ignore"):
+        got, want = _trapezoid(y, x), np.trapezoid(y, x)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

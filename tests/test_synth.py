@@ -1,7 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+
+from mwpipe.bus import NS_PER_S, sample_time_ns
+from mwpipe.features import BIO_TOPICS
 
 from mwpipe.errors import (
     EmptySeries,
@@ -15,6 +21,7 @@ from mwpipe.synth import (
     GazeEvent,
     RRSeries,
     SynthProfile,
+    Waveform,
     gen_drift_st,
     gen_eda,
     gen_gaze,
@@ -285,3 +292,39 @@ def test_sample_spacing_within_ns_rounding(fs):
     period = 1e9 / fs
     for a, b in zip(times, times[1:]):
         assert abs((b - a) - period) <= 1.0
+
+
+# -- sample times ----------------------------------------------------------------
+
+DEFAULT_CONFIG = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "default.json").read_text())
+# Phase lengths of the pinned benchmark plan (120 s baseline and runs, 60 s
+# gaps) and of configs/default.json.
+PHASE_S = sorted({120.0, 60.0, *(DEFAULT_CONFIG[k]
+                                 for k in ("baseline_s", "interrun_s", "run_timeout_s"))})
+
+
+def loop_times(t0_ns, n, fs_hz):
+    return [sample_time_ns(t0_ns, i, fs_hz) for i in range(n)]
+
+
+@pytest.mark.parametrize("modality", BIO_TOPICS)
+def test_times_ns_equals_the_per_index_loop(modality):
+    fs = BIO_TOPICS[modality].rate_hz
+    for duration_s in PHASE_S:
+        # cardiac waveforms run on to a whole beat past the phase: 2 s more
+        n = int(duration_s * fs + 1e-9) + int(2 * fs) + 1
+        for t0 in (0, 120 * NS_PER_S + 7):
+            wf = Waveform(modality, fs, np.zeros(n), t0)
+            assert wf.times_ns().tolist() == loop_times(t0, n, fs)
+
+
+@given(t0=st.integers(-2**60, 2**60), n=st.integers(0, 3000),
+       fs=st.sampled_from([t.rate_hz for t in BIO_TOPICS.values()])
+       | st.floats(0.01, 1e6, allow_nan=False))
+@example(t0=-3, n=8, fs=640_000.0)  # 1562.5 ns per sample: ties round to even
+def test_times_ns_property(t0, n, fs):
+    wf = Waveform("ecg", fs, np.zeros(n), t0)
+    times = wf.times_ns()
+    assert times.dtype == np.int64
+    assert times.tolist() == loop_times(t0, n, fs)
