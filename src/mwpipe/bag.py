@@ -22,8 +22,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .bus import Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor
-from .errors import CorruptBag, InvalidName, UnknownMagic
+from .bus import (Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor,
+                  canonical_payload)
+from .errors import CorruptBag, InvalidName, SchemaMismatch, UnknownMagic
 
 MAGIC = "MWBAG1"
 
@@ -84,7 +85,7 @@ def _record_line(sample: TimedSample) -> str:
 
 def _merged_lines(samples: list[TimedSample], blocks: list[SampleBlock]):
     """The lines of the given samples and block rows, with their t in line
-    order and the permutation that puts the lines in merge_samples order:
+    order and the permutation that puts the lines in the bag's merge order:
     t, then topic name, then seq."""
     by_topic: dict[str, list[SampleBlock]] = {}
     for b in blocks:
@@ -197,7 +198,7 @@ class BagWriter:
         self._fh.flush()
 
     def close(self):
-        self.flush_until(2**63 - 1)
+        self.flush_until(math.inf)  # after every int64 stamp: writes all that is buffered
         self._fh.close()
         self._fh = None
 
@@ -250,7 +251,7 @@ def _canonicalize(data: dict, schema: dict) -> dict:
     out = {}
     for k, v in data.items():
         kind = schema.get(k, "").rstrip("?")
-        if kind == "f64" and isinstance(v, int):
+        if kind == "f64" and type(v) is int:
             v = float(v)
         out[k] = v
     return out
@@ -300,7 +301,9 @@ def iter_samples(path, strict: bool = False):
     caller prefers the validator's itemized report.
 
     Lines in BagWriter's canonical form for an all-f64 topic are decoded by
-    a compiled pattern; every other line goes through _decode_record.
+    a compiled pattern; every other line goes through _decode_record, and
+    when strict, one whose payload does not fit its topic's schema raises
+    CorruptBag.
     """
     schemas = {name: d.schema for name, d in manifest_topics(read_manifest(path)).items()}
     fast = _fast_decoders(schemas)
@@ -335,6 +338,12 @@ def iter_samples(path, strict: bool = False):
                     offset += len(line)
                     line = next_line
                     continue
+                if strict and sample.topic in schemas:
+                    try:
+                        canonical_payload(schemas[sample.topic], sample.payload)
+                    except SchemaMismatch as e:
+                        raise CorruptBag(f"record at byte {offset} does not fit "
+                                         f"{sample.topic}: {e}") from e
             yield offset, sample
             offset += len(line)
             line = next(lines, b"")
@@ -370,17 +379,22 @@ def paced_samples(path, rate: float | str = "max"):
 
 
 def replay(path, bus: Bus | None = None, rate: float | str = "max",
-           retain: bool = True) -> Bus:
+           retain: bool = False) -> Bus:
     """Republish a bag onto a bus, preserving stamps and per-topic seqs,
     paced as paced_samples does. Downstream extraction over a replayed bag
     matches the live run bit-exactly because records are reproduced verbatim.
+
+    The bus keeps no history, so retain must be False; the keyword stays
+    because perfbench's log_io workload passes retain=False.
     """
+    if retain:
+        raise ValueError("the bus keeps no topic history: retain must be False")
     samples = paced_samples(path, rate)
     descs = manifest_topics(read_manifest(path))
     if bus is None:
         bus = Bus(clock=ManualClock())
     for desc in descs.values():
-        bus.open_topic(desc, retain=retain)
+        bus.open_topic(desc)
     for _, sample in samples:
         bus.publish(sample.topic, sample.payload, t_ns=sample.t_ns)
     return bus
@@ -411,8 +425,6 @@ class ValidationReport:
 def validate(path) -> ValidationReport:
     """Check magic, manifest/schema conformance, global t order, per-topic
     (t, seq) contiguity, and nominal-rate gaps (> 2x the nominal period)."""
-    from .bus import canonical_payload
-
     report = ValidationReport()
     try:
         descs = manifest_topics(read_manifest(path))

@@ -5,8 +5,9 @@ epoch (t=0). A single monotonic session-relative clock replaces wall time;
 the wall-clock epoch is stored once in bag metadata instead.
 
 Per-topic ordering (strictly increasing t and seq) is the only cross-thread
-guarantee. Merge and alignment operators are pure functions of their input
-streams, so re-running them on the same samples is bit-identical.
+guarantee. The bus keeps no copy of what it publishes: listeners are the one
+way to observe it. The alignment operator is a pure function of its input
+streams, so re-running it on the same samples is bit-identical.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numbers
 import re
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,11 +39,6 @@ _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
 
 # Schema field kinds. A trailing "?" marks the field optional.
 _KINDS = ("f64", "i64", "bool", "str")
-
-
-def sample_time_ns(t0_ns: int, index: int, fs_hz: float) -> int:
-    """Time of sample `index` on a uniform grid, rounded per index (no drift)."""
-    return t0_ns + round(index * NS_PER_S / fs_hz)
 
 
 class TimedSample(NamedTuple):
@@ -68,13 +64,6 @@ class SampleBlock(NamedTuple):
     seq0: int
     fields: tuple
     columns: np.ndarray
-
-    def samples(self) -> list[TimedSample]:
-        """The block as per-sample records."""
-        seqs = range(self.seq0, self.seq0 + len(self.times_ns))
-        return [TimedSample(self.topic, t, seq, dict(zip(self.fields, row)))
-                for t, seq, row in zip(self.times_ns.tolist(), seqs,
-                                       self.columns.T.tolist())]
 
 
 class AlignedFrame(NamedTuple):
@@ -168,12 +157,10 @@ class ManualClock:
 
 
 class Topic:
-    """Handle for one registered topic; retains history when retain=True."""
+    """Handle for one registered topic: its descriptor, last stamp and next seq."""
 
-    def __init__(self, desc: TopicDescriptor, retain: bool = True):
+    def __init__(self, desc: TopicDescriptor):
         self.desc = desc
-        self.retain = retain
-        self.samples: list[TimedSample] = []
         self.last_t_ns: int | None = None
         self.next_seq = 0
         self._lock = threading.Lock()
@@ -194,11 +181,11 @@ class Bus:
 
     # -- registration ---------------------------------------------------
 
-    def open_topic(self, desc: TopicDescriptor, retain: bool = True) -> Topic:
+    def open_topic(self, desc: TopicDescriptor) -> Topic:
         with self._registry_lock:
             if desc.name in self._topics:
                 raise DuplicateTopic(desc.name)
-            topic = Topic(desc, retain=retain)
+            topic = Topic(desc)
             self._topics[desc.name] = topic
             return topic
 
@@ -214,15 +201,18 @@ class Bus:
     # -- publication ----------------------------------------------------
 
     def publish(self, topic: str | Topic, payload: Mapping, t_ns: int | None = None) -> TimedSample:
-        """Publish one sample; t_ns=None stamps with the current session clock."""
+        """Publish one sample; t_ns=None stamps with the current session clock.
+        A stamp that is not an integer in the int64 range raises SchemaMismatch."""
         handle = topic if isinstance(topic, Topic) else self.topic(topic)
         data = canonical_payload(handle.desc.schema, payload)
         with handle._lock:
             if t_ns is None:
                 t_ns = self.clock.now_ns()
-            if type(t_ns) is not int and (isinstance(t_ns, bool)
-                                          or not isinstance(t_ns, numbers.Integral)):
-                raise SchemaMismatch(f"{handle.name}: t={t_ns!r} is not integer nanoseconds")
+            if (type(t_ns) is not int and (isinstance(t_ns, bool)
+                                           or not isinstance(t_ns, numbers.Integral))
+                    or not -2**63 <= t_ns < 2**63):
+                raise SchemaMismatch(
+                    f"{handle.name}: t={t_ns!r} is not integer nanoseconds in the int64 range")
             if handle.last_t_ns is not None and t_ns <= handle.last_t_ns:
                 raise TimestampRegression(
                     f"{handle.name}: t={t_ns} not after previous t={handle.last_t_ns}"
@@ -230,8 +220,6 @@ class Bus:
             sample = TimedSample(handle.name, t_ns, handle.next_seq, data)
             handle.last_t_ns = t_ns
             handle.next_seq += 1
-            if handle.retain:
-                handle.samples.append(sample)
             for fn in self._bus_listeners:
                 fn(sample)
         return sample
@@ -280,8 +268,6 @@ class Bus:
                 )
             handle.last_t_ns = int(times[-1])
             handle.next_seq += len(times)
-            if handle.retain:
-                handle.samples.extend(block.samples())
             for fn in self._bus_listeners:
                 fn(block)
         return block
@@ -295,21 +281,8 @@ class Bus:
         cross-topic call order is unspecified."""
         self._bus_listeners.append(fn)
 
-    def subscribe_merged(self, names: Iterable[str]) -> list[TimedSample]:
-        """Deterministic merge of the retained history of the given topics."""
-        streams = [self.topic(n).samples for n in names]
-        return merge_samples(streams)
 
-
-# -- pure stream operators ----------------------------------------------------
-
-
-def merge_samples(streams: Sequence[Sequence[TimedSample]]) -> list[TimedSample]:
-    """Union of per-topic streams in nondecreasing t; ties break by
-    (topic name, seq). Inputs must each be time-ordered."""
-    out = [s for stream in streams for s in stream]
-    out.sort(key=lambda s: (s.t_ns, s.topic, s.seq))
-    return out
+# -- time alignment -----------------------------------------------------------
 
 
 def _nearest_index(times: Sequence[int], t: int) -> int | None:

@@ -80,7 +80,7 @@ def main():
 @main.command()
 @click.option("--profile", "profile_path", type=_FILE, default=None,
               help="JSON profile (defaults apply when omitted).")
-@click.option("--duration", "duration_s", type=float, default=None,
+@click.option("--duration", "duration_s", type=_Positive(), default=None,
               help="Override profile duration in seconds.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def synth(profile_path, duration_s, out_path):
@@ -91,7 +91,7 @@ def synth(profile_path, duration_s, out_path):
     profile.validate()
 
     bus = Bus(clock=ManualClock())
-    topics = {t.name: bus.open_topic(t, retain=False)
+    topics = {t.name: bus.open_topic(t)
               for t in SESSION_TOPICS if t.name.startswith("bio.")}
     writer = BagWriter(out_path, bus, session_meta={"kind": "synth", "seed": profile.seed})
     writer.start()
@@ -164,7 +164,7 @@ def replay(bag_path, rate, bind_addr):
             ready=lambda h, p: click.echo(f"listening on {h}:{p}"))
         click.echo(f"sent {sent} records")
         return
-    bus = bag_replay(bag_path, rate=rate, retain=False)
+    bus = bag_replay(bag_path, rate=rate)
     total = sum(bus.topic(d.name).next_seq for d in bus.topics())
     click.echo(f"replayed {total} records across {len(bus.topics())} topics")
 

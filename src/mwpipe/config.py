@@ -8,6 +8,7 @@ environment overrides any configured seed.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .errors import PlanInvalid
@@ -70,14 +71,23 @@ def profile_from_dict(d: dict) -> SynthProfile:
     return profile
 
 
+def _finite(text: str) -> float:
+    """The JSON number (or NaN / Infinity constant) text as a float, if finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise PlanInvalid(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path: str | None) -> dict:
-    """The config object in a JSON file; a file that is not UTF-8 JSON, or
-    holds anything but an object, raises PlanInvalid."""
+    """The config object in a JSON file; a file that is not UTF-8 JSON, holds
+    anything but an object, or holds a number that is not finite (NaN,
+    Infinity, 1e999), raises PlanInvalid."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
             raise PlanInvalid(f"config {path} is not UTF-8 JSON: {e}") from e
     if not isinstance(cfg, dict):

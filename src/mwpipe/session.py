@@ -291,7 +291,7 @@ def _publish_feature_rows(bus, topics, rows):
 def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> SessionResult:
     plan.validate()
     bus = Bus(clock=ManualClock())
-    topics = {t.name: bus.open_topic(t, retain=False) for t in SESSION_TOPICS}
+    topics = {t.name: bus.open_topic(t) for t in SESSION_TOPICS}
     writer = BagWriter(out_path, bus, session_meta={
         "seed": plan.seed,
         "run_order": list(plan.run_order),

@@ -173,8 +173,8 @@ class Waveform:
         return len(self.values)
 
     def times_ns(self) -> np.ndarray:
-        """Sample times: t0 + round(i * NS_PER_S / fs) per index i, as
-        sample_time_ns gives them (np.rint rounds half to even, as round does)."""
+        """Sample times: t0 + round(i * NS_PER_S / fs) per index i (np.rint
+        rounds half to even, as round does)."""
         idx = np.arange(self.n, dtype=np.int64)
         return self.t0_ns + np.rint(idx * NS_PER_S / self.fs_hz).astype(np.int64)
 

@@ -99,3 +99,9 @@ def argmax_near_oracle(x, indices, half):
                 best = j
         out.append(best)
     return out
+
+
+def sample_time_ns(t0_ns, index, fs_hz):
+    """Time of sample `index` on a uniform grid, rounded per index (no drift):
+    the reference for Waveform.times_ns."""
+    return t0_ns + round(index * 1_000_000_000 / fs_hz)

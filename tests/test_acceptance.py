@@ -201,7 +201,7 @@ def test_criterion_7_determinism(default_session, tmp_path_factory):
     assert body_bytes(result.bag_path) == body_bytes(second.bag_path)
     bus = Bus(clock=ManualClock())
     w = BagWriter(tmp / "replayed.bag", bus)
-    replay(result.bag_path, bus=bus, rate="max", retain=False)
+    replay(result.bag_path, bus=bus, rate="max")
     w.close()
     live_csv = extract_csv(result.bag_path, tmp / "live.csv")
     replayed_csv = extract_csv(tmp / "replayed.bag", tmp / "replayed.csv")

@@ -82,17 +82,26 @@ def test_float_payloads_round_trip_bit_exact(tmp_path):
 
 def test_replay_preserves_samples_and_seqs(tmp_path):
     path = write_small_bag(tmp_path / "replay.bag")
-    bus = replay(path, rate="max", retain=True)
-    merged = bus.subscribe_merged(["t.a", "t.b"])
-    assert [(s.topic, s.t_ns, s.seq) for s in merged] == \
-        [(s.topic, s.t_ns, s.seq) for s in load_samples(path)]
+    bus = Bus(clock=ManualClock())
+    seen = []
+    bus.add_listener(seen.append)
+    assert replay(path, bus=bus, rate="max") is bus
+    assert seen == load_samples(path)
+
+
+def test_replay_takes_retain_false_only(tmp_path):
+    path = write_small_bag(tmp_path / "retain.bag")
+    bus = replay(path, rate="max", retain=False)
+    assert sum(bus.topic(d.name).next_seq for d in bus.topics()) == 60
+    with pytest.raises(ValueError):
+        replay(path, rate="max", retain=True)
 
 
 def test_replay_record_identity_on_body(tmp_path):
     src = write_small_bag(tmp_path / "src.bag")
     bus = Bus(clock=ManualClock())
     w = BagWriter(tmp_path / "dst.bag", bus)
-    replay(src, bus=bus, rate="max", retain=False)
+    replay(src, bus=bus, rate="max")
     w.close()
     assert body_bytes(tmp_path / "dst.bag") == body_bytes(src)
 
@@ -106,7 +115,7 @@ def test_replay_rate_pacing(tmp_path):
         bus.publish(a, {"v": 0.0}, t_ns=i * 100_000_000)
     w.close()
     t0 = time.monotonic()
-    replay(tmp_path / "paced.bag", rate=2.0, retain=False)
+    replay(tmp_path / "paced.bag", rate=2.0)
     elapsed = time.monotonic() - t0
     assert 0.2 <= elapsed <= 0.4
 
@@ -123,7 +132,7 @@ def test_truncated_final_line_tolerated(tmp_path):
     assert len(loaded) == len(load_samples(full)) - 1
     bus = Bus(clock=ManualClock())
     with pytest.warns(UserWarning):
-        replay(path, bus=bus, rate="max", retain=False)
+        replay(path, bus=bus, rate="max")
 
 
 def test_unknown_magic(tmp_path):
@@ -165,7 +174,7 @@ def test_malformed_header_is_a_typed_error(tmp_path, raw):
     with pytest.raises(CorruptBag):
         list(iter_samples(p))
     with pytest.raises(CorruptBag):
-        replay(p, retain=False)
+        replay(p)
 
 
 def test_validate_reports_non_utf8_record(tmp_path):
@@ -229,8 +238,10 @@ def test_validate_detects_schema_violation(tmp_path):
     path = write_small_bag(tmp_path / "schema.bag")
     corrupt_line(path, lambda r: r["topic"] == "t.a" and r["seq"] == 10,
                  lambda r: r["data"].update(v="oops"))
+    corrupt_line(path, lambda r: r["topic"] == "t.a" and r["seq"] == 20,
+                 lambda r: r["data"].update(v=True))
     report = validate(path)
-    assert any(i.kind == "schema" for i in report.issues)
+    assert [(i.kind, i.topic) for i in report.issues] == [("schema", "t.a")] * 2
 
 
 def test_validate_detects_rate_gap(tmp_path):
@@ -255,6 +266,39 @@ def test_validate_detects_unknown_topic(tmp_path):
         fh.write("".join(lines) + rogue)
     report = validate(path)
     assert any(i.kind == "manifest" and i.topic == "no.topic" for i in report.issues)
+
+
+def published_order(tmp_path, publishes):
+    """(topic, t) of each record of a bag written from the given
+    (topic, t) publishes, in the bag's order."""
+    bus = Bus(clock=ManualClock())
+    for name in sorted({name for name, _ in publishes}):
+        bus.open_topic(TopicDescriptor(name, {"v": "f64"}))
+    w = BagWriter(tmp_path / "order.bag", bus)
+    for name, t in publishes:
+        bus.publish(name, {"v": 0.0}, t_ns=t)
+    w.close()
+    return [(s.topic, s.t_ns) for s in load_samples(tmp_path / "order.bag")]
+
+
+def test_bag_interleaves_topics_by_t(tmp_path):
+    order = published_order(tmp_path, [("a.x", 1), ("a.x", 3), ("b.y", 2), ("b.y", 4)])
+    assert order == [("a.x", 1), ("b.y", 2), ("a.x", 3), ("b.y", 4)]
+
+
+def test_bag_breaks_t_ties_by_topic_name(tmp_path):
+    order = published_order(tmp_path, [("b.y", 10), ("a.x", 10)])
+    assert order == [("a.x", 10), ("b.y", 10)]
+
+
+def test_stamp_at_int64_max_round_trips(tmp_path):
+    bus, a, b = small_bus()
+    w = BagWriter(tmp_path / "max.bag", bus)
+    bus.publish_block(a, np.array([2**63 - 2, 2**63 - 1]), np.array([[1.0, 2.0]]))
+    bus.publish(b, {"v": 3.0, "s": "last"}, t_ns=2**63 - 1)
+    w.close()
+    assert [(s.topic, s.t_ns, s.seq) for s in load_samples(tmp_path / "max.bag")] == \
+        [("t.a", 2**63 - 2, 0), ("t.a", 2**63 - 1, 1), ("t.b", 2**63 - 1, 0)]
 
 
 def test_flush_watermark_keeps_future_samples(tmp_path):
@@ -344,6 +388,7 @@ PERTURBED = {
     "minus_zero_int": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":-0}}\n',
     "minus_zero_float": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":-0.0}}\n',
     "int_in_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":5}}\n',
+    "bool_in_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":true}}\n',
     "t_401_digits": b'{"t":1' + b"0" * 400 + b',"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
     "leading_zero": b'{"t":01,"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
     "bare_fraction": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1.}}\n',
@@ -454,7 +499,7 @@ def publish_scripts(draw):
 
 def write_script(path, script, flushes, blocks: bool):
     bus = Bus(clock=ManualClock())
-    topics = {n: bus.open_topic(TopicDescriptor(n, s), retain=False)
+    topics = {n: bus.open_topic(TopicDescriptor(n, s))
               for n, s in BLOCK_TOPICS.items()}
     w = BagWriter(path, bus)
     w.start()
@@ -484,5 +529,7 @@ def test_block_bag_equals_one_by_one_bag(tmp_path_factory, script_and_flushes):
     lines = by_sample.decode().splitlines(keepends=True)
     samples = load_samples(d / "sample.bag")
     assert lines == [json_line(s) for s in samples]
-    assert [(s.t_ns, s.topic, s.seq) for s in samples] == \
-        sorted((s.t_ns, s.topic, s.seq) for s in samples)
+    # the bag holds exactly the published (t, topic, seq) set, in merge order
+    published = sorted((t, name, seq) for name in BLOCK_TOPICS for seq, t in
+                       enumerate(t for n, times, _ in script if n == name for t in times))
+    assert [(s.t_ns, s.topic, s.seq) for s in samples] == published

@@ -86,6 +86,10 @@ BAD_OPTIONS = {
                          "--stride"),
     "tolerance_under_1ns": (["extract", "--bag", "BAG", "--tolerance-ms", "4e-7",
                              "--out", "OUT"], "--tolerance-ms"),
+    "duration_0": (["synth", "--duration", "0", "--out", "OUT"], "--duration"),
+    "duration_-1": (["synth", "--duration", "-1", "--out", "OUT"], "--duration"),
+    "duration_nan": (["synth", "--duration", "nan", "--out", "OUT"], "--duration"),
+    "duration_inf": (["synth", "--duration", "inf", "--out", "OUT"], "--duration"),
 }
 
 

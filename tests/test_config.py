@@ -139,6 +139,11 @@ BAD_CONFIGS = {
     "gaze_event_kind_not_text": '{"profile": {"gaze_script": [{"kind": 5, "start_s": 0, '
                                 '"duration_s": 1}]}}',
     "gaze_event_without_kind": '{"profile": {"gaze_script": [{"start_s": 0, "duration_s": 1}]}}',
+    "baseline_s_nan": '{"baseline_s": NaN}',
+    "baseline_s_infinity": '{"baseline_s": Infinity}',
+    "baseline_s_1e999": '{"baseline_s": 1e999}',
+    "profile_duration_minus_infinity": '{"profile": {"duration_s": -Infinity}}',
+    "physics_value_1e999": '{"physics": {"v_max_m_s": 1e999}}',
 }
 
 

