@@ -1,8 +1,13 @@
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from mwpipe.bag import BagWriter, load_samples, read_manifest
 
 from mwpipe.bus import (
     Bus,
@@ -122,6 +127,14 @@ def test_publish_to_unknown_topic():
     bus.open_topic(ECG)
     with pytest.raises(UnknownTopic):
         bus.publish("no.such", {"v": 0.0}, t_ns=0)
+
+
+def test_subscribe_merged_empty_set(tmp_path):
+    # merging no topics: a bag of a bus with nothing open holds no records
+    w = BagWriter(tmp_path / "none.bag", make_bus())
+    w.close()
+    assert read_manifest(tmp_path / "none.bag")["topics"] == []
+    assert load_samples(tmp_path / "none.bag") == []
 
 
 def test_align_nearest_spec_examples():
@@ -264,6 +277,35 @@ def test_bad_block_is_rejected_and_changes_nothing(schema, times, columns, error
     with pytest.raises(error):
         bus.publish_block(h, times, columns)
     assert (h.next_seq, h.last_t_ns, seen) == (1, 10, [first])
+
+
+def merged_bag(streams):
+    """Publish each stream of stamps on its own topic and read back the bag
+    the BagWriter merges them into, with the samples the bus handed out."""
+    bus = make_bus()
+    with tempfile.TemporaryDirectory() as d:
+        w = BagWriter(Path(d) / "m.bag", bus)
+        published = []
+        for i, stamps in enumerate(streams):
+            h = bus.open_topic(TopicDescriptor(f"s.t{i}", {"v": "f64"}))
+            published += [bus.publish(h, {"v": 0.0}, t_ns=t) for t in stamps]
+        w.close()
+        return load_samples(Path(d) / "m.bag"), published
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(min_value=0, max_value=10_000), min_size=0, max_size=30),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_merge_is_sorted_permutation(raw_streams):
+    streams = [sorted(set(ts_list)) for ts_list in raw_streams]
+    merged, published = merged_bag(streams)
+    assert sorted(merged, key=lambda s: (s.t_ns, s.topic, s.seq)) == merged
+    assert sorted(map(tuple, merged)) == sorted(map(tuple, published))
+    assert merged_bag(streams)[0] == merged  # deterministic re-run
 
 
 def test_align_offsets_within_tolerance_property():
