@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import re
 import threading
 import time
@@ -245,33 +246,31 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def _canonicalize(data: dict, schema: dict) -> dict:
-    if not isinstance(data, dict):
-        raise TypeError(f"record data is not an object: {data!r:.40}")
-    out = {}
-    for k, v in data.items():
-        kind = schema.get(k, "").rstrip("?")
-        if kind == "f64" and type(v) is int:
-            v = float(v)
-        out[k] = v
-    return out
-
-
-def _decode_record(line: bytes, schemas: dict) -> TimedSample:
-    """The reference record decoder: any JSON record line, canonicalized
-    against its topic's schema. Raises ValueError, KeyError, TypeError or
-    OverflowError on a record it cannot decode, such as one whose t or seq
-    is not an integer or whose topic is not a string."""
+def _decode_record(line: bytes, schemas: dict) -> tuple[TimedSample, str | None]:
+    """The reference record decoder: any JSON record line, with its payload
+    canonical when it fits its topic's schema, else as decoded and with the
+    reason it does not fit. Raises ValueError, KeyError, TypeError,
+    OverflowError or RecursionError on a record it cannot decode, such as one
+    whose t, seq, topic or data is of the wrong type, or whose t is outside
+    the int64 range."""
     rec = json.loads(line)
-    topic, t, seq = rec["topic"], rec["t"], rec["seq"]
-    if not isinstance(topic, str) or type(t) is not int or type(seq) is not int:
-        raise TypeError(f"record topic, t or seq of the wrong type: {line[:80]!r}")
-    return TimedSample(topic, t, seq, _canonicalize(rec["data"], schemas.get(topic, {})))
+    topic, t, seq, data = rec["topic"], rec["t"], rec["seq"], rec["data"]
+    if (not isinstance(topic, str) or type(t) is not int or type(seq) is not int
+            or not isinstance(data, dict) or not -2**63 <= t < 2**63):
+        raise TypeError(f"record topic, t, seq or data of the wrong type or range: {line[:80]!r}")
+    misfit = None
+    if topic in schemas:
+        try:
+            data = canonical_payload(schemas[topic], data)
+        except SchemaMismatch as e:
+            misfit = str(e)
+    return TimedSample(topic, t, seq, data), misfit
 
 
 # Integers as JSON writes them, kept short enough that int() is cheap; floats
 # only in the forms float.__repr__ writes (with a fraction or an exponent), so
-# that float() of the text is exactly what json.loads and _canonicalize give.
+# that float() of the text is exactly what json.loads and canonical_payload
+# give, unless it overflows to infinity.
 _INT = rb"(-?(?:0|[1-9]\d{0,18}))"
 _FLOAT = rb"(-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+))"
 _TOPIC_KEY = b'"topic":"'
@@ -280,7 +279,8 @@ _TOPIC_KEY = b'"topic":"'
 def _fast_decoders(schemas: dict) -> dict:
     """Topic bytes -> (name, fields, pattern) for each topic whose schema is
     all required f64. A pattern matches exactly the line BagWriter writes for
-    such a record, so its groups decode to what _decode_record returns."""
+    such a record, so its groups decode to what _decode_record returns when
+    t is in int64 and every value is finite."""
     out = {}
     for name, schema in schemas.items():
         if any(kind != "f64" for kind in schema.values()):
@@ -293,64 +293,56 @@ def _fast_decoders(schemas: dict) -> dict:
     return out
 
 
-def iter_samples(path, strict: bool = False):
-    """Yield (byte_offset, TimedSample) from a bag.
-
-    A truncated or corrupt final line is skipped with a warning; corruption
-    before the final line raises CorruptBag unless strict is False and the
-    caller prefers the validator's itemized report.
-
-    Lines in BagWriter's canonical form for an all-f64 topic are decoded by
-    a compiled pattern; every other line goes through _decode_record, and
-    when strict, one whose payload does not fit its topic's schema raises
-    CorruptBag.
+def _records(path):
+    """Yield (byte_offset, sample, misfit) per record line of a bag: the one
+    verdict every reader takes. sample is None for a line that cannot be
+    decoded; misfit is why a record is refused, or None. An undecodable final
+    line is skipped with a warning. BagWriter's lines for all-f64 topics are
+    decoded by compiled patterns; every other line goes through
+    _decode_record.
     """
     schemas = {name: d.schema for name, d in manifest_topics(read_manifest(path)).items()}
     fast = _fast_decoders(schemas)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         fh.readline()
         fh.readline()
         offset = fh.tell()
-        lines = iter(fh)
-        line = next(lines, b"")
-        while line:
+        for line in fh:
             i = line.find(_TOPIC_KEY) + len(_TOPIC_KEY)
             decoder = fast.get(line[i:line.find(b'"', i)])
             m = decoder[2].fullmatch(line) if decoder is not None else None
             if m is not None:
                 g = m.groups()
-                sample = TimedSample(decoder[0], int(g[0]), int(g[1]),
-                                     dict(zip(decoder[1], map(float, g[2:]))))
+                t, values = int(g[0]), list(map(float, g[2:]))
+            # A match fits once t is in int64 and no value overflowed to inf.
+            if m is not None and -2**63 <= t < 2**63 and -math.inf < sum(values) < math.inf:
+                sample, misfit = TimedSample(decoder[0], t, int(g[1]),
+                                             dict(zip(decoder[1], values))), None
             else:
                 try:
-                    sample = _decode_record(line, schemas)
-                except (ValueError, KeyError, TypeError, OverflowError) as e:
-                    next_line = next(lines, b"")
-                    if not next_line and not line.endswith(b"\n"):
-                        warnings.warn(f"skipping truncated final record in {path}")
+                    sample, misfit = _decode_record(line, schemas)
+                except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
+                    if offset + len(line) >= size:
+                        end = "corrupt" if line.endswith(b"\n") else "truncated"
+                        warnings.warn(f"skipping {end} final record in {path}: {e}")
                         return
-                    if not next_line:
-                        warnings.warn(f"skipping corrupt final record in {path}: {e}")
-                        return
-                    if strict:
-                        raise CorruptBag(f"corrupt record at byte {offset}: {e}") from e
-                    yield offset, None
-                    offset += len(line)
-                    line = next_line
-                    continue
-                if strict and sample.topic in schemas:
-                    try:
-                        canonical_payload(schemas[sample.topic], sample.payload)
-                    except SchemaMismatch as e:
-                        raise CorruptBag(f"record at byte {offset} does not fit "
-                                         f"{sample.topic}: {e}") from e
-            yield offset, sample
+                    sample, misfit = None, str(e)
+            yield offset, sample, misfit
             offset += len(line)
-            line = next(lines, b"")
+
+
+def iter_samples(path):
+    """Yield (byte_offset, TimedSample) from a bag. A record that _records
+    refuses raises CorruptBag once every record before it is yielded."""
+    for offset, sample, misfit in _records(path):
+        if misfit is not None:
+            raise CorruptBag(f"record at byte {offset} is refused: {misfit}")
+        yield offset, sample
 
 
 def load_samples(path) -> list[TimedSample]:
-    return [s for _, s in iter_samples(path, strict=True) if s is not None]
+    return [s for _, s in iter_samples(path)]
 
 
 def paced_samples(path, rate: float | str = "max"):
@@ -366,7 +358,7 @@ def paced_samples(path, rate: float | str = "max"):
     def paced():
         start_wall = time.monotonic()
         t0 = None
-        for offset, sample in iter_samples(path, strict=True):
+        for offset, sample in iter_samples(path):
             if rate != "max":
                 if t0 is None:
                     t0 = sample.t_ns
@@ -434,9 +426,9 @@ def validate(path) -> ValidationReport:
     last_global_t = None
     last_seq: dict[str, int] = {}
     last_t: dict[str, int] = {}
-    for offset, sample in iter_samples(path, strict=False):
+    for offset, sample, misfit in _records(path):
         if sample is None:
-            report.issues.append(ValidationIssue("parse", "", "unparseable record", offset))
+            report.issues.append(ValidationIssue("parse", "", f"cannot decode: {misfit}", offset))
             continue
         report.records += 1
         desc = descs.get(sample.topic)
@@ -444,10 +436,8 @@ def validate(path) -> ValidationReport:
             report.issues.append(ValidationIssue("manifest", sample.topic,
                                                  "topic not in manifest", offset))
             continue
-        try:
-            canonical_payload(desc.schema, sample.payload)
-        except Exception as e:
-            report.issues.append(ValidationIssue("schema", sample.topic, str(e), offset))
+        if misfit is not None:
+            report.issues.append(ValidationIssue("schema", sample.topic, misfit, offset))
         if last_global_t is not None and sample.t_ns < last_global_t:
             report.issues.append(ValidationIssue(
                 "order", sample.topic,

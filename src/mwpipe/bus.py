@@ -147,9 +147,6 @@ class ManualClock:
     def __init__(self, start_ns: int = 0):
         self._now = start_ns
 
-    def now_ns(self) -> int:
-        return self._now
-
     def advance_to(self, t_ns: int):
         if t_ns < self._now:
             raise TimestampRegression(f"clock cannot move backwards to {t_ns}")
@@ -174,6 +171,8 @@ class Bus:
     """Publish/subscribe hub. Topics are registered once per session."""
 
     def __init__(self, clock=None):
+        # Publishers pass their stamps, so nothing reads the clock: run_session
+        # advances it every tick, and perfbench's TickStamps hooks that call.
         self.clock = clock if clock is not None else ManualClock()
         self._topics: dict[str, Topic] = {}
         self._registry_lock = threading.Lock()
@@ -200,14 +199,12 @@ class Bus:
 
     # -- publication ----------------------------------------------------
 
-    def publish(self, topic: str | Topic, payload: Mapping, t_ns: int | None = None) -> TimedSample:
-        """Publish one sample; t_ns=None stamps with the current session clock.
-        A stamp that is not an integer in the int64 range raises SchemaMismatch."""
+    def publish(self, topic: str | Topic, payload: Mapping, t_ns: int) -> TimedSample:
+        """Publish one sample stamped t_ns. A stamp that is not an integer in
+        the int64 range raises SchemaMismatch."""
         handle = topic if isinstance(topic, Topic) else self.topic(topic)
         data = canonical_payload(handle.desc.schema, payload)
         with handle._lock:
-            if t_ns is None:
-                t_ns = self.clock.now_ns()
             if (type(t_ns) is not int and (isinstance(t_ns, bool)
                                            or not isinstance(t_ns, numbers.Integral))
                     or not -2**63 <= t_ns < 2**63):

@@ -12,7 +12,7 @@ from .bag import replay as bag_replay
 from .bag import validate as bag_validate
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, Bus, ManualClock
 from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
-from .errors import PlanInvalid
+from .errors import InvalidProfile, PlanInvalid
 from .export import extract_csv
 from .session import SESSION_TOPICS, StitchState, phase_waveforms, run_session
 
@@ -88,7 +88,10 @@ def synth(profile_path, duration_s, out_path):
     profile = _from_config(profile_from_config, profile_path)
     if duration_s is not None:
         profile.duration_s = duration_s
-    profile.validate()
+        try:
+            profile.validate()
+        except InvalidProfile as e:
+            raise click.BadParameter(str(e), param_hint="'--duration'") from e
 
     bus = Bus(clock=ManualClock())
     topics = {t.name: bus.open_topic(t)

@@ -11,7 +11,7 @@ import json
 import math
 import os
 
-from .errors import PlanInvalid
+from .errors import InvalidProfile, PlanInvalid
 from .features import GazeThresholds
 from .session import SessionPlan
 from .sim import PhysicsParams, PolicyConfig
@@ -160,6 +160,11 @@ def plan_from_config(cfg: dict) -> SessionPlan:
 
 
 def profile_from_config(cfg: dict) -> SynthProfile:
+    """The synthesis profile a config object describes; a value of the wrong
+    type or out of range raises PlanInvalid."""
     profile = profile_from_dict(cfg.get("profile", cfg))
     profile.seed = seed_override(profile.seed)
-    return profile.validate()
+    try:
+        return profile.validate()
+    except InvalidProfile as e:
+        raise PlanInvalid(f"profile: {e}") from e

@@ -9,14 +9,12 @@ with shortest round-trip decimals, and absent values are empty cells.
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 
 import numpy as np
 
 from .bag import iter_samples
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
-from .errors import CorruptBag
 from .features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
 from .session import SESSION_TOPICS
 
@@ -48,12 +46,11 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
                 align_tolerance_ns: int = DEFAULT_ALIGN_TOLERANCE_NS,
                 gaze_thresholds=DEFAULT_THRESHOLDS) -> str:
     """Write the feature table of a bag to out_path and return that path. A
-    record that does not fit its topic's schema, or a non-finite value in a
-    bio sample or a joined cell, raises CorruptBag."""
+    record that does not fit its topic's schema raises CorruptBag."""
     getters = {f"bio.{m}": (m, itemgetter(*t.fields)) for m, t in BIO_TOPICS.items()}
     bio: dict[str, tuple[list, list]] = {}
     joined: dict[str, list[TimedSample]] = {t: [] for t in JOINED_COLUMNS}
-    for _, sample in iter_samples(bag_path, strict=True):
+    for _, sample in iter_samples(bag_path):
         getter = getters.get(sample.topic)
         if getter is not None:
             times, values = bio.setdefault(getter[0], ([], []))
@@ -73,10 +70,7 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
                                    modalities=modalities, gaze_thresholds=gaze_thresholds)
         for m in modalities:
             times, values = bio[m]
-            values = np.asarray(values, dtype=float)
-            if not np.isfinite(values).all():
-                raise CorruptBag(f"{bag_path}: bio.{m} holds a non-finite value")
-            pipeline.feed(m, np.asarray(times, dtype=np.int64), values)
+            pipeline.feed(m, np.asarray(times, dtype=np.int64), np.asarray(values, dtype=float))
         baseline = _baseline_interval(joined[META_TOPIC])
         if baseline is not None and baseline[1] <= end:
             rows.extend(pipeline.advance_to(baseline[1]))
@@ -97,9 +91,7 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
         cells = table[t_end]
         for topic, (sample, _) in frame.joined.items():
             for f, column in JOINED_COLUMNS[topic].items():
-                value = cells[column] = sample.payload[f]
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise CorruptBag(f"{bag_path}: {topic} holds a non-finite value")
+                cells[column] = sample.payload[f]
 
     columns: set[str] = set()
     for m in modalities:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bag import BagWriter
 from .bus import Bus, ManualClock, NS_PER_S, TopicDescriptor
-from .errors import PlanInvalid, ScaleOutOfRange
+from .errors import InvalidProfile, PlanInvalid, ScaleOutOfRange
 from .features import BIO_TOPICS, FEATURE_CATALOG, FeaturePipeline
 from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
 from .sim import PhysicsParams, PolicyConfig, RoverSim, ScriptedOperator, evaluate_run, preset
@@ -172,11 +172,21 @@ class SessionPlan:
             raise PlanInvalid(f"run_order needs two low and two high: {order}")
         if any(a == b for a, b in zip(order, order[1:])):
             raise PlanInvalid(f"run_order must alternate difficulty: {order}")
-        if self.baseline_s <= 0 or self.interrun_s <= 0 or self.run_timeout_s <= 0:
-            raise PlanInvalid("phase durations must be positive")
+        durations = (self.baseline_s, self.interrun_s, self.run_timeout_s)
+        if not all(0 < d * NS_PER_S < 2**63 for d in durations):
+            raise PlanInvalid(f"phase durations must be positive and under 2**63 ns: {durations}")
+        # the baseline, four runs and the three free-play gaps between them
+        ticks = [round(d / DT_S) for d in durations]
+        if (ticks[0] + 3 * ticks[1] + 4 * ticks[2]) * TICK_NS >= 2**63:
+            raise PlanInvalid("a session with every phase at full length overruns 2**63 ns")
         unknown = set(self.phase_profiles) - {"baseline", "run", "freeplay"}
         if unknown:
             raise PlanInvalid(f"unknown phase_profiles keys: {sorted(unknown)}")
+        for name, profile in [("profile", self.profile), *self.phase_profiles.items()]:
+            try:
+                profile.validate()
+            except InvalidProfile as e:
+                raise PlanInvalid(f"{name}: {e}") from e
         return self
 
     def profile_for(self, phase_name: str) -> SynthProfile:

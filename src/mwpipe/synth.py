@@ -119,10 +119,17 @@ class SynthProfile:
     fixation_noise_deg: float = 0.1
 
     def validate(self):
-        if self.duration_s <= 0:
-            raise InvalidProfile(f"duration_s must be positive: {self.duration_s}")
+        """self, if every generator accepts it and its duration fits in int64
+        nanoseconds; otherwise InvalidProfile."""
+        if not 0 < self.duration_s * NS_PER_S < 2**63:
+            raise InvalidProfile(f"duration_s must be positive and under 2**63 ns: "
+                                 f"{self.duration_s}")
         if self.rr_mean_ms <= 0:
             raise InvalidProfile(f"rr_mean_ms must be positive: {self.rr_mean_ms}")
+        if not 4.0 < self.resp_rate_bpm < 60.0:
+            raise InvalidProfile(f"resp_rate_bpm must be in (4, 60): {self.resp_rate_bpm}")
+        if not 25.0 <= self.st_base_c <= 40.0:
+            raise InvalidProfile(f"st_base_c outside [25, 40]: {self.st_base_c}")
         if not 3.0 <= self.pupil_base_mm <= 6.0:
             raise InvalidProfile(f"pupil_base_mm outside [3, 6]: {self.pupil_base_mm}")
         if self.eda_tonic_uS <= 0:

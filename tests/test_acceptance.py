@@ -216,7 +216,7 @@ def test_criterion_8_telemetry_contract(default_session):
     rover_per_phase = defaultdict(int)
     radar_states = set()
     last = {}
-    for _, sample in iter_samples(result.bag_path, strict=True):
+    for _, sample in iter_samples(result.bag_path):
         if sample.topic in last:
             prev_t, prev_seq = last[sample.topic]
             assert sample.t_ns > prev_t
@@ -300,7 +300,7 @@ def test_criterion_10_protocol_conformance(default_session):
     order = [r.difficulty for r in runs]
     assert all(a != b for a, b in zip(order, order[1:]))
     tlx_count = 0
-    for _, sample in iter_samples(result.bag_path, strict=True):
+    for _, sample in iter_samples(result.bag_path):
         if sample.topic == "survey.tlx":
             tlx_count += 1
             for scale in ("mental", "physical", "temporal", "performance",

@@ -1,6 +1,10 @@
 import json
+import math
+import socket
 import struct
+import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from mwpipe.bag import (
     _decode_record,
     _fast_decoders,
     _record_line,
+    _records,
     body_bytes,
     iter_samples,
     load_samples,
@@ -18,8 +23,11 @@ from mwpipe.bag import (
     replay,
     validate,
 )
-from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor
+from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor, canonical_payload
 from mwpipe.errors import CorruptBag, UnknownMagic
+from mwpipe.export import extract_csv
+from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
+from mwpipe.wire import serve_bag
 
 
 def small_bus():
@@ -321,6 +329,10 @@ BAD_RECORDS = {
     "t_not_int": b'{"t":"x","topic":"t.a","seq":0,"data":{"v":1.0}}\n',
     "seq_not_int": b'{"t":1,"topic":"t.a","seq":1.5,"data":{"v":1.0}}\n',
     "t_bool": b'{"t":true,"topic":"t.a","seq":0,"data":{"v":1.0}}\n',
+    "t_401_digits": b'{"t":1' + b"0" * 400 + b',"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
+    "t_above_int64": b'{"t":9223372036854775808,"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
+    "t_below_int64": b'{"t":-9223372036854775809,"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
+    "nested_too_deep": b'{"t":1,"topic":"t.a","seq":0,"data":' + b"[" * 100_000 + b"}\n",
 }
 
 
@@ -334,7 +346,7 @@ def test_undecodable_record_is_a_typed_error(tmp_path, bad):
     report = validate(path)
     assert ("parse", offset) in [(i.kind, i.byte_offset) for i in report.issues]
     with pytest.raises(CorruptBag):
-        list(iter_samples(path, strict=True))
+        list(iter_samples(path))
 
 
 # -- the compiled decode path against the json.loads reference ---------------
@@ -343,19 +355,21 @@ DECODE_TOPICS = {"t.a": {"v": "f64"}, "t.o": {"v": "f64?"}, "f.x": {"a": "f64", 
 GOOD_LINE = b'{"t":0,"topic":"t.a","seq":0,"data":{"v":1.5}}\n'
 
 
-def bag_with_lines(path, lines):
+def bag_with_lines(path, lines, topics=DECODE_TOPICS):
     manifest = {"format": "MWBAG1",
-                "topics": [{"name": n, "schema": s} for n, s in DECODE_TOPICS.items()]}
+                "topics": [{"name": n, "schema": s} for n, s in topics.items()]}
     with open(path, "wb") as fh:
         fh.write(b"MWBAG1\n" + json.dumps(manifest).encode() + b"\n" + b"".join(lines))
     return path
 
 
 def reference_decode(line):
+    """(sample, misfit) as _decode_record judges a line; (None, the reason)
+    when it cannot decode it."""
     try:
         return _decode_record(line, DECODE_TOPICS)
-    except (ValueError, KeyError, TypeError, OverflowError):
-        return None
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
+        return None, str(e)
 
 
 def exact(sample):
@@ -379,8 +393,8 @@ def test_fast_decoder_matches_json_path(tmp_path_factory, t, seq, a, b):
     line = _record_line(TimedSample("f.x", t, seq, {"a": a, "b": b})).encode()
     assert _fast_decoders(DECODE_TOPICS)[b"f.x"][2].fullmatch(line)
     path = bag_with_lines(tmp_path_factory.mktemp("fast") / "f.bag", [line, GOOD_LINE])
-    (_, got), _ = iter_samples(path, strict=True)
-    assert exact(got) == exact(reference_decode(line))
+    (_, got), _ = iter_samples(path)
+    assert exact(got) == exact(reference_decode(line)[0])
 
 
 PERTURBED = {
@@ -389,7 +403,6 @@ PERTURBED = {
     "minus_zero_float": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":-0.0}}\n',
     "int_in_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":5}}\n',
     "bool_in_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":true}}\n',
-    "t_401_digits": b'{"t":1' + b"0" * 400 + b',"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
     "leading_zero": b'{"t":01,"topic":"t.a","seq":0,"data":{"v":1.5}}\n',
     "bare_fraction": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1.}}\n',
     "nan": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":NaN}}\n',
@@ -401,20 +414,129 @@ PERTURBED = {
     "unknown_topic": b'{"t":1,"topic":"no.such","seq":0,"data":{"v":1.5}}\n',
     "optional_field": b'{"t":1,"topic":"t.o","seq":0,"data":{"v":1.5}}\n',
     "not_a_record": b"[1,2]\n",
+    "f64_overflows": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1e999}}\n',
+    "f64_overflows_negative": b'{"t":1,"topic":"f.x","seq":0,"data":{"a":1.5,"b":-1e999}}\n',
 }
 
 
 @pytest.mark.parametrize("line", PERTURBED.values(), ids=PERTURBED)
 def test_perturbed_line_decodes_as_json_path(tmp_path, line):
     path = bag_with_lines(tmp_path / "p.bag", [GOOD_LINE, line, GOOD_LINE])
-    expected = reference_decode(line)
-    _, (offset, got), _ = iter_samples(path)
+    expected, misfit = reference_decode(line)
+    _, (offset, got, why), _ = _records(path)
     assert offset == path.read_bytes().index(line)
     assert exact(got) == exact(expected)
-    if expected is None:
+    assert why == misfit
+    if misfit is not None:
         with pytest.raises(CorruptBag):
-            list(iter_samples(path, strict=True))
+            list(iter_samples(path))
 
+
+# -- every reader takes the one verdict -----------------------------------------
+
+FUZZ_TOPICS = {**DECODE_TOPICS, "m.x": {"n": "i64", "s": "str", "ok": "bool", "l": "f64?"}}
+FUZZ_VALUES = {"f64": finite, "i64": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(),
+               "str": st.text(max_size=4)}
+OVERFLOW_LINES = [b'{"t":%d,"topic":"t.a","seq":0,"data":{"v":%s}}\n',
+                  b'{"t":%d,"topic":"t.o","seq":0,"data":{"v":%s}}\n',
+                  b'{"t":%d,"topic":"f.x","seq":0,"data":{"a":0.5,"b":%s}}\n']
+
+
+@st.composite
+def writer_lines(draw):
+    """A record line as BagWriter writes it, for a topic of FUZZ_TOPICS."""
+    topic = draw(st.sampled_from(sorted(FUZZ_TOPICS)))
+    payload = {f: draw(FUZZ_VALUES[kind.rstrip("?")]) for f, kind in FUZZ_TOPICS[topic].items()
+               if not kind.endswith("?") or draw(st.booleans())}
+    sample = TimedSample(topic, draw(st.integers(-2**63, 2**63 - 1)),
+                         draw(st.integers(0, 2**63 - 1)), payload)
+    return _record_line(sample).encode()
+
+
+body_lines = st.one_of(
+    writer_lines(),
+    st.sampled_from(list(PERTURBED.values())),
+    st.builds(lambda line, t, value: line % (t, value), st.sampled_from(OVERFLOW_LINES),
+              st.integers(0, 10**6), st.sampled_from([b"1e999", b"-1e999"])),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(body_lines, max_size=6),
+       tail=st.one_of(st.just(b""), writer_lines().map(lambda line: line[:-1]),
+                      st.binary(min_size=1, max_size=20)))
+def test_readers_take_one_verdict(tmp_path_factory, lines, tail):
+    path = bag_with_lines(tmp_path_factory.mktemp("fuzz") / "f.bag", lines + [tail],
+                          FUZZ_TOPICS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an unreadable final line is skipped with a warning
+        try:
+            samples, raised = load_samples(path), False
+        except CorruptBag:
+            samples, raised = [], True
+        report = validate(path)
+    for sample in samples:
+        schema = FUZZ_TOPICS.get(sample.topic)
+        if schema is not None:  # a topic the manifest lacks has no schema to fit
+            assert exact(sample) == exact(sample._replace(
+                payload=canonical_payload(schema, sample.payload)))
+            assert all(math.isfinite(v) for v in sample.payload.values()
+                       if isinstance(v, float))
+    assert any(i.kind in ("parse", "schema") for i in report.issues) == raised
+
+
+def ecg_bag(path, overflow_at=None):
+    """A 35 s bio.ecg bag as BagWriter writes it; with overflow_at, the value
+    of that record reads 1e999."""
+    bus = Bus(clock=ManualClock())
+    topic = bus.open_topic(TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0))
+    w = BagWriter(path, bus)
+    wf = render_cardiac(gen_rr_series(SynthProfile(seed=4, duration_s=35.0)), "ecg")
+    bus.publish_block(topic, wf.times_ns(), wf.values[None, :])
+    w.close()
+    if overflow_at is not None:
+        lines = path.read_bytes().splitlines(keepends=True)
+        head = lines[2 + overflow_at].split(b'"v":')[0]
+        lines[2 + overflow_at] = head + b'"v":1e999}}\n'
+        path.write_bytes(b"".join(lines))
+    return path
+
+
+def serve_to_one_client(path):
+    """serve_bag with one client that reads until the server closes."""
+    clients = []
+
+    def drain(host, port):
+        def read():
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                while sock.recv(65536):
+                    pass
+        clients.append(threading.Thread(target=read))
+        clients[0].start()
+
+    try:
+        return serve_bag(path, port=0, ready=drain)
+    finally:
+        clients[0].join(timeout=5.0)
+        assert not clients[0].is_alive()
+
+
+STRICT_READERS = {
+    "load_samples": load_samples,
+    "replay": replay,
+    "serve_bag": serve_to_one_client,
+    "extract_csv": lambda path: extract_csv(path, path.with_suffix(".csv")),
+}
+
+
+@pytest.mark.parametrize("read", STRICT_READERS.values(), ids=STRICT_READERS)
+def test_strict_readers_refuse_a_value_that_overflows(tmp_path, read):
+    read(ecg_bag(tmp_path / "good.bag"))
+    bad = ecg_bag(tmp_path / "bad.bag", overflow_at=1000)
+    assert [(i.kind, i.topic) for i in validate(bad).issues] == [("schema", "bio.ecg")]
+    with pytest.raises(CorruptBag):
+        read(bad)
 
 
 # -- the template encoder against the json.dumps reference -------------------

@@ -90,6 +90,7 @@ BAD_OPTIONS = {
     "duration_-1": (["synth", "--duration", "-1", "--out", "OUT"], "--duration"),
     "duration_nan": (["synth", "--duration", "nan", "--out", "OUT"], "--duration"),
     "duration_inf": (["synth", "--duration", "inf", "--out", "OUT"], "--duration"),
+    "duration_1e300": (["synth", "--duration", "1e300", "--out", "OUT"], "--duration"),
 }
 
 
@@ -159,6 +160,22 @@ def test_bad_config_file_is_a_command_line_error(runner, tmp_path):
     assert r.exit_code == 1, r.output
     assert not isinstance(r.exception, Exception)
     assert "reaction_mean_s" in r.output
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"phase_profiles": {"run": {"pupil_base_mm": 9.0}}}),
+    ("simulate", {"profile": {"st_base_c": 20}}),
+    ("synth", {"rr_mean_ms": -5}),
+])
+def test_profile_out_of_range_is_a_command_line_error(runner, tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    bag = tmp_path / "x.bag"
+    option = "--config" if command == "simulate" else "--profile"
+    r = runner.invoke(main, [command, option, str(cfg), "--out", str(bag)])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)
+    assert not bag.exists()
 
 
 def test_synth_profile_file(runner, tmp_path):

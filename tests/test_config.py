@@ -44,6 +44,13 @@ def test_unknown_profile_field_rejected():
         profile_from_config({"profile": {"not_a_field": 1}})
 
 
+@pytest.mark.parametrize("profile", [{"duration_s": 1e300}, {"rr_mean_ms": -5},
+                                     {"resp_rate_bpm": 4}, {"st_base_c": 40.5}])
+def test_profile_out_of_range_is_plan_invalid(profile):
+    with pytest.raises(PlanInvalid):
+        profile_from_config({"profile": profile})
+
+
 def test_gaze_script_parsed():
     profile = profile_from_config({
         "gaze_script": [
@@ -144,6 +151,15 @@ BAD_CONFIGS = {
     "baseline_s_1e999": '{"baseline_s": 1e999}',
     "profile_duration_minus_infinity": '{"profile": {"duration_s": -Infinity}}',
     "physics_value_1e999": '{"physics": {"v_max_m_s": 1e999}}',
+    "baseline_s_1e300": '{"baseline_s": 1e300}',
+    "baseline_s_401_digits": '{"baseline_s": 1' + "0" * 400 + "}",
+    "session_overruns_int64_ns": '{"run_timeout_s": 2.5e9}',
+    "profile_resp_rate_out_of_range": '{"profile": {"resp_rate_bpm": 70}}',
+    "profile_st_base_out_of_range": '{"profile": {"st_base_c": 20}}',
+    "profile_pupil_base_out_of_range": '{"profile": {"pupil_base_mm": 9.0}}',
+    "profile_rr_mean_negative": '{"profile": {"rr_mean_ms": -5}}',
+    "profile_duration_1e300": '{"profile": {"duration_s": 1e300}}',
+    "phase_profile_pupil_base_out_of_range": '{"phase_profiles": {"run": {"pupil_base_mm": 9.0}}}',
 }
 
 

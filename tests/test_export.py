@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,17 +28,22 @@ def write_single_modality_bag(path, duration_s=60):
     return path
 
 
+def csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_60s_single_modality_gives_31_rows(tmp_path):
     path = write_single_modality_bag(tmp_path / "one.bag")
     out = extract_csv(path, tmp_path / "one.csv")
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     assert len(rows) == 31
 
 
 def test_columns_cover_catalog_for_present_modalities(tmp_path):
     path = write_single_modality_bag(tmp_path / "cols.bag")
     out = extract_csv(path, tmp_path / "cols.csv")
-    header = open(out).readline().rstrip("\n").split(",")
+    header = Path(out).read_text().splitlines()[0].split(",")
     assert header[0] == "t_end_ns"
     for feature in FEATURE_CATALOG["ecg"]:
         assert f"ecg.{feature}" in header
@@ -50,7 +56,7 @@ def test_rerun_is_byte_identical(tmp_path):
     path = write_single_modality_bag(tmp_path / "det.bag")
     a = extract_csv(path, tmp_path / "a.csv")
     b = extract_csv(path, tmp_path / "b.csv")
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +69,7 @@ def session_bag(tmp_path_factory):
 
 def test_session_csv_has_sim_and_meta_columns(session_bag, tmp_path):
     out = extract_csv(session_bag, tmp_path / "sess.csv")
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     header = rows[0].keys()
     for col in ("sim.battery_pct", "sim.motor_temp_c", "sim.o2_pct", "sim.co2_pct",
                 "sim.radar_state", "meta.difficulty", "meta.phase"):
@@ -76,7 +82,7 @@ def test_session_csv_has_sim_and_meta_columns(session_bag, tmp_path):
 
 def test_absent_cells_are_empty_not_zero(session_bag, tmp_path):
     out = extract_csv(session_bag, tmp_path / "absent.csv")
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     # pursuit-free windows leave the mean absent but keep the count at 0
     bad = [r for r in rows if r["gaze.fixation_duration_ms"] == "0"]
     assert not bad
@@ -87,7 +93,7 @@ def test_live_feature_rows_match_reextraction(session_bag, tmp_path):
     from mwpipe.bag import load_samples
 
     out = extract_csv(session_bag, tmp_path / "live.csv")
-    rows = {int(r["t_end_ns"]): r for r in csv.DictReader(open(out))}
+    rows = {int(r["t_end_ns"]): r for r in csv_rows(out)}
     live = [s for s in load_samples(session_bag) if s.topic == "feat.ecg"]
     assert live
     checked = 0
@@ -112,13 +118,13 @@ def test_extract_over_replayed_bag_identical(session_bag, tmp_path):
     w.close()
     a = extract_csv(session_bag, tmp_path / "orig.csv")
     b = extract_csv(tmp_path / "re.bag", tmp_path / "re.csv")
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_floats_round_trip_through_csv(tmp_path):
     path = write_single_modality_bag(tmp_path / "rt.bag")
     out = extract_csv(path, tmp_path / "rt.csv")
-    rows = list(csv.DictReader(open(out)))
+    rows = csv_rows(out)
     for r in rows:
         v = r["ecg.rmssd_ms"]
         if v:
