@@ -19,7 +19,9 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,66 +272,236 @@ def _decode_record(line: bytes, schemas: dict) -> tuple[TimedSample, str | None]
 # Integers as JSON writes them, kept short enough that int() is cheap; floats
 # only in the forms float.__repr__ writes (with a fraction or an exponent), so
 # that float() of the text is exactly what json.loads and canonical_payload
-# give, unless it overflows to infinity.
+# give, unless it overflows to infinity; strings only as json's ASCII escaper
+# writes them.
 _INT = rb"(-?(?:0|[1-9]\d{0,18}))"
 _FLOAT = rb"(-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+))"
-_TOPIC_KEY = b'"topic":"'
+_VALUES = {"f64": _FLOAT, "i64": _INT, "bool": rb"(true|false)",
+           "str": rb'("(?:[ !#-\[\]-~]|\\["\\bfnrt]|\\u[0-9a-f]{4})*")'}
+
+
+def _str_value(text: bytes) -> str:
+    return json.loads(text) if b"\\" in text else text[1:-1].decode("ascii")
+
+
+_PARSE = {"f64": float, "i64": int, "bool": b"true".__eq__, "str": _str_value}
+
+# Body lines are judged about _CHUNK_BYTES at a time, cut at a newline. A chunk's
+# lines are each a bytes object while it is judged, so the size bounds that
+# memory; a larger chunk is judged a little faster per line.
+_CHUNK_BYTES = 128 * 1024
+
+
+class _Decoder(NamedTuple):
+    """A topic's compiled record line: line matches exactly the lines
+    BagWriter writes for the topic, anchored at line starts, with groups t,
+    seq and one per field (empty when an optional field is absent)."""
+
+    name: str
+    fields: tuple
+    line: re.Pattern
+    kinds: tuple
+    optional: tuple
 
 
 def _fast_decoders(schemas: dict) -> dict:
-    """Topic bytes -> (name, fields, pattern) for each topic whose schema is
-    all required f64. A pattern matches exactly the line BagWriter writes for
-    such a record, so its groups decode to what _decode_record returns when
-    t is in int64 and every value is finite."""
+    """Topic bytes, as the topic appears between quotes in a line -> the
+    topic's _Decoder. A line its pattern matches decodes to what
+    _decode_record returns once t is in int64 and every f64 value is finite."""
     out = {}
     for name, schema in schemas.items():
-        if any(kind != "f64" for kind in schema.values()):
-            continue
+        kinds = tuple(k.rstrip("?") for k in schema.values())
+        optional = tuple(k.endswith("?") for k in schema.values())
+        items = []
+        for i, (f, kind, opt) in enumerate(zip(schema, kinds, optional)):
+            if i == 0:
+                sep = b""
+            elif not all(optional[:i]):
+                sep = b","
+            else:  # every earlier field is optional: a comma unless this one is first
+                sep = rb"(?:(?<=\{)|(?<!\{),)"
+            item = sep + re.escape(json.dumps(f).encode()) + b":" + _VALUES[kind]
+            items.append(b"(?:" + item + b")?" if opt else item)
         quoted = json.dumps(name).encode()
-        data = b",".join(re.escape(json.dumps(f).encode()) + b":" + _FLOAT for f in schema)
-        pattern = re.compile(rb'\{"t":' + _INT + b',"topic":' + re.escape(quoted)
-                             + b',"seq":' + _INT + rb',"data":\{' + data + rb"\}\}\n")
-        out[quoted[1:-1]] = (name, tuple(schema), pattern)
+        line = re.compile(rb'^\{"t":' + _INT + b',"topic":' + re.escape(quoted) + b',"seq":'
+                          + _INT + rb',"data":\{' + b"".join(items) + rb"\}\}\n", re.M)
+        out[quoted[1:-1]] = _Decoder(name, tuple(schema), line, kinds, optional)
     return out
 
 
-def _records(path):
-    """Yield (byte_offset, sample, misfit) per record line of a bag: the one
-    verdict every reader takes. sample is None for a line that cannot be
-    decoded; misfit is why a record is refused, or None. An undecodable final
-    line is skipped with a warning. BagWriter's lines for all-f64 topics are
-    decoded by compiled patterns; every other line goes through
-    _decode_record.
-    """
+def _scanner(decoders: dict) -> re.Pattern:
+    """One match per line of a chunk: the topic's bytes when the line begins
+    like a record of a manifest topic, else empty."""
+    names = b"|".join(map(re.escape, decoders))
+    return re.compile(rb'\{"t":-?\d+,"topic":"(' + names + rb')"[^\n]*\n|[^\n]+\n?|\n')
+
+
+class Rows(NamedTuple):
+    """The rows of one topic in a chunk that its compiled line judged: the
+    row numbers within the chunk, t as int64, seq, and one list per field
+    (None where an optional field is absent). Every row fits the topic's
+    schema."""
+
+    topic: str
+    fields: tuple
+    optional: bool  # whether any field is optional
+    rows: np.ndarray
+    t: np.ndarray
+    seq: list
+    columns: list
+
+    def payloads(self):
+        """The payload dict of each row, in row order, made as they are read."""
+        values = zip(*self.columns) if self.columns else repeat((), len(self.seq))
+        if self.optional:
+            return ({f: v for f, v in zip(self.fields, vals) if v is not None}
+                    for vals in values)
+        return (dict(zip(self.fields, vals)) for vals in values)
+
+    def samples(self) -> list[TimedSample]:
+        return list(map(TimedSample, repeat(self.topic), self.t.tolist(), self.seq,
+                        self.payloads()))
+
+
+def _refused(offset: int, misfit: str) -> CorruptBag:
+    return CorruptBag(f"record at byte {offset} is refused: {misfit}")
+
+
+class Chunk(NamedTuple):
+    """One judged chunk of a bag body: the byte offset of each line, the rows
+    the compiled lines judged (one Rows per topic) and every other row as
+    (row, sample, misfit) from _decode_record, in row order. All the rows of
+    a topic in a chunk are in its Rows, or all are among the others."""
+
+    offsets: list
+    groups: list
+    others: list
+
+    def refusal(self) -> CorruptBag | None:
+        """The error for the first row of this chunk that is refused."""
+        for row, _, misfit in self.others:
+            if misfit is not None:
+                return _refused(self.offsets[row], misfit)
+        return None
+
+
+def _judge_rows(dec: _Decoder, rows: np.ndarray, lines: list) -> Rows | None:
+    """The rows' lines judged column-wise by the topic's compiled line, or
+    None unless every one matches and fits."""
+    # split, not findall: one flat list of the lines' groups, with the text
+    # between matches, which is empty when every line matches.
+    parts = dec.line.split(b"\n".join([lines[i] for i in rows.tolist()]) + b"\n")
+    step = dec.line.groups + 1
+    if len(parts) != len(rows) * step + 1 or any(parts[::step]):
+        return None
+    try:
+        t = np.array(list(map(int, parts[1::step])), dtype=np.int64)
+    except OverflowError:
+        return None
+    columns = []
+    for i, (kind, opt) in enumerate(zip(dec.kinds, dec.optional)):
+        parse, text = _PARSE[kind], parts[3 + i::step]
+        columns.append([parse(v) if v else None for v in text] if opt else list(map(parse, text)))
+    floats = [v for kind, column in zip(dec.kinds, columns) if kind == "f64"
+              for v in column if v is not None]
+    if not np.isfinite(np.array(floats, dtype=float)).all():
+        return None
+    return Rows(dec.name, dec.fields, any(dec.optional), rows, t,
+                list(map(int, parts[2::step])), columns)
+
+
+def _body_pieces(fh):
+    """(byte offset, bytes) of the rest of a file in pieces of _CHUNK_BYTES,
+    each extended to the end of its last line; only the last piece may lack
+    a final newline."""
+    offset = fh.tell()
+    while piece := fh.read(_CHUNK_BYTES):
+        if not piece.endswith(b"\n"):
+            piece += fh.readline()
+        yield offset, piece
+        offset += len(piece)
+
+
+def _judge_chunk(data: bytes, offset: int, final: bool, path, schemas: dict,
+                 scan: re.Pattern, code: dict, decoders: list) -> Chunk:
+    """The Chunk of one piece of the body; final when it ends the file."""
+    topics = scan.findall(data)
+    lines = data.split(b"\n")
+    ended = lines[-1] == b""  # the piece ends with a newline
+    if ended:
+        lines.pop()
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines)) + 1
+    if not ended:
+        lengths[-1] -= 1
+    offsets = (offset + np.cumsum(lengths) - lengths).tolist()
+    codes = np.fromiter(map(code.__getitem__, topics), np.int64, len(topics))
+    groups, fallback = [], []
+    for k in np.unique(codes).tolist():
+        rows = np.flatnonzero(codes == k)
+        group = _judge_rows(decoders[k], rows, lines) if k >= 0 else None
+        if group is None:
+            fallback += rows.tolist()
+        else:
+            groups.append(group)
+    others = []
+    for row in sorted(fallback):
+        last = row == len(lines) - 1
+        line = lines[row] if last and not ended else lines[row] + b"\n"
+        try:
+            sample, misfit = _decode_record(line, schemas)
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
+            if final and last:
+                end = "corrupt" if ended else "truncated"
+                warnings.warn(f"skipping {end} final record in {path}: {e}")
+                offsets.pop()  # the final line is no record
+                break
+            sample, misfit = None, str(e)
+        others.append((row, sample, misfit))
+    return Chunk(offsets, groups, others)
+
+
+def judged_chunks(path):
+    """Yield the judged Chunks of a bag body: the one verdict every reader
+    takes. The lines a topic's compiled line matches are judged column-wise,
+    with its other rows in the chunk; every other line goes through
+    _decode_record, and so does every row of a topic whose rows in the chunk
+    do not all match and fit. An undecodable final line is skipped with a
+    warning."""
     schemas = {name: d.schema for name, d in manifest_topics(read_manifest(path)).items()}
-    fast = _fast_decoders(schemas)
+    by_topic = _fast_decoders(schemas)
+    scan = _scanner(by_topic)
+    code = {topic: i for i, topic in enumerate(by_topic)}
+    code[b""] = -1  # a line the scan does not tie to a manifest topic
+    decoders = list(by_topic.values())
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         fh.readline()
         fh.readline()
-        offset = fh.tell()
-        for line in fh:
-            i = line.find(_TOPIC_KEY) + len(_TOPIC_KEY)
-            decoder = fast.get(line[i:line.find(b'"', i)])
-            m = decoder[2].fullmatch(line) if decoder is not None else None
-            if m is not None:
-                g = m.groups()
-                t, values = int(g[0]), list(map(float, g[2:]))
-            # A match fits once t is in int64 and no value overflowed to inf.
-            if m is not None and -2**63 <= t < 2**63 and -math.inf < sum(values) < math.inf:
-                sample, misfit = TimedSample(decoder[0], t, int(g[1]),
-                                             dict(zip(decoder[1], values))), None
+        for offset, data in _body_pieces(fh):
+            yield _judge_chunk(data, offset, offset + len(data) >= size, path, schemas,
+                               scan, code, decoders)
+
+
+def _records(path):
+    """Yield (byte_offset, sample, misfit) per record line of a bag, in file
+    order, as judged_chunks judges it: sample is None for a line that cannot
+    be decoded; misfit is why a record is refused, or None. Each sample is
+    made as it is yielded, so a chunk's samples are not all alive at once."""
+    for chunk in judged_chunks(path):
+        source = np.full(len(chunk.offsets), -1)
+        for i, group in enumerate(chunk.groups):
+            source[group.rows] = i
+        rows = [zip(g.t.tolist(), g.seq, g.payloads()) for g in chunk.groups]
+        topics = [g.topic for g in chunk.groups]
+        others = iter(chunk.others)
+        for offset, i in zip(chunk.offsets, source.tolist()):
+            if i < 0:
+                _, sample, misfit = next(others)
+                yield offset, sample, misfit
             else:
-                try:
-                    sample, misfit = _decode_record(line, schemas)
-                except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
-                    if offset + len(line) >= size:
-                        end = "corrupt" if line.endswith(b"\n") else "truncated"
-                        warnings.warn(f"skipping {end} final record in {path}: {e}")
-                        return
-                    sample, misfit = None, str(e)
-            yield offset, sample, misfit
-            offset += len(line)
+                t, seq, payload = next(rows[i])
+                yield offset, TimedSample(topics[i], t, seq, payload), None
+        del chunk, rows, others  # not alive while the next chunk is judged
 
 
 def iter_samples(path):
@@ -337,7 +509,7 @@ def iter_samples(path):
     refuses raises CorruptBag once every record before it is yielded."""
     for offset, sample, misfit in _records(path):
         if misfit is not None:
-            raise CorruptBag(f"record at byte {offset} is refused: {misfit}")
+            raise _refused(offset, misfit)
         yield offset, sample
 
 

@@ -30,8 +30,16 @@ def _of_type(key: str, value, kind):
 
 
 def _like(key: str, value, default):
-    """value when it has the type of default (a float also takes an int)."""
-    return _of_type(key, value, _NUMBER if isinstance(default, float) else type(default))
+    """value when it has the type of default (a float also takes an int whose
+    float is finite)."""
+    if not isinstance(default, float):
+        return _of_type(key, value, type(default))
+    if isinstance(_of_type(key, value, _NUMBER), int):
+        try:
+            float(value)
+        except OverflowError:
+            raise PlanInvalid(f"config {key} is too large for a float: {value!r:.40}") from None
+    return value
 
 
 _GAZE_PARAMS = ("x_deg", "y_deg", "amplitude_deg", "velocity_deg_s")
@@ -80,15 +88,15 @@ def _finite(text: str) -> float:
 
 
 def load_config(path: str | None) -> dict:
-    """The config object in a JSON file; a file that is not UTF-8 JSON, holds
-    anything but an object, or holds a number that is not finite (NaN,
-    Infinity, 1e999), raises PlanInvalid."""
+    """The config object in a JSON file; a file that is not UTF-8 JSON, nests
+    too deeply to parse, holds anything but an object, or holds a number that
+    is not finite (NaN, Infinity, 1e999), raises PlanInvalid."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             cfg = json.load(fh, parse_float=_finite, parse_constant=_finite)
-        except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        except (ValueError, RecursionError) as e:  # UnicodeDecodeError or JSONDecodeError
             raise PlanInvalid(f"config {path} is not UTF-8 JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise PlanInvalid(f"config {path} is not a JSON object")

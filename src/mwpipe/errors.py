@@ -41,7 +41,7 @@ class InvalidRate(MwpipeError):
     pass
 
 
-class OverlapTooDense(MwpipeError):
+class OverlapTooDense(InvalidProfile):
     pass
 
 
@@ -49,7 +49,7 @@ class InvalidBase(MwpipeError):
     pass
 
 
-class OverlappingEvents(MwpipeError):
+class OverlappingEvents(InvalidProfile):
     pass
 
 

@@ -13,7 +13,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bag import iter_samples
+from .bag import judged_chunks
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
 from .features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
 from .session import SESSION_TOPICS
@@ -47,30 +47,43 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
                 gaze_thresholds=DEFAULT_THRESHOLDS) -> str:
     """Write the feature table of a bag to out_path and return that path. A
     record that does not fit its topic's schema raises CorruptBag."""
-    getters = {f"bio.{m}": (m, itemgetter(*t.fields)) for m, t in BIO_TOPICS.items()}
-    bio: dict[str, tuple[list, list]] = {}
+    bio_fields = {f"bio.{m}": (m, t.fields) for m, t in BIO_TOPICS.items()}
+    bio: dict[str, list] = {}  # modality -> [(times, values)] in bag order
     joined: dict[str, list[TimedSample]] = {t: [] for t in JOINED_COLUMNS}
-    for _, sample in iter_samples(bag_path):
-        getter = getters.get(sample.topic)
-        if getter is not None:
-            times, values = bio.setdefault(getter[0], ([], []))
-            times.append(sample.t_ns)
-            values.append(getter[1](sample.payload))
-        elif sample.topic in joined:
-            joined[sample.topic].append(sample)
+    for chunk in judged_chunks(bag_path):
+        refused = chunk.refusal()
+        if refused is not None:
+            raise refused
+        for group in chunk.groups:
+            if group.topic in bio_fields:
+                m, fields = bio_fields[group.topic]
+                columns = dict(zip(group.fields, group.columns))
+                values = [np.asarray(columns[f], dtype=float) for f in fields]
+                bio.setdefault(m, []).append(
+                    (group.t, values[0] if len(values) == 1 else np.column_stack(values)))
+            elif group.topic in joined:
+                joined[group.topic].extend(group.samples())
+        for _, sample, _ in chunk.others:
+            if sample.topic in bio_fields:
+                m, fields = bio_fields[sample.topic]
+                bio.setdefault(m, []).append((np.array([sample.t_ns], dtype=np.int64),
+                                              np.asarray([itemgetter(*fields)(sample.payload)],
+                                                         dtype=float)))
+            elif sample.topic in joined:
+                joined[sample.topic].append(sample)
 
     modalities = tuple(sorted(bio))
     rows: list = []
     if modalities:
-        t0 = min(times[0] for times, _ in (bio[m] for m in modalities))
-        end = max(
-            bio[m][0][-1] + round(NS_PER_S / BIO_TOPICS[m].rate_hz) for m in modalities
-        )
+        streams = {m: (np.concatenate([t for t, _ in bio[m]]),
+                       np.concatenate([v for _, v in bio[m]])) for m in modalities}
+        t0 = min(int(streams[m][0][0]) for m in modalities)
+        end = max(int(streams[m][0][-1]) + round(NS_PER_S / BIO_TOPICS[m].rate_hz)
+                  for m in modalities)
         pipeline = FeaturePipeline(len_s=window_s, stride_s=stride_s, t0_ns=t0,
                                    modalities=modalities, gaze_thresholds=gaze_thresholds)
         for m in modalities:
-            times, values = bio[m]
-            pipeline.feed(m, np.asarray(times, dtype=np.int64), np.asarray(values, dtype=float))
+            pipeline.feed(m, *streams[m])
         baseline = _baseline_interval(joined[META_TOPIC])
         if baseline is not None and baseline[1] <= end:
             rows.extend(pipeline.advance_to(baseline[1]))

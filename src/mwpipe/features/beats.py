@@ -9,13 +9,14 @@ discarded; fewer than two beats yields an empty interval list.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
-from scipy.signal import butter, sosfiltfilt
+from scipy.signal import butter, sosfilt, sosfilt_zi, sosfiltfilt
 
 from ..bus import NS_PER_S
 from .windowing import Window
@@ -49,8 +50,25 @@ class BeatSeries:
 
 
 @lru_cache(maxsize=8)
-def _bandpass_sos(lo: float, hi: float, fs: float):
-    return butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos")
+def _bandpass(lo: float, hi: float, fs: float):
+    """The band-pass sections, their sosfilt_zi and the odd-extension length
+    sosfiltfilt uses for them by default."""
+    sos = butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos")
+    ntaps = 2 * len(sos) + 1 - min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
+    return sos, sosfilt_zi(sos), 3 * int(ntaps)
+
+
+def _filtfilt(x: np.ndarray, lo: float, hi: float, fs: float) -> np.ndarray:
+    """sosfiltfilt(sos, x) of the band, bit for bit: the same odd extension
+    and the same two sosfilt passes, with zi and the pad length computed once
+    per band. A signal no longer than the pad goes to sosfiltfilt itself."""
+    sos, zi, edge = _bandpass(lo, hi, fs)
+    if len(x) <= edge:
+        return sosfiltfilt(sos, x)
+    ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x, 2 * x[-1:] - x[-2:-(edge + 2):-1]))
+    y, _ = sosfilt(sos, ext, zi=zi * ext[:1])
+    y, _ = sosfilt(sos, y[::-1], zi=zi * y[-1:])
+    return y[::-1][edge:-edge]
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -75,16 +93,20 @@ def _argmax_near(x: np.ndarray, idx: np.ndarray, half: int) -> np.ndarray:
 
 
 def _apply_refractory(indices: np.ndarray, fs: float) -> list[int]:
-    keep: list[int] = []
-    min_gap = REFRACTORY_S * fs
-    for i in indices:
-        if not keep or i - keep[-1] >= min_gap:
-            keep.append(int(i))
+    """Keep the first of the sorted indices, then each next one at least
+    REFRACTORY_S after the last kept."""
+    # An integer gap clears REFRACTORY_S * fs exactly when it clears its ceiling.
+    gap = math.ceil(REFRACTORY_S * fs)
+    if (np.diff(indices) >= gap).all():
+        return indices.tolist()
+    keep = [int(indices[0])]
+    while (j := int(np.searchsorted(indices, keep[-1] + gap))) < len(indices):
+        keep.append(int(indices[j]))
     return keep
 
 
 def _detect_ecg(x: np.ndarray, fs: float) -> list[int]:
-    xf = sosfiltfilt(_bandpass_sos(5.0, 25.0, fs), x)
+    xf = _filtfilt(x, 5.0, 25.0, fs)
     energy = (np.diff(xf) * fs) ** 2
     cands = np.array(_apply_refractory(_peaks_above_half_rollmax(energy, fs), fs), dtype=np.int64)
     # snap each detection to the R peak of the band-passed signal
@@ -93,7 +115,7 @@ def _detect_ecg(x: np.ndarray, fs: float) -> list[int]:
 
 
 def _detect_ppg(x: np.ndarray, fs: float) -> list[int]:
-    xf = sosfiltfilt(_bandpass_sos(0.5, 8.0, fs), x)
+    xf = _filtfilt(x, 0.5, 8.0, fs)
     cands = _peaks_above_half_rollmax(xf, fs)
     return _apply_refractory(cands[xf[cands] > 0], fs)
 

@@ -45,8 +45,11 @@ def window_quality(window: Window) -> float:
 
 
 def extract_window(window: Window, ppg_baseline_pa: float | None = None,
-                   gaze_thresholds: GazeThresholds = DEFAULT_THRESHOLDS) -> FeatureRow:
-    """Compute the catalog features for one window of any modality."""
+                   gaze_thresholds: GazeThresholds = DEFAULT_THRESHOLDS,
+                   ppg_memo: dict | None = None) -> FeatureRow:
+    """Compute the catalog features for one window of any modality. ppg_memo
+    is the per-beat memo of the window's PPG stream (see ppg_features); the
+    row is the same with or without it."""
     quality = window_quality(window)
     if quality < MIN_QUALITY:
         return FeatureRow(window.modality, window.t_end_ns, {}, quality)
@@ -57,7 +60,7 @@ def extract_window(window: Window, ppg_baseline_pa: float | None = None,
         values.update(hrv_frequency(beats))
     elif m == "ppg":
         beats = detect_beats(window)
-        values = ppg_features(window, beats, baseline_pa=ppg_baseline_pa)
+        values = ppg_features(window, beats, baseline_pa=ppg_baseline_pa, memo=ppg_memo)
     elif m == "resp":
         values = resp_features(window)
     elif m == "eda":
@@ -98,6 +101,7 @@ class FeaturePipeline:
     _windowers: dict = field(init=False)
     ppg_baseline_pa: float | None = field(default=None, init=False)
     _baseline_pa_samples: list = field(default_factory=list, init=False)
+    _ppg_memo: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         self._windowers = {
@@ -121,7 +125,8 @@ class FeaturePipeline:
         for m in self.modalities:
             for window in self._windowers[m].advance_to(watermark_ns):
                 row = extract_window(window, ppg_baseline_pa=self.ppg_baseline_pa,
-                                     gaze_thresholds=self.gaze_thresholds)
+                                     gaze_thresholds=self.gaze_thresholds,
+                                     ppg_memo=self._ppg_memo)
                 if m == "ppg" and self.ppg_baseline_pa is None and "digital_pa" in row.values:
                     self._baseline_pa_samples.append(row.values["digital_pa"])
                 rows.append(row)

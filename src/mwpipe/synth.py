@@ -134,6 +134,8 @@ class SynthProfile:
             raise InvalidProfile(f"pupil_base_mm outside [3, 6]: {self.pupil_base_mm}")
         if self.eda_tonic_uS <= 0:
             raise InvalidProfile(f"eda_tonic_uS must be positive: {self.eda_tonic_uS}")
+        _scr_events(self.scr_events)
+        validate_script(self.gaze_script)
         return self
 
 
@@ -330,11 +332,11 @@ def _scr_kernel_peak_s() -> float:
     return math.log(d / r) * r * d / (d - r)
 
 
-def gen_eda(profile: SynthProfile, duration_s: float | None = None) -> Waveform:
-    """Tonic level + slow drift + one biexponential bump per SCR event, 4 Hz."""
-    profile.validate()
-    dur = duration_s if duration_s is not None else profile.duration_s
-    events = [(float(t0), float(a0)) for t0, a0 in profile.scr_events]
+def _scr_events(scr_events) -> list[tuple[float, float]]:
+    """The (time_s, amplitude_uS) events as floats, if time-ordered, of
+    positive amplitude and at least 1 s apart; otherwise InvalidProfile or
+    OverlapTooDense."""
+    events = [(float(t0), float(a0)) for t0, a0 in scr_events]
     if events != sorted(events):
         raise InvalidProfile("scr_events must be time-ordered")
     for t0, a0 in events:
@@ -343,6 +345,14 @@ def gen_eda(profile: SynthProfile, duration_s: float | None = None) -> Waveform:
     for (t0, _), (t1, _) in zip(events, events[1:]):
         if t1 - t0 < 1.0:
             raise OverlapTooDense(f"SCR events at {t0} and {t1} closer than 1 s")
+    return events
+
+
+def gen_eda(profile: SynthProfile, duration_s: float | None = None) -> Waveform:
+    """Tonic level + slow drift + one biexponential bump per SCR event, 4 Hz."""
+    profile.validate()
+    dur = duration_s if duration_s is not None else profile.duration_s
+    events = _scr_events(profile.scr_events)
     n = int(dur * EDA_FS + 1e-9)
     t = np.arange(n) / EDA_FS
     x = profile.eda_tonic_uS + (profile.eda_drift_uS_per_min / 60.0) * t

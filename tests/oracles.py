@@ -101,6 +101,16 @@ def argmax_near_oracle(x, indices, half):
     return out
 
 
+def refractory_oracle(indices, fs, refractory_s=0.25):
+    """Greedy refractory: keep the first index, then each one at least
+    refractory_s * fs samples after the last kept."""
+    keep = []
+    for i in indices:
+        if not keep or i - keep[-1] >= refractory_s * fs:
+            keep.append(i)
+    return keep
+
+
 def sample_time_ns(t0_ns, index, fs_hz):
     """Time of sample `index` on a uniform grid, rounded per index (no drift):
     the reference for Waveform.times_ns."""

@@ -18,6 +18,7 @@ from mwpipe.bag import (
     _records,
     body_bytes,
     iter_samples,
+    judged_chunks,
     load_samples,
     read_manifest,
     replay,
@@ -395,6 +396,45 @@ def test_fast_decoder_matches_json_path(tmp_path_factory, t, seq, a, b):
     path = bag_with_lines(tmp_path_factory.mktemp("fast") / "f.bag", [line, GOOD_LINE])
     (_, got), _ = iter_samples(path)
     assert exact(got) == exact(reference_decode(line)[0])
+
+
+# Every kind, with optional fields present and absent.
+CODEC_TOPICS = {"k.all": {"f": "f64", "i": "i64", "b": "bool", "s": "str"},
+                "k.opt": {"a": "f64?", "n": "i64", "s": "str?", "z": "bool?", "q": "f64"},
+                "k.none": {"a": "f64?", "b": "f64?"}}
+CODEC_VALUES = {"f64": finite, "i64": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(),
+                "str": st.text(max_size=8)}
+
+
+@st.composite
+def codec_samples(draw):
+    topic = draw(st.sampled_from(sorted(CODEC_TOPICS)))
+    payload = {f: draw(CODEC_VALUES[kind.rstrip("?")])
+               for f, kind in CODEC_TOPICS[topic].items()
+               if not kind.endswith("?") or draw(st.booleans())}
+    return TimedSample(topic, draw(st.integers(-2**63, 2**63 - 1)),
+                       draw(st.integers(0, 2**63 - 1)), payload)
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.lists(codec_samples(), min_size=1, max_size=8))
+@example(samples=[
+    TimedSample("k.all", -2**63, 0, {"f": -0.0, "i": -2**63, "b": True,
+                                     "s": 'q"\\/\x00\x1f\x7f\n\u00e9\ud800\U0001f600'}),
+    TimedSample("k.opt", 2**63 - 1, 2**63 - 1, {"n": 0, "q": 5e-324}),
+    TimedSample("k.opt", 1, 1, {"a": 1e308, "n": -1, "s": "", "z": False,
+                                "q": -1.7976931348623157e308}),
+    TimedSample("k.none", 2, 2, {}),
+    TimedSample("k.none", 3, 3, {"b": 1e16}),
+])
+def test_writer_lines_decode_to_their_samples(tmp_path_factory, samples):
+    """Decoding what BagWriter writes gives back the samples, and every such
+    line is judged by its topic's compiled line, never by the reference."""
+    lines = [_record_line(s).encode() for s in samples]
+    path = bag_with_lines(tmp_path_factory.mktemp("codec") / "c.bag", lines, CODEC_TOPICS)
+    (chunk,) = judged_chunks(path)
+    assert chunk.others == []
+    assert [exact(s) for s in load_samples(path)] == [exact(s) for s in samples]
 
 
 PERTURBED = {

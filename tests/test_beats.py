@@ -1,15 +1,22 @@
+import re
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.signal import sosfiltfilt
 
 from mwpipe.features.beats import (
     BeatSeries,
+    _apply_refractory,
     _argmax_near,
+    _bandpass,
+    _filtfilt,
     _peaks_above_half_rollmax,
     detect_beats,
 )
 from mwpipe.features.windowing import Window, make_windows
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
-from oracles import argmax_near_oracle, half_rollmax_peaks_oracle
+from oracles import argmax_near_oracle, half_rollmax_peaks_oracle, refractory_oracle
 
 
 def windows_of(wf, len_s=30, stride_s=30):
@@ -96,3 +103,35 @@ def test_argmax_near_equals_the_loop_oracle(data, values, half):
     idx = data.draw(st.lists(st.integers(min_value=0, max_value=len(values) - 1), max_size=10))
     got = _argmax_near(np.array(values, dtype=float), np.array(idx, dtype=np.int64), half)
     assert got.tolist() == argmax_near_oracle(values, idx, half)
+
+
+@settings(max_examples=200)
+@given(values=st.lists(st.integers(min_value=0, max_value=300), max_size=40),
+       fs=st.sampled_from([1.008, 4.0, 64.0, 250.3, 252.0]))
+def test_apply_refractory_equals_the_loop_oracle(values, fs):
+    indices = np.array(sorted(values), dtype=np.int64)
+    assert _apply_refractory(indices, fs) == refractory_oracle(sorted(values), fs)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# The ECG and PPG bands at their sensor rates.
+BANDS = [(5.0, 25.0, 252.0), (0.5, 8.0, 64.0)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(band=st.sampled_from(BANDS),
+       values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=300))
+@example(band=BANDS[0], values=[1.0] * 15)  # no longer than the pad: sosfiltfilt refuses it
+@example(band=BANDS[0], values=[1.0, -2.0] * 8)
+def test_filtfilt_equals_sosfiltfilt_bit_for_bit(band, values):
+    x = np.array(values)
+    try:
+        expected = sosfiltfilt(_bandpass(*band)[0], x)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            _filtfilt(x, *band)
+        return
+    assert same_bits(_filtfilt(x, *band), expected)

@@ -166,6 +166,14 @@ def test_bad_config_file_is_a_command_line_error(runner, tmp_path):
     ("simulate", {"phase_profiles": {"run": {"pupil_base_mm": 9.0}}}),
     ("simulate", {"profile": {"st_base_c": 20}}),
     ("synth", {"rr_mean_ms": -5}),
+    ("simulate", {"baseline_s": 5, "interrun_s": 5, "run_timeout_s": 5,
+                  "phase_profiles": {"run": {"scr_events": [[2.0, -1.0]]}}}),
+    ("simulate", {"baseline_s": 5, "interrun_s": 5, "run_timeout_s": 5,
+                  "phase_profiles": {"run": {"scr_events": [[2.0, 0.1], [2.5, 0.1]]}}}),
+    ("simulate", {"baseline_s": 5, "interrun_s": 5, "run_timeout_s": 5,
+                  "profile": {"eda_tonic_uS": 10 ** 400}}),
+    ("synth", {"gaze_script": [{"kind": "fixation", "start_s": 0, "duration_s": 2},
+                               {"kind": "saccade", "start_s": 1, "duration_s": 0.05}]}),
 ])
 def test_profile_out_of_range_is_a_command_line_error(runner, tmp_path, command, config):
     cfg = tmp_path / "cfg.json"

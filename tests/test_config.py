@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mwpipe.bag import read_manifest, validate
 from mwpipe.config import (
@@ -8,7 +9,7 @@ from mwpipe.config import (
     plan_from_config,
     profile_from_config,
 )
-from mwpipe.errors import PlanInvalid
+from mwpipe.errors import MwpipeError, PlanInvalid
 from mwpipe.session import SessionPlan, run_session
 from mwpipe.synth import SynthProfile
 
@@ -160,6 +161,16 @@ BAD_CONFIGS = {
     "profile_rr_mean_negative": '{"profile": {"rr_mean_ms": -5}}',
     "profile_duration_1e300": '{"profile": {"duration_s": 1e300}}',
     "phase_profile_pupil_base_out_of_range": '{"phase_profiles": {"run": {"pupil_base_mm": 9.0}}}',
+    "profile_eda_tonic_401_digits": '{"profile": {"eda_tonic_uS": 1' + "0" * 400 + "}}",
+    "policy_value_401_digits": '{"policy": {"reaction_mean_s": 1' + "0" * 400 + "}}",
+    "scr_event_amplitude_negative": '{"profile": {"scr_events": [[2.0, -1.0]]}}',
+    "scr_events_closer_than_1s": '{"profile": {"scr_events": [[2.0, 0.1], [2.5, 0.1]]}}',
+    "scr_events_out_of_order": '{"phase_profiles": {"run": {"scr_events": [[5, 0.1], [2, 0.1]]}}}',
+    "gaze_events_overlap": ('{"profile": {"gaze_script": [{"kind": "fixation", "start_s": 0, '
+                            '"duration_s": 2}, {"kind": "fixation", "start_s": 1, '
+                            '"duration_s": 2}]}}'),
+    "gaze_event_kind_unknown": ('{"profile": {"gaze_script": [{"kind": "blink", "start_s": 0, '
+                                '"duration_s": 1}]}}'),
 }
 
 
@@ -169,3 +180,28 @@ def test_bad_config_is_plan_invalid(tmp_path, text):
     cfg.write_text(text)
     with pytest.raises(PlanInvalid):
         plan_from_config(load_config(str(cfg)))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(raw=st.one_of(st.binary(max_size=200),
+                     json_values.map(lambda v: json.dumps(v).encode()),
+                     st.integers(1, 5000).map(lambda n: b"[" * n + b"]" * n)))
+@example(raw=b"[" * 100_000)
+@example(raw=b'{"a": ' * 50_000)
+@example(raw=b"\xff\xfe{}")
+def test_load_config_parses_or_raises_plan_invalid(tmp_path_factory, raw):
+    """Any file gives a config object or an MwpipeError, in bounded time."""
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_bytes(raw)
+    try:
+        cfg = load_config(str(path))
+    except MwpipeError:
+        return
+    assert isinstance(cfg, dict)

@@ -1,10 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwpipe.bus import NS_PER_S
 from mwpipe.errors import TooManyInvalidSamples
-from mwpipe.features.beats import _local_maxima, detect_beats
+from mwpipe.features.beats import BeatSeries, _local_maxima, detect_beats
 from mwpipe.features.gaze import classify_gaze, gaze_features
 from mwpipe.features.ppg import _first_in, _trapezoid, ppg_features
 from mwpipe.features.windowing import Window, make_windows
@@ -92,6 +94,34 @@ def test_ppg_svri_against_frozen_baseline():
 
 # Small integers give plateaus and ties, where ">=" against ">" matters.
 @settings(max_examples=300)
+def float_bits(values: dict) -> dict:
+    return {k: struct.pack("<d", v) for k, v in values.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), steps=st.lists(st.integers(min_value=-3, max_value=3), min_size=40,
+                                      max_size=160),
+       len_n=st.integers(min_value=8, max_value=40),
+       stride_n=st.integers(min_value=1, max_value=12),
+       baseline_pa=st.none() | st.floats(0.5, 200.0))
+def test_ppg_memo_equals_uncached_on_random_beat_trains(data, steps, len_n, stride_n,
+                                                        baseline_pa):
+    """A memo carried over the windows of one stream gives the uncached
+    features in every window, whatever beats each window reports."""
+    fs = 64.0
+    x = np.cumsum(steps).astype(float)  # small steps: plateaus and ties
+    times = np.round(np.arange(len(x)) * (NS_PER_S / fs)).astype(np.int64)
+    train = sorted(data.draw(st.sets(st.integers(0, len(x) - 1), max_size=len(x) // 3)))
+    memo = {}
+    for w in make_windows(times, x, "ppg", fs, len_s=len_n / fs, stride_s=stride_n / fs):
+        in_window = [int(t) for t in times[train] if w.t_start_ns <= t < w.t_end_ns]
+        dropped = data.draw(st.sets(st.sampled_from(in_window), max_size=2)) if in_window else ()
+        beats = BeatSeries(np.array([t for t in in_window if t not in dropped], dtype=np.int64))
+        cached = ppg_features(w, beats, baseline_pa=baseline_pa, memo=memo)
+        assert float_bits(cached) == float_bits(ppg_features(w, beats, baseline_pa=baseline_pa))
+        assert all(key[0] >= w.t_start_ns for key in memo)
+
+
 @given(values=st.lists(st.integers(min_value=-3, max_value=3), max_size=30),
        lo=st.integers(min_value=-2, max_value=32), hi=st.integers(min_value=-2, max_value=32))
 def test_first_in_local_extrema_equals_the_loop_oracles(values, lo, hi):

@@ -4,7 +4,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mwpipe.bag import load_samples
 from mwpipe.bus import Bus, ManualClock, TopicDescriptor
@@ -209,3 +209,29 @@ def test_paced_serve_sends_each_frame_when_due(tmp_path):
     assert not server.is_alive()
     assert first_record_s < 0.5 < second_record_s
 
+
+
+# Streams near the frame format: headers that are digits, not digits, too
+# long or above the cap, with payloads shorter or longer than they say.
+frame_headers = st.one_of(
+    st.integers(0, 40).map(lambda n: b"%d" % n),
+    st.just(b"%d" % MAX_FRAME_BYTES), st.just(b"%d" % (MAX_FRAME_BYTES + 1)),
+    st.binary(max_size=12),
+)
+framed = st.lists(st.tuples(frame_headers, st.sampled_from([b"\n", b"", b"\r\n"]),
+                            st.binary(max_size=40)), max_size=6).map(
+    lambda parts: b"".join(h + nl + p for h, nl, p in parts))
+
+
+@settings(max_examples=300, deadline=2000)
+@given(stream=st.one_of(st.binary(max_size=300), framed),
+       sizes=st.lists(st.integers(1, 64), max_size=20))
+@example(stream=b"9" * 40 + b"\n", sizes=[])
+@example(stream=b"%d\nab" % MAX_FRAME_BYTES, sizes=[])
+def test_recv_frames_parses_or_raises_wire_error(stream, sizes):
+    """Any byte stream gives its frames or a WireError, in bounded time."""
+    try:
+        frames = list(recv_frames(ChunkedSocket(stream, sizes)))
+    except WireError:
+        return
+    assert b"".join(b"%d\n%b" % (len(f), f) for f in frames) == stream
