@@ -21,6 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -457,6 +458,15 @@ def _judge_chunk(data: bytes, offset: int, final: bool, path, schemas: dict,
                 break
             sample, misfit = None, str(e)
         others.append((row, sample, misfit))
+    # A topic with a decoded row here, such as a valid line spaced otherwise
+    # than BagWriter spaces it, has all its rows among the others.
+    decoded = {sample.topic for _, sample, _ in others if sample is not None}
+    if any(g.topic in decoded for g in groups):
+        for g in groups:
+            if g.topic in decoded:
+                others += zip(g.rows.tolist(), g.samples(), repeat(None))
+        groups = [g for g in groups if g.topic not in decoded]
+        others.sort(key=itemgetter(0))
     return Chunk(offsets, groups, others)
 
 
@@ -465,8 +475,9 @@ def judged_chunks(path):
     takes. The lines a topic's compiled line matches are judged column-wise,
     with its other rows in the chunk; every other line goes through
     _decode_record, and so does every row of a topic whose rows in the chunk
-    do not all match and fit. An undecodable final line is skipped with a
-    warning."""
+    do not all match and fit; a topic with a row among the others has all
+    its rows in the chunk there. An undecodable final line is skipped with
+    a warning."""
     schemas = {name: d.schema for name, d in manifest_topics(read_manifest(path)).items()}
     by_topic = _fast_decoders(schemas)
     scan = _scanner(by_topic)

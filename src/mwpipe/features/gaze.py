@@ -13,7 +13,6 @@ module-level config.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,23 +164,18 @@ def _classify_segment(x, y, times, fs, period_ns, th: GazeThresholds) -> list:
             labels[i:j] = _PSO
             events.append(make_event("pso", i, j))
 
-    # pursuit: sustained band speed with consistent heading; turn[k] is the
-    # heading change from sample k to k + 1 (elementwise, so a run's turns are
-    # a slice of the segment's)
+    # pursuit: sustained band speed with consistent heading
     band = ((labels == _UNSET) & (speed >= th.pursuit_min_deg_s)
             & (speed <= th.pursuit_max_deg_s))
-    runs = _runs(band)
-    if runs:
-        heading = np.degrees(np.arctan2(vy, vx))
+    for lo, hi in _runs(band):
+        heading = np.degrees(np.arctan2(vy[lo:hi], vx[lo:hi]))
         turn = np.abs((np.diff(heading) + 180.0) % 360.0 - 180.0)
-        big_turns = np.flatnonzero(turn >= th.pursuit_max_turn_deg).tolist()
-    for lo, hi in runs:
         sub_lo = lo
-        for k in big_turns[bisect_left(big_turns, lo):bisect_left(big_turns, hi - 1)]:
-            if dur_s(sub_lo, k + 1) >= th.min_event_s:
-                labels[sub_lo:k + 1] = _PURSUIT
-                events.append(make_event("pursuit", sub_lo, k + 1))
-            sub_lo = k + 1
+        for k in np.flatnonzero(turn >= th.pursuit_max_turn_deg).tolist():
+            if dur_s(sub_lo, lo + k + 1) >= th.min_event_s:
+                labels[sub_lo:lo + k + 1] = _PURSUIT
+                events.append(make_event("pursuit", sub_lo, lo + k + 1))
+            sub_lo = lo + k + 1
         if dur_s(sub_lo, hi) >= th.min_event_s:
             labels[sub_lo:hi] = _PURSUIT
             events.append(make_event("pursuit", sub_lo, hi))

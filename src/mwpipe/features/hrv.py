@@ -13,10 +13,9 @@ successive-difference family (rmssd, sdsd, pnnx, sd1, sd2, sdell).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
-from scipy.signal import ShortTimeFFT, get_window
+from scipy.signal import welch
 
 from .beats import BeatSeries
 
@@ -69,29 +68,15 @@ def hrv_stat_features(beats: BeatSeries) -> dict:
     return out
 
 
-@lru_cache(maxsize=64)
-def _welch_stft(nperseg: int, fs: float) -> ShortTimeFFT:
-    """The ShortTimeFFT scipy.signal.welch builds for Hann segments of
-    nperseg samples overlapping by half, scaled to a density."""
-    return ShortTimeFFT(get_window("hann", nperseg), nperseg - nperseg // 2, fs,
-                        fft_mode="onesided", mfft=nperseg, scale_to="psd", phase_shift=None)
-
-
 def band_powers(x: np.ndarray, fs: float, nperseg: int, bands) -> list[float]:
     """Power of x in each [lo, hi) band, in x's units squared.
 
-    Welch: Hann-windowed segments of nperseg (at most len(x)) samples
-    overlapping by half, each mean-removed, averaged into a density-scaled
-    periodogram whose bins in a band are summed and multiplied by the bin
-    width. The periodogram is scipy.signal.welch's, bit for bit: the steps
-    its csd takes, around a ShortTimeFFT built once per (nperseg, fs).
+    Welch: Hann-windowed segments of nperseg samples overlapping by half,
+    each mean-removed, averaged into a density-scaled periodogram whose
+    bins in a band are summed and multiplied by the bin width.
     """
-    stft = _welch_stft(nperseg, fs)
-    psd = stft.spectrogram(x, x, detr="constant", p0=0,
-                           p1=(len(x) - nperseg // 2) // stft.hop, k_offset=nperseg // 2)
-    psd[1:-1 if nperseg % 2 == 0 else None] *= 2  # one-sided: all but DC (and Nyquist)
-    psd = psd.mean(axis=-1) if psd.shape[-1] > 1 else psd[:, 0]
-    freqs = stft.f
+    freqs, psd = welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
+                       detrend="constant", scaling="density")
     df = freqs[1] - freqs[0] if len(freqs) > 1 else 0.0
     return [float(np.sum(psd[(freqs >= lo) & (freqs < hi)]) * df) for lo, hi in bands]
 

@@ -570,6 +570,19 @@ STRICT_READERS = {
 }
 
 
+def test_extract_keeps_file_order_around_a_non_canonical_line(tmp_path):
+    good = ecg_bag(tmp_path / "good.bag")
+    lines = good.read_bytes().splitlines(keepends=True)
+    # a valid line as json.dumps spaces it, among canonical lines of its
+    # topic: the last sample before the first window ends, at 30 s
+    lines[2 + 7559] = json.dumps(json.loads(lines[2 + 7559])).encode() + b"\n"
+    spaced = tmp_path / "spaced.bag"
+    spaced.write_bytes(b"".join(lines))
+    assert load_samples(spaced) == load_samples(good)
+    csv = [extract_csv(p, p.with_suffix(".csv")) for p in (good, spaced)]
+    assert open(csv[1], "rb").read() == open(csv[0], "rb").read()
+
+
 @pytest.mark.parametrize("read", STRICT_READERS.values(), ids=STRICT_READERS)
 def test_strict_readers_refuse_a_value_that_overflows(tmp_path, read):
     read(ecg_bag(tmp_path / "good.bag"))

@@ -15,12 +15,10 @@ from mwpipe.bus import NS_PER_S
 from mwpipe.features import BIO_TOPICS, FeaturePipeline
 from mwpipe.features.beats import _bandpass, _filtfilt, detect_beats
 from mwpipe.features.extract import extract_window
-from mwpipe.features.hrv import MAX_SEGMENT_S, TACHOGRAM_GRID_HZ, band_powers
 from mwpipe.features.ppg import ppg_features
 from mwpipe.features.windowing import make_windows
 from mwpipe.session import SessionPlan, StitchState, phase_waveforms, run_session
 from mwpipe.synth import SynthProfile
-from test_hrv import welch_band_powers
 
 
 def bits(values: dict) -> dict:
@@ -105,14 +103,14 @@ PINNED_PLAN = {"baseline_s": 120.0, "interrun_s": 60.0, "run_timeout_s": 120.0}
 
 @pytest.fixture(scope="module", params=[11, 23])
 def pinned_windows(request, tmp_path_factory) -> dict:
-    """Modality -> every 30 s / 1 s window of the pinned session's ECG, PPG
-    and respiration."""
+    """Modality -> every 30 s / 1 s window of the pinned session's ECG and
+    PPG."""
     path = tmp_path_factory.mktemp("pinned") / "session.bag"
     run_session(SessionPlan(seed=request.param, **PINNED_PLAN), path)
     parts: dict = {}
     for chunk in judged_chunks(path):
         for group in chunk.groups:
-            if group.topic in ("bio.ecg", "bio.ppg", "bio.resp"):
+            if group.topic in ("bio.ecg", "bio.ppg"):
                 parts.setdefault(group.topic[4:], []).append((group.t, group.columns[0]))
     return {m: make_windows(np.concatenate([t for t, _ in p]), np.concatenate([v for _, v in p]),
                             m, BIO_TOPICS[m].rate_hz)
@@ -139,24 +137,3 @@ def test_ppg_memo_equals_uncached_on_every_pinned_window(pinned_windows):
         assert all(key[0] >= w.t_start_ns for key in memo)
         reused += len(before & set(memo))
     assert reused > 751 * 20  # most beats of a window come from the memo
-
-
-def test_band_powers_equal_welch_on_every_pinned_window(pinned_windows):
-    """The respiration windows and the resampled tachogram of every ECG
-    window, as hrv_frequency and resp_features pass them."""
-    signals = []
-    for w in pinned_windows["resp"]:
-        x = np.asarray(w.values, dtype=float)
-        signals.append((x, w.fs_hz, min(len(x), int(w.span_s * w.fs_hz))))
-    for w in pinned_windows["ecg"]:
-        times_s, iv_ms = detect_beats(w).tachogram()
-        if len(iv_ms) >= 3 and times_s[-1] - times_s[0] >= 10.0:
-            grid = np.arange(times_s[0], times_s[-1] + 1e-12, 1.0 / TACHOGRAM_GRID_HZ)
-            x = np.interp(grid, times_s, iv_ms)
-            nperseg = min(len(x), int(MAX_SEGMENT_S * TACHOGRAM_GRID_HZ))
-            signals.append((x, TACHOGRAM_GRID_HZ, nperseg))
-    assert len(signals) > 1400
-    bands = ((0.003, 0.04), (0.04, 0.15), (0.15, 0.4), (0.05, 0.15), (0.15, 0.5))
-    for x, fs, nperseg in signals:
-        got, expected = band_powers(x, fs, nperseg, bands), welch_band_powers(x, fs, nperseg, bands)
-        assert np.array_equal(np.array(got).view(np.int64), np.array(expected).view(np.int64))
