@@ -19,7 +19,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -337,23 +337,35 @@ def _scanner(decoders: dict) -> re.Pattern:
     return re.compile(rb'\{"t":-?\d+,"topic":"(' + names + rb')"[^\n]*\n|[^\n]+\n?|\n')
 
 
-class Rows(NamedTuple):
+class Rows:
     """The rows of one topic in a chunk that its compiled line judged: the
-    row numbers within the chunk, t as int64, seq, and one list per field
-    (None where an optional field is absent). Every row fits the topic's
-    schema."""
+    row numbers within the chunk and t as int64. seq (a list) and columns
+    (one list per field, None where an optional field is absent) are parsed
+    from the lines' text when first read, so a reader that needs neither
+    parses neither. Every row fits the topic's schema."""
 
-    topic: str
-    fields: tuple
-    optional: bool  # whether any field is optional
-    rows: np.ndarray
-    t: np.ndarray
-    seq: list
-    columns: list
+    def __init__(self, dec: _Decoder, rows: np.ndarray, t: np.ndarray, texts: list):
+        """texts: the text of each row's seq, then of each row's value of
+        each field (None where an optional field is absent), a list each."""
+        self.topic, self.fields, self.optional = dec.name, dec.fields, any(dec.optional)
+        self.rows, self.t = rows, t
+        self._dec, self._texts = dec, texts
 
-    def payloads(self):
-        """The payload dict of each row, in row order, made as they are read."""
-        values = zip(*self.columns) if self.columns else repeat((), len(self.seq))
+    @functools.cached_property
+    def seq(self) -> list:
+        return list(map(int, self._texts[0]))
+
+    @functools.cached_property
+    def columns(self) -> list:
+        return [[_PARSE[kind](v) if v else None for v in text] if opt
+                else list(map(_PARSE[kind], text))
+                for kind, opt, text in zip(self._dec.kinds, self._dec.optional, self._texts[1:])]
+
+    def payloads(self, lo: int = 0, hi: int | None = None):
+        """The payload dict of each row from lo to hi, in row order, made as
+        they are read."""
+        hi = len(self.t) if hi is None else hi
+        values = zip(*[c[lo:hi] for c in self.columns]) if self.columns else repeat((), hi - lo)
         if self.optional:
             return ({f: v for f, v in zip(self.fields, vals) if v is not None}
                     for vals in values)
@@ -369,21 +381,35 @@ def _refused(offset: int, misfit: str) -> CorruptBag:
 
 
 class Chunk(NamedTuple):
-    """One judged chunk of a bag body: the byte offset of each line, the rows
-    the compiled lines judged (one Rows per topic) and every other row as
-    (row, sample, misfit) from _decode_record, in row order. All the rows of
-    a topic in a chunk are in its Rows, or all are among the others."""
+    """One judged chunk of a bag body: the piece of the file it was judged
+    from, the byte offset of each of its records, the rows the compiled
+    lines judged (one Rows per topic) and every other row as (row, sample,
+    misfit) from _decode_record, in row order. Row i is line i of the piece;
+    an undecodable final line of the file is no row. All the rows of a
+    topic in a chunk are in its Rows, or all are among the others."""
 
-    offsets: list
+    data: bytes
+    offsets: np.ndarray  # int64
     groups: list
     others: list
 
-    def refusal(self) -> CorruptBag | None:
-        """The error for the first row of this chunk that is refused."""
+    def refusal(self) -> tuple[int, CorruptBag] | None:
+        """The first row of this chunk that is refused, with its error."""
         for row, _, misfit in self.others:
             if misfit is not None:
-                return _refused(self.offsets[row], misfit)
+                return row, _refused(int(self.offsets[row]), misfit)
         return None
+
+
+def _surely_finite(columns: list) -> bool:
+    """Whether the texts of float columns, as _FLOAT matched them, are all
+    finite, known without parsing them: none is longer than 308 bytes, so
+    that an integer part holds at most 307 digits, and no exponent is
+    positive. An absent optional field is None."""
+    texts = list(filter(None, chain.from_iterable(columns)))
+    joined = b"".join(texts)
+    return (max(map(len, texts), default=0) <= 308 and b"E" not in joined
+            and joined.count(b"e") == joined.count(b"e-"))
 
 
 def _judge_rows(dec: _Decoder, rows: np.ndarray, lines: list) -> Rows | None:
@@ -399,16 +425,14 @@ def _judge_rows(dec: _Decoder, rows: np.ndarray, lines: list) -> Rows | None:
         t = np.array(list(map(int, parts[1::step])), dtype=np.int64)
     except OverflowError:
         return None
-    columns = []
-    for i, (kind, opt) in enumerate(zip(dec.kinds, dec.optional)):
-        parse, text = _PARSE[kind], parts[3 + i::step]
-        columns.append([parse(v) if v else None for v in text] if opt else list(map(parse, text)))
-    floats = [v for kind, column in zip(dec.kinds, columns) if kind == "f64"
-              for v in column if v is not None]
-    if not np.isfinite(np.array(floats, dtype=float)).all():
-        return None
-    return Rows(dec.name, dec.fields, any(dec.optional), rows, t,
-                list(map(int, parts[2::step])), columns)
+    texts = [parts[i::step] for i in range(2, step)]
+    group = Rows(dec, rows, t, texts)
+    floats = [i for i, kind in enumerate(dec.kinds) if kind == "f64"]
+    if not _surely_finite([texts[1 + i] for i in floats]):
+        values = [v for i in floats for v in group.columns[i] if v is not None]
+        if not np.isfinite(np.array(values, dtype=float)).all():
+            return None
+    return group
 
 
 def _body_pieces(fh):
@@ -434,7 +458,7 @@ def _judge_chunk(data: bytes, offset: int, final: bool, path, schemas: dict,
     lengths = np.fromiter(map(len, lines), np.int64, len(lines)) + 1
     if not ended:
         lengths[-1] -= 1
-    offsets = (offset + np.cumsum(lengths) - lengths).tolist()
+    offsets = offset + np.cumsum(lengths) - lengths
     codes = np.fromiter(map(code.__getitem__, topics), np.int64, len(topics))
     groups, fallback = [], []
     for k in np.unique(codes).tolist():
@@ -454,7 +478,7 @@ def _judge_chunk(data: bytes, offset: int, final: bool, path, schemas: dict,
             if final and last:
                 end = "corrupt" if ended else "truncated"
                 warnings.warn(f"skipping {end} final record in {path}: {e}")
-                offsets.pop()  # the final line is no record
+                offsets = offsets[:-1]  # the final line is no record
                 break
             sample, misfit = None, str(e)
         others.append((row, sample, misfit))
@@ -467,7 +491,7 @@ def _judge_chunk(data: bytes, offset: int, final: bool, path, schemas: dict,
                 others += zip(g.rows.tolist(), g.samples(), repeat(None))
         groups = [g for g in groups if g.topic not in decoded]
         others.sort(key=itemgetter(0))
-    return Chunk(offsets, groups, others)
+    return Chunk(data, offsets, groups, others)
 
 
 def judged_chunks(path):
@@ -505,7 +529,7 @@ def _records(path):
         rows = [zip(g.t.tolist(), g.seq, g.payloads()) for g in chunk.groups]
         topics = [g.topic for g in chunk.groups]
         others = iter(chunk.others)
-        for offset, i in zip(chunk.offsets, source.tolist()):
+        for offset, i in zip(chunk.offsets.tolist(), source.tolist()):
             if i < 0:
                 _, sample, misfit = next(others)
                 yield offset, sample, misfit
@@ -528,51 +552,125 @@ def load_samples(path) -> list[TimedSample]:
     return [s for _, s in iter_samples(path)]
 
 
-def paced_samples(path, rate: float | str = "max"):
-    """Iterator over a bag's (byte_offset, TimedSample) pairs, released in
-    wall-clock time.
+def paced_chunks(path, rate: float | str = "max"):
+    """Iterator over (chunk, lo, hi): the judged chunks of a bag, each as
+    ranges lo to hi of its rows, released in wall-clock time.
 
-    rate "max" skips pacing; a numeric rate scales inter-record wall-clock
-    delays by 1/rate. The rate is checked on the call, before the bag is read.
+    Every range holds at least one row. At rate "max" each chunk comes out
+    as one range. A numeric rate scales the delays between the records'
+    stamps by 1/rate: a range ends before the first row not yet due, and
+    the rest of the chunk follows once that row is due. A refused row has
+    no stamp and is never waited for. The rate is checked on the call,
+    before the bag is read.
     """
     if rate != "max" and not (isinstance(rate, (int, float)) and rate > 0):
         raise ValueError(f"rate must be positive or 'max': {rate!r}")
+    return _paced(judged_chunks(path), rate)
 
-    def paced():
-        start_wall = time.monotonic()
-        t0 = None
-        for offset, sample in iter_samples(path):
-            if rate != "max":
+
+def _paced(chunks, rate: float | str):
+    start_wall = time.monotonic()
+    t0 = None
+    for chunk in chunks:
+        lo, n = 0, len(chunk.offsets)
+        if rate != "max":
+            stamps = sorted([*chain.from_iterable(zip(g.rows.tolist(), g.t.tolist())
+                                                  for g in chunk.groups),
+                             *((row, s.t_ns) for row, s, misfit in chunk.others
+                               if misfit is None)])
+            for row, t in stamps:
                 if t0 is None:
-                    t0 = sample.t_ns
-                delay = start_wall + (sample.t_ns - t0) / 1e9 / rate - time.monotonic()
+                    t0 = t
+                delay = start_wall + (t - t0) / 1e9 / rate - time.monotonic()
                 if delay > 0:
+                    if row > lo:
+                        yield chunk, lo, row
+                        lo = row
                     time.sleep(delay)
-            yield offset, sample
-
-    return paced()
+        if lo < n:
+            yield chunk, lo, n
+        del chunk  # not alive while the next chunk is judged
 
 
 def replay(path, bus: Bus | None = None, rate: float | str = "max",
            retain: bool = False) -> Bus:
     """Republish a bag onto a bus, preserving stamps and per-topic seqs,
-    paced as paced_samples does. Downstream extraction over a replayed bag
-    matches the live run bit-exactly because records are reproduced verbatim.
+    paced as paced_chunks paces it. Downstream extraction over a replayed
+    bag matches the live run bit-exactly because records are reproduced
+    verbatim.
+
+    A chunk's judged rows of a topic whose fields are all required f64 go
+    out as Bus.publish_block blocks, as a live session publishes them, and
+    every other row through Bus.publish. Each topic's rows keep file order;
+    across topics the order of publishes is unspecified, as on the bus. A
+    refused record raises CorruptBag, and a record the bus refuses (on a
+    topic it lacks, or not after its topic's previous t) raises the bus's
+    error, once every record before it in the file is published.
 
     The bus keeps no history, so retain must be False; the keyword stays
     because perfbench's log_io workload passes retain=False.
     """
     if retain:
         raise ValueError("the bus keeps no topic history: retain must be False")
-    samples = paced_samples(path, rate)
+    chunks = paced_chunks(path, rate)
     descs = manifest_topics(read_manifest(path))
     if bus is None:
         bus = Bus(clock=ManualClock())
     for desc in descs.values():
         bus.open_topic(desc)
-    for _, sample in samples:
-        bus.publish(sample.topic, sample.payload, t_ns=sample.t_ns)
+    as_block = {name for name, d in descs.items()
+                if d.schema and all(kind == "f64" for kind in d.schema.values())}
+    for chunk, lo, hi in chunks:
+        refused = chunk.refusal()
+        stop = hi if refused is None else min(hi, refused[0])
+        for row, sample, _ in chunk.others:
+            if lo <= row < stop:
+                _publish_judged(bus, chunk.groups, lo, row, as_block)
+                bus.publish(sample.topic, sample.payload, t_ns=sample.t_ns)
+                lo = row + 1
+        _publish_judged(bus, chunk.groups, lo, stop, as_block)
+        if stop < hi:
+            raise refused[1]
+        del chunk  # not alive while the next chunk is judged
     return bus
+
+
+def _publish_judged(bus: Bus, groups: list, lo: int, hi: int, as_block: set):
+    """Publish the judged rows lo to hi of a chunk's groups, each topic's in
+    one call where it is in as_block. A row whose t is not after its topic's
+    previous t is published alone, once every row before it is, so that the
+    bus raises TimestampRegression for it after the same records."""
+    while lo < hi:
+        spans, cut = [], hi
+        for g in groups:
+            a, b = g.rows.searchsorted((lo, hi)).tolist()
+            if a == b:
+                continue
+            t = g.t[a:b]
+            last = bus.topic(g.topic).last_t_ns
+            late = np.flatnonzero(t[1:] <= t[:-1])
+            if last is not None and t[0] <= last:
+                cut = min(cut, int(g.rows[a]))
+            elif len(late):
+                cut = min(cut, int(g.rows[a + 1 + late[0]]))
+            spans.append((g, a, b))
+        for g, a, b in spans:
+            end = min(b, int(g.rows.searchsorted(cut)))
+            if a == end:
+                continue
+            if g.topic in as_block:
+                bus.publish_block(g.topic, g.t[a:end], np.array([c[a:end] for c in g.columns]))
+            else:
+                for t, payload in zip(g.t[a:end].tolist(), g.payloads(a, end)):
+                    bus.publish(g.topic, payload, t_ns=t)
+        if cut == hi:
+            return
+        for g, a, b in spans:
+            i = int(g.rows.searchsorted(cut))
+            if i < b and g.rows[i] == cut:
+                (payload,) = g.payloads(i, i + 1)
+                bus.publish(g.topic, payload, t_ns=int(g.t[i]))
+        lo = cut + 1
 
 
 @dataclass
@@ -599,53 +697,117 @@ class ValidationReport:
 
 def validate(path) -> ValidationReport:
     """Check magic, manifest/schema conformance, global t order, per-topic
-    (t, seq) contiguity, and nominal-rate gaps (> 2x the nominal period)."""
+    (t, seq) contiguity, and nominal-rate gaps (> 2x the nominal period).
+    Issues come in file order, and a record's in that order of checks."""
     report = ValidationReport()
     try:
         descs = manifest_topics(read_manifest(path))
     except (CorruptBag, OSError) as e:
         report.issues.append(ValidationIssue("header", "", str(e)))
         return report
-    last_global_t = None
-    last_seq: dict[str, int] = {}
-    last_t: dict[str, int] = {}
-    for offset, sample, misfit in _records(path):
-        if sample is None:
-            report.issues.append(ValidationIssue("parse", "", f"cannot decode: {misfit}", offset))
-            continue
-        report.records += 1
-        desc = descs.get(sample.topic)
-        if desc is None:
-            report.issues.append(ValidationIssue("manifest", sample.topic,
-                                                 "topic not in manifest", offset))
-            continue
-        if misfit is not None:
-            report.issues.append(ValidationIssue("schema", sample.topic, misfit, offset))
-        if last_global_t is not None and sample.t_ns < last_global_t:
-            report.issues.append(ValidationIssue(
-                "order", sample.topic,
-                f"t={sample.t_ns} after t={last_global_t}", offset))
-        last_global_t = max(last_global_t or sample.t_ns, sample.t_ns)
-        expect = last_seq.get(sample.topic, -1) + 1
-        if sample.seq != expect:
-            report.issues.append(ValidationIssue(
-                "seq", sample.topic,
-                f"seq {sample.seq} where {expect} expected", offset))
-        last_seq[sample.topic] = max(last_seq.get(sample.topic, -1), sample.seq)
-        prev_t = last_t.get(sample.topic)
-        if prev_t is not None:
-            if sample.t_ns <= prev_t:
-                report.issues.append(ValidationIssue(
-                    "topic-order", sample.topic,
-                    f"t={sample.t_ns} not after t={prev_t}", offset))
-            rate = desc.nominal_rate_hz
-            if rate and (sample.t_ns - prev_t) > 2e9 / rate:
-                report.issues.append(ValidationIssue(
-                    "gap", sample.topic,
-                    f"{(sample.t_ns - prev_t) / 1e9:.3f} s gap exceeds 2x nominal period",
-                    offset))
-        last_t[sample.topic] = sample.t_ns
+    checks = _Checks(descs)
+    for chunk in judged_chunks(path):
+        report.records += checks.chunk(chunk, report.issues)
+        del chunk  # not alive while the next chunk is judged
     return report
+
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+
+
+def _exact_ints(values: list) -> np.ndarray:
+    """values as int64, or as Python ints (dtype object) when one is the
+    int64 maximum or beyond the int64 range, so that a running maximum
+    plus 1 stays exact."""
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+    return column if column.max() < _INT64_MAX else column.astype(object)
+
+
+class _Checks:
+    """validate's checks, run over one judged chunk at a time as columns,
+    with what they carry from chunk to chunk: the greatest t so far, and
+    each topic's last t and greatest seq."""
+
+    def __init__(self, descs: dict):
+        self.descs = descs
+        self.max_t = _INT64_MIN  # no stamp is below it
+        self.last_t: dict[str, int] = {}
+        self.max_seq: dict[str, int] = {}
+
+    def chunk(self, chunk: Chunk, issues: list) -> int:
+        """Append the chunk's issues to issues; return its record count."""
+        self.at, self.found = chunk.offsets, []  # found: (row, rank of the check, issue)
+        streams = [(g.topic, g.rows, g.t, g.seq) for g in chunk.groups]
+        others: dict[str, list] = {}
+        for row, sample, misfit in chunk.others:
+            if sample is None:
+                self.flag(row, 0, "parse", "", f"cannot decode: {misfit}")
+            elif sample.topic not in self.descs:
+                self.flag(row, 0, "manifest", sample.topic, "topic not in manifest")
+            else:
+                if misfit is not None:
+                    self.flag(row, 0, "schema", sample.topic, misfit)
+                others.setdefault(sample.topic, []).append((row, sample.t_ns, sample.seq))
+        for topic, items in others.items():
+            rows, t, seq = zip(*items)
+            streams.append((topic, np.array(rows), np.array(t, dtype=np.int64), list(seq)))
+        if streams:
+            self.order(streams)
+        for stream in streams:
+            self.topic(*stream)
+        self.found.sort(key=itemgetter(0, 1))
+        issues += [issue for _, _, issue in self.found]
+        return len(self.at) - sum(sample is None for _, sample, _ in chunk.others)
+
+    def flag(self, row, rank: int, kind: str, topic: str, message: str):
+        self.found.append((int(row), rank, ValidationIssue(kind, topic, message, int(self.at[row]))))
+
+    def order(self, streams: list):
+        """Each record's t is at least every earlier one's."""
+        t = np.zeros(len(self.at), np.int64)
+        source = np.full(len(self.at), -1)
+        for k, (_, rows, times, _) in enumerate(streams):
+            t[rows] = times
+            source[rows] = k
+        rows = np.flatnonzero(source >= 0)
+        t = t[rows]
+        running = np.maximum.accumulate(np.concatenate(([self.max_t], t)))
+        for i in np.flatnonzero(t < running[:-1]).tolist():
+            self.flag(rows[i], 1, "order", streams[source[rows[i]]][0],
+                      f"t={t[i]} after t={running[i]}")
+        self.max_t = int(running[-1])
+
+    def topic(self, topic: str, rows: np.ndarray, t: np.ndarray, seq: list):
+        """seq one above the greatest before it on its topic, t after the
+        topic's previous t, and no gap over twice the nominal period."""
+        seq = _exact_ints([self.max_seq.get(topic, -1), *seq])
+        running = np.maximum.accumulate(seq)
+        expect = running[:-1] + 1
+        for i in np.flatnonzero(seq[1:] != expect).tolist():
+            self.flag(rows[i], 2, "seq", topic, f"seq {seq[i + 1]} where {expect[i]} expected")
+        self.max_seq[topic] = int(running[-1])
+        last = self.last_t.get(topic)
+        self.last_t[topic] = int(t[-1])
+        if last is None:
+            prev, t, rows = t[:-1], t[1:], rows[1:]
+        else:
+            prev = np.concatenate(([last], t[:-1]))
+        for i in np.flatnonzero(t <= prev).tolist():
+            self.flag(rows[i], 3, "topic-order", topic, f"t={t[i]} not after t={prev[i]}")
+        rate = self.descs[topic].nominal_rate_hz
+        limit = 2e9 / rate if rate and len(t) else math.inf
+        if limit < 2**64:
+            # t - prev > limit, exactly as with Python ints: for t > prev the
+            # difference fits in uint64, and an integer exceeds a float
+            # exactly when it exceeds the float's floor.
+            floor = np.uint64(math.floor(limit))
+            wide = (t > prev) & (t.view(np.uint64) - prev.view(np.uint64) > floor)
+            for i in np.flatnonzero(wide).tolist():
+                self.flag(rows[i], 4, "gap", topic,
+                          f"{(int(t[i]) - int(prev[i])) / 1e9:.3f} s gap exceeds 2x nominal period")
 
 
 def body_bytes(path) -> bytes:

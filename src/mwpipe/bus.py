@@ -35,7 +35,7 @@ NS_PER_S = 1_000_000_000
 # Half the 10 Hz telemetry period: one telemetry tick of slack.
 DEFAULT_ALIGN_TOLERANCE_NS = 50_000_000
 
-_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)+$")
+_NAME_RE = re.compile(r"[a-z0-9_]+(\.[a-z0-9_]+)+")
 
 # Schema field kinds. A trailing "?" marks the field optional.
 _KINDS = ("f64", "i64", "bool", "str")
@@ -87,7 +87,7 @@ class TopicDescriptor:
     nominal_rate_hz: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
+        if not isinstance(self.name, str) or not _NAME_RE.fullmatch(self.name):
             raise InvalidName(f"topic name must be dot-separated words: {self.name!r}")
         rate = self.nominal_rate_hz
         if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))

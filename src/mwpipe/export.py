@@ -53,7 +53,7 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
     for chunk in judged_chunks(bag_path):
         refused = chunk.refusal()
         if refused is not None:
-            raise refused
+            raise refused[1]
         for group in chunk.groups:
             if group.topic in bio_fields:
                 m, fields = bio_fields[group.topic]

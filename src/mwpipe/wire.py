@@ -10,23 +10,27 @@ record carrying that record's line from the bag verbatim, without its
 newline. For a bag BagWriter wrote, the frames after frame 0 are therefore
 its canonical record lines; a hand-written line that is valid but not
 canonical (extra whitespace, an integer in an f64 field) goes out as it
-was written. At rate "max" frames are sent in batches of at least 64 KiB;
-a paced stream sends each frame as soon as it is due.
-Batching changes how the stream is cut into writes, never its bytes.
+was written. The frames are cut straight from the judged chunks of the bag
+(bag.paced_chunks), so each line is read once. The records that are due go
+out in writes of up to _SEND_ROWS frames: at rate "max" a chunk (about
+128 KiB of lines) takes a few writes, and a paced stream writes its next
+records as soon as they are due. Batching changes how the stream is cut
+into writes, never its bytes.
 """
 
 from __future__ import annotations
 
 import socket
 
-from .bag import header_lines, paced_samples, read_manifest
+from .bag import header_lines, paced_chunks, read_manifest
 from .errors import WireError
 
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 # The longest header of a frame within MAX_FRAME_BYTES, newline excluded.
 _MAX_HEADER_BYTES = len(str(MAX_FRAME_BYTES))
-_SEND_BATCH_BYTES = 64 * 1024
 _RECV_BYTES = 64 * 1024
+# Records framed per write; a bound on the line and frame objects alive at once.
+_SEND_ROWS = 512
 
 
 def _frame(payload: bytes) -> bytes:
@@ -42,9 +46,10 @@ def send_frame(sock: socket.socket, payload: bytes):
 def recv_frames(sock: socket.socket):
     """Yield payload bytes per frame until the peer closes the stream.
 
-    A header that is not a decimal length, or a length above
-    MAX_FRAME_BYTES, raises WireError, and so does a close inside a frame,
-    in its header or its payload; a close between frames ends the stream.
+    A header that is not a decimal length as _frame writes it (digits
+    only, no leading zero), or a length above MAX_FRAME_BYTES, raises
+    WireError, and so does a close inside a frame, in its header or its
+    payload; a close between frames ends the stream.
     Each received byte is copied a bounded number of times.
     """
     buf = b""
@@ -64,7 +69,7 @@ def recv_frames(sock: socket.socket):
             pos = 0
             continue
         header = buf[pos:nl]
-        if not header.isdigit():
+        if not header.isdigit() or header.startswith(b"0") and header != b"0":
             raise WireError(f"frame header is not a decimal length: {header!r}")
         length = int(header)
         if length > MAX_FRAME_BYTES:
@@ -87,19 +92,31 @@ def recv_frames(sock: socket.socket):
         pos = end
 
 
+def _send_frames(conn: socket.socket, payloads: list):
+    """Send the frames of the given payloads in one write. A payload over
+    MAX_FRAME_BYTES raises WireError once those before it are sent."""
+    if payloads and max(map(len, payloads)) > MAX_FRAME_BYTES:
+        k = next(i for i, p in enumerate(payloads) if len(p) > MAX_FRAME_BYTES)
+        _send_frames(conn, payloads[:k])
+        _frame(payloads[k])  # raises WireError
+    parts = [b""] * (2 * len(payloads))
+    parts[::2] = map(b"%d\n".__mod__, map(len, payloads))
+    parts[1::2] = payloads
+    conn.sendall(b"".join(parts))
+
+
 def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
               rate: float | str = "max", ready=None) -> tuple:
     """Serve a bag's records as frames to one client; returns (host, port, n).
 
     The manifest is sent as frame 0. ready, when given, is a callable
     invoked with (host, port) once listening (used to synchronize tests).
-    A corrupt record raises CorruptBag once every record before it is sent.
+    A corrupt record raises CorruptBag, and a line too long for a frame
+    WireError, once every record before it is sent.
     """
-    samples = paced_samples(path, rate)
+    chunks = paced_chunks(path, rate)
     read_manifest(path)  # raises on a bad header before we bind
     manifest_line = header_lines(path)[1].rstrip(b"\r\n")
-    # Paced, each frame goes out at once, so none waits behind a pacing sleep.
-    batch_bytes = _SEND_BATCH_BYTES if rate == "max" else 0
     srv = socket.create_server((host, port))
     bound = srv.getsockname()
     if ready is not None:
@@ -107,20 +124,20 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
     conn, _ = srv.accept()
     sent = 0
     try:
-        out = bytearray(_frame(manifest_line))
-        with open(path, "rb") as fh:
-            try:
-                for offset, _ in samples:
-                    fh.seek(offset)
-                    out += _frame(fh.readline().rstrip(b"\n"))
-                    sent += 1
-                    if len(out) >= batch_bytes:
-                        conn.sendall(out)
-                        out.clear()
-            finally:
-                # At the end, and before an error such as CorruptBag leaves,
-                # the client gets every frame built so far.
-                conn.sendall(out)
+        conn.sendall(_frame(manifest_line))
+        for chunk, lo, hi in chunks:
+            refused = chunk.refusal()
+            stop = hi if refused is None else min(hi, refused[0])
+            at = chunk.offsets
+            for a in range(lo, stop, _SEND_ROWS):
+                b = min(a + _SEND_ROWS, stop)
+                end = at[b] - at[0] if b < len(at) else len(chunk.data)
+                lines = chunk.data[at[a] - at[0]:end].split(b"\n")[:b - a]
+                _send_frames(conn, lines)
+                sent += len(lines)
+            if stop < hi:
+                raise refused[1]
+            del chunk  # not alive while the next chunk is judged
     finally:
         conn.close()
         srv.close()

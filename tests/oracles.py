@@ -1,10 +1,16 @@
 """Independent brute-force oracles, kept deliberately naive.
 
 Pure-python loop implementations of the definitional formulas, written
-without numpy so they share nothing with the library code they check.
+without numpy so they share nothing with the library code they check. The
+bag reader oracles at the end are the exception: they read records through
+the library's own per-record verdict.
 """
 
 import math
+
+from mwpipe.bag import (ValidationIssue, ValidationReport, _records, header_lines,
+                        iter_samples, manifest_topics, read_manifest)
+from mwpipe.errors import CorruptBag, WireError
 
 
 def hrv_oracle(intervals_ms):
@@ -115,3 +121,87 @@ def sample_time_ns(t0_ns, index, fs_hz):
     """Time of sample `index` on a uniform grid, rounded per index (no drift):
     the reference for Waveform.times_ns."""
     return t0_ns + round(index * 1_000_000_000 / fs_hz)
+
+
+# -- the per-record bag readers ------------------------------------------------
+#
+# validate, replay and serve_bag as loops over one record at a time. They
+# take the same per-record verdict as the library (bag._records), so they
+# check what the columnar readers do with it, not the judge.
+
+
+def validate_oracle(path):
+    """bag.validate, record by record in file order."""
+    report = ValidationReport()
+    try:
+        descs = manifest_topics(read_manifest(path))
+    except (CorruptBag, OSError) as e:
+        report.issues.append(ValidationIssue("header", "", str(e)))
+        return report
+    last_global_t = None
+    last_seq = {}
+    last_t = {}
+    for offset, sample, misfit in _records(path):
+        if sample is None:
+            report.issues.append(ValidationIssue("parse", "", f"cannot decode: {misfit}", offset))
+            continue
+        report.records += 1
+        desc = descs.get(sample.topic)
+        if desc is None:
+            report.issues.append(ValidationIssue("manifest", sample.topic,
+                                                 "topic not in manifest", offset))
+            continue
+        if misfit is not None:
+            report.issues.append(ValidationIssue("schema", sample.topic, misfit, offset))
+        if last_global_t is not None and sample.t_ns < last_global_t:
+            report.issues.append(ValidationIssue(
+                "order", sample.topic,
+                f"t={sample.t_ns} after t={last_global_t}", offset))
+        last_global_t = sample.t_ns if last_global_t is None else max(last_global_t, sample.t_ns)
+        expect = last_seq.get(sample.topic, -1) + 1
+        if sample.seq != expect:
+            report.issues.append(ValidationIssue(
+                "seq", sample.topic,
+                f"seq {sample.seq} where {expect} expected", offset))
+        last_seq[sample.topic] = max(last_seq.get(sample.topic, -1), sample.seq)
+        prev_t = last_t.get(sample.topic)
+        if prev_t is not None:
+            if sample.t_ns <= prev_t:
+                report.issues.append(ValidationIssue(
+                    "topic-order", sample.topic,
+                    f"t={sample.t_ns} not after t={prev_t}", offset))
+            rate = desc.nominal_rate_hz
+            if rate and (sample.t_ns - prev_t) > 2e9 / rate:
+                report.issues.append(ValidationIssue(
+                    "gap", sample.topic,
+                    f"{(sample.t_ns - prev_t) / 1e9:.3f} s gap exceeds 2x nominal period",
+                    offset))
+        last_t[sample.topic] = sample.t_ns
+    return report
+
+
+def replay_oracle(path, bus):
+    """bag.replay at rate "max", one Bus.publish per record in file order."""
+    for desc in manifest_topics(read_manifest(path)).values():
+        bus.open_topic(desc)
+    for _, sample in iter_samples(path):
+        bus.publish(sample.topic, sample.payload, t_ns=sample.t_ns)
+    return bus
+
+
+def serve_bag_oracle(path, max_frame_bytes):
+    """The payloads serve_bag sends for a bag, manifest first, and the error
+    it ends with (None once every record is sent): each record's line is
+    read again from the file at the offset iter_samples gives it."""
+    frames = [header_lines(path)[1].rstrip(b"\r\n")]
+    try:
+        with open(path, "rb") as fh:
+            for offset, _ in iter_samples(path):
+                fh.seek(offset)
+                line = fh.readline().rstrip(b"\n")
+                if len(line) > max_frame_bytes:
+                    raise WireError(f"frame of {len(line)} bytes exceeds {max_frame_bytes}")
+                frames.append(line)
+    except (CorruptBag, WireError) as e:
+        return frames, e
+    return frames, None

@@ -5,11 +5,15 @@ import struct
 import threading
 import time
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mwpipe.bag as mbag
+import mwpipe.wire as mwire
 from mwpipe.bag import (
     BagWriter,
     _decode_record,
@@ -17,6 +21,7 @@ from mwpipe.bag import (
     _record_line,
     _records,
     body_bytes,
+    header_lines,
     iter_samples,
     judged_chunks,
     load_samples,
@@ -24,11 +29,14 @@ from mwpipe.bag import (
     replay,
     validate,
 )
-from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor, canonical_payload
-from mwpipe.errors import CorruptBag, UnknownMagic
+from mwpipe.bus import (Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor,
+                        canonical_payload)
+from mwpipe.errors import CorruptBag, MwpipeError, UnknownMagic, WireError
 from mwpipe.export import extract_csv
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
-from mwpipe.wire import serve_bag
+from mwpipe.wire import recv_frames, serve_bag
+
+from oracles import replay_oracle, serve_bag_oracle, validate_oracle
 
 
 def small_bus():
@@ -95,7 +103,10 @@ def test_replay_preserves_samples_and_seqs(tmp_path):
     seen = []
     bus.add_listener(seen.append)
     assert replay(path, bus=bus, rate="max") is bus
-    assert seen == load_samples(path)
+    # The bus leaves cross-topic order unspecified: each topic's stream,
+    # every block expanded, is the bag's.
+    assert any(isinstance(item, SampleBlock) for item in seen)
+    assert topic_streams(seen) == topic_streams(load_samples(path))
 
 
 def test_replay_takes_retain_false_only(tmp_path):
@@ -356,9 +367,11 @@ DECODE_TOPICS = {"t.a": {"v": "f64"}, "t.o": {"v": "f64?"}, "f.x": {"a": "f64", 
 GOOD_LINE = b'{"t":0,"topic":"t.a","seq":0,"data":{"v":1.5}}\n'
 
 
-def bag_with_lines(path, lines, topics=DECODE_TOPICS):
+def bag_with_lines(path, lines, topics=DECODE_TOPICS, rates=None):
+    rates = rates or {}
     manifest = {"format": "MWBAG1",
-                "topics": [{"name": n, "schema": s} for n, s in topics.items()]}
+                "topics": [{"name": n, "schema": s, "nominal_rate_hz": rates.get(n)}
+                           for n, s in topics.items()]}
     with open(path, "wb") as fh:
         fh.write(b"MWBAG1\n" + json.dumps(manifest).encode() + b"\n" + b"".join(lines))
     return path
@@ -580,7 +593,7 @@ def test_extract_keeps_file_order_around_a_non_canonical_line(tmp_path):
     spaced.write_bytes(b"".join(lines))
     assert load_samples(spaced) == load_samples(good)
     csv = [extract_csv(p, p.with_suffix(".csv")) for p in (good, spaced)]
-    assert open(csv[1], "rb").read() == open(csv[0], "rb").read()
+    assert Path(csv[1]).read_bytes() == Path(csv[0]).read_bytes()
 
 
 @pytest.mark.parametrize("read", STRICT_READERS.values(), ids=STRICT_READERS)
@@ -708,3 +721,216 @@ def test_block_bag_equals_one_by_one_bag(tmp_path_factory, script_and_flushes):
     published = sorted((t, name, seq) for name in BLOCK_TOPICS for seq, t in
                        enumerate(t for n, times, _ in script if n == name for t in times))
     assert [(s.t_ns, s.topic, s.seq) for s in samples] == published
+
+
+# -- the columnar readers against the per-record oracles --------------------------
+
+READER_RATES = {"t.a": 10.0, "f.x": 3.0, "t.o": 1e9}
+# Stamps that tie, that are a gap apart at 3 Hz (666666666.67 ns) or not, and
+# at the int64 limits, where a difference overflows int64.
+STAMPS = st.one_of(st.integers(0, 3 * 10**9), st.integers(-2**63, 2**63 - 1),
+                   st.sampled_from([-2**63, -2**63 + 1, 0, 666_666_666, 666_666_667,
+                                    1_333_333_333, 2**63 - 2, 2**63 - 1]))
+SEQS = st.one_of(st.integers(-1, 4), st.sampled_from([2**63 - 2, 2**63 - 1, 2**63, 10**25]))
+
+
+def fuzz_payload(draw, topic):
+    return {f: draw(FUZZ_VALUES[kind.rstrip("?")]) for f, kind in FUZZ_TOPICS[topic].items()
+            if not kind.endswith("?") or draw(st.booleans())}
+
+
+@st.composite
+def reader_bodies(draw):
+    """The body of a bag: BagWriter lines of a clean session, with its
+    stamps near 0 or near an int64 limit, then perturbed: records given
+    another t, seq or an unknown topic, lines spaced as json.dumps spaces
+    them, lines replaced or inserted from PERTURBED, and a final line that
+    may be cut short."""
+    t = draw(st.sampled_from([0, 2**63 - 10**10, -2**63]))
+    samples = []
+    for _ in range(draw(st.integers(0, 20))):
+        topic = draw(st.sampled_from(sorted(FUZZ_TOPICS)))
+        t = min(t + draw(st.integers(0, 10**9)), 2**63 - 1)
+        seq = sum(s.topic == topic for s in samples)
+        samples.append(TimedSample(topic, t, seq, fuzz_payload(draw, topic)))
+    for _ in range(draw(st.integers(0, 3))):
+        if not samples:
+            break
+        i = draw(st.integers(0, len(samples) - 1))
+        what = draw(st.sampled_from(["t", "seq", "topic"]))
+        if what == "t":
+            samples[i] = samples[i]._replace(t_ns=draw(STAMPS))
+        elif what == "seq":
+            samples[i] = samples[i]._replace(seq=draw(SEQS))
+        else:
+            samples[i] = samples[i]._replace(topic="z.z")
+    lines = [_record_line(s).encode() for s in samples]
+    for i in draw(st.sets(st.integers(0, max(len(lines) - 1, 0)), max_size=2)):
+        if lines:
+            lines[i] = json.dumps(json.loads(lines[i])).encode() + b"\n"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        line = draw(st.sampled_from(list(PERTURBED.values())))
+        if draw(st.booleans()):
+            lines.insert(i, line)
+        elif i < len(lines):
+            lines[i] = line
+    tail = draw(st.one_of(st.just(b""), writer_lines().map(lambda line: line[:-1]),
+                          writer_lines().map(lambda line: line[:len(line) // 2]),
+                          st.binary(min_size=1, max_size=20)))
+    return lines + [tail]
+
+
+def reader_bag(directory, body):
+    return bag_with_lines(directory / "r.bag", body, FUZZ_TOPICS, READER_RATES)
+
+
+def topic_streams(items):
+    """Topic -> its samples, in the order seen, from TimedSamples and the
+    rows of SampleBlocks."""
+    streams = {}
+    for item in items:
+        if isinstance(item, SampleBlock):
+            rows = [TimedSample(item.topic, t, item.seq0 + i, dict(zip(item.fields, values)))
+                    for i, (t, *values) in enumerate(zip(item.times_ns.tolist(),
+                                                         *item.columns.tolist()))]
+        else:
+            rows = [item]
+        for sample in rows:
+            streams.setdefault(sample.topic, []).append(exact(sample))
+    return streams
+
+
+def replay_outcome(path, run):
+    """Each topic's stream a listener sees while run(path, bus) replays a
+    bag, with the error it ends with, as (type, message)."""
+    bus = Bus(clock=ManualClock())
+    seen = []
+    bus.add_listener(seen.append)
+    error = None
+    try:
+        run(path, bus)
+    except MwpipeError as e:
+        error = type(e), str(e)
+    return topic_streams(seen), error
+
+
+def serve_outcome(path):
+    """The payloads one client receives from serve_bag, with the error
+    serve_bag ends with, as (type, message)."""
+    bound, outcome = {}, {}
+    ready = threading.Event()
+
+    def on_ready(host, port):
+        bound["addr"] = (host, port)
+        ready.set()
+
+    def serve():
+        try:
+            serve_bag(path, port=0, ready=on_ready)
+        except Exception as e:  # any error is the outcome, not a lost thread
+            outcome["error"] = type(e), str(e)
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(5.0)
+    with socket.create_connection(bound["addr"], timeout=5.0) as sock:
+        frames = list(recv_frames(sock))
+    server.join(timeout=5.0)
+    assert not server.is_alive()
+    return frames, outcome.get("error")
+
+
+def reader_outputs(path):
+    """What validate, replay, serve_bag and extract_csv make of a bag."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an unreadable final line is skipped with a warning
+        try:
+            csv = Path(extract_csv(path, path.with_suffix(".csv"))).read_bytes()
+        except CorruptBag as e:
+            csv = str(e)
+        return (validate(path), replay_outcome(path, lambda p, bus: replay(p, bus=bus)),
+                serve_outcome(path), csv)
+
+
+def chunked(path, share: float):
+    """Chunks of a share of the body, from one line each (share 0) up to
+    the whole body in one (share 1), while the context is open."""
+    return mock.patch.object(mbag, "_CHUNK_BYTES", 1 + int(share * len(body_bytes(path))))
+
+
+# Each drawn chunk size, applied to the library and its oracle alike, puts
+# other records first in a chunk, where what a reader carries over counts.
+@settings(max_examples=200, deadline=None)
+@given(body=reader_bodies(), share=st.floats(0, 1))
+def test_validate_equals_the_record_loop(tmp_path_factory, body, share):
+    path = reader_bag(tmp_path_factory.mktemp("validate"), body)
+    with warnings.catch_warnings(), chunked(path, share):
+        warnings.simplefilter("ignore")
+        assert validate(path) == validate_oracle(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=reader_bodies(), share=st.floats(0, 1))
+def test_replay_equals_the_record_loop(tmp_path_factory, body, share):
+    path = reader_bag(tmp_path_factory.mktemp("replay"), body)
+    with warnings.catch_warnings(), chunked(path, share):
+        warnings.simplefilter("ignore")
+        assert (replay_outcome(path, lambda p, bus: replay(p, bus=bus))
+                == replay_outcome(path, replay_oracle))
+
+
+@settings(max_examples=100, deadline=None)
+@given(body=reader_bodies(), share=st.floats(0, 1))
+def test_serve_bag_equals_the_record_loop(tmp_path_factory, body, share):
+    path = reader_bag(tmp_path_factory.mktemp("serve"), body)
+    with warnings.catch_warnings(), chunked(path, share):
+        warnings.simplefilter("ignore")
+        frames, error = serve_bag_oracle(path, mwire.MAX_FRAME_BYTES)
+        assert serve_outcome(path) == (frames, error and (type(error), str(error)))
+
+
+def test_serve_bag_stops_at_a_line_too_long_for_a_frame(tmp_path):
+    lines = [_record_line(TimedSample("m.x", i, i, {"n": i, "s": "x" * (600 if i == 3 else 1),
+                                                    "ok": True})).encode() for i in range(6)]
+    path = bag_with_lines(tmp_path / "long.bag", lines, FUZZ_TOPICS)
+    cap = len(header_lines(path)[1])  # the manifest fits, the long line does not
+    with mock.patch.object(mwire, "MAX_FRAME_BYTES", cap):
+        frames, error = serve_outcome(path)
+        expected, oracle_error = serve_bag_oracle(path, cap)
+    assert frames == expected == [expected[0]] + [line[:-1] for line in lines[:3]]
+    assert error == (WireError, str(oracle_error))
+
+
+def test_validate_keeps_the_running_max_after_a_zero_stamp(tmp_path):
+    topics = {"a.x": {"v": "f64"}, "b.x": {"v": "f64"}, "c.x": {"v": "f64"}}
+    lines = [_record_line(TimedSample(topic, t, 0, {"v": 0.0})).encode()
+             for topic, t in (("a.x", 0), ("b.x", -5), ("c.x", -3))]
+    path = bag_with_lines(tmp_path / "zero.bag", lines, topics)
+    report = validate(path)
+    assert [(i.kind, i.topic, i.message) for i in report.issues] == [
+        ("order", "b.x", "t=-5 after t=0"), ("order", "c.x", "t=-3 after t=0")]
+    assert report == validate_oracle(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=reader_bodies(), share=st.floats(0, 1))
+def test_readers_do_not_depend_on_the_chunk_size(tmp_path_factory, body, share):
+    """From one line a chunk up to the whole body in one."""
+    path = reader_bag(tmp_path_factory.mktemp("chunks"), body)
+    with chunked(path, share):
+        cut = reader_outputs(path)
+    assert cut == reader_outputs(path)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 300, 4096])
+def test_extract_does_not_depend_on_the_chunk_size(tmp_path, chunk_bytes):
+    path = ecg_bag(tmp_path / "ecg.bag")
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2 + 4000] = json.dumps(json.loads(lines[2 + 4000])).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    whole = Path(extract_csv(path, tmp_path / "whole.csv")).read_bytes()
+    with mock.patch.object(mbag, "_CHUNK_BYTES", chunk_bytes):
+        cut = Path(extract_csv(path, tmp_path / "cut.csv")).read_bytes()
+    assert cut == whole
+    assert whole.count(b"\n") > 1

@@ -53,7 +53,7 @@ def test_open_topic_rover_schema():
     assert h.desc.nominal_rate_hz == 10.0
 
 
-@pytest.mark.parametrize("bad", ["", "noslash", "Bad.Caps", "a..b", ".a.b", "a.b."])
+@pytest.mark.parametrize("bad", ["", "noslash", "Bad.Caps", "a..b", ".a.b", "a.b.", "a.b\n"])
 def test_invalid_names(bad):
     with pytest.raises(InvalidName):
         TopicDescriptor(bad, {"v": "f64"}, 1.0)
