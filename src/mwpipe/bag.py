@@ -123,11 +123,14 @@ class BagWriter:
     timestamp order.
 
     flush_until(w) may be called whenever the orchestrator can guarantee no
-    future publish carries t < w (e.g. at watermarks/phase boundaries); the
-    manifest is written on the first flush so the file stays readable after
-    abnormal termination. A block from Bus.publish_block is kept as the
-    publisher's arrays until its rows are written, so those arrays must not
-    change after publishing.
+    future publish carries t < w; a record that breaks that raises
+    CorruptBag on the next flush. What is buffered, and so the writer's
+    memory, is what was published since the last flush: a session flushes
+    every 10 s of session time and at each phase end. The manifest is
+    written on the first flush so the file stays readable after abnormal
+    termination. A block from Bus.publish_block is kept as the publisher's
+    arrays until its rows are written, so those arrays must not change
+    after publishing.
     """
 
     def __init__(self, path, bus: Bus, session_meta: dict | None = None):

@@ -16,6 +16,7 @@ import bisect
 import math
 import numbers
 import re
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -91,8 +92,8 @@ class TopicDescriptor:
             raise InvalidName(f"topic name must be dot-separated words: {self.name!r}")
         rate = self.nominal_rate_hz
         if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
-                                 or not rate > 0):
-            raise InvalidName(f"nominal_rate_hz must be positive: {rate!r}")
+                                 or not 0 < rate <= sys.float_info.max):
+            raise InvalidName(f"nominal_rate_hz must be positive and finite: {rate!r:.40}")
         if not isinstance(self.schema, Mapping):
             raise InvalidName(f"schema must map field names to kinds: {self.schema!r}")
         for fname, kind in self.schema.items():

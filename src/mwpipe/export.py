@@ -5,22 +5,47 @@ nearest simulator telemetry and difficulty markers, and writes one UTF-8
 comma-separated file. Output is a pure function of the bag bytes and the
 parameters: columns are ordered lexicographically, floats are serialized
 with shortest round-trip decimals, and absent values are empty cells.
+
+The bag is read one judged chunk at a time, so memory is bounded by a
+window, a chunk and the join tolerance, not by the bag. Each chunk's bio
+rows feed one FeaturePipeline, which advances as far as the bag's order
+makes safe. A row is joined once the records read are past its end by more
+than the tolerance, and goes to a spool file beside out_path. The header
+depends on which modalities and joined topics the whole bag holds, so it is
+settled at the end, and only then is out_path written from the spool.
+
+This rests on the bag's order: a bio or joined record whose t is below that
+of an earlier record of those topics raises CorruptBag, and no CSV is
+written.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+import json
+import math
+import os
+import tempfile
+from bisect import bisect_left
+from itertools import takewhile
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .bag import judged_chunks
+from .bag import Chunk, judged_chunks
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
+from .errors import CorruptBag
 from .features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
 from .session import SESSION_TOPICS
 
 # Topic -> {payload field: CSV column} of every topic joined onto the rows.
 JOINED_COLUMNS = {t.name: t.columns for t in SESSION_TOPICS if t.columns}
 META_TOPIC = "sim.meta"
+_BIO = {f"bio.{m}": (m, t.fields) for m, t in BIO_TOPICS.items()}
+# Every column a row can fill. A CSV's header is the part of it that the
+# bag's topics settle, in the same order.
+_ALL_COLUMNS = sorted({f"{m}.{c}" for m, names in FEATURE_CATALOG.items()
+                       for c in (*names, "quality")}
+                      | {c for columns in JOINED_COLUMNS.values() for c in columns.values()})
 
 
 def _fmt(value) -> str:
@@ -31,96 +56,170 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _baseline_interval(meta_samples) -> tuple | None:
-    start = None
-    for s in meta_samples:
-        phase = s.payload.get("phase")
-        if start is None and phase == "baseline":
-            start = s.t_ns
-        elif start is not None and phase != "baseline":
-            return start, s.t_ns
-    return None
-
-
 def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.0,
                 align_tolerance_ns: int = DEFAULT_ALIGN_TOLERANCE_NS,
                 gaze_thresholds=DEFAULT_THRESHOLDS) -> str:
     """Write the feature table of a bag to out_path and return that path. A
-    record that does not fit its topic's schema raises CorruptBag."""
-    bio_fields = {f"bio.{m}": (m, t.fields) for m, t in BIO_TOPICS.items()}
-    bio: dict[str, list] = {}  # modality -> [(times, values)] in bag order
-    joined: dict[str, list[TimedSample]] = {t: [] for t in JOINED_COLUMNS}
-    for chunk in judged_chunks(bag_path):
+    record that does not fit its topic's schema, or a bio or joined record
+    out of order, raises CorruptBag."""
+    spool_dir = os.path.dirname(os.path.abspath(out_path))
+    with tempfile.TemporaryFile("w+", encoding="ascii", dir=spool_dir) as spool:
+        table = _Table(window_s, stride_s, align_tolerance_ns, gaze_thresholds, spool)
+        for chunk in judged_chunks(bag_path):
+            table.read(chunk)
+            del chunk  # not alive while the next chunk is judged
+        table.finish()
+        columns = set()
+        for m in table.modalities:
+            columns.update(f"{m}.{feat}" for feat in FEATURE_CATALOG[m])
+            columns.add(f"{m}.quality")
+        for topic in table.joined_seen:
+            columns.update(JOINED_COLUMNS[topic].values())
+        ordered = sorted(columns)
+        picks = [0] + [1 + _ALL_COLUMNS.index(c) for c in ordered]
+        spool.seek(0)
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(["t_end_ns"] + ordered) + "\n")
+            for line in spool:
+                cells = json.loads(line)
+                fh.write(",".join([cells[i] for i in picks]) + "\n")
+    return str(out_path)
+
+
+class _Table:
+    """What extract_csv carries from one judged chunk to the next: the
+    pipeline, the rows it emitted that are not yet joined, and the joined
+    samples that such a row or a later one may still join."""
+
+    def __init__(self, window_s, stride_s, tolerance_ns, gaze_thresholds, spool):
+        self.pipeline_args = dict(len_s=window_s, stride_s=stride_s,
+                                  gaze_thresholds=gaze_thresholds)
+        self.tolerance_ns = tolerance_ns
+        self.spool = spool
+        self.pipeline: FeaturePipeline | None = None
+        self.max_t = -2**63  # greatest t read of the bio and joined topics
+        self.watermark = None  # where the pipeline was last advanced to
+        self.end = -2**63  # greatest last t + one period of any modality so far
+        self.modalities: set[str] = set()
+        self.joined_seen: set[str] = set()
+        self.joined: dict[str, list[TimedSample]] = {t: [] for t in JOINED_COLUMNS}
+        self.rows: dict[int, dict] = {}  # t_end -> cells, in t_end order
+        self.in_baseline = False
+        self.baseline_end = None
+
+    def read(self, chunk: Chunk):
+        groups = {g.topic: g for g in chunk.groups if g.topic in _BIO or g.topic in self.joined}
+        others: dict[str, list] = {}
+        for row, sample, misfit in chunk.others:
+            if misfit is None and (sample.topic in _BIO or sample.topic in self.joined):
+                others.setdefault(sample.topic, []).append((row, sample))
+        self.check_order(chunk, [(g.rows, g.t) for g in groups.values()]
+                         + [(np.array([r for r, _ in items]),
+                             np.array([s.t_ns for _, s in items], dtype=np.int64))
+                            for items in others.values()])
+
+        joined = {t: g.samples() for t, g in groups.items() if t in self.joined}
+        joined.update((t, [s for _, s in items]) for t, items in others.items()
+                      if t in self.joined)
+        for topic, samples in joined.items():
+            self.joined[topic] += samples
+            self.joined_seen.add(topic)
+        if self.baseline_end is None and META_TOPIC in joined:
+            self.read_phases(joined[META_TOPIC])
+
+        bio = {}  # modality -> (first row, times, values)
+        for topic, g in groups.items():
+            if topic in _BIO:
+                m, fields = _BIO[topic]
+                columns = dict(zip(g.fields, g.columns))
+                values = [np.asarray(columns[f], dtype=float) for f in fields]
+                bio[m] = (int(g.rows[0]), g.t,
+                          values[0] if len(values) == 1 else np.column_stack(values))
+        for topic, items in others.items():
+            if topic in _BIO:
+                m, fields = _BIO[topic]
+                bio[m] = (items[0][0], np.array([s.t_ns for _, s in items], dtype=np.int64),
+                          np.asarray([itemgetter(*fields)(s.payload) for _, s in items],
+                                     dtype=float))
+        if not bio and self.pipeline is None:
+            self.trim()
+            return
+        if self.pipeline is None:
+            _, times, _ = min(bio.values(), key=itemgetter(0))  # the first bio record's
+            self.pipeline = FeaturePipeline(t0_ns=int(times[0]),
+                                            baseline_end_ns=self.baseline_end, **self.pipeline_args)
+        for m, (_, times, values) in bio.items():
+            self.pipeline.feed(m, times, values)
+            self.modalities.add(m)
+            end = int(times[-1]) + round(NS_PER_S / BIO_TOPICS[m].rate_hz)
+            self.end = max(self.end, end)
+        self.advance(min(self.max_t, self.end))
+        self.join(self.max_t - self.tolerance_ns)
+        self.trim()
+
+    def check_order(self, chunk: Chunk, streams: list):
+        """Raise the chunk's first refusal or order fault, whichever comes
+        first in the file; else carry the greatest t on."""
         refused = chunk.refusal()
+        if streams:
+            rows = np.concatenate([r for r, _ in streams])
+            order = np.argsort(rows)
+            rows, t = rows[order], np.concatenate([t for _, t in streams])[order]
+            running = np.maximum.accumulate(np.concatenate(([self.max_t], t)))
+            late = np.flatnonzero(t < running[:-1])
+            if len(late) and rows[late[0]] < (math.inf if refused is None else refused[0]):
+                i = late[0]
+                raise CorruptBag(f"record at byte {int(chunk.offsets[rows[i]])} is out of "
+                                 f"order: t={t[i]} after t={running[i]}")
+            self.max_t = int(running[-1])
         if refused is not None:
             raise refused[1]
-        for group in chunk.groups:
-            if group.topic in bio_fields:
-                m, fields = bio_fields[group.topic]
-                columns = dict(zip(group.fields, group.columns))
-                values = [np.asarray(columns[f], dtype=float) for f in fields]
-                bio.setdefault(m, []).append(
-                    (group.t, values[0] if len(values) == 1 else np.column_stack(values)))
-            elif group.topic in joined:
-                joined[group.topic].extend(group.samples())
-        for _, sample, _ in chunk.others:
-            if sample.topic in bio_fields:
-                m, fields = bio_fields[sample.topic]
-                bio.setdefault(m, []).append((np.array([sample.t_ns], dtype=np.int64),
-                                              np.asarray([itemgetter(*fields)(sample.payload)],
-                                                         dtype=float)))
-            elif sample.topic in joined:
-                joined[sample.topic].append(sample)
 
-    modalities = tuple(sorted(bio))
-    rows: list = []
-    if modalities:
-        streams = {m: (np.concatenate([t for t, _ in bio[m]]),
-                       np.concatenate([v for _, v in bio[m]])) for m in modalities}
-        t0 = min(int(streams[m][0][0]) for m in modalities)
-        end = max(int(streams[m][0][-1]) + round(NS_PER_S / BIO_TOPICS[m].rate_hz)
-                  for m in modalities)
-        pipeline = FeaturePipeline(len_s=window_s, stride_s=stride_s, t0_ns=t0,
-                                   modalities=modalities, gaze_thresholds=gaze_thresholds)
-        for m in modalities:
-            pipeline.feed(m, *streams[m])
-        baseline = _baseline_interval(joined[META_TOPIC])
-        if baseline is not None and baseline[1] <= end:
-            rows.extend(pipeline.advance_to(baseline[1]))
-            pipeline.freeze_baseline_from_observations()
-        rows.extend(pipeline.advance_to(end))
+    def read_phases(self, meta: list[TimedSample]):
+        """Find where sim.meta first leaves the baseline phase."""
+        for s in meta:
+            phase = s.payload.get("phase")
+            if not self.in_baseline:
+                self.in_baseline = phase == "baseline"
+            elif phase != "baseline":
+                self.baseline_end = s.t_ns
+                if self.pipeline is not None:
+                    self.pipeline.baseline_end_ns = s.t_ns
+                return
 
-    table: dict[int, dict[str, object]] = {}
-    for row in rows:
-        cells = table.setdefault(row.t_end_ns, {})
-        for k, v in row.values.items():
-            cells[f"{row.modality}.{k}"] = v
-        cells[f"{row.modality}.quality"] = row.quality
+    def advance(self, watermark_ns: int):
+        self.watermark = watermark_ns
+        for row in self.pipeline.advance_to(watermark_ns):
+            cells = self.rows.setdefault(row.t_end_ns, {})
+            for k, v in row.values.items():
+                cells[f"{row.modality}.{k}"] = v
+            cells[f"{row.modality}.quality"] = row.quality
 
-    t_ends = sorted(table)
-    anchors = [TimedSample("rows", t, i, {}) for i, t in enumerate(t_ends)]
-    frames = align_nearest_samples(anchors, joined, align_tolerance_ns) if anchors else []
-    for t_end, frame in zip(t_ends, frames):
-        cells = table[t_end]
-        for topic, (sample, _) in frame.joined.items():
-            for f, column in JOINED_COLUMNS[topic].items():
-                cells[column] = sample.payload[f]
+    def join(self, until):
+        """Join the rows that end before until, oldest first, and spool them."""
+        t_ends = list(takewhile(lambda t_end: t_end < until, self.rows))
+        if not t_ends:
+            return
+        anchors = [TimedSample("rows", t, i, {}) for i, t in enumerate(t_ends)]
+        for t_end, frame in zip(t_ends, align_nearest_samples(anchors, self.joined,
+                                                              self.tolerance_ns)):
+            cells = self.rows.pop(t_end)
+            for topic, (sample, _) in frame.joined.items():
+                for f, column in JOINED_COLUMNS[topic].items():
+                    cells[column] = sample.payload[f]
+            self.spool.write(json.dumps([str(t_end)] + [
+                _fmt(cells[c]) if c in cells else "" for c in _ALL_COLUMNS]) + "\n")
 
-    columns: set[str] = set()
-    for m in modalities:
-        columns.update(f"{m}.{feat}" for feat in FEATURE_CATALOG[m])
-        columns.add(f"{m}.quality")
-    for topic, fields in JOINED_COLUMNS.items():
-        if joined[topic]:
-            columns.update(fields.values())
-    ordered = sorted(columns)
+    def trim(self):
+        """Drop the joined samples more than the tolerance before the oldest
+        row still to join: its nearest sample is never one of them."""
+        oldest = next(iter(self.rows), self.max_t if self.watermark is None else self.watermark)
+        cutoff = oldest - self.tolerance_ns
+        for samples in self.joined.values():
+            del samples[:bisect_left(samples, cutoff, key=attrgetter("t_ns"))]
 
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["t_end_ns"] + ordered) + "\n")
-        for t_end in t_ends:
-            cells = table[t_end]
-            line = [str(t_end)] + [
-                _fmt(cells[c]) if c in cells else "" for c in ordered
-            ]
-            fh.write(",".join(line) + "\n")
-    return str(out_path)
+    def finish(self):
+        """Advance to the end of the streams and join every row left."""
+        if self.pipeline is not None:
+            self.advance(self.end)
+        self.join(math.inf)

@@ -88,9 +88,15 @@ class FeaturePipeline:
     Feed raw sample blocks per modality, then advance_to(watermark) to
     collect every newly complete row, serialized by (t_end, modality) so
     emission onto feature topics respects the bus ordering contract.
-    The PPG baseline is frozen once via freeze_baseline_from_observations
-    (when a session's baseline phase completes) and is 1.0-equivalent until
-    then.
+
+    The PPG baseline is frozen once, at baseline_end_ns: the first
+    advance_to that reaches it advances to it, freezes the baseline as the
+    mean pulse amplitude of the PPG rows that end by then (when that mean is
+    positive), then goes on. Rows up to the freeze use no baseline. A live
+    session sets baseline_end_ns to the end of its baseline phase; export
+    sets it once it reads where sim.meta leaves the baseline phase, which
+    the bag's order puts before any record past that time. None never
+    freezes.
     """
 
     len_s: float = 30.0
@@ -98,8 +104,10 @@ class FeaturePipeline:
     t0_ns: int = 0
     modalities: tuple = tuple(BIO_TOPICS)
     gaze_thresholds: GazeThresholds = DEFAULT_THRESHOLDS
+    baseline_end_ns: int | None = None
     _windowers: dict = field(init=False)
     ppg_baseline_pa: float | None = field(default=None, init=False)
+    _frozen: bool = field(default=False, init=False)
     _baseline_pa_samples: list = field(default_factory=list, init=False)
     _ppg_memo: dict = field(default_factory=dict, init=False)
 
@@ -112,22 +120,27 @@ class FeaturePipeline:
     def feed(self, modality: str, times_ns, values):
         self._windowers[modality].feed(times_ns, values)
 
-    def freeze_baseline_from_observations(self):
-        """Freeze the baseline PA as the mean over rows observed so far,
-        when that mean is positive."""
-        if self._baseline_pa_samples and self.ppg_baseline_pa is None:
+    def advance_to(self, watermark_ns: int) -> list[FeatureRow]:
+        end = self.baseline_end_ns
+        if self._frozen or end is None or watermark_ns < end:
+            return self._advance(watermark_ns)
+        rows = self._advance(end)
+        self._frozen = True
+        if self._baseline_pa_samples:
             pa = float(np.mean(self._baseline_pa_samples))
             if pa > 0:
                 self.ppg_baseline_pa = pa
+        self._baseline_pa_samples = []
+        return rows + self._advance(watermark_ns)
 
-    def advance_to(self, watermark_ns: int) -> list[FeatureRow]:
+    def _advance(self, watermark_ns: int) -> list[FeatureRow]:
         rows = []
         for m in self.modalities:
             for window in self._windowers[m].advance_to(watermark_ns):
                 row = extract_window(window, ppg_baseline_pa=self.ppg_baseline_pa,
                                      gaze_thresholds=self.gaze_thresholds,
                                      ppg_memo=self._ppg_memo)
-                if m == "ppg" and self.ppg_baseline_pa is None and "digital_pa" in row.values:
+                if m == "ppg" and not self._frozen and "digital_pa" in row.values:
                     self._baseline_pa_samples.append(row.values["digital_pa"])
                 rows.append(row)
         rows.sort(key=lambda r: (r.t_end_ns, r.modality))

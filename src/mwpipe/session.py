@@ -39,6 +39,10 @@ from .synth import (
 TICK_NS = round(DT_S * NS_PER_S)
 TICK_HZ = 1 / DT_S
 
+# The bag is flushed every _FLUSH_TICKS ticks (10 s of session time) and at
+# every phase end, so the writer buffers at most that much of the session.
+_FLUSH_TICKS = 100
+
 TLX_SCALES = ("mental", "physical", "temporal", "performance", "effort", "frustration")
 
 TLX_BASE = {
@@ -310,7 +314,9 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
         "run_timeout_s": plan.run_timeout_s,
     })
     writer.start()
-    pipeline = FeaturePipeline(t0_ns=0, gaze_thresholds=plan.gaze_thresholds)
+    # the baseline phase never ends early, so its end is known now
+    pipeline = FeaturePipeline(t0_ns=0, gaze_thresholds=plan.gaze_thresholds,
+                               baseline_end_ns=round(plan.baseline_s / DT_S) * TICK_NS)
 
     phases = [("baseline", None)]
     for i, level in enumerate(plan.run_order):
@@ -397,6 +403,12 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                     bus.publish(topics["sim.comms"], payload, t_ns=tick_t)
                 bus.clock.advance_to(tick_end)
                 _publish_feature_rows(bus, topics, pipeline.advance_to(tick_end))
+                if (k + 1) % _FLUSH_TICKS == 0:
+                    # Safe: the feature rows up to tick_end are published, and
+                    # every later publish carries t >= tick_end (bio samples
+                    # and sim.* from the next tick on, feature rows at later
+                    # window ends, survey.tlx at the phase end).
+                    writer.flush_until(tick_end)
                 if is_run:
                     trace.append(TickRecord(state, action, events))
                     if run_end(sim, state, action) is not None:
@@ -411,8 +423,6 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                 bus.publish(topics["survey.tlx"], tlx.as_payload(), t_ns=phase_end)
                 run_records.append(RunRecord(run_index, level, outcome, tlx,
                                              phase_start, phase_end))
-            if phase_name == "baseline":
-                pipeline.freeze_baseline_from_observations()
             stitch = streams.carry_out((phase_end - phase_start) / NS_PER_S, stitch)
             phase_spans.append((phase_name, phase_start, phase_end))
             writer.flush_until(phase_end)

@@ -2,15 +2,22 @@
 
 Pure-python loop implementations of the definitional formulas, written
 without numpy so they share nothing with the library code they check. The
-bag reader oracles at the end are the exception: they read records through
-the library's own per-record verdict.
+bag reader oracles and the batch export at the end are the exception: they
+read records through the library's own verdicts, and the export computes
+features with the library's own pipeline.
 """
 
 import math
+from operator import itemgetter
+
+import numpy as np
 
 from mwpipe.bag import (ValidationIssue, ValidationReport, _records, header_lines,
-                        iter_samples, manifest_topics, read_manifest)
+                        iter_samples, judged_chunks, manifest_topics, read_manifest)
+from mwpipe.bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
 from mwpipe.errors import CorruptBag, WireError
+from mwpipe.export import JOINED_COLUMNS, META_TOPIC, _fmt
+from mwpipe.features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
 
 
 def hrv_oracle(intervals_ms):
@@ -205,3 +212,107 @@ def serve_bag_oracle(path, max_frame_bytes):
     except (CorruptBag, WireError) as e:
         return frames, e
     return frames, None
+
+
+# -- the batch feature-table export ---------------------------------------------
+
+
+def _baseline_interval(meta_samples):
+    start = None
+    for s in meta_samples:
+        phase = s.payload.get("phase")
+        if start is None and phase == "baseline":
+            start = s.t_ns
+        elif start is not None and phase != "baseline":
+            return start, s.t_ns
+    return None
+
+
+def extract_csv_oracle(bag_path, out_path, window_s=30.0, stride_s=1.0,
+                       align_tolerance_ns=DEFAULT_ALIGN_TOLERANCE_NS,
+                       gaze_thresholds=DEFAULT_THRESHOLDS):
+    """export.extract_csv as one batch over the whole bag: every bio column,
+    joined sample and feature row is held until the end. The pipeline only
+    knows the modalities the bag holds, and the PPG baseline is frozen by
+    hand from the rows that end where sim.meta leaves the baseline phase,
+    when the streams reach that far."""
+    bio_fields = {f"bio.{m}": (m, t.fields) for m, t in BIO_TOPICS.items()}
+    bio = {}  # modality -> [(times, values)] in bag order
+    joined = {t: [] for t in JOINED_COLUMNS}
+    for chunk in judged_chunks(bag_path):
+        refused = chunk.refusal()
+        if refused is not None:
+            raise refused[1]
+        for group in chunk.groups:
+            if group.topic in bio_fields:
+                m, fields = bio_fields[group.topic]
+                columns = dict(zip(group.fields, group.columns))
+                values = [np.asarray(columns[f], dtype=float) for f in fields]
+                bio.setdefault(m, []).append(
+                    (group.t, values[0] if len(values) == 1 else np.column_stack(values)))
+            elif group.topic in joined:
+                joined[group.topic].extend(group.samples())
+        for _, sample, _ in chunk.others:
+            if sample.topic in bio_fields:
+                m, fields = bio_fields[sample.topic]
+                bio.setdefault(m, []).append((np.array([sample.t_ns], dtype=np.int64),
+                                              np.asarray([itemgetter(*fields)(sample.payload)],
+                                                         dtype=float)))
+            elif sample.topic in joined:
+                joined[sample.topic].append(sample)
+
+    modalities = tuple(sorted(bio))
+    rows = []
+    if modalities:
+        streams = {m: (np.concatenate([t for t, _ in bio[m]]),
+                       np.concatenate([v for _, v in bio[m]])) for m in modalities}
+        t0 = min(int(streams[m][0][0]) for m in modalities)
+        end = max(int(streams[m][0][-1]) + round(NS_PER_S / BIO_TOPICS[m].rate_hz)
+                  for m in modalities)
+        pipeline = FeaturePipeline(len_s=window_s, stride_s=stride_s, t0_ns=t0,
+                                   modalities=modalities, gaze_thresholds=gaze_thresholds)
+        for m in modalities:
+            pipeline.feed(m, *streams[m])
+        baseline = _baseline_interval(joined[META_TOPIC])
+        if baseline is not None and baseline[1] <= end:
+            rows.extend(pipeline.advance_to(baseline[1]))
+            pas = [r.values["digital_pa"] for r in rows
+                   if r.modality == "ppg" and "digital_pa" in r.values]
+            if pas and float(np.mean(pas)) > 0:
+                pipeline.ppg_baseline_pa = float(np.mean(pas))
+        rows.extend(pipeline.advance_to(end))
+
+    table = {}
+    for row in rows:
+        cells = table.setdefault(row.t_end_ns, {})
+        for k, v in row.values.items():
+            cells[f"{row.modality}.{k}"] = v
+        cells[f"{row.modality}.quality"] = row.quality
+
+    t_ends = sorted(table)
+    anchors = [TimedSample("rows", t, i, {}) for i, t in enumerate(t_ends)]
+    frames = align_nearest_samples(anchors, joined, align_tolerance_ns) if anchors else []
+    for t_end, frame in zip(t_ends, frames):
+        cells = table[t_end]
+        for topic, (sample, _) in frame.joined.items():
+            for f, column in JOINED_COLUMNS[topic].items():
+                cells[column] = sample.payload[f]
+
+    columns = set()
+    for m in modalities:
+        columns.update(f"{m}.{feat}" for feat in FEATURE_CATALOG[m])
+        columns.add(f"{m}.quality")
+    for topic, fields in JOINED_COLUMNS.items():
+        if joined[topic]:
+            columns.update(fields.values())
+    ordered = sorted(columns)
+
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["t_end_ns"] + ordered) + "\n")
+        for t_end in t_ends:
+            cells = table[t_end]
+            line = [str(t_end)] + [
+                _fmt(cells[c]) if c in cells else "" for c in ordered
+            ]
+            fh.write(",".join(line) + "\n")
+    return str(out_path)

@@ -169,6 +169,13 @@ def bag_with_topics(entries: bytes) -> bytes:
             b'{"t":0,"topic":"a.b","seq":0,"data":{"v":1.0}}\n')
 
 
+def bag_with_rate(rate: bytes) -> bytes:
+    """A bag with two records on topic a.b of the given nominal rate, so that
+    validate's gap check reads the rate."""
+    return (bag_with_topics(b'{"name":"a.b","schema":{"v":"f64"},"nominal_rate_hz":%s}' % rate)
+            + b'{"t":1,"topic":"a.b","seq":1,"data":{"v":1.0}}\n')
+
+
 MALFORMED_HEADERS = {
     "magic_not_utf8": b"\xffMWBAG1\n{}\n",
     "manifest_is_list": b"MWBAG1\n[1,2]\n",
@@ -181,6 +188,8 @@ MALFORMED_HEADERS = {
     "vec_kind": bag_with_topics(b'{"name":"a.b","schema":{"v":"vec"}}'),
     "negative_rate": bag_with_topics(b'{"name":"a.b","schema":{"v":"f64"},"nominal_rate_hz":-1}'),
     "rate_not_number": bag_with_topics(b'{"name":"a.b","nominal_rate_hz":"x"}'),
+    "rate_beyond_float": bag_with_rate(b"1" + b"0" * 400),
+    "rate_infinite": bag_with_rate(b"Infinity"),
     "repeated_name": bag_with_topics(b'{"name":"a.b"},{"name":"a.b"}'),
 }
 

@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +13,9 @@ from mwpipe.config import (
     profile_from_config,
 )
 from mwpipe.errors import MwpipeError, PlanInvalid
+from mwpipe.features import GazeThresholds
 from mwpipe.session import SessionPlan, run_session
+from mwpipe.sim import PhysicsParams, PolicyConfig
 from mwpipe.synth import SynthProfile
 
 
@@ -205,3 +210,50 @@ def test_load_config_parses_or_raises_plan_invalid(tmp_path_factory, raw):
     except MwpipeError:
         return
     assert isinstance(cfg, dict)
+
+
+def keyed(names, values):
+    """Objects over the given keys."""
+    return st.dictionaries(st.sampled_from(sorted(names)), values, max_size=4)
+
+
+finite_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=8)
+gaze_events = keyed(("kind", "start_s", "duration_s", "direction_deg", "x_deg", "y_deg",
+                     "amplitude_deg", "velocity_deg_s"),
+                    finite_json | st.sampled_from(["fixation", "saccade", "pursuit", "blink"]))
+profiles = keyed([f.name for f in dataclasses.fields(SynthProfile)],
+                 finite_json | st.lists(gaze_events, max_size=3)
+                 | st.lists(st.lists(finite_json, max_size=3), max_size=3))
+config_objects = st.fixed_dictionaries({}, optional={
+    "profile": profiles | finite_json,
+    "phase_profiles": st.dictionaries(st.sampled_from(["baseline", "run", "freeplay", "rest"]),
+                                      profiles | finite_json, max_size=3) | finite_json,
+    "policy": keyed([f.name for f in dataclasses.fields(PolicyConfig)], finite_json) | finite_json,
+    "physics": keyed([f.name for f in dataclasses.fields(PhysicsParams)],
+                     finite_json | st.lists(finite_json, max_size=3)) | finite_json,
+    "gaze_thresholds": keyed([f.name for f in dataclasses.fields(GazeThresholds)],
+                             finite_json) | finite_json,
+    "run_order": st.lists(st.sampled_from(["low", "high"]) | finite_json, max_size=5)
+    | finite_json,
+    **{key: finite_json for key in ("seed", "baseline_s", "interrun_s", "run_timeout_s",
+                                    "tlx_jitter")},
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=config_objects)
+def test_plan_from_config_gives_a_valid_plan_or_plan_invalid(cfg):
+    """Any values under the config's own keys, nested ones included, give a
+    plan that validates or an MwpipeError, never a raw exception."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("MWPIPE_SEED", None)
+        try:
+            plan = plan_from_config(cfg)
+        except MwpipeError:
+            return
+    plan.validate()

@@ -1,16 +1,24 @@
 import csv
+import functools
 import json
+import warnings
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mwpipe.bag import BagWriter, replay
-from mwpipe.bus import Bus, ManualClock, TopicDescriptor
+import mwpipe.bag as mbag
+from mwpipe.bag import BagWriter, _record_line, replay, validate
+from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor
 from mwpipe.errors import CorruptBag
 from mwpipe.export import extract_csv
-from mwpipe.features import FEATURE_CATALOG
-from mwpipe.session import SessionPlan, run_session
+from mwpipe.features import BIO_TOPICS, FEATURE_CATALOG
+from mwpipe.session import SESSION_TOPICS, SessionPlan, StitchState, phase_waveforms, run_session
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
+
+from oracles import extract_csv_oracle
 
 
 def write_single_modality_bag(path, duration_s=60):
@@ -148,16 +156,20 @@ MISFIT_RECORDS = {
 }
 
 
-def bag_with_record(path, topic, data):
+def bag_with_lines(path, lines):
     manifest = {"format": "MWBAG1", "topics": [{"name": n, "schema": s}
                                                for n, s in FIT_TOPICS.items()]}
+    path.write_bytes(b"MWBAG1\n" + json.dumps(manifest).encode() + b"\n" + b"".join(lines))
+    return path
+
+
+def bag_with_record(path, topic, data):
     lines = [b'{"t":%d,"topic":"bio.st","seq":%d,"data":{"v":%r}}\n' % (i * 250_000_000, i,
                                                                          30.0 + i / 64)
              for i in range(160) if i != 140]
     lines.insert(140, b'{"t":35000000000,"topic":"%s","seq":%d,"data":%s}\n'
                  % (topic.encode(), 140 if topic == "bio.st" else 0, data))
-    path.write_bytes(b"MWBAG1\n" + json.dumps(manifest).encode() + b"\n" + b"".join(lines))
-    return path
+    return bag_with_lines(path, lines)
 
 
 @pytest.mark.parametrize("topic, data", MISFIT_RECORDS.values(), ids=MISFIT_RECORDS)
@@ -170,3 +182,166 @@ def test_record_that_misfits_its_schema_is_corrupt_bag(tmp_path, topic, data):
     bad = bag_with_record(tmp_path / "bad.bag", topic, data)
     with pytest.raises(CorruptBag):
         extract_csv(bad, tmp_path / "bad.csv")
+
+
+# -- the streaming export against the batch oracle ------------------------------
+
+MANIFEST = json.dumps({"format": "MWBAG1", "topics": [
+    {"name": d.name, "schema": dict(d.schema), "nominal_rate_hz": d.nominal_rate_hz}
+    for d in SESSION_TOPICS]}).encode()
+TELEMETRY = ("sim.rover", "sim.resources", "sim.radar")
+TICK_NS = 250_000_000
+
+
+@functools.lru_cache(maxsize=1)
+def waveforms_70s() -> dict:
+    """Modality -> (times_ns, rows of field values) of 70 s of every modality."""
+    waveforms = phase_waveforms(SynthProfile(), 70.0, 7, StitchState())
+    return {m: (wf.times_ns(), np.asarray(wf.values, dtype=float).reshape(len(wf.values), -1))
+            for m, wf in waveforms.items()}
+
+
+def telemetry_payload(topic: str, k: int) -> dict:
+    schema = next(d.schema for d in SESSION_TOPICS if d.name == topic)
+    kinds = {"f64": lambda i: k * 0.25 + i, "i64": lambda i: k % 12, "bool": lambda i: k % 3 == 0}
+    return {f: kinds[kind](i) for i, (f, kind) in enumerate(schema.items())}
+
+
+@st.composite
+def streaming_bags(draw):
+    """Record lines in bag order for a bag of at most 70 s, with the size of
+    its chunks and the join tolerance."""
+    duration_ns = draw(st.integers(31, 70)) * 10**9
+    records = []  # (t, topic, payload)
+    modalities = draw(st.lists(st.sampled_from(list(BIO_TOPICS)), unique=True, min_size=1))
+    late = draw(st.sampled_from(modalities))
+    late_ns = draw(st.integers(0, 40 * 10**9))
+    last_bio = 0
+    for m in modalities:
+        times, values = waveforms_70s()[m]
+        keep = (times < duration_ns) & (times >= (late_ns if m == late else 0))
+        fields = BIO_TOPICS[m].fields
+        records += [(t, f"bio.{m}", dict(zip(fields, v)))
+                    for t, v in zip(times[keep].tolist(), values[keep].tolist())]
+        last_bio = max([last_bio, *times[keep].tolist()])
+    # telemetry on a 250 ms grid, so that stamps fall on row ends and on
+    # row ends plus or minus the tolerance
+    ticks, per_s = duration_ns // TICK_NS, 10**9 // TICK_NS
+    for topic in draw(st.lists(st.sampled_from(TELEMETRY), unique=True)):
+        # each gap is around a whole second, where a row may end
+        gaps = [(second * per_s - before, second * per_s + after)
+                for second, before, after in draw(st.lists(st.tuples(
+                    st.integers(30, 70), st.integers(0, 12), st.integers(0, 12)), max_size=6))]
+        doubled = draw(st.sets(st.integers(0, ticks), max_size=4))
+        for k in range(ticks):
+            if not any(a <= k < b for a, b in gaps):
+                sample = (k * TICK_NS, topic, telemetry_payload(topic, k))
+                records += [sample] * (1 + (k in doubled))
+    meta = draw(st.sampled_from(["none", "never", "before", "tied", "after"]))
+    if meta != "none":
+        bio_stamps = [t for t, topic, _ in records if topic.startswith("bio.")]
+        leave = {"never": None,
+                 "before": draw(st.integers(1, duration_ns // 10**9 - 1)) * 10**9,
+                 "tied": draw(st.sampled_from(bio_stamps)) if bio_stamps else 30 * 10**9,
+                 "after": last_bio + draw(st.sampled_from([1, TICK_NS, 10**9, 3 * 10**9]))}[meta]
+        stamps = sorted({*range(0, duration_ns, 10**9), *([leave] if leave else [])})
+        for t in stamps:
+            phase = "baseline" if leave is None or t < leave else "run"
+            records.append((t, "sim.meta", {"phase": phase, "run_index": -1,
+                                            "difficulty": "", "elapsed_s": t / 1e9}))
+    seqs: dict = {}
+    lines = []
+    for t, topic, payload in sorted(records, key=lambda r: (r[0], r[1])):
+        seq = seqs[topic] = seqs.get(topic, -1) + 1
+        lines.append(_record_line(TimedSample(topic, t, seq, payload)).encode())
+    if lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        spaced = json.loads(lines[i])
+        if draw(st.integers(0, 7)) == 0:
+            spaced["data"] = {}  # refused: it lacks every field
+        lines[i] = json.dumps(spaced).encode() + b"\n"  # spaced as json.dumps spaces it
+        if draw(st.booleans()):
+            lines[-1] = lines[-1][:len(lines[-1]) // 2]  # a truncated final line
+    chunk_bytes = draw(st.sampled_from([300, 4096, 128 * 1024]))
+    tolerance_ns = draw(st.sampled_from([1, 50_000_000, TICK_NS, 3 * TICK_NS, 5 * 10**9]))
+    return lines, chunk_bytes, tolerance_ns
+
+
+def csv_or_error(extract, path, out, tolerance_ns):
+    try:
+        return Path(extract(path, out, align_tolerance_ns=tolerance_ns)).read_bytes()
+    except CorruptBag as e:
+        assert not out.exists()
+        return str(e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bag=streaming_bags())
+def test_streamed_csv_equals_the_batch_export(tmp_path_factory, bag):
+    """Modalities that start late or are absent, sim.meta leaving the baseline
+    phase before, at, or after the last bio stamp, or never, telemetry gaps
+    wider than the tolerance and repeated stamps, a spaced or refused line and
+    a truncated final line, at any chunk size: the same CSV bytes, or the
+    same CorruptBag."""
+    lines, chunk_bytes, tolerance_ns = bag
+    tmp = tmp_path_factory.mktemp("stream")
+    path = tmp / "s.bag"
+    path.write_bytes(b"MWBAG1\n" + MANIFEST + b"\n" + b"".join(lines))
+    with warnings.catch_warnings(), mock.patch.object(mbag, "_CHUNK_BYTES", chunk_bytes):
+        warnings.simplefilter("ignore")  # a truncated final line is skipped with a warning
+        streamed = csv_or_error(extract_csv, path, tmp / "streamed.csv", tolerance_ns)
+        batch = csv_or_error(extract_csv_oracle, path, tmp / "batch.csv", tolerance_ns)
+    assert streamed == batch
+
+
+@pytest.mark.parametrize("topic", ["bio.st", "sim.resources"])
+@pytest.mark.parametrize("chunk_bytes", [300, 128 * 1024])
+def test_record_out_of_order_is_corrupt_bag(tmp_path, topic, chunk_bytes):
+    """A bio or joined record below the greatest t of those topics before it
+    is refused at its offset, which validate flags as [order], and no CSV is
+    written."""
+    good = {"bio.st": b'{"v":30.5}', "sim.resources": b'{"o2_pct":20.5,"co2_pct":0.5}'}
+    path = bag_with_record(tmp_path / "late.bag", topic, good[topic])
+    lines = path.read_bytes().splitlines(keepends=True)
+    late = lines.pop(2 + 140)  # t = 35 s, moved after the record at 36 s
+    lines.insert(2 + 144, late)
+    path.write_bytes(b"".join(lines))
+    (issue,) = [i for i in validate(path).issues if i.kind == "order"]
+    out = tmp_path / "late.csv"
+    with mock.patch.object(mbag, "_CHUNK_BYTES", chunk_bytes), \
+            pytest.raises(CorruptBag, match=f"record at byte {issue.byte_offset} is out of order"):
+        extract_csv(path, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 128 * 1024])
+def test_rows_join_samples_at_exactly_the_tolerance(tmp_path, chunk_bytes):
+    """With sim.resources only at 34.5 s and 36.5 s and a 0.5 s tolerance, the
+    rows ending at 34 s to 37 s each join a sample at exactly the tolerance:
+    a row waits for a sample at its end plus the tolerance, and keeps one at
+    its end minus the tolerance, however the chunks fall."""
+    lines = [b'{"t":%d,"topic":"bio.st","seq":%d,"data":{"v":%r}}\n' % (i * 250_000_000, i,
+                                                                          30.0 + i / 64)
+             for i in range(160)]
+    for seq, i in enumerate((138, 146)):  # 34.5 s and 36.5 s, after bio.st at that t
+        lines.insert(i + 1 + seq, b'{"t":%d,"topic":"sim.resources","seq":%d,'
+                     b'"data":{"o2_pct":20.5,"co2_pct":0.5}}\n' % (i * 250_000_000, seq))
+    path = bag_with_lines(tmp_path / "tol.bag", lines)
+    with mock.patch.object(mbag, "_CHUNK_BYTES", chunk_bytes):
+        rows = {r["t_end_ns"]: r["sim.o2_pct"]
+                for r in csv_rows(extract_csv(path, tmp_path / "tol.csv",
+                                              align_tolerance_ns=500_000_000))}
+    assert [rows[str(t * 10**9)] for t in range(33, 39)] == ["", *["20.5"] * 4, ""]
+    assert (tmp_path / "tol.csv").read_bytes() == Path(extract_csv_oracle(
+        path, tmp_path / "oracle.csv", align_tolerance_ns=500_000_000)).read_bytes()
+
+
+def test_other_topics_are_not_held_to_the_order(tmp_path):
+    """Only bio and joined topics bound what the export reads, so a feature
+    or TLX record out of order is no fault of the export's."""
+    path = bag_with_record(tmp_path / "ok.bag", "bio.st", b'{"v":30.5}')
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines.insert(2 + 150, b'{"t":1,"topic":"survey.tlx","seq":0,"data":{}}\n')
+    path.write_bytes(b"".join(lines))
+    out = Path(extract_csv(path, tmp_path / "ok.csv"))
+    assert out.read_bytes() == Path(extract_csv_oracle(path, tmp_path / "oracle.csv")).read_bytes()

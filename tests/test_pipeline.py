@@ -72,8 +72,8 @@ def batch_rows(seed: int, freeze_ns: int | None) -> list:
 @given(data=st.data(), seed=st.sampled_from([1, 2]))
 def test_pipeline_equals_batch_windows(data, seed):
     """Blocks cut anywhere, fed as the watermarks need them, and advance_to
-    at any watermarks, with the baseline frozen at one of them, give the rows
-    of batch windowing, bit for bit."""
+    at any watermarks, with the baseline end at one of them, between them or
+    past the streams, give the rows of batch windowing, bit for bit."""
     s = streams(seed)
     t0, end = span(s)
     blocks = {}
@@ -81,8 +81,10 @@ def test_pipeline_equals_batch_windows(data, seed):
         cuts = sorted(data.draw(st.sets(st.integers(1, len(t) - 1), max_size=6)))
         blocks[m] = list(zip([0, *cuts], [*cuts, len(t)]))
     watermarks = sorted(data.draw(st.lists(st.integers(t0, end), max_size=8)))
-    freeze_ns = data.draw(st.sampled_from(watermarks)) if watermarks else None
-    pipeline = FeaturePipeline(len_s=LEN_S, stride_s=STRIDE_S, t0_ns=t0)
+    freeze_ns = data.draw(st.one_of(st.none(), st.sampled_from([*watermarks, end]),
+                                    st.integers(t0, end + 10**9)))
+    pipeline = FeaturePipeline(len_s=LEN_S, stride_s=STRIDE_S, t0_ns=t0,
+                               baseline_end_ns=freeze_ns)
     rows = []
     for w in [*watermarks, end]:
         for m, (t, v) in s.items():
@@ -90,8 +92,6 @@ def test_pipeline_equals_batch_windows(data, seed):
                 lo, hi = blocks[m].pop(0)
                 pipeline.feed(m, t[lo:hi], v[lo:hi])
         rows += pipeline.advance_to(w)
-        if w == freeze_ns:
-            pipeline.freeze_baseline_from_observations()
     assert row_bits(rows) == row_bits(batch_rows(seed, freeze_ns))
 
 

@@ -2,6 +2,7 @@ from collections import defaultdict
 
 import pytest
 
+import mwpipe.session as msession
 from mwpipe.bag import body_bytes, load_samples, validate
 from mwpipe.errors import PlanInvalid, ScaleOutOfRange
 from mwpipe.session import (
@@ -125,6 +126,17 @@ def test_session_determinism(tmp_path):
     assert body_bytes(a.bag_path) == body_bytes(b.bag_path)
     c = run_session(SessionPlan(seed=10, **SMALL), tmp_path / "c.bag")
     assert body_bytes(a.bag_path) != body_bytes(c.bag_path)
+
+
+@pytest.mark.parametrize("ticks", [1, 10**9])
+def test_bag_body_does_not_depend_on_the_flush_cadence(tmp_path, monkeypatch, ticks):
+    """Flushing every tick, or only at phase ends, writes the bytes that the
+    default cadence writes."""
+    plan = SessionPlan(seed=2, baseline_s=32.0, interrun_s=10.0, run_timeout_s=20.0)
+    default = run_session(plan, tmp_path / "default.bag")
+    monkeypatch.setattr(msession, "_FLUSH_TICKS", ticks)
+    flushed = run_session(plan, tmp_path / "flushed.bag")
+    assert body_bytes(flushed.bag_path) == body_bytes(default.bag_path)
 
 
 def test_feature_topics_present(small_session):
