@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,64 +33,69 @@ from .errors import CorruptBag, InvalidName, SchemaMismatch, UnknownMagic
 MAGIC = "MWBAG1"
 
 
-# -- the record encoder --------------------------------------------------------
+# -- the record codec ----------------------------------------------------------
 #
-# A record line is a %-template compiled once per (topic, present fields,
-# kinds). Each conversion writes what json.dumps writes for that kind: %d is
-# int.__repr__, %r of a float is float.__repr__ (json.dumps' float encoder),
-# a bool is true/false and a string goes through json's ASCII escaper.
-
-_FORMATS = {"f64": "%r", "i64": "%d", "bool": "%s", "str": "%s"}
-
-
-def _finite_float(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"a record cannot hold the float {value!r}")
-    return value
+# A record line is {"t":%d,"topic":"<name>","seq":%d,"data":{...}} with the
+# present fields in schema order, each value written as json.dumps writes it
+# for its schema kind. _CODEC says, per kind, how a line writes a value and how
+# the judge reads it back. Writing: %d is int.__repr__, %r of a float is
+# float.__repr__ (json.dumps' float encoder), a bool is true/false and a string
+# goes through json's ASCII escaper; the bus has already made the value
+# canonical for its kind, so an f64 value is a finite float. Reading: integers
+# as JSON writes them, kept short enough that int() is cheap; floats only in the
+# forms float.__repr__ writes (with a fraction or an exponent), so that float()
+# of the text is exactly what json.loads and canonical_payload give, unless it
+# overflows to infinity; strings only as json's ASCII escaper writes them.
 
 
-_CONVERT = {"f64": _finite_float, "i64": int, "bool": ("false", "true").__getitem__,
-            "str": encode_basestring_ascii}
+class _Kind(NamedTuple):
+    format: str  # the %-conversion that writes a value
+    convert: Callable | None  # applied to a value before it is written
+    value: bytes  # the pattern of a written value, as one group
+    parse: Callable  # the value of a text that pattern matched
 
 
-def _kind_of(tp: type) -> str:
-    for base, kind in ((bool, "bool"), (int, "i64"), (float, "f64"), (str, "str")):
-        if issubclass(tp, base):
-            return kind
-    raise TypeError(f"a record cannot hold a {tp.__name__}")
+def _str_value(text: bytes) -> str:
+    return json.loads(text) if b"\\" in text else text[1:-1].decode("ascii")
+
+
+_INT = rb"(-?(?:0|[1-9]\d{0,18}))"
+_CODEC = {
+    "f64": _Kind("%r", None, rb"(-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+))",
+                 float),
+    "i64": _Kind("%d", None, _INT, int),
+    "bool": _Kind("%s", ("false", "true").__getitem__, rb"(true|false)", b"true".__eq__),
+    "str": _Kind("%s", encode_basestring_ascii,
+                 rb'("(?:[ !#-\[\]-~]|\\["\\bfnrt]|\\u[0-9a-f]{4})*")', _str_value),
+}
 
 
 @functools.lru_cache(maxsize=1024)
-def _template(topic: str, fields: tuple, kinds: tuple) -> str:
-    """The %-template of a record line; format it with (t, seq, *values),
-    each value converted as _CONVERT says for its kind (an f64 value that
-    is already a finite float needs no conversion)."""
-    data = ",".join(encode_basestring_ascii(f).replace("%", "%%") + ":" + _FORMATS[k]
-                    for f, k in zip(fields, kinds))
-    return '{"t":%d,"topic":"' + topic.replace("%", "%%") + '","seq":%d,"data":{' + data + "}}\n"
+def _template(topic: str, fields: tuple, kinds: tuple) -> tuple[str, tuple]:
+    """The %-template of a record line of topic with the given fields present,
+    of the given schema kinds, to format with (t, seq, *values), and the
+    (position, conversion) of each value converted first."""
+    codecs = [_CODEC[k.rstrip("?")] for k in kinds]
+    data = ",".join(encode_basestring_ascii(f).replace("%", "%%") + ":" + c.format
+                    for f, c in zip(fields, codecs))
+    return ('{"t":%d,"topic":"' + topic.replace("%", "%%") + '","seq":%d,"data":{' + data
+            + "}}\n", tuple((i, c.convert) for i, c in enumerate(codecs) if c.convert))
 
 
-@functools.lru_cache(maxsize=1024)
-def _sample_encoder(topic: str, fields: tuple, types: tuple) -> tuple:
-    """The template and the per-field conversions for a payload whose values
-    have the given types."""
-    kinds = tuple(map(_kind_of, types))
-    return _template(topic, fields, kinds), tuple(_CONVERT[k] for k in kinds)
+def _record_line(sample: TimedSample, schema: dict) -> str:
+    """The bag line of one record whose payload is canonical for schema."""
+    fields = tuple(sample.payload)
+    template, convert = _template(sample.topic, fields, tuple(map(schema.__getitem__, fields)))
+    values = [*sample.payload.values()]
+    for i, f in convert:
+        values[i] = f(values[i])
+    return template % (sample.t_ns, sample.seq, *values)
 
 
-def _record_line(sample: TimedSample) -> str:
-    """The bag line of one record."""
-    values = sample.payload.values()
-    template, convert = _sample_encoder(sample.topic, tuple(sample.payload),
-                                        tuple(map(type, values)))
-    return template % (sample.t_ns, sample.seq, *[f(v) for f, v in zip(convert, values)])
-
-
-def _merged_lines(samples: list[TimedSample], blocks: list[SampleBlock]):
+def _merged_lines(samples: list[TimedSample], blocks: list[SampleBlock], schemas: dict):
     """The lines of the given samples and block rows, with their t in line
     order and the permutation that puts the lines in the bag's merge order:
-    t, then topic name, then seq."""
+    t, then topic name, then seq. schemas: topic name -> schema."""
     by_topic: dict[str, list[SampleBlock]] = {}
     for b in blocks:
         by_topic.setdefault(b.topic, []).append(b)
@@ -101,12 +106,13 @@ def _merged_lines(samples: list[TimedSample], blocks: list[SampleBlock]):
         times = np.concatenate([b.times_ns for b in group])
         seqs = np.concatenate([np.arange(b.seq0, b.seq0 + len(b.times_ns)) for b in group])
         columns = np.concatenate([b.columns for b in group], axis=1)
-        fields = group[0].fields
-        template = _template(name, fields, ("f64",) * len(fields))
+        schema = schemas[name]
+        # a block's topic is all f64, so no value is converted
+        template, _ = _template(name, tuple(schema), tuple(schema.values()))
         lines += map(template.__mod__, zip(times.tolist(), seqs.tolist(), *columns.tolist()))
         keys.append((times, np.full(len(times), rank[name]), seqs))
     if samples:
-        lines += map(_record_line, samples)
+        lines += [_record_line(s, schemas[s.topic]) for s in samples]
         keys.append(np.array([(s.t_ns, rank[s.topic], s.seq) for s in samples],
                              dtype=np.int64).T)
     t, ranks, seqs = (np.concatenate(k) for k in zip(*keys))
@@ -193,7 +199,8 @@ class BagWriter:
         samples, blocks = self._take_due(watermark_ns)
         self._ensure_started()
         if samples or blocks:
-            lines, t, order = _merged_lines(samples, blocks)
+            schemas = {d.name: d.schema for d in self._bus.topics()}
+            lines, t, order = _merged_lines(samples, blocks, schemas)
             first, last = int(t[order[0]]), int(t[order[-1]])
             if self._last_written_ns is not None and first < self._last_written_ns:
                 raise CorruptBag(
@@ -205,15 +212,21 @@ class BagWriter:
         self._fh.flush()
 
     def close(self):
-        self.flush_until(math.inf)  # after every int64 stamp: writes all that is buffered
-        self._fh.close()
-        self._fh = None
+        try:
+            self.flush_until(math.inf)  # after every int64 stamp: writes all that is buffered
+        finally:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 def header_lines(path) -> tuple[bytes, bytes]:
-    """The magic line and the manifest line of a bag, as raw bytes."""
+    """The magic line and the manifest line of a bag, as raw bytes. At most
+    64 bytes of the magic line are read: a longer first line is no magic
+    line, and its bag has no manifest line (b"")."""
     with open(path, "rb") as fh:
-        return fh.readline(), fh.readline()
+        magic = fh.readline(64)
+        return magic, fh.readline() if magic.endswith(b"\n") else b""
 
 
 def manifest_topics(manifest: dict) -> dict[str, TopicDescriptor]:
@@ -239,7 +252,7 @@ def read_manifest(path) -> dict:
     magic, line = header_lines(path)
     magic = magic.decode("utf-8", "replace").rstrip("\r\n")
     if magic != MAGIC:
-        raise UnknownMagic(f"expected {MAGIC!r}, found {magic!r}")
+        raise UnknownMagic(f"expected {MAGIC!r}, found {magic!r:.40}")
     if not line:
         raise CorruptBag("missing manifest line")
     try:
@@ -272,23 +285,6 @@ def _decode_record(line: bytes, schemas: dict) -> tuple[TimedSample, str | None]
             misfit = str(e)
     return TimedSample(topic, t, seq, data), misfit
 
-
-# Integers as JSON writes them, kept short enough that int() is cheap; floats
-# only in the forms float.__repr__ writes (with a fraction or an exponent), so
-# that float() of the text is exactly what json.loads and canonical_payload
-# give, unless it overflows to infinity; strings only as json's ASCII escaper
-# writes them.
-_INT = rb"(-?(?:0|[1-9]\d{0,18}))"
-_FLOAT = rb"(-?(?:0|[1-9]\d*)(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+))"
-_VALUES = {"f64": _FLOAT, "i64": _INT, "bool": rb"(true|false)",
-           "str": rb'("(?:[ !#-\[\]-~]|\\["\\bfnrt]|\\u[0-9a-f]{4})*")'}
-
-
-def _str_value(text: bytes) -> str:
-    return json.loads(text) if b"\\" in text else text[1:-1].decode("ascii")
-
-
-_PARSE = {"f64": float, "i64": int, "bool": b"true".__eq__, "str": _str_value}
 
 # Body lines are judged about _CHUNK_BYTES at a time, cut at a newline. A chunk's
 # lines are each a bytes object while it is judged, so the size bounds that
@@ -324,7 +320,7 @@ def _fast_decoders(schemas: dict) -> dict:
                 sep = b","
             else:  # every earlier field is optional: a comma unless this one is first
                 sep = rb"(?:(?<=\{)|(?<!\{),)"
-            item = sep + re.escape(json.dumps(f).encode()) + b":" + _VALUES[kind]
+            item = sep + re.escape(json.dumps(f).encode()) + b":" + _CODEC[kind].value
             items.append(b"(?:" + item + b")?" if opt else item)
         quoted = json.dumps(name).encode()
         line = re.compile(rb'^\{"t":' + _INT + b',"topic":' + re.escape(quoted) + b',"seq":'
@@ -360,8 +356,8 @@ class Rows:
 
     @functools.cached_property
     def columns(self) -> list:
-        return [[_PARSE[kind](v) if v else None for v in text] if opt
-                else list(map(_PARSE[kind], text))
+        return [[_CODEC[kind].parse(v) if v else None for v in text] if opt
+                else list(map(_CODEC[kind].parse, text))
                 for kind, opt, text in zip(self._dec.kinds, self._dec.optional, self._texts[1:])]
 
     def payloads(self, lo: int = 0, hi: int | None = None):
@@ -405,10 +401,10 @@ class Chunk(NamedTuple):
 
 
 def _surely_finite(columns: list) -> bool:
-    """Whether the texts of float columns, as _FLOAT matched them, are all
-    finite, known without parsing them: none is longer than 308 bytes, so
-    that an integer part holds at most 307 digits, and no exponent is
-    positive. An absent optional field is None."""
+    """Whether the texts of float columns, as the f64 pattern matched them,
+    are all finite, known without parsing them: none is longer than 308
+    bytes, so that an integer part holds at most 307 digits, and no exponent
+    is positive. An absent optional field is None."""
     texts = list(filter(None, chain.from_iterable(columns)))
     joined = b"".join(texts)
     return (max(map(len, texts), default=0) <= 308 and b"E" not in joined
@@ -551,10 +547,6 @@ def iter_samples(path):
         yield offset, sample
 
 
-def load_samples(path) -> list[TimedSample]:
-    return [s for _, s in iter_samples(path)]
-
-
 def paced_chunks(path, rate: float | str = "max"):
     """Iterator over (chunk, lo, hi): the judged chunks of a bag, each as
     ranges lo to hi of its rows, released in wall-clock time.
@@ -643,37 +635,32 @@ def _publish_judged(bus: Bus, groups: list, lo: int, hi: int, as_block: set):
     one call where it is in as_block. A row whose t is not after its topic's
     previous t is published alone, once every row before it is, so that the
     bus raises TimestampRegression for it after the same records."""
-    while lo < hi:
-        spans, cut = [], hi
-        for g in groups:
-            a, b = g.rows.searchsorted((lo, hi)).tolist()
-            if a == b:
-                continue
-            t = g.t[a:b]
-            last = bus.topic(g.topic).last_t_ns
-            late = np.flatnonzero(t[1:] <= t[:-1])
-            if last is not None and t[0] <= last:
-                cut = min(cut, int(g.rows[a]))
-            elif len(late):
-                cut = min(cut, int(g.rows[a + 1 + late[0]]))
-            spans.append((g, a, b))
-        for g, a, b in spans:
-            end = min(b, int(g.rows.searchsorted(cut)))
-            if a == end:
-                continue
-            if g.topic in as_block:
-                bus.publish_block(g.topic, g.t[a:end], np.array([c[a:end] for c in g.columns]))
-            else:
-                for t, payload in zip(g.t[a:end].tolist(), g.payloads(a, end)):
-                    bus.publish(g.topic, payload, t_ns=t)
-        if cut == hi:
-            return
-        for g, a, b in spans:
-            i = int(g.rows.searchsorted(cut))
-            if i < b and g.rows[i] == cut:
-                (payload,) = g.payloads(i, i + 1)
-                bus.publish(g.topic, payload, t_ns=int(g.t[i]))
-        lo = cut + 1
+    spans, cut, late = [], hi, None  # late: the group and index of the row at cut
+    for g in groups:
+        a, b = g.rows.searchsorted((lo, hi)).tolist()
+        if a == b:
+            continue
+        spans.append((g, a, b))
+        t = g.t[a:b]
+        last = bus.topic(g.topic).last_t_ns
+        if last is not None and t[0] <= last:
+            i = a
+        else:
+            back = np.flatnonzero(t[1:] <= t[:-1])
+            i = a + 1 + int(back[0]) if len(back) else b
+        if i < b and g.rows[i] < cut:
+            cut, late = int(g.rows[i]), (g, i)
+    for g, a, b in spans:
+        end = int(g.rows.searchsorted(cut))
+        if g.topic in as_block:
+            bus.publish_block(g.topic, g.t[a:end], np.array([c[a:end] for c in g.columns]))
+        else:
+            for t, payload in zip(g.t[a:end].tolist(), g.payloads(a, end)):
+                bus.publish(g.topic, payload, t_ns=t)
+    if late is not None:
+        g, i = late
+        (payload,) = g.payloads(i, i + 1)
+        bus.publish(g.topic, payload, t_ns=int(g.t[i]))  # raises TimestampRegression
 
 
 @dataclass
@@ -811,11 +798,3 @@ class _Checks:
             for i in np.flatnonzero(wide).tolist():
                 self.flag(rows[i], 4, "gap", topic,
                           f"{(int(t[i]) - int(prev[i])) / 1e9:.3f} s gap exceeds 2x nominal period")
-
-
-def body_bytes(path) -> bytes:
-    """Record body of a bag (everything after magic and manifest lines)."""
-    with open(path, "rb") as fh:
-        fh.readline()
-        fh.readline()
-        return fh.read()

@@ -130,6 +130,22 @@ def sample_time_ns(t0_ns, index, fs_hz):
     return t0_ns + round(index * 1_000_000_000 / fs_hz)
 
 
+# -- whole-bag reads for the tests ---------------------------------------------
+
+
+def load_samples(path):
+    """Every sample of a bag, as iter_samples yields them."""
+    return [s for _, s in iter_samples(path)]
+
+
+def body_bytes(path):
+    """Record body of a bag (everything after magic and manifest lines)."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        fh.readline()
+        return fh.read()
+
+
 # -- the per-record bag readers ------------------------------------------------
 #
 # validate, replay and serve_bag as loops over one record at a time. They

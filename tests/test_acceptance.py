@@ -12,7 +12,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from mwpipe.bag import BagWriter, body_bytes, iter_samples, replay, validate
+from mwpipe.bag import BagWriter, iter_samples, replay, validate
 from mwpipe.bus import Bus, ManualClock, NS_PER_S
 from mwpipe.export import extract_csv
 from mwpipe.features.beats import BeatSeries, detect_beats
@@ -32,7 +32,7 @@ from mwpipe.synth import (
     render_cardiac,
     saccade_battery_script,
 )
-from oracles import hrv_oracle
+from oracles import body_bytes, hrv_oracle
 
 
 def _report(n, detail=""):

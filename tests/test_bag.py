@@ -20,23 +20,23 @@ from mwpipe.bag import (
     _fast_decoders,
     _record_line,
     _records,
-    body_bytes,
     header_lines,
     iter_samples,
     judged_chunks,
-    load_samples,
     read_manifest,
     replay,
     validate,
 )
 from mwpipe.bus import (Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor,
                         canonical_payload)
-from mwpipe.errors import CorruptBag, MwpipeError, UnknownMagic, WireError
+from mwpipe.errors import CorruptBag, MwpipeError, SchemaMismatch, UnknownMagic, WireError
 from mwpipe.export import extract_csv
+from mwpipe.session import SESSION_TOPICS
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
 from mwpipe.wire import recv_frames, serve_bag
 
-from oracles import replay_oracle, serve_bag_oracle, validate_oracle
+from oracles import (body_bytes, load_samples, replay_oracle, serve_bag_oracle,
+                     validate_oracle)
 
 
 def small_bus():
@@ -191,6 +191,7 @@ MALFORMED_HEADERS = {
     "rate_beyond_float": bag_with_rate(b"1" + b"0" * 400),
     "rate_infinite": bag_with_rate(b"Infinity"),
     "repeated_name": bag_with_topics(b'{"name":"a.b"},{"name":"a.b"}'),
+    "first_line_without_end": b"MWBAG1" * 200_000,
 }
 
 
@@ -200,6 +201,7 @@ def test_malformed_header_is_a_typed_error(tmp_path, raw):
     p.write_bytes(raw)
     report = validate(p)
     assert [i.kind for i in report.issues] == ["header"]
+    assert len(str(report.issues[0])) < 200
     with pytest.raises(CorruptBag):
         list(iter_samples(p))
     with pytest.raises(CorruptBag):
@@ -344,6 +346,19 @@ def test_flush_watermark_keeps_future_samples(tmp_path):
     assert len(load_samples(tmp_path / "wm.bag")) == 10
 
 
+def test_close_closes_the_file_when_the_last_flush_raises(tmp_path):
+    bus = Bus(clock=ManualClock())
+    a = bus.open_topic(TopicDescriptor("a.x", {"v": "f64"}))
+    b = bus.open_topic(TopicDescriptor("b.x", {"v": "f64"}))
+    w = BagWriter(tmp_path / "late.bag", bus)
+    bus.publish(a, {"v": 1.0}, t_ns=10)
+    w.flush_until(11)
+    bus.publish(b, {"v": 1.0}, t_ns=5)  # below what is written: the last flush raises
+    with pytest.raises(CorruptBag):
+        w.close()
+    assert w._fh is None
+
+
 BAD_RECORDS = {
     "data_not_object": b'{"t":1,"topic":"t.a","seq":0,"data":5}\n',
     "int_overflows_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1' + b"0" * 400 + b"}}\n",
@@ -413,17 +428,18 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @example(t=2, seq=2, a=1e308, b=-1e308)
 @example(t=3, seq=3, a=1.7976931348623157e308, b=1e-05)
 def test_fast_decoder_matches_json_path(tmp_path_factory, t, seq, a, b):
-    line = _record_line(TimedSample("f.x", t, seq, {"a": a, "b": b})).encode()
+    line = _record_line(TimedSample("f.x", t, seq, {"a": a, "b": b}), DECODE_TOPICS["f.x"]).encode()
     assert _fast_decoders(DECODE_TOPICS)[b"f.x"][2].fullmatch(line)
     path = bag_with_lines(tmp_path_factory.mktemp("fast") / "f.bag", [line, GOOD_LINE])
     (_, got), _ = iter_samples(path)
     assert exact(got) == exact(reference_decode(line)[0])
 
 
-# Every kind, with optional fields present and absent.
+# Every kind, with optional fields present and absent, and every session topic.
 CODEC_TOPICS = {"k.all": {"f": "f64", "i": "i64", "b": "bool", "s": "str"},
                 "k.opt": {"a": "f64?", "n": "i64", "s": "str?", "z": "bool?", "q": "f64"},
-                "k.none": {"a": "f64?", "b": "f64?"}}
+                "k.none": {"a": "f64?", "b": "f64?"},
+                **{d.name: d.schema for d in SESSION_TOPICS}}
 CODEC_VALUES = {"f64": finite, "i64": st.integers(-2**63, 2**63 - 1), "bool": st.booleans(),
                 "str": st.text(max_size=8)}
 
@@ -452,7 +468,7 @@ def codec_samples(draw):
 def test_writer_lines_decode_to_their_samples(tmp_path_factory, samples):
     """Decoding what BagWriter writes gives back the samples, and every such
     line is judged by its topic's compiled line, never by the reference."""
-    lines = [_record_line(s).encode() for s in samples]
+    lines = [_record_line(s, CODEC_TOPICS[s.topic]).encode() for s in samples]
     path = bag_with_lines(tmp_path_factory.mktemp("codec") / "c.bag", lines, CODEC_TOPICS)
     (chunk,) = judged_chunks(path)
     assert chunk.others == []
@@ -512,7 +528,7 @@ def writer_lines(draw):
                if not kind.endswith("?") or draw(st.booleans())}
     sample = TimedSample(topic, draw(st.integers(-2**63, 2**63 - 1)),
                          draw(st.integers(0, 2**63 - 1)), payload)
-    return _record_line(sample).encode()
+    return _record_line(sample, FUZZ_TOPICS[topic]).encode()
 
 
 body_lines = st.one_of(
@@ -641,16 +657,23 @@ COMMS = {"request": True, "response": False, "kind": "fault", "target": "radar",
 @example(t=6, seq=6, payload={})
 def test_template_line_equals_json_line(t, seq, payload):
     sample = TimedSample("sim.comms", t, seq, payload)
-    assert _record_line(sample) == json_line(sample)
+    kinds = {bool: "bool", int: "i64", float: "f64", str: "str"}
+    schema = {f: kinds[type(v)] for f, v in payload.items()}
+    assert _record_line(sample, schema) == json_line(sample)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_record_line_refuses_non_finite_floats(value):
-    sample = TimedSample("t.a", 0, 0, {"v": value})
+def test_record_line_refuses_non_finite_floats(tmp_path, value):
+    """The reference encoder refuses a non-finite float, and no record line
+    holds one: the bus refuses it before the writer sees it."""
     with pytest.raises(ValueError):
-        json_line(sample)
-    with pytest.raises(ValueError):
-        _record_line(sample)
+        json_line(TimedSample("t.a", 0, 0, {"v": value}))
+    bus, a, _ = small_bus()
+    w = BagWriter(tmp_path / "nan.bag", bus)
+    with pytest.raises(SchemaMismatch):
+        bus.publish(a, {"v": value}, t_ns=0)
+    w.close()
+    assert body_bytes(tmp_path / "nan.bag") == b""
 
 
 # -- block publishing against one-by-one publishing ------------------------------
@@ -756,12 +779,13 @@ def reader_bodies(draw):
     them, lines replaced or inserted from PERTURBED, and a final line that
     may be cut short."""
     t = draw(st.sampled_from([0, 2**63 - 10**10, -2**63]))
-    samples = []
+    samples, schemas = [], []
     for _ in range(draw(st.integers(0, 20))):
         topic = draw(st.sampled_from(sorted(FUZZ_TOPICS)))
         t = min(t + draw(st.integers(0, 10**9)), 2**63 - 1)
         seq = sum(s.topic == topic for s in samples)
         samples.append(TimedSample(topic, t, seq, fuzz_payload(draw, topic)))
+        schemas.append(FUZZ_TOPICS[topic])
     for _ in range(draw(st.integers(0, 3))):
         if not samples:
             break
@@ -773,7 +797,7 @@ def reader_bodies(draw):
             samples[i] = samples[i]._replace(seq=draw(SEQS))
         else:
             samples[i] = samples[i]._replace(topic="z.z")
-    lines = [_record_line(s).encode() for s in samples]
+    lines = [_record_line(s, schema).encode() for s, schema in zip(samples, schemas)]
     for i in draw(st.sets(st.integers(0, max(len(lines) - 1, 0)), max_size=2)):
         if lines:
             lines[i] = json.dumps(json.loads(lines[i])).encode() + b"\n"
@@ -901,7 +925,8 @@ def test_serve_bag_equals_the_record_loop(tmp_path_factory, body, share):
 
 def test_serve_bag_stops_at_a_line_too_long_for_a_frame(tmp_path):
     lines = [_record_line(TimedSample("m.x", i, i, {"n": i, "s": "x" * (600 if i == 3 else 1),
-                                                    "ok": True})).encode() for i in range(6)]
+                                                    "ok": True}), FUZZ_TOPICS["m.x"]).encode()
+             for i in range(6)]
     path = bag_with_lines(tmp_path / "long.bag", lines, FUZZ_TOPICS)
     cap = len(header_lines(path)[1])  # the manifest fits, the long line does not
     with mock.patch.object(mwire, "MAX_FRAME_BYTES", cap):
@@ -913,7 +938,7 @@ def test_serve_bag_stops_at_a_line_too_long_for_a_frame(tmp_path):
 
 def test_validate_keeps_the_running_max_after_a_zero_stamp(tmp_path):
     topics = {"a.x": {"v": "f64"}, "b.x": {"v": "f64"}, "c.x": {"v": "f64"}}
-    lines = [_record_line(TimedSample(topic, t, 0, {"v": 0.0})).encode()
+    lines = [_record_line(TimedSample(topic, t, 0, {"v": 0.0}), topics[topic]).encode()
              for topic, t in (("a.x", 0), ("b.x", -5), ("c.x", -3))]
     path = bag_with_lines(tmp_path / "zero.bag", lines, topics)
     report = validate(path)

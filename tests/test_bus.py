@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mwpipe.bag import BagWriter, load_samples, read_manifest
+from mwpipe.bag import BagWriter, read_manifest
 
 from mwpipe.bus import (
     Bus,
@@ -25,7 +25,7 @@ from mwpipe.errors import (
     TimestampRegression,
     UnknownTopic,
 )
-from oracles import sample_time_ns
+from oracles import load_samples, sample_time_ns
 
 ECG = TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0)
 
@@ -85,8 +85,19 @@ def test_publish_schema_mismatch():
         bus.publish(h, {"v": 1.0, "extra": 2.0}, t_ns=1)
     with pytest.raises(SchemaMismatch):
         bus.publish(h, {}, t_ns=2)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_publish_refuses_a_non_finite_float(value):
+    """What BagWriter records comes only from the bus, so this is what keeps
+    a non-finite float out of every record line."""
+    bus = make_bus()
+    h = bus.open_topic(ECG)
+    seen = []
+    bus.add_listener(seen.append)
     with pytest.raises(SchemaMismatch):
-        bus.publish(h, {"v": float("nan")}, t_ns=3)
+        bus.publish(h, {"v": value}, t_ns=0)
+    assert (seen, h.next_seq, h.last_t_ns) == ([], 0, None)
 
 
 @pytest.mark.parametrize("t_ns", [None, 1.5, 2.0, True, "5", 2**63, -2**63 - 1])

@@ -138,7 +138,7 @@ def test_seed_env_override(runner, tmp_path, monkeypatch):
     runner.invoke(main, ["synth", "--duration", "32", "--out", str(bag_b)])
     monkeypatch.setenv("MWPIPE_SEED", "78")
     runner.invoke(main, ["synth", "--duration", "32", "--out", str(bag_c)])
-    from mwpipe.bag import body_bytes
+    from oracles import body_bytes
 
     assert body_bytes(bag_a) == body_bytes(bag_b)
     assert body_bytes(bag_a) != body_bytes(bag_c)

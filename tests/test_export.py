@@ -18,7 +18,7 @@ from mwpipe.features import BIO_TOPICS, FEATURE_CATALOG
 from mwpipe.session import SESSION_TOPICS, SessionPlan, StitchState, phase_waveforms, run_session
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
 
-from oracles import extract_csv_oracle
+from oracles import extract_csv_oracle, load_samples
 
 
 def write_single_modality_bag(path, duration_s=60):
@@ -98,8 +98,6 @@ def test_absent_cells_are_empty_not_zero(session_bag, tmp_path):
 
 def test_live_feature_rows_match_reextraction(session_bag, tmp_path):
     # the feat.* rows recorded live must equal re-derivation from raw topics
-    from mwpipe.bag import load_samples
-
     out = extract_csv(session_bag, tmp_path / "live.csv")
     rows = {int(r["t_end_ns"]): r for r in csv_rows(out)}
     live = [s for s in load_samples(session_bag) if s.topic == "feat.ecg"]
@@ -189,6 +187,7 @@ def test_record_that_misfits_its_schema_is_corrupt_bag(tmp_path, topic, data):
 MANIFEST = json.dumps({"format": "MWBAG1", "topics": [
     {"name": d.name, "schema": dict(d.schema), "nominal_rate_hz": d.nominal_rate_hz}
     for d in SESSION_TOPICS]}).encode()
+SCHEMAS = {d.name: d.schema for d in SESSION_TOPICS}
 TELEMETRY = ("sim.rover", "sim.resources", "sim.radar")
 TICK_NS = 250_000_000
 
@@ -202,9 +201,8 @@ def waveforms_70s() -> dict:
 
 
 def telemetry_payload(topic: str, k: int) -> dict:
-    schema = next(d.schema for d in SESSION_TOPICS if d.name == topic)
     kinds = {"f64": lambda i: k * 0.25 + i, "i64": lambda i: k % 12, "bool": lambda i: k % 3 == 0}
-    return {f: kinds[kind](i) for i, (f, kind) in enumerate(schema.items())}
+    return {f: kinds[kind](i) for i, (f, kind) in enumerate(SCHEMAS[topic].items())}
 
 
 @st.composite
@@ -253,7 +251,7 @@ def streaming_bags(draw):
     lines = []
     for t, topic, payload in sorted(records, key=lambda r: (r[0], r[1])):
         seq = seqs[topic] = seqs.get(topic, -1) + 1
-        lines.append(_record_line(TimedSample(topic, t, seq, payload)).encode())
+        lines.append(_record_line(TimedSample(topic, t, seq, payload), SCHEMAS[topic]).encode())
     if lines:
         i = draw(st.integers(0, len(lines) - 1))
         spaced = json.loads(lines[i])

@@ -11,8 +11,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from mwpipe.bag import body_bytes
 from mwpipe.cli import main
+
+from oracles import body_bytes
 
 SYNTH_40S_BODY = "1730b700b9f88913b3acd7bbe1248ae554acd23a3a9b525d06174c90920a6386"
 SYNTH_PROFILE_BODY = "38e4611d3e9dc516c443514ce9b89a11027f1ff318347b9b582bfc948f761f19"

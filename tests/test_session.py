@@ -3,7 +3,7 @@ from collections import defaultdict
 import pytest
 
 import mwpipe.session as msession
-from mwpipe.bag import body_bytes, load_samples, validate
+from mwpipe.bag import validate
 from mwpipe.errors import PlanInvalid, ScaleOutOfRange
 from mwpipe.session import (
     SessionPlan,
@@ -12,6 +12,8 @@ from mwpipe.session import (
     run_session,
     scripted_tlx,
 )
+
+from oracles import body_bytes, load_samples
 
 # short protocol for fast tests; the acceptance suite runs the full default
 SMALL = dict(baseline_s=35.0, interrun_s=12.0, run_timeout_s=45.0)

@@ -6,11 +6,12 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mwpipe.bag import load_samples
+from mwpipe.bag import BagWriter, header_lines
 from mwpipe.bus import Bus, ManualClock, TopicDescriptor
-from mwpipe.bag import BagWriter, body_bytes, header_lines
 from mwpipe.errors import CorruptBag, WireError
 from mwpipe.wire import MAX_FRAME_BYTES, recv_frames, send_frame, serve_bag
+
+from oracles import body_bytes, load_samples
 
 
 def make_bag(path, n=40):
