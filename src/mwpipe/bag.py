@@ -11,6 +11,7 @@ re-extraction bit-exact. A truncated final line is tolerated by readers.
 from __future__ import annotations
 
 import functools
+import heapq
 import json
 import math
 import os
@@ -235,13 +236,13 @@ def manifest_topics(manifest: dict) -> dict[str, TopicDescriptor]:
     descs = {}
     for t in manifest["topics"]:
         if not isinstance(t, dict):
-            raise CorruptBag(f"manifest topic entry is not an object: {t!r}")
+            raise CorruptBag(f"manifest topic entry is not an object: {t!r:.40}")
         try:
             desc = TopicDescriptor(t.get("name"), t.get("schema", {}), t.get("nominal_rate_hz"))
         except InvalidName as e:
             raise CorruptBag(f"bad manifest topic entry: {e}") from e
         if desc.name in descs:
-            raise CorruptBag(f"manifest lists topic {desc.name!r} twice")
+            raise CorruptBag(f"manifest lists topic {desc.name!r:.40} twice")
         descs[desc.name] = desc
     return descs
 
@@ -268,7 +269,8 @@ def read_manifest(path) -> dict:
 def _decode_record(line: bytes, schemas: dict) -> tuple[TimedSample, str | None]:
     """The reference record decoder: any JSON record line, with its payload
     canonical when it fits its topic's schema, else as decoded and with the
-    reason it does not fit. Raises ValueError, KeyError, TypeError,
+    reason it is refused: it does not fit, or its topic is not in the
+    manifest (schemas). Raises ValueError, KeyError, TypeError,
     OverflowError or RecursionError on a record it cannot decode, such as one
     whose t, seq, topic or data is of the wrong type, or whose t is outside
     the int64 range."""
@@ -278,7 +280,9 @@ def _decode_record(line: bytes, schemas: dict) -> tuple[TimedSample, str | None]
             or not isinstance(data, dict) or not -2**63 <= t < 2**63):
         raise TypeError(f"record topic, t, seq or data of the wrong type or range: {line[:80]!r}")
     misfit = None
-    if topic in schemas:
+    if topic not in schemas:
+        misfit = "topic not in manifest"
+    else:
         try:
             data = canonical_payload(schemas[topic], data)
         except SchemaMismatch as e:
@@ -337,11 +341,13 @@ def _scanner(decoders: dict) -> re.Pattern:
 
 
 class Rows:
-    """The rows of one topic in a chunk that its compiled line judged: the
-    row numbers within the chunk and t as int64. seq (a list) and columns
-    (one list per field, None where an optional field is absent) are parsed
-    from the lines' text when first read, so a reader that needs neither
-    parses neither. Every row fits the topic's schema."""
+    """The accepted rows of one topic in a chunk, in row order: the row
+    numbers within the chunk and t as int64. seq (a list) and columns (one
+    list per field, None where an optional field is absent) are parsed from
+    the lines' text when first read, so a reader that needs neither parses
+    neither; where the reference decoder read a row, both are set from the
+    canonical samples instead (_with_decoded). Every row fits the topic's
+    schema."""
 
     def __init__(self, dec: _Decoder, rows: np.ndarray, t: np.ndarray, texts: list):
         """texts: the text of each row's seq, then of each row's value of
@@ -375,29 +381,19 @@ class Rows:
                         self.payloads()))
 
 
-def _refused(offset: int, misfit: str) -> CorruptBag:
-    return CorruptBag(f"record at byte {offset} is refused: {misfit}")
-
-
 class Chunk(NamedTuple):
     """One judged chunk of a bag body: the piece of the file it was judged
-    from, the byte offset of each of its records, the rows the compiled
-    lines judged (one Rows per topic) and every other row as (row, sample,
-    misfit) from _decode_record, in row order. Row i is line i of the piece;
-    an undecodable final line of the file is no row. All the rows of a
-    topic in a chunk are in its Rows, or all are among the others."""
+    from, the byte offset of each of its records, one Rows per topic that
+    holds every accepted record of that topic in the chunk, and the refused
+    records as (row, sample, reason) in row order. A record is refused when
+    it cannot be decoded (sample None), does not fit its topic's schema, or
+    is on a topic the manifest does not list. Row i is line i of the piece;
+    an undecodable final line of the file is no row."""
 
     data: bytes
     offsets: np.ndarray  # int64
     groups: list
-    others: list
-
-    def refusal(self) -> tuple[int, CorruptBag] | None:
-        """The first row of this chunk that is refused, with its error."""
-        for row, _, misfit in self.others:
-            if misfit is not None:
-                return row, _refused(int(self.offsets[row]), misfit)
-        return None
+    refused: list
 
 
 def _surely_finite(columns: list) -> bool:
@@ -431,7 +427,25 @@ def _judge_rows(dec: _Decoder, rows: np.ndarray, lines: list) -> Rows | None:
         values = [v for i in floats for v in group.columns[i] if v is not None]
         if not np.isfinite(np.array(values, dtype=float)).all():
             return None
+    # The i64 pattern takes up to 19 digits; a text of at most 18 bytes is an int64.
+    if any(len(v) > 18 and not -2**63 <= int(v) < 2**63
+           for i, kind in enumerate(dec.kinds) if kind == "i64" for v in texts[1 + i] if v):
+        return None
     return group
+
+
+def _with_decoded(dec: _Decoder, group: Rows | None, decoded: list) -> Rows:
+    """A topic's Rows in a chunk: its compiled rows (group, or None) and the
+    (row, canonical sample) of each row that only the reference decoder
+    read, merged in row order."""
+    items = [(row, s.t_ns, s.seq, *map(s.payload.get, dec.fields)) for row, s in decoded]
+    if group is not None:
+        items += zip(group.rows.tolist(), group.t.tolist(), group.seq, *group.columns)
+    items.sort(key=itemgetter(0))
+    rows, t, seq, *columns = map(list, zip(*items))
+    merged = Rows(dec, np.array(rows, dtype=np.int64), np.array(t, dtype=np.int64), [])
+    merged.seq, merged.columns = seq, columns
+    return merged
 
 
 def _body_pieces(fh):
@@ -459,38 +473,37 @@ def _judge_chunk(data: bytes, offset: int, final: bool, path, schemas: dict,
         lengths[-1] -= 1
     offsets = offset + np.cumsum(lengths) - lengths
     codes = np.fromiter(map(code.__getitem__, topics), np.int64, len(topics))
-    groups, fallback = [], []
+    groups, fallback = {}, []
     for k in np.unique(codes).tolist():
         rows = np.flatnonzero(codes == k)
         group = _judge_rows(decoders[k], rows, lines) if k >= 0 else None
         if group is None:
             fallback += rows.tolist()
         else:
-            groups.append(group)
-    others = []
+            groups[group.topic] = group
+    decoded, refused = {}, []
     for row in sorted(fallback):
         last = row == len(lines) - 1
         line = lines[row] if last and not ended else lines[row] + b"\n"
         try:
-            sample, misfit = _decode_record(line, schemas)
+            sample, reason = _decode_record(line, schemas)
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
             if final and last:
                 end = "corrupt" if ended else "truncated"
                 warnings.warn(f"skipping {end} final record in {path}: {e}")
                 offsets = offsets[:-1]  # the final line is no record
                 break
-            sample, misfit = None, str(e)
-        others.append((row, sample, misfit))
-    # A topic with a decoded row here, such as a valid line spaced otherwise
-    # than BagWriter spaces it, has all its rows among the others.
-    decoded = {sample.topic for _, sample, _ in others if sample is not None}
-    if any(g.topic in decoded for g in groups):
-        for g in groups:
-            if g.topic in decoded:
-                others += zip(g.rows.tolist(), g.samples(), repeat(None))
-        groups = [g for g in groups if g.topic not in decoded]
-        others.sort(key=itemgetter(0))
-    return Chunk(data, offsets, groups, others)
+            sample, reason = None, str(e)
+        if reason is None:
+            decoded.setdefault(sample.topic, []).append((row, sample))
+        else:
+            refused.append((row, sample, reason))
+    # A row only the reference decoder reads, such as a valid line spaced
+    # otherwise than BagWriter spaces it, joins its topic's columns.
+    for topic, items in decoded.items():
+        dec = next(d for d in decoders if d.name == topic)
+        groups[topic] = _with_decoded(dec, groups.get(topic), items)
+    return Chunk(data, offsets, list(groups.values()), refused)
 
 
 def judged_chunks(path):
@@ -498,9 +511,9 @@ def judged_chunks(path):
     takes. The lines a topic's compiled line matches are judged column-wise,
     with its other rows in the chunk; every other line goes through
     _decode_record, and so does every row of a topic whose rows in the chunk
-    do not all match and fit; a topic with a row among the others has all
-    its rows in the chunk there. An undecodable final line is skipped with
-    a warning."""
+    do not all match and fit. Every accepted row, however it was read, is in
+    its topic's Rows; every other row is refused. An undecodable final line
+    is skipped with a warning."""
     schemas = {name: d.schema for name, d in manifest_topics(read_manifest(path)).items()}
     by_topic = _fast_decoders(schemas)
     scan = _scanner(by_topic)
@@ -516,47 +529,33 @@ def judged_chunks(path):
                                scan, code, decoders)
 
 
-def _records(path):
-    """Yield (byte_offset, sample, misfit) per record line of a bag, in file
-    order, as judged_chunks judges it: sample is None for a line that cannot
-    be decoded; misfit is why a record is refused, or None. Each sample is
-    made as it is yielded, so a chunk's samples are not all alive at once."""
-    for chunk in judged_chunks(path):
-        source = np.full(len(chunk.offsets), -1)
-        for i, group in enumerate(chunk.groups):
-            source[group.rows] = i
-        rows = [zip(g.t.tolist(), g.seq, g.payloads()) for g in chunk.groups]
-        topics = [g.topic for g in chunk.groups]
-        others = iter(chunk.others)
-        for offset, i in zip(chunk.offsets.tolist(), source.tolist()):
-            if i < 0:
-                _, sample, misfit = next(others)
-                yield offset, sample, misfit
-            else:
-                t, seq, payload = next(rows[i])
-                yield offset, TimedSample(topics[i], t, seq, payload), None
-        del chunk, rows, others  # not alive while the next chunk is judged
-
-
 def iter_samples(path):
-    """Yield (byte_offset, TimedSample) from a bag. A record that _records
-    refuses raises CorruptBag once every record before it is yielded."""
-    for offset, sample, misfit in _records(path):
-        if misfit is not None:
-            raise _refused(offset, misfit)
-        yield offset, sample
+    """Yield (byte_offset, TimedSample) per record of a bag, in file order. A
+    refused record raises CorruptBag once every record before it is yielded,
+    as paced_chunks stops. Each sample is made as it is yielded, so a
+    chunk's samples are not all alive at once."""
+    for chunk, _, hi in paced_chunks(path):  # at rate "max" each range starts at row 0
+        offsets = chunk.offsets.tolist()
+        rows = [zip(g.rows.tolist(), repeat(g.topic), g.t.tolist(), g.seq, g.payloads())
+                for g in chunk.groups]
+        for row, topic, t, seq, payload in heapq.merge(*rows):  # rows are unique
+            if row >= hi:
+                break
+            yield offsets[row], TimedSample(topic, t, seq, payload)
+        del chunk, rows  # not alive while the next chunk is judged
 
 
 def paced_chunks(path, rate: float | str = "max"):
     """Iterator over (chunk, lo, hi): the judged chunks of a bag, each as
     ranges lo to hi of its rows, released in wall-clock time.
 
-    Every range holds at least one row. At rate "max" each chunk comes out
-    as one range. A numeric rate scales the delays between the records'
-    stamps by 1/rate: a range ends before the first row not yet due, and
-    the rest of the chunk follows once that row is due. A refused row has
-    no stamp and is never waited for. The rate is checked on the call,
-    before the bag is read.
+    Every range holds at least one row, and no range holds a refused row:
+    a chunk with one comes out only up to its first, and that record's
+    CorruptBag is raised once every row before it is consumed. At rate
+    "max" each chunk comes out as one range. A numeric rate scales the
+    delays between the records' stamps by 1/rate: a range ends before the
+    first row not yet due, and the rest of the chunk follows once that row
+    is due. The rate is checked on the call, before the bag is read.
     """
     if rate != "max" and not (isinstance(rate, (int, float)) and rate > 0):
         raise ValueError(f"rate must be positive or 'max': {rate!r}")
@@ -567,13 +566,13 @@ def _paced(chunks, rate: float | str):
     start_wall = time.monotonic()
     t0 = None
     for chunk in chunks:
-        lo, n = 0, len(chunk.offsets)
+        lo, n = 0, chunk.refused[0][0] if chunk.refused else len(chunk.offsets)
         if rate != "max":
-            stamps = sorted([*chain.from_iterable(zip(g.rows.tolist(), g.t.tolist())
-                                                  for g in chunk.groups),
-                             *((row, s.t_ns) for row, s, misfit in chunk.others
-                               if misfit is None)])
+            stamps = sorted(chain.from_iterable(zip(g.rows.tolist(), g.t.tolist())
+                                                for g in chunk.groups))
             for row, t in stamps:
+                if row >= n:
+                    break
                 if t0 is None:
                     t0 = t
                 delay = start_wall + (t - t0) / 1e9 / rate - time.monotonic()
@@ -584,6 +583,9 @@ def _paced(chunks, rate: float | str):
                     time.sleep(delay)
         if lo < n:
             yield chunk, lo, n
+        if chunk.refused:
+            row, _, reason = chunk.refused[0]
+            raise CorruptBag(f"record at byte {int(chunk.offsets[row])} is refused: {reason}")
         del chunk  # not alive while the next chunk is judged
 
 
@@ -598,9 +600,11 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
     out as Bus.publish_block blocks, as a live session publishes them, and
     every other row through Bus.publish. Each topic's rows keep file order;
     across topics the order of publishes is unspecified, as on the bus. A
-    refused record raises CorruptBag, and a record the bus refuses (on a
-    topic it lacks, or not after its topic's previous t) raises the bus's
-    error, once every record before it in the file is published.
+    refused record (paced_chunks), on a topic the manifest does not list
+    among them even when the bus has that topic, raises CorruptBag, and a
+    record whose t is not after its topic's previous t raises
+    TimestampRegression, once every record before it in the file is
+    published.
 
     The bus keeps no history, so retain must be False; the keyword stays
     because perfbench's log_io workload passes retain=False.
@@ -616,16 +620,7 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
     as_block = {name for name, d in descs.items()
                 if d.schema and all(kind == "f64" for kind in d.schema.values())}
     for chunk, lo, hi in chunks:
-        refused = chunk.refusal()
-        stop = hi if refused is None else min(hi, refused[0])
-        for row, sample, _ in chunk.others:
-            if lo <= row < stop:
-                _publish_judged(bus, chunk.groups, lo, row, as_block)
-                bus.publish(sample.topic, sample.payload, t_ns=sample.t_ns)
-                lo = row + 1
-        _publish_judged(bus, chunk.groups, lo, stop, as_block)
-        if stop < hi:
-            raise refused[1]
+        _publish_judged(bus, chunk.groups, lo, hi, as_block)
         del chunk  # not alive while the next chunk is judged
     return bus
 
@@ -730,27 +725,31 @@ class _Checks:
     def chunk(self, chunk: Chunk, issues: list) -> int:
         """Append the chunk's issues to issues; return its record count."""
         self.at, self.found = chunk.offsets, []  # found: (row, rank of the check, issue)
-        streams = [(g.topic, g.rows, g.t, g.seq) for g in chunk.groups]
-        others: dict[str, list] = {}
-        for row, sample, misfit in chunk.others:
+        streams = {g.topic: (g.topic, g.rows, g.t, g.seq) for g in chunk.groups}
+        misfits: dict[str, list] = {}
+        for row, sample, reason in chunk.refused:
             if sample is None:
-                self.flag(row, 0, "parse", "", f"cannot decode: {misfit}")
+                self.flag(row, 0, "parse", "", f"cannot decode: {reason}")
             elif sample.topic not in self.descs:
-                self.flag(row, 0, "manifest", sample.topic, "topic not in manifest")
+                self.flag(row, 0, "manifest", sample.topic, reason)
             else:
-                if misfit is not None:
-                    self.flag(row, 0, "schema", sample.topic, misfit)
-                others.setdefault(sample.topic, []).append((row, sample.t_ns, sample.seq))
-        for topic, items in others.items():
+                self.flag(row, 0, "schema", sample.topic, reason)
+                misfits.setdefault(sample.topic, []).append((row, sample.t_ns, sample.seq))
+        # A misfit record is checked in its topic's stream, in row order.
+        for topic, items in misfits.items():
+            if topic in streams:
+                _, rows, t, seq = streams[topic]
+                items += zip(rows.tolist(), t.tolist(), seq)
+                items.sort(key=itemgetter(0))
             rows, t, seq = zip(*items)
-            streams.append((topic, np.array(rows), np.array(t, dtype=np.int64), list(seq)))
+            streams[topic] = topic, np.array(rows), np.array(t, dtype=np.int64), list(seq)
         if streams:
-            self.order(streams)
-        for stream in streams:
+            self.order(list(streams.values()))
+        for stream in streams.values():
             self.topic(*stream)
         self.found.sort(key=itemgetter(0, 1))
         issues += [issue for _, _, issue in self.found]
-        return len(self.at) - sum(sample is None for _, sample, _ in chunk.others)
+        return len(self.at) - sum(sample is None for _, sample, _ in chunk.refused)
 
     def flag(self, row, rank: int, kind: str, topic: str, message: str):
         self.found.append((int(row), rank, ValidationIssue(kind, topic, message, int(self.at[row]))))

@@ -89,16 +89,16 @@ class TopicDescriptor:
 
     def __post_init__(self):
         if not isinstance(self.name, str) or not _NAME_RE.fullmatch(self.name):
-            raise InvalidName(f"topic name must be dot-separated words: {self.name!r}")
+            raise InvalidName(f"topic name must be dot-separated words: {self.name!r:.40}")
         rate = self.nominal_rate_hz
         if rate is not None and (isinstance(rate, bool) or not isinstance(rate, (int, float))
                                  or not 0 < rate <= sys.float_info.max):
             raise InvalidName(f"nominal_rate_hz must be positive and finite: {rate!r:.40}")
         if not isinstance(self.schema, Mapping):
-            raise InvalidName(f"schema must map field names to kinds: {self.schema!r}")
+            raise InvalidName(f"schema must map field names to kinds: {self.schema!r:.40}")
         for fname, kind in self.schema.items():
             if not isinstance(kind, str) or kind.rstrip("?") not in _KINDS:
-                raise InvalidName(f"unknown schema kind {kind!r} for field {fname!r}")
+                raise InvalidName(f"unknown schema kind {kind!r:.40} for field {fname!r:.40}")
         object.__setattr__(self, "schema", dict(self.schema))
 
 
@@ -113,6 +113,8 @@ def _canonical_value(kind: str, value, fname: str):
     if kind == "i64":
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaMismatch(f"field {fname!r} expects int, got {type(value).__name__}")
+        if not -2**63 <= value < 2**63:
+            raise SchemaMismatch(f"field {fname!r} is outside the int64 range")
         return value
     if kind == "bool":
         if not isinstance(value, bool):

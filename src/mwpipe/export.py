@@ -15,8 +15,8 @@ depends on which modalities and joined topics the whole bag holds, so it is
 settled at the end, and only then is out_path written from the spool.
 
 This rests on the bag's order: a bio or joined record whose t is below that
-of an earlier record of those topics raises CorruptBag, and no CSV is
-written.
+of an earlier record of those topics raises CorruptBag, as does a record
+that bag.paced_chunks refuses, and no CSV is written.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .bag import Chunk, judged_chunks
+from .bag import Chunk, paced_chunks
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
 from .errors import CorruptBag
 from .features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
@@ -60,13 +60,14 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
                 align_tolerance_ns: int = DEFAULT_ALIGN_TOLERANCE_NS,
                 gaze_thresholds=DEFAULT_THRESHOLDS) -> str:
     """Write the feature table of a bag to out_path and return that path. A
-    record that does not fit its topic's schema, or a bio or joined record
-    out of order, raises CorruptBag."""
+    refused record (one that cannot be decoded, does not fit its topic's
+    schema or is on a topic the manifest does not list), or a bio or joined
+    record out of order, raises CorruptBag."""
     spool_dir = os.path.dirname(os.path.abspath(out_path))
     with tempfile.TemporaryFile("w+", encoding="ascii", dir=spool_dir) as spool:
         table = _Table(window_s, stride_s, align_tolerance_ns, gaze_thresholds, spool)
-        for chunk in judged_chunks(bag_path):
-            table.read(chunk)
+        for chunk, _, hi in paced_chunks(bag_path):  # at rate "max": rows 0 to hi
+            table.read(chunk, hi)
             del chunk  # not alive while the next chunk is judged
         table.finish()
         columns = set()
@@ -107,20 +108,16 @@ class _Table:
         self.in_baseline = False
         self.baseline_end = None
 
-    def read(self, chunk: Chunk):
+    def read(self, chunk: Chunk, hi: int):
+        """Read a chunk's rows up to row hi. A chunk cut short of its end ends
+        the export: paced_chunks raises the refusal of row hi next, unless
+        an order fault before it is raised here."""
         groups = {g.topic: g for g in chunk.groups if g.topic in _BIO or g.topic in self.joined}
-        others: dict[str, list] = {}
-        for row, sample, misfit in chunk.others:
-            if misfit is None and (sample.topic in _BIO or sample.topic in self.joined):
-                others.setdefault(sample.topic, []).append((row, sample))
-        self.check_order(chunk, [(g.rows, g.t) for g in groups.values()]
-                         + [(np.array([r for r, _ in items]),
-                             np.array([s.t_ns for _, s in items], dtype=np.int64))
-                            for items in others.values()])
+        self.check_order(chunk, hi, [(g.rows, g.t) for g in groups.values()])
+        if hi < len(chunk.offsets):
+            return
 
         joined = {t: g.samples() for t, g in groups.items() if t in self.joined}
-        joined.update((t, [s for _, s in items]) for t, items in others.items()
-                      if t in self.joined)
         for topic, samples in joined.items():
             self.joined[topic] += samples
             self.joined_seen.add(topic)
@@ -135,12 +132,6 @@ class _Table:
                 values = [np.asarray(columns[f], dtype=float) for f in fields]
                 bio[m] = (int(g.rows[0]), g.t,
                           values[0] if len(values) == 1 else np.column_stack(values))
-        for topic, items in others.items():
-            if topic in _BIO:
-                m, fields = _BIO[topic]
-                bio[m] = (items[0][0], np.array([s.t_ns for _, s in items], dtype=np.int64),
-                          np.asarray([itemgetter(*fields)(s.payload) for _, s in items],
-                                     dtype=float))
         if not bio and self.pipeline is None:
             self.trim()
             return
@@ -157,23 +148,20 @@ class _Table:
         self.join(self.max_t - self.tolerance_ns)
         self.trim()
 
-    def check_order(self, chunk: Chunk, streams: list):
-        """Raise the chunk's first refusal or order fault, whichever comes
-        first in the file; else carry the greatest t on."""
-        refused = chunk.refusal()
+    def check_order(self, chunk: Chunk, hi: int, streams: list):
+        """Raise the chunk's first order fault before row hi; else carry the
+        greatest t on."""
         if streams:
             rows = np.concatenate([r for r, _ in streams])
             order = np.argsort(rows)
             rows, t = rows[order], np.concatenate([t for _, t in streams])[order]
             running = np.maximum.accumulate(np.concatenate(([self.max_t], t)))
             late = np.flatnonzero(t < running[:-1])
-            if len(late) and rows[late[0]] < (math.inf if refused is None else refused[0]):
+            if len(late) and rows[late[0]] < hi:
                 i = late[0]
                 raise CorruptBag(f"record at byte {int(chunk.offsets[rows[i]])} is out of "
                                  f"order: t={t[i]} after t={running[i]}")
             self.max_t = int(running[-1])
-        if refused is not None:
-            raise refused[1]
 
     def read_phases(self, meta: list[TimedSample]):
         """Find where sim.meta first leaves the baseline phase."""

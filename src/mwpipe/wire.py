@@ -111,7 +111,8 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
 
     The manifest is sent as frame 0. ready, when given, is a callable
     invoked with (host, port) once listening (used to synchronize tests).
-    A corrupt record raises CorruptBag, and a line too long for a frame
+    A refused record (bag.paced_chunks), on a topic the manifest does not
+    list among them, raises CorruptBag, and a line too long for a frame
     WireError, once every record before it is sent.
     """
     chunks = paced_chunks(path, rate)
@@ -126,17 +127,13 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
     try:
         conn.sendall(_frame(manifest_line))
         for chunk, lo, hi in chunks:
-            refused = chunk.refusal()
-            stop = hi if refused is None else min(hi, refused[0])
             at = chunk.offsets
-            for a in range(lo, stop, _SEND_ROWS):
-                b = min(a + _SEND_ROWS, stop)
+            for a in range(lo, hi, _SEND_ROWS):
+                b = min(a + _SEND_ROWS, hi)
                 end = at[b] - at[0] if b < len(at) else len(chunk.data)
                 lines = chunk.data[at[a] - at[0]:end].split(b"\n")[:b - a]
                 _send_frames(conn, lines)
                 sent += len(lines)
-            if stop < hi:
-                raise refused[1]
             del chunk  # not alive while the next chunk is judged
     finally:
         conn.close()

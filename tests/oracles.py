@@ -12,8 +12,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from mwpipe.bag import (ValidationIssue, ValidationReport, _records, header_lines,
-                        iter_samples, judged_chunks, manifest_topics, read_manifest)
+from mwpipe.bag import (ValidationIssue, ValidationReport, header_lines, iter_samples,
+                        judged_chunks, manifest_topics, read_manifest)
 from mwpipe.bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
 from mwpipe.errors import CorruptBag, WireError
 from mwpipe.export import JOINED_COLUMNS, META_TOPIC, _fmt
@@ -149,8 +149,19 @@ def body_bytes(path):
 # -- the per-record bag readers ------------------------------------------------
 #
 # validate, replay and serve_bag as loops over one record at a time. They
-# take the same per-record verdict as the library (bag._records), so they
-# check what the columnar readers do with it, not the judge.
+# take the judge's verdict on each record (records, below), so they check
+# what the columnar readers do with it, not the judge.
+
+
+def records(path):
+    """Yield (byte_offset, sample, reason) per record line of a bag, in file
+    order, as judged_chunks judges it: sample is None for a line that cannot
+    be decoded; reason is why a record is refused, or None."""
+    for chunk in judged_chunks(path):
+        accepted = [(row, sample, None) for g in chunk.groups
+                    for row, sample in zip(g.rows.tolist(), g.samples())]
+        for row, sample, reason in sorted(accepted + chunk.refused, key=itemgetter(0)):
+            yield int(chunk.offsets[row]), sample, reason
 
 
 def validate_oracle(path):
@@ -164,7 +175,7 @@ def validate_oracle(path):
     last_global_t = None
     last_seq = {}
     last_t = {}
-    for offset, sample, misfit in _records(path):
+    for offset, sample, misfit in records(path):
         if sample is None:
             report.issues.append(ValidationIssue("parse", "", f"cannot decode: {misfit}", offset))
             continue
@@ -256,9 +267,9 @@ def extract_csv_oracle(bag_path, out_path, window_s=30.0, stride_s=1.0,
     bio = {}  # modality -> [(times, values)] in bag order
     joined = {t: [] for t in JOINED_COLUMNS}
     for chunk in judged_chunks(bag_path):
-        refused = chunk.refusal()
-        if refused is not None:
-            raise refused[1]
+        if chunk.refused:
+            row, _, reason = chunk.refused[0]
+            raise CorruptBag(f"record at byte {int(chunk.offsets[row])} is refused: {reason}")
         for group in chunk.groups:
             if group.topic in bio_fields:
                 m, fields = bio_fields[group.topic]
@@ -268,14 +279,6 @@ def extract_csv_oracle(bag_path, out_path, window_s=30.0, stride_s=1.0,
                     (group.t, values[0] if len(values) == 1 else np.column_stack(values)))
             elif group.topic in joined:
                 joined[group.topic].extend(group.samples())
-        for _, sample, _ in chunk.others:
-            if sample.topic in bio_fields:
-                m, fields = bio_fields[sample.topic]
-                bio.setdefault(m, []).append((np.array([sample.t_ns], dtype=np.int64),
-                                              np.asarray([itemgetter(*fields)(sample.payload)],
-                                                         dtype=float)))
-            elif sample.topic in joined:
-                joined[sample.topic].append(sample)
 
     modalities = tuple(sorted(bio))
     rows = []

@@ -19,7 +19,6 @@ from mwpipe.bag import (
     _decode_record,
     _fast_decoders,
     _record_line,
-    _records,
     header_lines,
     iter_samples,
     judged_chunks,
@@ -35,7 +34,7 @@ from mwpipe.session import SESSION_TOPICS
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
 from mwpipe.wire import recv_frames, serve_bag
 
-from oracles import (body_bytes, load_samples, replay_oracle, serve_bag_oracle,
+from oracles import (body_bytes, load_samples, records, replay_oracle, serve_bag_oracle,
                      validate_oracle)
 
 
@@ -192,6 +191,9 @@ MALFORMED_HEADERS = {
     "rate_infinite": bag_with_rate(b"Infinity"),
     "repeated_name": bag_with_topics(b'{"name":"a.b"},{"name":"a.b"}'),
     "first_line_without_end": b"MWBAG1" * 200_000,
+    "long_topic_name": bag_with_topics(b'{"name":"%s"}' % (b"x" * 1_000_000)),
+    "long_entry_not_object": bag_with_topics(b'"%s"' % (b"x" * 1_000_000)),
+    "long_kind": bag_with_topics(b'{"name":"a.b","schema":{"v":"%s"}}' % (b"f" * 1_000_000)),
 }
 
 
@@ -387,7 +389,8 @@ def test_undecodable_record_is_a_typed_error(tmp_path, bad):
 
 # -- the compiled decode path against the json.loads reference ---------------
 
-DECODE_TOPICS = {"t.a": {"v": "f64"}, "t.o": {"v": "f64?"}, "f.x": {"a": "f64", "b": "f64"}}
+DECODE_TOPICS = {"t.a": {"v": "f64"}, "t.o": {"v": "f64?"}, "f.x": {"a": "f64", "b": "f64"},
+                 "t.i": {"n": "i64"}}
 GOOD_LINE = b'{"t":0,"topic":"t.a","seq":0,"data":{"v":1.5}}\n'
 
 
@@ -470,9 +473,10 @@ def test_writer_lines_decode_to_their_samples(tmp_path_factory, samples):
     line is judged by its topic's compiled line, never by the reference."""
     lines = [_record_line(s, CODEC_TOPICS[s.topic]).encode() for s in samples]
     path = bag_with_lines(tmp_path_factory.mktemp("codec") / "c.bag", lines, CODEC_TOPICS)
-    (chunk,) = judged_chunks(path)
-    assert chunk.others == []
-    assert [exact(s) for s in load_samples(path)] == [exact(s) for s in samples]
+    with mock.patch.object(mbag, "_decode_record", side_effect=AssertionError):
+        (chunk,) = judged_chunks(path)
+        assert chunk.refused == []
+        assert [exact(s) for s in load_samples(path)] == [exact(s) for s in samples]
 
 
 PERTURBED = {
@@ -494,6 +498,8 @@ PERTURBED = {
     "not_a_record": b"[1,2]\n",
     "f64_overflows": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1e999}}\n',
     "f64_overflows_negative": b'{"t":1,"topic":"f.x","seq":0,"data":{"a":1.5,"b":-1e999}}\n',
+    "i64_above_int64": b'{"t":1,"topic":"t.i","seq":0,"data":{"n":9223372036854775808}}\n',
+    "i64_below_int64": b'{"t":1,"topic":"t.i","seq":0,"data":{"n":-9223372036854775809}}\n',
 }
 
 
@@ -501,13 +507,23 @@ PERTURBED = {
 def test_perturbed_line_decodes_as_json_path(tmp_path, line):
     path = bag_with_lines(tmp_path / "p.bag", [GOOD_LINE, line, GOOD_LINE])
     expected, misfit = reference_decode(line)
-    _, (offset, got, why), _ = _records(path)
+    _, (offset, got, why), _ = records(path)
     assert offset == path.read_bytes().index(line)
     assert exact(got) == exact(expected)
     assert why == misfit
     if misfit is not None:
         with pytest.raises(CorruptBag):
             list(iter_samples(path))
+
+
+@pytest.mark.parametrize("name", ["i64_above_int64", "i64_below_int64"])
+def test_an_i64_beyond_int64_is_refused(tmp_path, name):
+    """Such a value has 19 digits, as many as the compiled line takes, and
+    the bus never publishes it."""
+    path = bag_with_lines(tmp_path / "i.bag", [GOOD_LINE, PERTURBED[name]])
+    assert [(i.kind, i.topic) for i in validate(path).issues] == [("schema", "t.i")]
+    with pytest.raises(CorruptBag):
+        list(iter_samples(path))
 
 
 # -- every reader takes the one verdict -----------------------------------------
@@ -555,13 +571,11 @@ def test_readers_take_one_verdict(tmp_path_factory, lines, tail):
             samples, raised = [], True
         report = validate(path)
     for sample in samples:
-        schema = FUZZ_TOPICS.get(sample.topic)
-        if schema is not None:  # a topic the manifest lacks has no schema to fit
-            assert exact(sample) == exact(sample._replace(
-                payload=canonical_payload(schema, sample.payload)))
-            assert all(math.isfinite(v) for v in sample.payload.values()
-                       if isinstance(v, float))
-    assert any(i.kind in ("parse", "schema") for i in report.issues) == raised
+        schema = FUZZ_TOPICS[sample.topic]
+        assert exact(sample) == exact(sample._replace(
+            payload=canonical_payload(schema, sample.payload)))
+        assert all(math.isfinite(v) for v in sample.payload.values() if isinstance(v, float))
+    assert any(i.kind in ("parse", "schema", "manifest") for i in report.issues) == raised
 
 
 def ecg_bag(path, overflow_at=None):
@@ -606,6 +620,36 @@ STRICT_READERS = {
     "serve_bag": serve_to_one_client,
     "extract_csv": lambda path: extract_csv(path, path.with_suffix(".csv")),
 }
+
+
+@pytest.mark.parametrize("topic", ["bio.eda", "x.y"])
+@pytest.mark.parametrize("chunk_bytes", [1, 128 * 1024])
+def test_a_record_on_an_unlisted_topic_is_refused_at_its_offset(tmp_path, topic, chunk_bytes):
+    """A record on a topic the manifest does not list stops every strict
+    reader at the offset of validate's [manifest] issue, even when it is
+    named as a bio topic or the caller's bus has that topic."""
+    path = ecg_bag(tmp_path / "unlisted.bag")
+    lines = path.read_bytes().splitlines(keepends=True)
+    t = json.loads(lines[2 + 4000])["t"]
+    lines.insert(2 + 4001, b'{"t":%d,"topic":"%s","seq":0,"data":{"v":1.5}}\n' % (t, topic.encode()))
+    path.write_bytes(b"".join(lines))
+    (issue,) = validate(path).issues
+    assert (issue.kind, issue.topic) == ("manifest", topic)
+    refused = f"record at byte {issue.byte_offset} is refused: topic not in manifest"
+    bus = Bus(clock=ManualClock())
+    bus.open_topic(TopicDescriptor(topic, {"v": "f64"}))
+    out = tmp_path / "unlisted.csv"
+    with mock.patch.object(mbag, "_CHUNK_BYTES", chunk_bytes):
+        with pytest.raises(CorruptBag, match=refused):
+            list(iter_samples(path))
+        with pytest.raises(CorruptBag, match=refused):
+            replay(path, bus=bus)
+        frames, error = serve_outcome(path)
+        with pytest.raises(CorruptBag, match=refused):
+            extract_csv(path, out)
+    assert error == (CorruptBag, refused)
+    assert frames == [lines[1][:-1]] + [line[:-1] for line in lines[2:2 + 4001]]
+    assert not out.exists()
 
 
 def test_extract_keeps_file_order_around_a_non_canonical_line(tmp_path):

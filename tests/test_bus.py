@@ -100,6 +100,18 @@ def test_publish_refuses_a_non_finite_float(value):
     assert (seen, h.next_seq, h.last_t_ns) == ([], 0, None)
 
 
+def test_publish_takes_an_i64_in_the_int64_range_only():
+    """Every i64 value the bus passes is an int64, as a bag reader reads it."""
+    bus = make_bus()
+    h = bus.open_topic(TopicDescriptor("c.n", {"n": "i64"}))
+    assert [bus.publish(h, {"n": n}, t_ns=i).payload for i, n in enumerate([-2**63, 2**63 - 1])] \
+        == [{"n": -2**63}, {"n": 2**63 - 1}]
+    for n in (2**63, -2**63 - 1, 2**70):
+        with pytest.raises(SchemaMismatch):
+            bus.publish(h, {"n": n}, t_ns=5)
+    assert (h.next_seq, h.last_t_ns) == (2, 1)
+
+
 @pytest.mark.parametrize("t_ns", [None, 1.5, 2.0, True, "5", 2**63, -2**63 - 1])
 def test_publish_rejects_a_stamp_that_is_not_integer_ns(t_ns):
     bus = make_bus()

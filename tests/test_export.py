@@ -143,7 +143,8 @@ def test_floats_round_trip_through_csv(tmp_path):
 FIT_TOPICS = {"bio.st": {"v": "f64"},
               "sim.meta": {"phase": "str", "run_index": "i64", "difficulty": "str",
                            "elapsed_s": "f64"},
-              "sim.resources": {"o2_pct": "f64", "co2_pct": "f64"}}
+              "sim.resources": {"o2_pct": "f64", "co2_pct": "f64"},
+              "feat.st": {"quality": "f64"}}
 MISFIT_RECORDS = {
     "str_in_f64": ("bio.st", b'{"v":"oops"}'),
     "bool_in_f64": ("bio.st", b'{"v":true}'),
@@ -339,7 +340,7 @@ def test_other_topics_are_not_held_to_the_order(tmp_path):
     or TLX record out of order is no fault of the export's."""
     path = bag_with_record(tmp_path / "ok.bag", "bio.st", b'{"v":30.5}')
     lines = path.read_bytes().splitlines(keepends=True)
-    lines.insert(2 + 150, b'{"t":1,"topic":"survey.tlx","seq":0,"data":{}}\n')
+    lines.insert(2 + 150, b'{"t":1,"topic":"feat.st","seq":0,"data":{"quality":1.0}}\n')
     path.write_bytes(b"".join(lines))
     out = Path(extract_csv(path, tmp_path / "ok.csv"))
     assert out.read_bytes() == Path(extract_csv_oracle(path, tmp_path / "oracle.csv")).read_bytes()
