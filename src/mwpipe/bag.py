@@ -10,6 +10,7 @@ re-extraction bit-exact. A truncated final line is tolerated by readers.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import json
@@ -93,85 +94,43 @@ def _record_line(sample: TimedSample, schema: dict) -> str:
     return template % (sample.t_ns, sample.seq, *values)
 
 
-def _merged_lines(samples: list[TimedSample], blocks: list[SampleBlock], schemas: dict):
-    """The lines of the given samples and block rows, with their t in line
-    order and the permutation that puts the lines in the bag's merge order:
-    t, then topic name, then seq. schemas: topic name -> schema."""
-    by_topic: dict[str, list[SampleBlock]] = {}
-    for b in blocks:
-        by_topic.setdefault(b.topic, []).append(b)
-    rank = {name: i for i, name in enumerate(sorted({*by_topic, *(s.topic for s in samples)}))}
-    lines: list[str] = []
-    keys = []  # (t, topic rank, seq) of each run of lines
-    for name, group in by_topic.items():
-        times = np.concatenate([b.times_ns for b in group])
-        seqs = np.concatenate([np.arange(b.seq0, b.seq0 + len(b.times_ns)) for b in group])
-        columns = np.concatenate([b.columns for b in group], axis=1)
-        schema = schemas[name]
-        # a block's topic is all f64, so no value is converted
-        template, _ = _template(name, tuple(schema), tuple(schema.values()))
-        lines += map(template.__mod__, zip(times.tolist(), seqs.tolist(), *columns.tolist()))
-        keys.append((times, np.full(len(times), rank[name]), seqs))
-    if samples:
-        lines += [_record_line(s, schemas[s.topic]) for s in samples]
-        keys.append(np.array([(s.t_ns, rank[s.topic], s.seq) for s in samples],
-                             dtype=np.int64).T)
-    t, ranks, seqs = (np.concatenate(k) for k in zip(*keys))
-    return lines, t, np.lexsort((seqs, ranks, t))
-
-
-def _rows(block: SampleBlock, lo: int, hi: int | None) -> SampleBlock:
-    return block._replace(times_ns=block.times_ns[lo:hi], seq0=block.seq0 + lo,
-                          columns=block.columns[:, lo:hi])
-
-
 class BagWriter:
-    """Buffers published samples and blocks and writes them in merged
-    timestamp order.
+    """Formats each published sample and block row into its bag line at
+    once, and writes the lines in merged timestamp order: t, then topic name.
 
     flush_until(w) may be called whenever the orchestrator can guarantee no
     future publish carries t < w; a record that breaks that raises
     CorruptBag on the next flush. What is buffered, and so the writer's
-    memory, is what was published since the last flush: a session flushes
-    every 10 s of session time and at each phase end. The manifest is
-    written on the first flush so the file stays readable after abnormal
-    termination. A block from Bus.publish_block is kept as the publisher's
-    arrays until its rows are written, so those arrays must not change
-    after publishing.
+    memory, is the lines published since the last flush, with their t: a
+    session flushes every 10 s of session time and at each phase end. The
+    manifest is written on the first flush so the file stays readable after
+    abnormal termination.
     """
 
     def __init__(self, path, bus: Bus, session_meta: dict | None = None):
         self.path = str(path)
         self._bus = bus
         self._meta = dict(session_meta or {})
-        self._samples: list[TimedSample] = []
-        self._blocks: list[SampleBlock] = []
+        self._pending: dict[str, tuple[list, list]] = {}  # topic -> (t of each line, lines)
         self._lock = threading.Lock()
         self._fh = None
         self._last_written_ns = None
         bus.add_listener(self._on_publish)
 
     def _on_publish(self, item: TimedSample | SampleBlock):
+        schema = self._bus.topic(item.topic).desc.schema
+        if isinstance(item, SampleBlock):
+            # a block's topic is all f64, so no value is converted
+            template, _ = _template(item.topic, item.fields, tuple(schema.values()))
+            t = item.times_ns.tolist()
+            lines = list(map(template.__mod__, zip(t, range(item.seq0, item.seq0 + len(t)),
+                                                   *item.columns.tolist())))
+        else:
+            t, lines = [item.t_ns], [_record_line(item, schema)]
         with self._lock:
-            (self._blocks if isinstance(item, SampleBlock) else self._samples).append(item)
-
-    def _take_due(self, watermark_ns: int):
-        """Remove and return the buffered samples and block rows with t < watermark_ns."""
-        with self._lock:
-            samples = [s for s in self._samples if s.t_ns < watermark_ns]
-            self._samples = [s for s in self._samples if s.t_ns >= watermark_ns]
-            blocks, kept = [], []
-            for b in self._blocks:
-                k = int(b.times_ns.searchsorted(watermark_ns))
-                if k == len(b.times_ns):
-                    blocks.append(b)
-                elif k == 0:
-                    kept.append(b)
-                else:
-                    blocks.append(_rows(b, 0, k))
-                    kept.append(_rows(b, k, None))
-            self._blocks = kept
-        return samples, blocks
+            times, buffered = self._pending.setdefault(item.topic, ([], []))
+            times += t  # the bus makes each topic's t strictly increasing
+            buffered += lines
 
     def _ensure_started(self):
         if self._fh is not None:
@@ -197,18 +156,24 @@ class BagWriter:
         self._ensure_started()
 
     def flush_until(self, watermark_ns: int):
-        samples, blocks = self._take_due(watermark_ns)
+        times, lines = [], []  # each topic's due lines, in topic-name order
+        with self._lock:
+            for _, (t, buffered) in sorted(self._pending.items()):
+                k = bisect.bisect_left(t, watermark_ns)
+                times += t[:k]
+                lines += buffered[:k]
+                del t[:k], buffered[:k]
         self._ensure_started()
-        if samples or blocks:
-            schemas = {d.name: d.schema for d in self._bus.topics()}
-            lines, t, order = _merged_lines(samples, blocks, schemas)
-            first, last = int(t[order[0]]), int(t[order[-1]])
+        if times:
+            # a stable sort by t keeps topic-name order among equal t
+            order = np.argsort(np.array(times, dtype=np.int64), kind="stable").tolist()
+            first, last = times[order[0]], times[order[-1]]
             if self._last_written_ns is not None and first < self._last_written_ns:
                 raise CorruptBag(
                     f"flush watermark violated: sample at {first} after "
                     f"writing up to {self._last_written_ns}"
                 )
-            self._fh.write("".join(map(lines.__getitem__, order.tolist())))
+            self._fh.write("".join(map(lines.__getitem__, order)))
             self._last_written_ns = last
         self._fh.flush()
 

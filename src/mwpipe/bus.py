@@ -105,24 +105,24 @@ class TopicDescriptor:
 def _canonical_value(kind: str, value, fname: str):
     if kind == "f64":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaMismatch(f"field {fname!r} expects float, got {type(value).__name__}")
+            raise SchemaMismatch(f"field {fname!r:.40} expects float, got {type(value).__name__}")
         v = float(value)
         if not math.isfinite(v):
-            raise SchemaMismatch(f"field {fname!r} must be finite, got {v}")
+            raise SchemaMismatch(f"field {fname!r:.40} must be finite, got {v}")
         return v
     if kind == "i64":
         if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaMismatch(f"field {fname!r} expects int, got {type(value).__name__}")
+            raise SchemaMismatch(f"field {fname!r:.40} expects int, got {type(value).__name__}")
         if not -2**63 <= value < 2**63:
-            raise SchemaMismatch(f"field {fname!r} is outside the int64 range")
+            raise SchemaMismatch(f"field {fname!r:.40} is outside the int64 range")
         return value
     if kind == "bool":
         if not isinstance(value, bool):
-            raise SchemaMismatch(f"field {fname!r} expects bool, got {type(value).__name__}")
+            raise SchemaMismatch(f"field {fname!r:.40} expects bool, got {type(value).__name__}")
         return value
     if kind == "str":
         if not isinstance(value, str):
-            raise SchemaMismatch(f"field {fname!r} expects str, got {type(value).__name__}")
+            raise SchemaMismatch(f"field {fname!r:.40} expects str, got {type(value).__name__}")
         return value
     raise SchemaMismatch(f"unknown kind {kind!r}")
 
@@ -136,11 +136,11 @@ def canonical_payload(schema: Mapping[str, str], payload: Mapping) -> dict:
         if fname not in payload:
             if optional:
                 continue
-            raise SchemaMismatch(f"missing required field {fname!r}")
+            raise SchemaMismatch(f"missing required field {fname!r:.40}")
         out[fname] = _canonical_value(base, payload[fname], fname)
     extra = set(payload) - set(schema)
     if extra:
-        raise SchemaMismatch(f"fields not in schema: {sorted(extra)}")
+        raise SchemaMismatch("fields not in schema: " + ", ".join(f"{f!r:.40}" for f in sorted(extra)))
     return out
 
 
@@ -233,8 +233,8 @@ class Bus:
         in schema order (a 2-D array of shape (fields, len(times_ns)), or a
         sequence of such rows), of finite real numbers. A block that breaks
         a rule raises SchemaMismatch or TimestampRegression, as publish
-        does, and leaves the topic unchanged. The arrays are kept, not
-        copied: they must not change after publishing.
+        does, and leaves the topic unchanged. Listeners get the arrays, not
+        copies, so they must not change while a listener holds them.
         """
         handle = topic if isinstance(topic, Topic) else self.topic(topic)
         schema = handle.desc.schema

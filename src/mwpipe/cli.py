@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import sys
 
@@ -144,8 +145,8 @@ def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
     path = extract_csv(bag_path, out_path, window_s=window_s, stride_s=stride_s,
                        align_tolerance_ns=round(tolerance_ms * 1e6),
                        gaze_thresholds=_from_config(gaze_thresholds_from_config, config_path))
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = sum(1 for _ in fh) - 1
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = sum(1 for _ in csv.reader(fh)) - 1
     click.echo(f"wrote {rows} rows to {path}")
 
 

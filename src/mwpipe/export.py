@@ -49,11 +49,16 @@ _ALL_COLUMNS = sorted({f"{m}.{c}" for m, names in FEATURE_CATALOG.items()
 
 
 def _fmt(value) -> str:
+    """value as a CSV cell: a text holding a comma, a double quote, CR or LF
+    in double quotes with inner quotes doubled (RFC 4180), any other as is."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.0,

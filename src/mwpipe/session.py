@@ -181,6 +181,8 @@ class SessionPlan:
             raise PlanInvalid(f"phase durations must be positive and under 2**63 ns: {durations}")
         # the baseline, four runs and the three free-play gaps between them
         ticks = [round(d / DT_S) for d in durations]
+        if min(ticks) < 1:
+            raise PlanInvalid(f"every phase must last at least one {DT_S} s tick: {durations}")
         if (ticks[0] + 3 * ticks[1] + 4 * ticks[2]) * TICK_NS >= 2**63:
             raise PlanInvalid("a session with every phase at full length overruns 2**63 ns")
         unknown = set(self.phase_profiles) - {"baseline", "run", "freeplay"}
@@ -327,18 +329,13 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
     run_records: list[RunRecord] = []
     phase_spans: list[tuple] = []
     t_ns = 0
-    last_meta_ns = -1
     stitch = StitchState()
 
     def publish_meta(t, phase_name, run_index, difficulty):
-        nonlocal last_meta_ns
-        if t == last_meta_ns:
-            return
         bus.publish(topics["sim.meta"], {
             "phase": phase_name, "run_index": run_index,
             "difficulty": difficulty, "elapsed_s": t / NS_PER_S,
         }, t_ns=t)
-        last_meta_ns = t
 
     try:
         for phase_index, (phase_name, run_index) in enumerate(phases):

@@ -16,7 +16,7 @@ from mwpipe.bag import (ValidationIssue, ValidationReport, header_lines, iter_sa
                         judged_chunks, manifest_topics, read_manifest)
 from mwpipe.bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
 from mwpipe.errors import CorruptBag, WireError
-from mwpipe.export import JOINED_COLUMNS, META_TOPIC, _fmt
+from mwpipe.export import JOINED_COLUMNS, META_TOPIC
 from mwpipe.features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
 
 
@@ -255,6 +255,20 @@ def _baseline_interval(meta_samples):
     return None
 
 
+def _csv_cell(value) -> str:
+    """A joined value or feature as a CSV cell, quoted as RFC 4180 quotes a
+    field that holds a comma, a double quote, CR or LF."""
+    if isinstance(value, bool):
+        text = "true" if value else "false"
+    elif isinstance(value, float):
+        text = repr(value)
+    else:
+        text = str(value)
+    if set(text) & set(',"\r\n'):
+        text = '"%s"' % text.replace('"', '""')
+    return text
+
+
 def extract_csv_oracle(bag_path, out_path, window_s=30.0, stride_s=1.0,
                        align_tolerance_ns=DEFAULT_ALIGN_TOLERANCE_NS,
                        gaze_thresholds=DEFAULT_THRESHOLDS):
@@ -331,7 +345,7 @@ def extract_csv_oracle(bag_path, out_path, window_s=30.0, stride_s=1.0,
         for t_end in t_ends:
             cells = table[t_end]
             line = [str(t_end)] + [
-                _fmt(cells[c]) if c in cells else "" for c in ordered
+                _csv_cell(cells[c]) if c in cells else "" for c in ordered
             ]
             fh.write(",".join(line) + "\n")
     return str(out_path)

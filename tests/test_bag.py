@@ -348,6 +348,20 @@ def test_flush_watermark_keeps_future_samples(tmp_path):
     assert len(load_samples(tmp_path / "wm.bag")) == 10
 
 
+def test_a_block_is_written_as_it_was_published(tmp_path):
+    """The writer formats a block's rows when they are published, so arrays
+    that the publisher overwrites before the flush do not reach the bag."""
+    bus, a, _ = small_bus()
+    w = BagWriter(tmp_path / "block.bag", bus)
+    times, columns = np.array([10, 20, 30]), np.array([[1.5, 2.5, 3.5]])
+    bus.publish_block(a, times, columns)
+    columns[0] = -7.0
+    times += 5
+    w.close()
+    assert [(s.t_ns, s.seq, s.payload) for s in load_samples(tmp_path / "block.bag")] == \
+        [(10, 0, {"v": 1.5}), (20, 1, {"v": 2.5}), (30, 2, {"v": 3.5})]
+
+
 def test_close_closes_the_file_when_the_last_flush_raises(tmp_path):
     bus = Bus(clock=ManualClock())
     a = bus.open_topic(TopicDescriptor("a.x", {"v": "f64"}))
@@ -402,6 +416,26 @@ def bag_with_lines(path, lines, topics=DECODE_TOPICS, rates=None):
     with open(path, "wb") as fh:
         fh.write(b"MWBAG1\n" + json.dumps(manifest).encode() + b"\n" + b"".join(lines))
     return path
+
+
+LONG_NAME = "x" * 1_000_000
+LONG_FIELD_BAGS = {
+    "long_extra_field": ({"t.a": {"v": "f64"}},
+                         b'{"t":0,"topic":"t.a","seq":0,"data":{"v":1.5,"%s":1.0}}\n'
+                         % LONG_NAME.encode()),
+    "long_manifest_field": ({"t.a": {"v": "f64", LONG_NAME: "f64"}}, GOOD_LINE),
+}
+
+
+@pytest.mark.parametrize("topics, line", LONG_FIELD_BAGS.values(), ids=LONG_FIELD_BAGS)
+def test_a_long_field_name_is_cut_in_messages(tmp_path, topics, line):
+    path = bag_with_lines(tmp_path / "long.bag", [line], topics)
+    report = validate(path)
+    assert [i.kind for i in report.issues] == ["schema"]
+    assert len(str(report.issues[0])) < 200
+    with pytest.raises(CorruptBag) as e:
+        list(iter_samples(path))
+    assert len(str(e.value)) < 200
 
 
 def reference_decode(line):

@@ -199,12 +199,13 @@ def test_concurrent_publishers_per_topic_order():
         assert [s.payload for s in samples] == [{"v": float(k)} for k in range(200)]
 
 
-def test_concurrent_block_publishers_per_topic_order():
+def test_concurrent_block_publishers_per_topic_order(tmp_path):
     bus = make_bus()
     topics = [bus.open_topic(TopicDescriptor(f"th.t{i}", {"a": "f64", "b": "f64"}))
               for i in range(4)]
     seen = []
     bus.add_listener(seen.append)
+    writer = BagWriter(tmp_path / "threads.bag", bus)
 
     def worker(h, n=600):
         k = 0
@@ -234,6 +235,9 @@ def test_concurrent_block_publishers_per_topic_order():
         assert np.concatenate([b.columns for b in blocks], axis=1).tolist() == \
             [[t * 0.5 for t in range(1, 601)], [-t * 1.0 for t in range(1, 601)]]
         assert [b.seq0 for b in blocks] == [int(b.times_ns[0]) - 1 for b in blocks]
+    writer.close()  # the writer's buffers lost no row either
+    assert [(s.t_ns, s.topic, s.seq, s.payload) for s in load_samples(writer.path)] == \
+        [(t, h.name, t - 1, {"a": t * 0.5, "b": -t * 1.0}) for t in range(1, 601) for h in topics]
 
 
 def test_publish_block_hands_listeners_one_block():

@@ -129,6 +129,19 @@ def test_simulate_short_session(runner, tmp_path):
     assert r.exit_code == 0, r.output
 
 
+@pytest.mark.parametrize("duration", ["baseline_s", "interrun_s", "run_timeout_s"])
+def test_simulate_phase_under_one_tick_is_a_command_line_error(runner, tmp_path, duration):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"baseline_s": 35, "interrun_s": 12, "run_timeout_s": 45,
+                               duration: 0.04}))
+    bag = tmp_path / "sim.bag"
+    r = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(bag)])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)
+    assert "every phase must last at least one 0.1 s tick" in r.output
+    assert not bag.exists()
+
+
 def test_seed_env_override(runner, tmp_path, monkeypatch):
     bag_a = tmp_path / "a.bag"
     bag_b = tmp_path / "b.bag"

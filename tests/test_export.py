@@ -7,11 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import mwpipe.bag as mbag
 from mwpipe.bag import BagWriter, _record_line, replay, validate
 from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor
+from mwpipe.cli import main
 from mwpipe.errors import CorruptBag
 from mwpipe.export import extract_csv
 from mwpipe.features import BIO_TOPICS, FEATURE_CATALOG
@@ -343,4 +345,38 @@ def test_other_topics_are_not_held_to_the_order(tmp_path):
     lines.insert(2 + 150, b'{"t":1,"topic":"feat.st","seq":0,"data":{"quality":1.0}}\n')
     path.write_bytes(b"".join(lines))
     out = Path(extract_csv(path, tmp_path / "ok.csv"))
+    assert out.read_bytes() == Path(extract_csv_oracle(path, tmp_path / "oracle.csv")).read_bytes()
+
+
+QUOTED = ["a,b", 'c"d', "e\nf", "g\rh"]
+
+
+def test_cells_with_a_comma_a_quote_or_a_line_break_are_quoted(tmp_path):
+    """sim.meta strings holding a comma, a double quote, LF or CR are each one
+    quoted cell: every row has the header's column count, each such cell
+    reads back exactly, and extract counts rows, not lines."""
+    bus = Bus(clock=ManualClock())
+    topics = {d.name: bus.open_topic(d) for d in SESSION_TOPICS
+              if d.name in ("bio.st", "sim.meta")}
+    path = tmp_path / "quoted.bag"
+    w = BagWriter(path, bus)
+    bus.publish_block(topics["bio.st"], np.arange(160) * 250_000_000,
+                      [30.0 + np.arange(160) / 64])
+    for k in range(41):
+        bus.publish(topics["sim.meta"], {"phase": QUOTED[k % 4], "run_index": -1,
+                                         "difficulty": QUOTED[(k + 1) % 4],
+                                         "elapsed_s": float(k)}, t_ns=k * 10**9)
+    w.close()
+    assert validate(path).ok
+    out = tmp_path / "quoted.csv"
+    r = CliRunner().invoke(main, ["extract", "--bag", str(path), "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 11 and f"wrote {len(rows)} rows" in r.output
+    assert all(len(row) == len(header) for row in rows)
+    phase, difficulty = header.index("meta.phase"), header.index("meta.difficulty")
+    for row in rows:
+        k = int(row[0]) // 10**9  # each row ends on a whole second, and joins its marker
+        assert (row[phase], row[difficulty]) == (QUOTED[k % 4], QUOTED[(k + 1) % 4])
     assert out.read_bytes() == Path(extract_csv_oracle(path, tmp_path / "oracle.csv")).read_bytes()

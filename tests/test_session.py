@@ -41,7 +41,12 @@ def test_plan_validation():
         SessionPlan(run_order=("low", "high", "low")).validate()
     with pytest.raises(PlanInvalid):
         SessionPlan(baseline_s=0).validate()
+    # a phase shorter than one 0.1 s tick, once rounded to ticks
+    for duration in ("baseline_s", "interrun_s", "run_timeout_s"):
+        with pytest.raises(PlanInvalid, match="at least one"):
+            SessionPlan(**{duration: 0.04}).validate()
     SessionPlan(run_order=("high", "low", "high", "low")).validate()
+    SessionPlan(baseline_s=0.06, interrun_s=0.06, run_timeout_s=0.06).validate()
 
 
 def test_phase_structure(small_session):
