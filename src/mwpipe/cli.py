@@ -13,8 +13,7 @@ from .bag import replay as bag_replay
 from .bag import validate as bag_validate
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, Bus, ManualClock
 from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
-from .errors import InvalidProfile, PlanInvalid
-from .export import extract_csv
+from .errors import InvalidProfile, PlanInvalid, WireError
 from .session import SESSION_TOPICS, StitchState, phase_waveforms, run_session
 
 
@@ -142,6 +141,8 @@ def simulate(config_path, out_path, tlx):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
     """Derive the per-window feature table from a bag."""
+    from .export import extract_csv  # the feature stack, SciPy included
+
     path = extract_csv(bag_path, out_path, window_s=window_s, stride_s=stride_s,
                        align_tolerance_ns=round(tolerance_ms * 1e6),
                        gaze_thresholds=_from_config(gaze_thresholds_from_config, config_path))
@@ -163,9 +164,12 @@ def replay(bag_path, rate, bind_addr):
 
         host, port = bind_addr
         click.echo(f"serving {bag_path} on {host}:{port} (rate={rate})")
-        bound_host, bound_port, sent = serve_bag(
-            bag_path, host or "127.0.0.1", port, rate,
-            ready=lambda h, p: click.echo(f"listening on {h}:{p}"))
+        try:
+            bound_host, bound_port, sent = serve_bag(
+                bag_path, host or "127.0.0.1", port, rate,
+                ready=lambda h, p: click.echo(f"listening on {h}:{p}"))
+        except WireError as e:
+            raise click.ClickException(str(e)) from e
         click.echo(f"sent {sent} records")
         return
     bus = bag_replay(bag_path, rate=rate)

@@ -12,9 +12,10 @@ import math
 import os
 
 from .errors import InvalidProfile, PlanInvalid
-from .features import GazeThresholds
+from .features.gaze import GazeThresholds
 from .session import SessionPlan
-from .sim import PhysicsParams, PolicyConfig
+from .sim.operator import PolicyConfig
+from .sim.rover import PhysicsParams
 from .synth import GazeEvent, SynthProfile
 
 

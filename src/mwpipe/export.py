@@ -34,7 +34,9 @@ import numpy as np
 from .bag import Chunk, paced_chunks
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
 from .errors import CorruptBag
-from .features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
+from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
+from .features.extract import FeaturePipeline
+from .features.gaze import DEFAULT_THRESHOLDS
 from .session import SESSION_TOPICS
 
 # Topic -> {payload field: CSV column} of every topic joined onto the rows.

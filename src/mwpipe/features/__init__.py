@@ -1,39 +1,20 @@
-"""Rolling-window biofeature extraction for the six raw modalities."""
+"""Rolling-window biofeature extraction for the six raw modalities.
+
+catalog and gaze need numpy only and load with the package. The extraction
+stack (extract, and through it beats and hrv, which import SciPy) loads on
+the first use of one of its names, so building a plan or reading a bag
+never pays for it.
+"""
 
 from .catalog import BIO_TOPICS, FEATURE_CATALOG
-from .windowing import Window, SlidingWindower, make_windows
-from .beats import BeatSeries, detect_beats
-from .hrv import hrv_stat_features, hrv_frequency
-from .respiration import resp_features
-from .eda import EDADecomposition, eda_decompose, eda_features
-from .skintemp import st_features
-from .ppg import ppg_features
-from .gaze import DEFAULT_THRESHOLDS, GazeEventRec, GazeThresholds, classify_gaze, gaze_features
-from .extract import FeatureRow, FeaturePipeline, extract_window, MIN_QUALITY
+from .gaze import DEFAULT_THRESHOLDS, GazeThresholds
 
-__all__ = [
-    "BIO_TOPICS",
-    "FEATURE_CATALOG",
-    "Window",
-    "SlidingWindower",
-    "make_windows",
-    "BeatSeries",
-    "detect_beats",
-    "hrv_stat_features",
-    "hrv_frequency",
-    "resp_features",
-    "EDADecomposition",
-    "eda_decompose",
-    "eda_features",
-    "st_features",
-    "ppg_features",
-    "GazeEventRec",
-    "GazeThresholds",
-    "DEFAULT_THRESHOLDS",
-    "classify_gaze",
-    "gaze_features",
-    "FeatureRow",
-    "FeaturePipeline",
-    "extract_window",
-    "MIN_QUALITY",
-]
+_EXTRACT_NAMES = frozenset({"FeaturePipeline", "FeatureRow", "MIN_QUALITY", "extract_window"})
+
+
+def __getattr__(name):
+    if name in _EXTRACT_NAMES:
+        from . import extract
+
+        return getattr(extract, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

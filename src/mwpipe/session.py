@@ -18,12 +18,12 @@ import numpy as np
 from .bag import BagWriter
 from .bus import Bus, ManualClock, NS_PER_S, TopicDescriptor
 from .errors import InvalidProfile, PlanInvalid, ScaleOutOfRange
-from .features import BIO_TOPICS, FEATURE_CATALOG, FeaturePipeline
+from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
-from .sim import PhysicsParams, PolicyConfig, RoverSim, ScriptedOperator, evaluate_run, preset
-from .sim.operator import WanderOperator
-from .sim.outcome import TickRecord, run_end
-from .sim.rover import DEFAULT_PHYSICS, DT_S
+from .sim.difficulty import preset
+from .sim.operator import PolicyConfig, ScriptedOperator, WanderOperator
+from .sim.outcome import TickRecord, evaluate_run, run_end
+from .sim.rover import DEFAULT_PHYSICS, DT_S, PhysicsParams, RoverSim
 from .synth import (
     SynthProfile,
     default_gaze_script,
@@ -305,6 +305,10 @@ def _publish_feature_rows(bus, topics, rows):
 
 
 def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> SessionResult:
+    # Imported here, not with the module: the extraction stack loads SciPy,
+    # which building a plan or reading a bag never needs.
+    from .features.extract import FeaturePipeline
+
     plan.validate()
     bus = Bus(clock=ManualClock())
     topics = {t.name: bus.open_topic(t) for t in SESSION_TOPICS}

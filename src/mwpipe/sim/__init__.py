@@ -1,41 +1,1 @@
 """Deterministic fixed-step rover task simulation."""
-
-from .difficulty import DifficultyParams, LOW, HIGH, preset, validate_pair
-from .rover import (
-    OperatorAction,
-    PhysicsParams,
-    Prompt,
-    RoverSim,
-    RoverState,
-    Terrain,
-    init_run,
-    step_comms,
-    step_dynamics,
-    update_radar,
-)
-from .operator import PolicyConfig, ScriptedOperator
-from .outcome import RunOutcome, TickRecord, evaluate_run, run_closed_loop
-
-__all__ = [
-    "DifficultyParams",
-    "LOW",
-    "HIGH",
-    "preset",
-    "validate_pair",
-    "OperatorAction",
-    "PhysicsParams",
-    "Prompt",
-    "RoverSim",
-    "RoverState",
-    "Terrain",
-    "init_run",
-    "step_comms",
-    "step_dynamics",
-    "update_radar",
-    "PolicyConfig",
-    "ScriptedOperator",
-    "RunOutcome",
-    "TickRecord",
-    "evaluate_run",
-    "run_closed_loop",
-]

@@ -113,29 +113,31 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
     invoked with (host, port) once listening (used to synchronize tests).
     A refused record (bag.paced_chunks), on a topic the manifest does not
     list among them, raises CorruptBag, and a line too long for a frame
-    WireError, once every record before it is sent.
+    WireError, once every record before it is sent. An address that cannot
+    be bound (in use, or not this host's) raises WireError.
     """
     chunks = paced_chunks(path, rate)
     read_manifest(path)  # raises on a bad header before we bind
     manifest_line = header_lines(path)[1].rstrip(b"\r\n")
-    srv = socket.create_server((host, port))
-    bound = srv.getsockname()
-    if ready is not None:
-        ready(bound[0], bound[1])
-    conn, _ = srv.accept()
-    sent = 0
     try:
-        conn.sendall(_frame(manifest_line))
-        for chunk, lo, hi in chunks:
-            at = chunk.offsets
-            for a in range(lo, hi, _SEND_ROWS):
-                b = min(a + _SEND_ROWS, hi)
-                end = at[b] - at[0] if b < len(at) else len(chunk.data)
-                lines = chunk.data[at[a] - at[0]:end].split(b"\n")[:b - a]
-                _send_frames(conn, lines)
-                sent += len(lines)
-            del chunk  # not alive while the next chunk is judged
-    finally:
-        conn.close()
-        srv.close()
+        srv = socket.create_server((host, port))
+    except OSError as e:
+        raise WireError(f"cannot listen on {host}:{port}: {e}") from e
+    sent = 0
+    with srv:
+        bound = srv.getsockname()
+        if ready is not None:
+            ready(bound[0], bound[1])
+        conn, _ = srv.accept()
+        with conn:
+            conn.sendall(_frame(manifest_line))
+            for chunk, lo, hi in chunks:
+                at = chunk.offsets
+                for a in range(lo, hi, _SEND_ROWS):
+                    b = min(a + _SEND_ROWS, hi)
+                    end = at[b] - at[0] if b < len(at) else len(chunk.data)
+                    lines = chunk.data[at[a] - at[0]:end].split(b"\n")[:b - a]
+                    _send_frames(conn, lines)
+                    sent += len(lines)
+                del chunk  # not alive while the next chunk is judged
     return bound[0], bound[1], sent

@@ -21,8 +21,9 @@ from mwpipe.features.gaze import classify_gaze, gaze_features
 from mwpipe.features.hrv import hrv_frequency, hrv_stat_features
 from mwpipe.features.windowing import make_windows
 from mwpipe.session import SessionPlan, run_session
-from mwpipe.sim import HIGH, LOW, OperatorAction, init_run, run_closed_loop
-from mwpipe.sim.rover import DEFAULT_PHYSICS, step_dynamics
+from mwpipe.sim.difficulty import HIGH, LOW
+from mwpipe.sim.outcome import run_closed_loop
+from mwpipe.sim.rover import DEFAULT_PHYSICS, OperatorAction, init_run, step_dynamics
 from mwpipe.synth import (
     SynthProfile,
     gen_eda,

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 from click.testing import CliRunner
@@ -60,6 +61,17 @@ def test_replay_bad_rate_is_a_usage_error(runner, tmp_path, rate):
     r = runner.invoke(main, ["replay", "--bag", str(bag), "--rate", rate])
     assert r.exit_code == 2, r.output
     assert "--rate" in r.output
+
+
+def test_replay_bind_on_a_port_in_use_is_a_command_line_error(runner, tmp_path):
+    bag = tmp_path / "r.bag"
+    bag.write_bytes(b"MWBAG1\n{\"topics\":[]}\n")
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = held.getsockname()[1]
+        r = runner.invoke(main, ["replay", "--bag", str(bag), "--bind", f"127.0.0.1:{port}"])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)  # a clean exit, no traceback
+    assert f"Error: cannot listen on 127.0.0.1:{port}" in r.output
 
 
 # (arguments, the option named in the error); DIR, BAG and OUT stand for a

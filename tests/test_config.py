@@ -15,7 +15,8 @@ from mwpipe.config import (
 from mwpipe.errors import MwpipeError, PlanInvalid
 from mwpipe.features import GazeThresholds
 from mwpipe.session import SessionPlan, run_session
-from mwpipe.sim import PhysicsParams, PolicyConfig
+from mwpipe.sim.operator import PolicyConfig
+from mwpipe.sim.rover import PhysicsParams
 from mwpipe.synth import SynthProfile
 
 

@@ -1,8 +1,9 @@
 """Peak memory of a live session and of its export is bounded by a window of
 data, not by the length of the session.
 
-Each run is its own interpreter, so its getrusage peak is its own. Import
-alone is about 105 MB; a plan three times as long may add only a few MB.
+Each run is its own interpreter, started through run_alone, so its
+getrusage peak is its own. Import alone is about 105 MB; a plan three times
+as long may add only a few MB.
 """
 
 import os
@@ -13,7 +14,7 @@ import mwpipe
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(mwpipe.__file__)))
 PEAK = """
-import resource, sys
+import sys
 from mwpipe.export import extract_csv
 from mwpipe.session import SessionPlan, run_session
 step, bag, phases = sys.argv[1], sys.argv[2], sys.argv[3:]
@@ -23,17 +24,32 @@ if step == "live":
                             run_timeout_s=run_timeout_s), bag)
 else:
     extract_csv(bag, bag + ".csv")
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 GROWTH_LIMIT_MB = 8.0
+# On Linux a process's getrusage peak starts at the peak of the process that
+# started it, and pytest's is far above a run's (681 MB once
+# tests/test_acceptance.py has run). So each run goes through a small
+# launcher interpreter, whose RUSAGE_CHILDREN is the run's own peak.
+LAUNCH = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
+
+
+def run_alone(code: str, *args) -> tuple[str, float]:
+    """Run `python -c code args` in a fresh interpreter with src on its path;
+    returns its standard output and its own peak in MB."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", LAUNCH, code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    out, _, peak = done.stdout.rstrip("\n").rpartition("\n")
+    return out, float(peak)
 
 
 def peak_mb(step: str, bag, phases=()) -> float:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", PEAK, step, str(bag), *map(str, phases)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    return int(done.stdout.split()[-1]) / 1024
+    return run_alone(PEAK, step, bag, *phases)[1]
 
 
 def test_peak_does_not_grow_with_the_session(tmp_path):

@@ -5,20 +5,11 @@ import numpy as np
 import pytest
 
 from mwpipe.errors import IncompleteTrace, PlanInvalid
-from mwpipe.sim import (
-    HIGH,
-    LOW,
-    OperatorAction,
-    PolicyConfig,
-    RoverSim,
-    evaluate_run,
-    init_run,
-    run_closed_loop,
-    preset,
-    update_radar,
-    validate_pair,
-)
-from mwpipe.sim.rover import DEFAULT_PHYSICS, bearing_deg, step_dynamics, wrap_deg
+from mwpipe.sim.difficulty import HIGH, LOW, preset, validate_pair
+from mwpipe.sim.operator import PolicyConfig
+from mwpipe.sim.outcome import evaluate_run, run_closed_loop
+from mwpipe.sim.rover import (DEFAULT_PHYSICS, OperatorAction, RoverSim, bearing_deg, init_run,
+                              step_dynamics, update_radar, wrap_deg)
 
 
 def test_init_run_deterministic():

@@ -73,6 +73,31 @@ def test_serve_bag_rejects_bad_rate_before_binding(tmp_path):
         serve_bag(path, port=0, rate=0, ready=ready)
 
 
+def test_serve_bag_on_a_port_in_use_is_a_wire_error(tmp_path):
+    path = make_bag(tmp_path / "busy.bag")
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = held.getsockname()[1]
+        with pytest.raises(WireError, match=f"cannot listen on 127.0.0.1:{port}"):
+            serve_bag(path, port=port)
+
+
+def test_serve_bag_closes_its_listener_when_ready_raises(tmp_path):
+    path = make_bag(tmp_path / "ready.bag")
+    bound = {}
+
+    def ready(host, port):
+        bound["port"] = port
+        raise RuntimeError("ready failed")
+
+    with pytest.raises(RuntimeError) as raised:
+        serve_bag(path, port=0, ready=ready)
+    # The traceback keeps serve_bag's frame alive, so a listener the function
+    # did not close itself would still hold the port here.
+    with socket.create_server(("127.0.0.1", bound["port"])):
+        pass
+    assert str(raised.value) == "ready failed"
+
+
 class ChunkedSocket:
     """A socket stand-in whose recv returns the stream cut at given sizes."""
 
