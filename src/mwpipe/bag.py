@@ -102,7 +102,8 @@ class BagWriter:
     future publish carries t < w; a record that breaks that raises
     CorruptBag on the next flush. What is buffered, and so the writer's
     memory, is the lines published since the last flush, with their t: a
-    session flushes every 10 s of session time and at each phase end. The
+    session flushes every 10 s of session time and at each phase end, up to
+    the previous such point, so it buffers at most about 20 s. The
     manifest is written on the first flush so the file stays readable after
     abnormal termination.
     """

@@ -6,11 +6,17 @@ The session clock is manual and tick-driven (DT_S). Physiology streams run
 through every phase; the task information systems (prompts, radar drift,
 resource drain) are active only during runs. Identical plan and seed yield
 a byte-identical bag body.
+
+Window extraction runs beside the tick loop, not inside it: each session
+forks one feature worker process (os.fork, so on Linux, as in CI) that runs
+the session's FeaturePipeline one flush interval behind the loop. There is
+no serial fallback.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,8 +45,10 @@ from .synth import (
 TICK_NS = round(DT_S * NS_PER_S)
 TICK_HZ = 1 / DT_S
 
-# The bag is flushed every _FLUSH_TICKS ticks (10 s of session time) and at
-# every phase end, so the writer buffers at most that much of the session.
+# The feature worker is handed the samples every _FLUSH_TICKS ticks (10 s of
+# session time) and at every phase end. The bag is flushed one such interval
+# behind, once the worker's rows for it are published, so the writer buffers
+# at most about 20 s of the session.
 _FLUSH_TICKS = 100
 
 TLX_SCALES = ("mental", "physical", "temporal", "performance", "effort", "frustration")
@@ -285,15 +293,16 @@ class _PhaseStreams:
         gaze_x = float(feed[idx, 0]) if len(feed) else stitch.gaze_x_deg
         return StitchState(resp_phase_rad=resp_phase % (2.0 * math.pi), gaze_x_deg=gaze_x)
 
-    def publish_until(self, bus, topics, pipeline, t_limit_ns: int):
-        """Publish and feed every sample with t < t_limit_ns."""
+    def publish_until(self, bus, topics, queue: list, t_limit_ns: int):
+        """Publish every sample with t < t_limit_ns, and queue each published
+        slice as (modality, times, values) for the feature pipeline."""
         for m, s in self.streams.items():
             times, feed, i = s["times"], s["feed"], s["ptr"]
             j = int(np.searchsorted(times, t_limit_ns, side="left"))
             if j <= i:
                 continue
             bus.publish_block(topics[f"bio.{m}"], times[i:j], feed[i:j].reshape(j - i, -1).T)
-            pipeline.feed(m, times[i:j], feed[i:j])
+            queue.append((m, times[i:j], feed[i:j]))
             s["ptr"] = j
 
 
@@ -302,6 +311,104 @@ def _publish_feature_rows(bus, topics, rows):
         payload = dict(row.values)
         payload["quality"] = row.quality
         bus.publish(topics[f"feat.{row.modality}"], payload, t_ns=row.t_end_ns)
+
+
+def _extract_in_worker(conn, parent_end, pipeline):
+    """Body of the feature worker. Each message is (slices, watermark): feed
+    the slices, advance to the watermark and send back the rows, or the
+    exception that extraction raised. It stops on None, or once the parent
+    is gone (end of file on recv, a broken pipe on send)."""
+    import signal  # loaded by multiprocessing already; not with this module
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to report
+    parent_end.close()  # else this copy would keep recv from seeing the parent die
+    with conn:
+        try:
+            while (message := conn.recv()) is not None:
+                slices, watermark = message
+                try:
+                    for m, times, values in slices:
+                        pipeline.feed(m, times, values)
+                    reply = pipeline.advance_to(watermark)
+                except Exception as e:
+                    reply = e
+                conn.send(reply)
+        except (EOFError, OSError):
+            pass
+
+
+class _FeatureWorker:
+    """The session's FeaturePipeline in a forked process, one flush interval
+    behind the tick loop.
+
+    flush(w) hands the worker the slices queued since the last flush and
+    watermark w. Before that it drains the interval still in flight: it
+    publishes that interval's rows and flushes the bag up to its watermark.
+    So at most one interval is in flight, across phase ends too, and the
+    worker never holds a reply while the parent sends: neither can block
+    the other on a full pipe.
+    """
+
+    def __init__(self, pipeline, bus, topics, writer):
+        # Imported here, not with the module: it takes 10 to 15 ms, which
+        # building a plan or reading a bag never needs.
+        from multiprocessing import Pipe
+
+        self.slices: list = []  # (modality, times, values) published since the last flush
+        self._bus, self._topics, self._writer = bus, topics, writer
+        self._in_flight = None  # the watermark of the interval being extracted
+        self._conn, child_end = Pipe()
+        # A plain fork, not multiprocessing.Process, which refuses to start
+        # from a daemonic process such as a multiprocessing.Pool worker.
+        self._pid = os.fork()
+        if self._pid == 0:
+            status = 1  # whatever escapes ends the worker without a traceback
+            try:
+                _extract_in_worker(child_end, self._conn, pipeline)
+                status = 0
+            finally:
+                os._exit(status)  # never back into the session's stack
+        child_end.close()
+
+    def flush(self, watermark_ns: int):
+        """Drain, then hand over the slices queued below watermark_ns. A
+        phase that ends on a flush point has handed them over already."""
+        if watermark_ns == self._in_flight:
+            return
+        self.drain()
+        self._conn.send((self.slices, watermark_ns))
+        self.slices.clear()
+        self._in_flight = watermark_ns
+
+    def drain(self):
+        """Publish the rows of the interval in flight, if any, and flush the
+        bag up to its watermark."""
+        # Safe to flush: the interval's rows are now published, and every
+        # later publish carries t >= its watermark. The next interval's rows
+        # end after it, and all else the loop publishes from here on is
+        # stamped at or after the end of the current tick, which is at or
+        # past that watermark.
+        if self._in_flight is None:
+            return
+        try:
+            reply = self._conn.recv()
+        except EOFError:
+            raise RuntimeError("the feature worker exited before it replied") from None
+        if isinstance(reply, Exception):
+            raise reply
+        _publish_feature_rows(self._bus, self._topics, reply)
+        self._writer.flush_until(self._in_flight)
+        self._in_flight = None
+
+    def close(self):
+        """Stop the worker and wait for it. Closing the pipe first ends a
+        worker that is still sending a reply no one will read."""
+        try:
+            self._conn.send(None)
+        except OSError:  # the worker is gone already
+            pass
+        self._conn.close()
+        os.waitpid(self._pid, 0)
 
 
 def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> SessionResult:
@@ -341,6 +448,8 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
             "difficulty": difficulty, "elapsed_s": t / NS_PER_S,
         }, t_ns=t)
 
+    # forked, it shares the SciPy already loaded here and starts in milliseconds
+    features = _FeatureWorker(pipeline, bus, topics, writer)
     try:
         for phase_index, (phase_name, run_index) in enumerate(phases):
             is_run = phase_name == "run"
@@ -371,7 +480,7 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                 if tick_t % NS_PER_S == 0 and tick_t != phase_start:
                     publish_meta(tick_t, phase_name,
                                  run_index if run_index is not None else -1, level)
-                streams.publish_until(bus, topics, pipeline, tick_end)
+                streams.publish_until(bus, topics, features.slices, tick_end)
                 action = operator.act(sim, sim.state)
                 state, events = sim.step(action, streams.breath_rate_bpm)
                 bus.publish(topics["sim.rover"], {
@@ -403,13 +512,9 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                         payload["latency_s"] = latencies[-1]
                     bus.publish(topics["sim.comms"], payload, t_ns=tick_t)
                 bus.clock.advance_to(tick_end)
-                _publish_feature_rows(bus, topics, pipeline.advance_to(tick_end))
                 if (k + 1) % _FLUSH_TICKS == 0:
-                    # Safe: the feature rows up to tick_end are published, and
-                    # every later publish carries t >= tick_end (bio samples
-                    # and sim.* from the next tick on, feature rows at later
-                    # window ends, survey.tlx at the phase end).
-                    writer.flush_until(tick_end)
+                    # the bag is flushed up to the previous flush point
+                    features.flush(tick_end)
                 if is_run:
                     trace.append(TickRecord(state, action, events))
                     if run_end(sim, state, action) is not None:
@@ -417,6 +522,7 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                         break
                 t_ns = tick_end
             phase_end = t_ns
+            features.flush(phase_end)
             if is_run:
                 outcome = evaluate_run(trace, sim)
                 tlx = collect_tlx(run_index, level, outcome.status, plan.seed,
@@ -426,9 +532,12 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                                              phase_start, phase_end))
             stitch = streams.carry_out((phase_end - phase_start) / NS_PER_S, stitch)
             phase_spans.append((phase_name, phase_start, phase_end))
-            writer.flush_until(phase_end)
+        features.drain()
         publish_meta(t_ns, "end", -1, "")
         writer.flush_until(t_ns + 1)
     finally:
-        writer.close()
+        try:
+            features.close()
+        finally:
+            writer.close()
     return SessionResult(str(out_path), run_records, phase_spans)

@@ -8,6 +8,7 @@ runs a second identical session for the determinism comparison.
 import functools
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ def test_criterion_7_determinism(default_session, tmp_path_factory):
     w.close()
     live_csv = extract_csv(result.bag_path, tmp / "live.csv")
     replayed_csv = extract_csv(tmp / "replayed.bag", tmp / "replayed.csv")
-    assert open(live_csv, "rb").read() == open(replayed_csv, "rb").read()
+    assert Path(live_csv).read_bytes() == Path(replayed_csv).read_bytes()
     _report(7, "(bag bodies and live-vs-replay CSV byte-identical)")
 
 

@@ -102,21 +102,18 @@ def test_live_feature_rows_match_reextraction(session_bag, tmp_path):
     # the feat.* rows recorded live must equal re-derivation from raw topics
     out = extract_csv(session_bag, tmp_path / "live.csv")
     rows = {int(r["t_end_ns"]): r for r in csv_rows(out)}
-    live = [s for s in load_samples(session_bag) if s.topic == "feat.ecg"]
-    assert live
-    checked = 0
-    for s in live:
-        row = rows.get(s.t_ns)
-        if row is None:
+    checked = dict.fromkeys(FEATURE_CATALOG, 0)
+    for s in load_samples(session_bag):
+        modality = s.topic.removeprefix("feat.")
+        if modality == s.topic:
             continue
+        row = rows[s.t_ns]
         for key, value in s.payload.items():
-            if key == "quality":
-                continue
-            cell = row[f"ecg.{key}"]
+            cell = row[f"{modality}.{key}"]
             assert cell != ""
-            assert float(cell) == value, key
-            checked += 1
-    assert checked > 100
+            assert float(cell) == value, (s.topic, key)
+            checked[modality] += 1
+    assert min(checked.values()) > 100, checked
 
 
 def test_extract_over_replayed_bag_identical(session_bag, tmp_path):

@@ -2,7 +2,8 @@
 
 validate, replay and synth need the bag, the bus and the synthesis code,
 and building a plan needs the config dataclasses; none of them may import
-SciPy or the extraction modules. Each case is its own interpreter
+SciPy or the extraction modules, nor multiprocessing, which only
+simulate's feature worker needs. Each case is its own interpreter
 (test_memory.run_alone), so its sys.modules and its peak are its own.
 """
 
@@ -15,7 +16,7 @@ from test_memory import SRC, run_alone
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(SRC), "configs", "default.json")
 FEATURE_STACK = ("scipy", "mwpipe.features.beats", "mwpipe.features.hrv",
-                 "mwpipe.features.extract")
+                 "mwpipe.features.extract", "multiprocessing")
 # A log command needs numpy and the bag code (about 32 MB); the feature
 # stack alone adds about 75 MB.
 LOG_PEAK_LIMIT_MB = 45.0
@@ -71,6 +72,14 @@ def test_log_commands_leave_out_the_feature_stack(synth_run, command):
     result = probe(command[0], "--bag", bag, *command[1:])
     assert feature_stack(result) == []
     assert result["peak_mb"] < LOG_PEAK_LIMIT_MB, result["peak_mb"]
+
+
+def test_simulate_loads_multiprocessing(tmp_path):
+    """The multiprocessing gate cannot pass by simulate never needing it."""
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"baseline_s": 2.0, "interrun_s": 1.0, "run_timeout_s": 1.0}))
+    result = probe("simulate", "--config", config, "--out", tmp_path / "short.bag")
+    assert "multiprocessing" in result["modules"]
 
 
 def test_extract_loads_the_feature_stack(synth_run, tmp_path):

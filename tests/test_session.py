@@ -1,11 +1,19 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from collections import defaultdict
 
 import pytest
 
+import mwpipe.features.extract as mextract
 import mwpipe.session as msession
 from mwpipe.bag import validate
 from mwpipe.errors import PlanInvalid, ScaleOutOfRange
 from mwpipe.session import (
+    TLX_SCALES,
     SessionPlan,
     TLXResponse,
     collect_tlx,
@@ -135,10 +143,11 @@ def test_session_determinism(tmp_path):
     assert body_bytes(a.bag_path) != body_bytes(c.bag_path)
 
 
-@pytest.mark.parametrize("ticks", [1, 10**9])
+@pytest.mark.parametrize("ticks", [1, 7, 10**9])
 def test_bag_body_does_not_depend_on_the_flush_cadence(tmp_path, monkeypatch, ticks):
-    """Flushing every tick, or only at phase ends, writes the bytes that the
-    default cadence writes."""
+    """Flushing every tick, every 7 ticks (which divides no phase length, so
+    an interval in flight crosses each phase end) or only at phase ends
+    writes the bytes that the default cadence writes."""
     plan = SessionPlan(seed=2, baseline_s=32.0, interrun_s=10.0, run_timeout_s=20.0)
     default = run_session(plan, tmp_path / "default.bag")
     monkeypatch.setattr(msession, "_FLUSH_TICKS", ticks)
@@ -202,3 +211,115 @@ def test_failure_shifts_tlx_scores():
     failed = scripted_tlx(0, "high", "failed_o2", 3)
     assert failed.performance < done.performance
     assert failed.frustration > done.frustration
+
+
+# -- the feature worker --------------------------------------------------------
+
+# A short plan whose baseline already emits feature rows.
+WORKER_PLAN = dict(seed=4, baseline_s=32.0, interrun_s=10.0, run_timeout_s=15.0)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def assert_no_child_process():
+    # waitpid(-1) sees every child, running or ended but never waited for
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_worker_outlives_a_session(tmp_path):
+    run_session(SessionPlan(**WORKER_PLAN), tmp_path / "ok.bag")
+    assert_no_child_process()
+
+
+def test_an_extraction_error_in_the_worker_is_raised_by_the_session(tmp_path, monkeypatch):
+    def broken(window, **kwargs):
+        raise ValueError(f"no features for {window.modality}")
+
+    # the worker is forked, so it inherits the patch
+    monkeypatch.setattr(mextract, "extract_window", broken)
+    with pytest.raises(ValueError, match="^no features for [a-z]+$"):
+        run_session(SessionPlan(**WORKER_PLAN), tmp_path / "broken.bag")
+    assert_no_child_process()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_tlx_prompt_error_after_the_first_run_is_raised(tmp_path, error):
+    answered = []
+
+    def prompt(scale):
+        if len(answered) == len(TLX_SCALES):
+            raise error("no answer")
+        answered.append(scale)
+        return 50
+
+    with pytest.raises(error, match="no answer"):
+        run_session(SessionPlan(**WORKER_PLAN), tmp_path / "tlx.bag",
+                    tlx_interactive_prompt=prompt)
+    assert len(answered) == len(TLX_SCALES)
+    assert_no_child_process()
+
+
+def test_a_session_runs_in_a_pool_worker(tmp_path):
+    """Pool workers are daemonic, and multiprocessing.Process refuses to
+    start there; perfbench/pin.py records its sessions in such a pool."""
+    plan = SessionPlan(**WORKER_PLAN)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pooled = pool.apply(run_session, (plan, tmp_path / "pooled.bag"))
+    direct = run_session(plan, tmp_path / "direct.bag")
+    assert body_bytes(pooled.bag_path) == body_bytes(direct.bag_path)
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a live process (a zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGKILL], ids=["ctrl-c", "killed"])
+def test_an_interrupted_or_killed_simulate_leaves_no_worker(tmp_path, sig):
+    """Ctrl-C (SIGINT to the whole process group) ends simulate with the
+    CLI's one message and no traceback from the worker. A parent killed
+    outright leaves no orphan: the worker sees the pipe close and exits."""
+    bag = tmp_path / "cut.bag"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mwpipe.cli", "simulate",
+         "--config", os.path.join(ROOT, "configs", "default.json"), "--out", str(bag)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        workers = []
+        # The bag gets its first records two flush intervals into the
+        # session, long after the worker has started.
+        while not workers or bag.read_bytes().count(b"\n") < 3:
+            assert time.monotonic() < deadline and proc.poll() is None
+            time.sleep(0.05)
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                workers = [int(pid) for pid in fh.read().split()]
+        assert len(workers) == 1
+        if sig == signal.SIGINT:
+            os.killpg(proc.pid, sig)
+        else:
+            proc.send_signal(sig)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    try:
+        while _running(workers[0]):
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+    finally:
+        if _running(workers[0]):
+            os.kill(workers[0], signal.SIGKILL)
+    if sig == signal.SIGINT:
+        assert proc.returncode == 1
+        assert "Traceback" not in err
+        assert err.strip() == "Aborted!"
