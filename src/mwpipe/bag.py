@@ -28,8 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bus import (Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor,
-                  canonical_payload)
+from .bus import Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor, canonical_row
 from .errors import CorruptBag, InvalidName, SchemaMismatch, UnknownMagic
 
 MAGIC = "MWBAG1"
@@ -46,7 +45,7 @@ MAGIC = "MWBAG1"
 # canonical for its kind, so an f64 value is a finite float. Reading: integers
 # as JSON writes them, kept short enough that int() is cheap; floats only in the
 # forms float.__repr__ writes (with a fraction or an exponent), so that float()
-# of the text is exactly what json.loads and canonical_payload give, unless it
+# of the text is exactly what json.loads and canonical_row give, unless it
 # overflows to infinity; strings only as json's ASCII escaper writes them.
 
 
@@ -73,30 +72,46 @@ _CODEC = {
 
 
 @functools.lru_cache(maxsize=1024)
-def _template(topic: str, fields: tuple, kinds: tuple) -> tuple[str, tuple]:
+def _template(topic: str, fields: tuple, kinds: tuple) -> tuple[str, tuple, tuple]:
     """The %-template of a record line of topic with the given fields present,
-    of the given schema kinds, to format with (t, seq, *values), and the
-    (position, conversion) of each value converted first."""
+    of the given schema kinds, to format with (t, seq, *values); the
+    (position, conversion) of each value converted first; and the position
+    of each optional field."""
     codecs = [_CODEC[k.rstrip("?")] for k in kinds]
     data = ",".join(encode_basestring_ascii(f).replace("%", "%%") + ":" + c.format
                     for f, c in zip(fields, codecs))
     return ('{"t":%d,"topic":"' + topic.replace("%", "%%") + '","seq":%d,"data":{' + data
-            + "}}\n", tuple((i, c.convert) for i, c in enumerate(codecs) if c.convert))
+            + "}}\n", tuple((i, c.convert) for i, c in enumerate(codecs) if c.convert),
+            tuple(i for i, k in enumerate(kinds) if k.endswith("?")))
 
 
-def _record_line(sample: TimedSample, schema: dict) -> str:
-    """The bag line of one record whose payload is canonical for schema."""
-    fields = tuple(sample.payload)
-    template, convert = _template(sample.topic, fields, tuple(map(schema.__getitem__, fields)))
-    values = [*sample.payload.values()]
-    for i, f in convert:
-        values[i] = f(values[i])
-    return template % (sample.t_ns, sample.seq, *values)
+def _block_lines(block: SampleBlock, kinds: tuple) -> list[str]:
+    """The bag line of each row of a block whose columns are canonical for
+    the schema kinds, in row order. A field that is None in a row is left
+    out of that row's line."""
+    template, convert, optional = _template(block.topic, block.fields, kinds)
+    columns = block.columns
+    gaps = [i for i in optional if None in columns[i]]
+    if convert:
+        columns = list(columns)
+        for i, f in convert:
+            columns[i] = ([v if v is None else f(v) for v in columns[i]] if i in gaps
+                          else list(map(f, columns[i])))
+    rows = zip(block.times_ns, range(block.seq0, block.seq0 + len(block.times_ns)), *columns)
+    if not gaps:
+        return list(map(template.__mod__, rows))
+    lines = []
+    for t, seq, *values in rows:
+        present = [i for i, v in enumerate(values) if v is not None]
+        row_template = _template(block.topic, tuple(block.fields[i] for i in present),
+                                 tuple(kinds[i] for i in present))[0]
+        lines.append(row_template % (t, seq, *[values[i] for i in present]))
+    return lines
 
 
 class BagWriter:
-    """Formats each published sample and block row into its bag line at
-    once, and writes the lines in merged timestamp order: t, then topic name.
+    """Formats each row of each published block into its bag line at once,
+    and writes the lines in merged timestamp order: t, then topic name.
 
     flush_until(w) may be called whenever the orchestrator can guarantee no
     future publish carries t < w; a record that breaks that raises
@@ -118,19 +133,11 @@ class BagWriter:
         self._last_written_ns = None
         bus.add_listener(self._on_publish)
 
-    def _on_publish(self, item: TimedSample | SampleBlock):
-        schema = self._bus.topic(item.topic).desc.schema
-        if isinstance(item, SampleBlock):
-            # a block's topic is all f64, so no value is converted
-            template, _ = _template(item.topic, item.fields, tuple(schema.values()))
-            t = item.times_ns.tolist()
-            lines = list(map(template.__mod__, zip(t, range(item.seq0, item.seq0 + len(t)),
-                                                   *item.columns.tolist())))
-        else:
-            t, lines = [item.t_ns], [_record_line(item, schema)]
+    def _on_publish(self, block: SampleBlock):
+        lines = _block_lines(block, tuple(self._bus.topic(block.topic).desc.schema.values()))
         with self._lock:
-            times, buffered = self._pending.setdefault(item.topic, ([], []))
-            times += t  # the bus makes each topic's t strictly increasing
+            times, buffered = self._pending.setdefault(block.topic, ([], []))
+            times += block.times_ns  # the bus makes each topic's t strictly increasing
             buffered += lines
 
     def _ensure_started(self):
@@ -250,9 +257,11 @@ def _decode_record(line: bytes, schemas: dict) -> tuple[TimedSample, str | None]
         misfit = "topic not in manifest"
     else:
         try:
-            data = canonical_payload(schemas[topic], data)
+            row = canonical_row(schemas[topic], data)
         except SchemaMismatch as e:
             misfit = str(e)
+        else:
+            data = {f: v for f, v in zip(schemas[topic], row) if v is not None}
     return TimedSample(topic, t, seq, data), misfit
 
 
@@ -332,11 +341,10 @@ class Rows:
                 else list(map(_CODEC[kind].parse, text))
                 for kind, opt, text in zip(self._dec.kinds, self._dec.optional, self._texts[1:])]
 
-    def payloads(self, lo: int = 0, hi: int | None = None):
-        """The payload dict of each row from lo to hi, in row order, made as
-        they are read."""
-        hi = len(self.t) if hi is None else hi
-        values = zip(*[c[lo:hi] for c in self.columns]) if self.columns else repeat((), hi - lo)
+    def payloads(self):
+        """The payload dict of each row, in row order, made as they are
+        read."""
+        values = zip(*self.columns) if self.columns else repeat((), len(self.t))
         if self.optional:
             return ({f: v for f, v in zip(self.fields, vals) if v is not None}
                     for vals in values)
@@ -562,15 +570,14 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
     bag matches the live run bit-exactly because records are reproduced
     verbatim.
 
-    A chunk's judged rows of a topic whose fields are all required f64 go
-    out as Bus.publish_block blocks, as a live session publishes them, and
-    every other row through Bus.publish. Each topic's rows keep file order;
-    across topics the order of publishes is unspecified, as on the bus. A
-    refused record (paced_chunks), on a topic the manifest does not list
-    among them even when the bus has that topic, raises CorruptBag, and a
-    record whose t is not after its topic's previous t raises
-    TimestampRegression, once every record before it in the file is
-    published.
+    A chunk's judged rows of each topic go out as one Bus.publish_block
+    block of their columns, as a live session publishes a tick's samples.
+    Each topic's rows keep file order; across topics the order of publishes
+    is unspecified, as on the bus. A refused record (paced_chunks), on a
+    topic the manifest does not list among them even when the bus has that
+    topic, raises CorruptBag, and a record whose t is not after its topic's
+    previous t raises TimestampRegression, once every record before it in
+    the file is published.
 
     The bus keeps no history, so retain must be False; the keyword stays
     because perfbench's log_io workload passes retain=False.
@@ -578,24 +585,21 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
     if retain:
         raise ValueError("the bus keeps no topic history: retain must be False")
     chunks = paced_chunks(path, rate)
-    descs = manifest_topics(read_manifest(path))
     if bus is None:
         bus = Bus(clock=ManualClock())
-    for desc in descs.values():
+    for desc in manifest_topics(read_manifest(path)).values():
         bus.open_topic(desc)
-    as_block = {name for name, d in descs.items()
-                if d.schema and all(kind == "f64" for kind in d.schema.values())}
     for chunk, lo, hi in chunks:
-        _publish_judged(bus, chunk.groups, lo, hi, as_block)
+        _publish_judged(bus, chunk.groups, lo, hi)
         del chunk  # not alive while the next chunk is judged
     return bus
 
 
-def _publish_judged(bus: Bus, groups: list, lo: int, hi: int, as_block: set):
-    """Publish the judged rows lo to hi of a chunk's groups, each topic's in
-    one call where it is in as_block. A row whose t is not after its topic's
-    previous t is published alone, once every row before it is, so that the
-    bus raises TimestampRegression for it after the same records."""
+def _publish_judged(bus: Bus, groups: list, lo: int, hi: int):
+    """Publish the judged rows lo to hi of a chunk's groups, each topic's as
+    one block. A row whose t is not after its topic's previous t is
+    published alone, once every row before it is, so that the bus raises
+    TimestampRegression for it after the same records."""
     spans, cut, late = [], hi, None  # late: the group and index of the row at cut
     for g in groups:
         a, b = g.rows.searchsorted((lo, hi)).tolist()
@@ -613,15 +617,10 @@ def _publish_judged(bus: Bus, groups: list, lo: int, hi: int, as_block: set):
             cut, late = int(g.rows[i]), (g, i)
     for g, a, b in spans:
         end = int(g.rows.searchsorted(cut))
-        if g.topic in as_block:
-            bus.publish_block(g.topic, g.t[a:end], np.array([c[a:end] for c in g.columns]))
-        else:
-            for t, payload in zip(g.t[a:end].tolist(), g.payloads(a, end)):
-                bus.publish(g.topic, payload, t_ns=t)
+        bus.publish_block(g.topic, g.t[a:end], [c[a:end] for c in g.columns])
     if late is not None:
-        g, i = late
-        (payload,) = g.payloads(i, i + 1)
-        bus.publish(g.topic, payload, t_ns=int(g.t[i]))  # raises TimestampRegression
+        g, i = late  # raises TimestampRegression
+        bus.publish_block(g.topic, g.t[i:i + 1], [c[i:i + 1] for c in g.columns])
 
 
 @dataclass

@@ -5,8 +5,11 @@ epoch (t=0). A single monotonic session-relative clock replaces wall time;
 the wall-clock epoch is stored once in bag metadata instead.
 
 Per-topic ordering (strictly increasing t and seq) is the only cross-thread
-guarantee. The bus keeps no copy of what it publishes: listeners are the one
-way to observe it. The alignment operator is a pure function of its input
+guarantee. Every sample enters as a row of a block: publish_block checks a
+block of rows, a column per schema field, and publish one row, by the same
+per-kind rules. The bus keeps no copy of what it publishes: listeners are
+the one way to observe it, and each receives every publish as one
+SampleBlock. The alignment operator is a pure function of its input
 streams, so re-running it on the same samples is bit-identical.
 """
 
@@ -52,19 +55,23 @@ class TimedSample(NamedTuple):
 
 
 class SampleBlock(NamedTuple):
-    """Consecutive samples of one all-f64 topic, published together.
+    """Consecutive samples of one topic, published together: what every
+    listener receives, one row per sample.
 
-    Sample i has time times_ns[i], seq seq0 + i and payload
-    {fields[k]: columns[k, i]}. times_ns is a 1-D int64 array and columns a
-    (len(fields), n) float64 array; both may be views of the publisher's
-    arrays, which must not change after publishing.
+    Row i has time times_ns[i], seq seq0 + i and, for each field fields[k]
+    (the schema's, in schema order), the value columns[k][i], or no value
+    where that is None (an optional field left out). times_ns is a list of
+    ints and columns a list per field, of values canonical for the field's
+    kind: finite floats for f64, ints in the int64 range for i64, bools and
+    strs. A column may be a list the publisher passed in, which must not
+    change after publishing.
     """
 
     topic: str
-    times_ns: np.ndarray
+    times_ns: list
     seq0: int
     fields: tuple
-    columns: np.ndarray
+    columns: list
 
 
 class AlignedFrame(NamedTuple):
@@ -102,45 +109,71 @@ class TopicDescriptor:
         object.__setattr__(self, "schema", dict(self.schema))
 
 
+# The type of each kind's canonical values.
+_CANONICAL_TYPE = {"f64": float, "i64": int, "bool": bool, "str": str}
+
+
 def _canonical_value(kind: str, value, fname: str):
-    if kind == "f64":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaMismatch(f"field {fname!r:.40} expects float, got {type(value).__name__}")
-        v = float(value)
-        if not math.isfinite(v):
-            raise SchemaMismatch(f"field {fname!r:.40} must be finite, got {v}")
-        return v
-    if kind == "i64":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaMismatch(f"field {fname!r:.40} expects int, got {type(value).__name__}")
-        if not -2**63 <= value < 2**63:
-            raise SchemaMismatch(f"field {fname!r:.40} is outside the int64 range")
-        return value
-    if kind == "bool":
-        if not isinstance(value, bool):
-            raise SchemaMismatch(f"field {fname!r:.40} expects bool, got {type(value).__name__}")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise SchemaMismatch(f"field {fname!r:.40} expects str, got {type(value).__name__}")
-        return value
-    raise SchemaMismatch(f"unknown kind {kind!r}")
+    """value checked against a field's kind (without its "?") and made
+    canonical: the one rule per kind, for every value the bus takes and
+    every record the bag's reference decoder reads."""
+    want = _CANONICAL_TYPE[kind]
+    if type(value) is not want:  # else only a float's or an int's range is left
+        if (not isinstance(value, (int, float) if want is float else want)
+                or isinstance(value, bool) and want is not bool):
+            raise SchemaMismatch(f"field {fname!r:.40} expects {want.__name__}, "
+                                 f"got {type(value).__name__}")
+        if want is float:
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                raise SchemaMismatch(f"field {fname!r:.40} is outside the float range") from None
+    if want is float and not math.isfinite(value):
+        raise SchemaMismatch(f"field {fname!r:.40} must be finite, got {value}")
+    if want is int and not -2**63 <= value < 2**63:
+        raise SchemaMismatch(f"field {fname!r:.40} is outside the int64 range")
+    return value
 
 
-def canonical_payload(schema: Mapping[str, str], payload: Mapping) -> dict:
-    """Validate a payload against a schema and return it in schema field order."""
-    out = {}
+def canonical_row(schema: Mapping[str, str], payload: Mapping) -> list:
+    """The values of a payload in schema field order, each checked and made
+    canonical for its kind, with None where an optional field is absent. A
+    payload that does not fit the schema raises SchemaMismatch."""
+    row = []
     for fname, kind in schema.items():
-        optional = kind.endswith("?")
-        base = kind.rstrip("?")
-        if fname not in payload:
-            if optional:
-                continue
+        if fname in payload:
+            row.append(_canonical_value(kind.rstrip("?"), payload[fname], fname))
+        elif kind.endswith("?"):
+            row.append(None)
+        else:
             raise SchemaMismatch(f"missing required field {fname!r:.40}")
-        out[fname] = _canonical_value(base, payload[fname], fname)
-    extra = set(payload) - set(schema)
-    if extra:
+    if len(payload) > len(row) - row.count(None):
+        extra = set(payload) - set(schema)
         raise SchemaMismatch("fields not in schema: " + ", ".join(f"{f!r:.40}" for f in sorted(extra)))
+    return row
+
+
+def _canonical_column(fname: str, kind: str, values) -> list:
+    """A block column checked and made canonical for its field's kind, with
+    None for an absent optional field. A column whose values are all
+    canonical already, as a bag reader parses them or as an ndarray's
+    tolist gives them, is taken as it is; any other goes value by value, so
+    that its first bad value raises what its row published alone raises."""
+    base, optional = kind.rstrip("?"), kind.endswith("?")
+    if not isinstance(values, list):
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    present = [v for v in values if v is not None] if optional and None in values else values
+    # a sum of floats is finite only if every one is (one that overflows is
+    # checked value by value)
+    if (set(map(type, present)) <= {_CANONICAL_TYPE[base]}
+            and (base != "f64" or math.isfinite(sum(present)))
+            and (base != "i64" or not present or -2**63 <= min(present) <= max(present) < 2**63)):
+        return values
+    out = []
+    for v in values:
+        if v is None and not optional:
+            raise SchemaMismatch(f"missing required field {fname!r:.40}")
+        out.append(v if v is None else _canonical_value(base, v, fname))
     return out
 
 
@@ -161,6 +194,7 @@ class Topic:
 
     def __init__(self, desc: TopicDescriptor):
         self.desc = desc
+        self.fields = tuple(desc.schema)
         self.last_t_ns: int | None = None
         self.next_seq = 0
         self._lock = threading.Lock()
@@ -179,7 +213,7 @@ class Bus:
         self.clock = clock if clock is not None else ManualClock()
         self._topics: dict[str, Topic] = {}
         self._registry_lock = threading.Lock()
-        self._bus_listeners: list[Callable[[TimedSample | SampleBlock], None]] = []
+        self._bus_listeners: list[Callable[[SampleBlock], None]] = []
 
     # -- registration ---------------------------------------------------
 
@@ -202,71 +236,58 @@ class Bus:
 
     # -- publication ----------------------------------------------------
 
-    def publish(self, topic: str | Topic, payload: Mapping, t_ns: int) -> TimedSample:
-        """Publish one sample stamped t_ns. A stamp that is not an integer in
-        the int64 range raises SchemaMismatch."""
+    def publish(self, topic: str | Topic, payload: Mapping, t_ns: int) -> SampleBlock:
+        """Publish one sample stamped t_ns, as a block of one row. A payload
+        that does not fit the schema, or a stamp that is not an integer in
+        the int64 range, raises SchemaMismatch."""
         handle = topic if isinstance(topic, Topic) else self.topic(topic)
-        data = canonical_payload(handle.desc.schema, payload)
-        with handle._lock:
-            if (type(t_ns) is not int and (isinstance(t_ns, bool)
-                                           or not isinstance(t_ns, numbers.Integral))
-                    or not -2**63 <= t_ns < 2**63):
-                raise SchemaMismatch(
-                    f"{handle.name}: t={t_ns!r} is not integer nanoseconds in the int64 range")
-            if handle.last_t_ns is not None and t_ns <= handle.last_t_ns:
-                raise TimestampRegression(
-                    f"{handle.name}: t={t_ns} not after previous t={handle.last_t_ns}"
-                )
-            sample = TimedSample(handle.name, t_ns, handle.next_seq, data)
-            handle.last_t_ns = t_ns
-            handle.next_seq += 1
-            for fn in self._bus_listeners:
-                fn(sample)
-        return sample
+        row = canonical_row(handle.desc.schema, payload)
+        if (type(t_ns) is not int and (isinstance(t_ns, bool)
+                                       or not isinstance(t_ns, numbers.Integral))
+                or not -2**63 <= t_ns < 2**63):
+            raise SchemaMismatch(
+                f"{handle.name}: t={t_ns!r} is not integer nanoseconds in the int64 range")
+        return self._admit(handle, [int(t_ns)], [[v] for v in row])
 
     def publish_block(self, topic: str | Topic, times_ns, columns) -> SampleBlock:
-        """Publish consecutive samples of a topic whose fields are all
-        required f64, as one block.
+        """Publish consecutive samples of a topic as one block.
 
-        times_ns is a 1-D integer array of strictly increasing stamps, all
-        after the topic's last one; columns holds one row per schema field,
-        in schema order (a 2-D array of shape (fields, len(times_ns)), or a
-        sequence of such rows), of finite real numbers. A block that breaks
-        a rule raises SchemaMismatch or TimestampRegression, as publish
-        does, and leaves the topic unchanged. Listeners get the arrays, not
-        copies, so they must not change while a listener holds them.
+        times_ns is a 1-D integer array (or sequence) of strictly increasing
+        stamps, all after the topic's last one. columns holds one column per
+        schema field, in schema order, of len(times_ns) values each: a 2-D
+        array, or a sequence of arrays or lists. A value must fit its
+        field's kind as in publish, and None leaves an optional field out
+        of its row. A block that breaks a rule raises SchemaMismatch or
+        TimestampRegression and leaves the topic unchanged; a bad value
+        raises what its row published alone would.
         """
         handle = topic if isinstance(topic, Topic) else self.topic(topic)
         schema = handle.desc.schema
-        if any(kind != "f64" for kind in schema.values()):
-            raise SchemaMismatch(f"{handle.name}: publish_block needs a schema of "
-                                 f"required f64 fields, got {schema}")
         times = np.asarray(times_ns)
-        try:
-            cols = np.asarray(columns)
-        except ValueError as e:  # ragged rows
-            raise SchemaMismatch(f"{handle.name}: block columns are not one array: {e}") from e
         if times.ndim != 1 or times.dtype.kind != "i":
             raise SchemaMismatch(f"{handle.name}: block times must be a 1-D integer array")
-        if cols.shape != (len(schema), len(times)) or cols.dtype.kind not in "fiu":
+        n = len(times)
+        if len(columns) != len(schema) or any(not hasattr(c, "__len__") or len(c) != n
+                                              for c in columns):
             raise SchemaMismatch(
-                f"{handle.name}: block columns must be {len(schema)} rows of "
-                f"{len(times)} real numbers, got {cols.dtype} {cols.shape}")
-        times = times.astype(np.int64, copy=False)
-        cols = cols.astype(np.float64, copy=False)
-        if not np.isfinite(cols).all():
-            raise SchemaMismatch(f"{handle.name}: block values must be finite")
+                f"{handle.name}: block columns must be {len(schema)} columns of {n} values")
+        columns = [_canonical_column(fname, kind, c)
+                   for (fname, kind), c in zip(schema.items(), columns)]
         if (times[1:] <= times[:-1]).any():
             raise TimestampRegression(f"{handle.name}: block times are not strictly increasing")
+        if not n:
+            return SampleBlock(handle.name, [], handle.next_seq, handle.fields, columns)
+        return self._admit(handle, times.tolist(), columns)
+
+    def _admit(self, handle: Topic, times: list, columns: list) -> SampleBlock:
+        """Take checked rows, at least one, and hand them to the listeners as
+        one block, unless the first is not after the topic's last stamp."""
         with handle._lock:
-            block = SampleBlock(handle.name, times, handle.next_seq, tuple(schema), cols)
-            if not len(times):
-                return block
             if handle.last_t_ns is not None and times[0] <= handle.last_t_ns:
                 raise TimestampRegression(
-                    f"{handle.name}: t={int(times[0])} not after previous t={handle.last_t_ns}"
-                )
-            handle.last_t_ns = int(times[-1])
+                    f"{handle.name}: t={times[0]} not after previous t={handle.last_t_ns}")
+            block = SampleBlock(handle.name, times, handle.next_seq, handle.fields, columns)
+            handle.last_t_ns = times[-1]
             handle.next_seq += len(times)
             for fn in self._bus_listeners:
                 fn(block)
@@ -274,11 +295,11 @@ class Bus:
 
     # -- subscription ---------------------------------------------------
 
-    def add_listener(self, fn: Callable[[TimedSample | SampleBlock], None]):
-        """Bus-wide listener (used by the bag recorder), called with each
-        TimedSample that publish makes and each SampleBlock that
-        publish_block makes. Called under the publishing topic's lock;
-        cross-topic call order is unspecified."""
+    def add_listener(self, fn: Callable[[SampleBlock], None]):
+        """Bus-wide listener (used by the bag recorder), called with the
+        SampleBlock of each publish and publish_block call: one row per
+        sample, each topic's rows in order. Called under the publishing
+        topic's lock; cross-topic call order is unspecified."""
         self._bus_listeners.append(fn)
 
 

@@ -87,22 +87,3 @@ class SlidingWindower:
             self._times, self._values = [times[keep:]], [values[keep:]]
         return out
 
-
-def make_windows(times_ns, values, modality: str, fs_hz: float,
-                 len_s: float = 30.0, stride_s: float = 1.0,
-                 t0_ns: int | None = None, end_ns: int | None = None) -> list[Window]:
-    """Batch windowing of a finite stream.
-
-    The stream is taken to span [t0, end); end defaults to one nominal
-    sample period past the last sample, so a waveform of duration D yields
-    floor((D-len)/stride)+1 windows.
-    """
-    times_ns = np.asarray(times_ns, dtype=np.int64)
-    values = np.asarray(values)
-    if len(times_ns) == 0:
-        return []
-    t0 = t0_ns if t0_ns is not None else int(times_ns[0])
-    end = end_ns if end_ns is not None else int(times_ns[-1]) + round(NS_PER_S / fs_hz)
-    w = SlidingWindower(modality, fs_hz, len_s, stride_s, t0_ns=t0)
-    w.feed(times_ns, values)
-    return w.advance_to(end)

@@ -307,10 +307,13 @@ class _PhaseStreams:
 
 
 def _publish_feature_rows(bus, topics, rows):
-    for row in rows:
-        payload = dict(row.values)
-        payload["quality"] = row.quality
-        bus.publish(topics[f"feat.{row.modality}"], payload, t_ns=row.t_end_ns)
+    """Publish an interval's feature rows, each modality's as one block."""
+    for m in dict.fromkeys(row.modality for row in rows):
+        group = [row for row in rows if row.modality == m]
+        # the schema's fields: the catalog's, then quality
+        columns = [[row.values.get(f) for row in group] for f in FEATURE_CATALOG[m]]
+        bus.publish_block(topics[f"feat.{m}"], [row.t_end_ns for row in group],
+                          [*columns, [row.quality for row in group]])
 
 
 def _extract_in_worker(conn, parent_end, pipeline):

@@ -6,9 +6,7 @@ from dataclasses import dataclass, field
 
 from ..bus import NS_PER_S
 from ..errors import IncompleteTrace
-from .difficulty import DifficultyParams
-from .operator import PolicyConfig, ScriptedOperator
-from .rover import DT_S, OperatorAction, PhysicsParams, DEFAULT_PHYSICS, RoverSim, RoverState
+from .rover import DT_S, OperatorAction, RoverSim, RoverState
 
 
 @dataclass
@@ -104,22 +102,3 @@ def evaluate_run(trace: list, sim: RoverSim) -> RunOutcome:
         alert_response_stats=stats,
     )
 
-
-def run_closed_loop(seed: int, difficulty: DifficultyParams,
-                    policy: PolicyConfig = PolicyConfig(),
-                    breath_rate_bpm: float = 15.0,
-                    timeout_s: float = 720.0,
-                    physics: PhysicsParams = DEFAULT_PHYSICS):
-    """Run one full closed-loop trial; returns (trace, outcome)."""
-    sim = RoverSim(seed, difficulty, physics)
-    op = ScriptedOperator(policy, seed)
-    trace = []
-    max_ticks = int(timeout_s / DT_S)
-    for _ in range(max_ticks):
-        action = op.act(sim, sim.state)
-        state, events = sim.step(action, breath_rate_bpm)
-        trace.append(TickRecord(state, action, events))
-        if run_end(sim, state, action) is not None:
-            break
-    outcome = evaluate_run(trace, sim)
-    return trace, outcome

@@ -12,12 +12,17 @@ from operator import itemgetter
 
 import numpy as np
 
-from mwpipe.bag import (ValidationIssue, ValidationReport, header_lines, iter_samples,
-                        judged_chunks, manifest_topics, read_manifest)
-from mwpipe.bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
+from mwpipe.bag import (ValidationIssue, ValidationReport, _block_lines, header_lines,
+                        iter_samples, judged_chunks, manifest_topics, read_manifest)
+from mwpipe.bus import (DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, SampleBlock, TimedSample,
+                        align_nearest_samples)
 from mwpipe.errors import CorruptBag, WireError
 from mwpipe.export import JOINED_COLUMNS, META_TOPIC
 from mwpipe.features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
+from mwpipe.features.windowing import SlidingWindower
+from mwpipe.sim.operator import PolicyConfig, ScriptedOperator
+from mwpipe.sim.outcome import TickRecord, evaluate_run, run_end
+from mwpipe.sim.rover import DEFAULT_PHYSICS, DT_S, RoverSim
 
 
 def hrv_oracle(intervals_ms):
@@ -124,6 +129,43 @@ def refractory_oracle(indices, fs, refractory_s=0.25):
     return keep
 
 
+def make_windows(times_ns, values, modality: str, fs_hz: float,
+                 len_s: float = 30.0, stride_s: float = 1.0,
+                 t0_ns: int | None = None, end_ns: int | None = None):
+    """Batch windowing of a finite stream: the reference for incremental
+    windowing, through one SlidingWindower fed the whole stream.
+
+    The stream is taken to span [t0, end); end defaults to one nominal
+    sample period past the last sample, so a waveform of duration D yields
+    floor((D-len)/stride)+1 windows.
+    """
+    times_ns = np.asarray(times_ns, dtype=np.int64)
+    values = np.asarray(values)
+    if len(times_ns) == 0:
+        return []
+    t0 = t0_ns if t0_ns is not None else int(times_ns[0])
+    end = end_ns if end_ns is not None else int(times_ns[-1]) + round(NS_PER_S / fs_hz)
+    w = SlidingWindower(modality, fs_hz, len_s, stride_s, t0_ns=t0)
+    w.feed(times_ns, values)
+    return w.advance_to(end)
+
+
+def run_closed_loop(seed, difficulty, policy=PolicyConfig(), breath_rate_bpm=15.0,
+                    timeout_s=720.0, physics=DEFAULT_PHYSICS):
+    """Run one full closed-loop trial, as a session's run phase does without
+    the bus; returns (trace, outcome)."""
+    sim = RoverSim(seed, difficulty, physics)
+    op = ScriptedOperator(policy, seed)
+    trace = []
+    for _ in range(int(timeout_s / DT_S)):
+        action = op.act(sim, sim.state)
+        state, events = sim.step(action, breath_rate_bpm)
+        trace.append(TickRecord(state, action, events))
+        if run_end(sim, state, action) is not None:
+            break
+    return trace, evaluate_run(trace, sim)
+
+
 def sample_time_ns(t0_ns, index, fs_hz):
     """Time of sample `index` on a uniform grid, rounded per index (no drift):
     the reference for Waveform.times_ns."""
@@ -136,6 +178,21 @@ def sample_time_ns(t0_ns, index, fs_hz):
 def load_samples(path):
     """Every sample of a bag, as iter_samples yields them."""
     return [s for _, s in iter_samples(path)]
+
+
+def block_samples(block):
+    """The rows of a SampleBlock as TimedSamples, an absent field left out."""
+    return [TimedSample(block.topic, t, block.seq0 + i,
+                        {f: v for f, v in zip(block.fields, values) if v is not None})
+            for i, (t, *values) in enumerate(zip(block.times_ns, *block.columns))]
+
+
+def record_line(sample, schema):
+    """The line BagWriter writes for one record whose payload is canonical
+    for schema, formatted as the one row of a block."""
+    block = SampleBlock(sample.topic, [sample.t_ns], sample.seq, tuple(schema),
+                        [[sample.payload.get(f)] for f in schema])
+    return _block_lines(block, tuple(schema.values()))[0]
 
 
 def body_bytes(path):

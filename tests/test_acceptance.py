@@ -20,10 +20,8 @@ from mwpipe.features.beats import BeatSeries, detect_beats
 from mwpipe.features.eda import eda_decompose
 from mwpipe.features.gaze import classify_gaze, gaze_features
 from mwpipe.features.hrv import hrv_frequency, hrv_stat_features
-from mwpipe.features.windowing import make_windows
 from mwpipe.session import SessionPlan, run_session
 from mwpipe.sim.difficulty import HIGH, LOW
-from mwpipe.sim.outcome import run_closed_loop
 from mwpipe.sim.rover import DEFAULT_PHYSICS, OperatorAction, init_run, step_dynamics
 from mwpipe.synth import (
     SynthProfile,
@@ -34,7 +32,7 @@ from mwpipe.synth import (
     render_cardiac,
     saccade_battery_script,
 )
-from oracles import body_bytes, hrv_oracle
+from oracles import body_bytes, hrv_oracle, make_windows, run_closed_loop
 
 
 def _report(n, detail=""):

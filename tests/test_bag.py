@@ -18,7 +18,6 @@ from mwpipe.bag import (
     BagWriter,
     _decode_record,
     _fast_decoders,
-    _record_line,
     header_lines,
     iter_samples,
     judged_chunks,
@@ -26,16 +25,15 @@ from mwpipe.bag import (
     replay,
     validate,
 )
-from mwpipe.bus import (Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor,
-                        canonical_payload)
+from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor, canonical_row
 from mwpipe.errors import CorruptBag, MwpipeError, SchemaMismatch, UnknownMagic, WireError
 from mwpipe.export import extract_csv
 from mwpipe.session import SESSION_TOPICS
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
 from mwpipe.wire import recv_frames, serve_bag
 
-from oracles import (body_bytes, load_samples, records, replay_oracle, serve_bag_oracle,
-                     validate_oracle)
+from oracles import (block_samples, body_bytes, load_samples, record_line, records,
+                     replay_oracle, serve_bag_oracle, validate_oracle)
 
 
 def small_bus():
@@ -74,10 +72,10 @@ def test_record_read_round_trip_exact(tmp_path):
     bus, a, b = small_bus()
     originals = []
     for i in range(50):
-        originals.append(bus.publish(a, {"v": float(i)}, t_ns=i * 100_000_000))
+        originals += block_samples(bus.publish(a, {"v": float(i)}, t_ns=i * 100_000_000))
         if i % 5 == 0:
-            originals.append(bus.publish(b, {"v": i / 3.0, "s": f"mark{i}"},
-                                         t_ns=i * 100_000_000 + 7))
+            originals += block_samples(bus.publish(b, {"v": i / 3.0, "s": f"mark{i}"},
+                                                   t_ns=i * 100_000_000 + 7))
     originals.sort(key=lambda s: (s.t_ns, s.topic, s.seq))
     loaded = load_samples(path)
     assert loaded == originals
@@ -103,9 +101,12 @@ def test_replay_preserves_samples_and_seqs(tmp_path):
     bus.add_listener(seen.append)
     assert replay(path, bus=bus, rate="max") is bus
     # The bus leaves cross-topic order unspecified: each topic's stream,
-    # every block expanded, is the bag's.
-    assert any(isinstance(item, SampleBlock) for item in seen)
-    assert topic_streams(seen) == topic_streams(load_samples(path))
+    # every block expanded, is the bag's. A chunk's rows of a topic are one block.
+    assert max(len(block.times_ns) for block in seen) > 1
+    expected = {}
+    for sample in load_samples(path):
+        expected.setdefault(sample.topic, []).append(exact(sample))
+    assert topic_streams(seen) == expected
 
 
 def test_replay_takes_retain_false_only(tmp_path):
@@ -377,7 +378,6 @@ def test_close_closes_the_file_when_the_last_flush_raises(tmp_path):
 
 BAD_RECORDS = {
     "data_not_object": b'{"t":1,"topic":"t.a","seq":0,"data":5}\n',
-    "int_overflows_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1' + b"0" * 400 + b"}}\n",
     "t_not_int": b'{"t":"x","topic":"t.a","seq":0,"data":{"v":1.0}}\n',
     "seq_not_int": b'{"t":1,"topic":"t.a","seq":1.5,"data":{"v":1.0}}\n',
     "t_bool": b'{"t":true,"topic":"t.a","seq":0,"data":{"v":1.0}}\n',
@@ -465,7 +465,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @example(t=2, seq=2, a=1e308, b=-1e308)
 @example(t=3, seq=3, a=1.7976931348623157e308, b=1e-05)
 def test_fast_decoder_matches_json_path(tmp_path_factory, t, seq, a, b):
-    line = _record_line(TimedSample("f.x", t, seq, {"a": a, "b": b}), DECODE_TOPICS["f.x"]).encode()
+    line = record_line(TimedSample("f.x", t, seq, {"a": a, "b": b}), DECODE_TOPICS["f.x"]).encode()
     assert _fast_decoders(DECODE_TOPICS)[b"f.x"][2].fullmatch(line)
     path = bag_with_lines(tmp_path_factory.mktemp("fast") / "f.bag", [line, GOOD_LINE])
     (_, got), _ = iter_samples(path)
@@ -505,7 +505,7 @@ def codec_samples(draw):
 def test_writer_lines_decode_to_their_samples(tmp_path_factory, samples):
     """Decoding what BagWriter writes gives back the samples, and every such
     line is judged by its topic's compiled line, never by the reference."""
-    lines = [_record_line(s, CODEC_TOPICS[s.topic]).encode() for s in samples]
+    lines = [record_line(s, CODEC_TOPICS[s.topic]).encode() for s in samples]
     path = bag_with_lines(tmp_path_factory.mktemp("codec") / "c.bag", lines, CODEC_TOPICS)
     with mock.patch.object(mbag, "_decode_record", side_effect=AssertionError):
         (chunk,) = judged_chunks(path)
@@ -534,6 +534,7 @@ PERTURBED = {
     "f64_overflows_negative": b'{"t":1,"topic":"f.x","seq":0,"data":{"a":1.5,"b":-1e999}}\n',
     "i64_above_int64": b'{"t":1,"topic":"t.i","seq":0,"data":{"n":9223372036854775808}}\n',
     "i64_below_int64": b'{"t":1,"topic":"t.i","seq":0,"data":{"n":-9223372036854775809}}\n',
+    "int_overflows_f64": b'{"t":1,"topic":"t.a","seq":0,"data":{"v":1' + b"0" * 400 + b"}}\n",
 }
 
 
@@ -560,6 +561,17 @@ def test_an_i64_beyond_int64_is_refused(tmp_path, name):
         list(iter_samples(path))
 
 
+def test_an_int_too_large_for_a_float_is_a_schema_misfit(tmp_path):
+    """The reference decoder reads it as JSON reads it, an int, and the
+    bus's f64 check refuses it, as the bus refuses to publish it."""
+    path = bag_with_lines(tmp_path / "big.bag", [PERTURBED["int_overflows_f64"]])
+    (issue,) = validate(path).issues
+    assert (issue.kind, issue.topic, issue.message) == \
+        ("schema", "t.a", "field 'v' is outside the float range")
+    with pytest.raises(CorruptBag, match="outside the float range"):
+        list(iter_samples(path))
+
+
 # -- every reader takes the one verdict -----------------------------------------
 
 FUZZ_TOPICS = {**DECODE_TOPICS, "m.x": {"n": "i64", "s": "str", "ok": "bool", "l": "f64?"}}
@@ -578,7 +590,7 @@ def writer_lines(draw):
                if not kind.endswith("?") or draw(st.booleans())}
     sample = TimedSample(topic, draw(st.integers(-2**63, 2**63 - 1)),
                          draw(st.integers(0, 2**63 - 1)), payload)
-    return _record_line(sample, FUZZ_TOPICS[topic]).encode()
+    return record_line(sample, FUZZ_TOPICS[topic]).encode()
 
 
 body_lines = st.one_of(
@@ -606,8 +618,9 @@ def test_readers_take_one_verdict(tmp_path_factory, lines, tail):
         report = validate(path)
     for sample in samples:
         schema = FUZZ_TOPICS[sample.topic]
+        row = canonical_row(schema, sample.payload)
         assert exact(sample) == exact(sample._replace(
-            payload=canonical_payload(schema, sample.payload)))
+            payload={f: v for f, v in zip(schema, row) if v is not None}))
         assert all(math.isfinite(v) for v in sample.payload.values() if isinstance(v, float))
     assert any(i.kind in ("parse", "schema", "manifest") for i in report.issues) == raised
 
@@ -737,7 +750,7 @@ def test_template_line_equals_json_line(t, seq, payload):
     sample = TimedSample("sim.comms", t, seq, payload)
     kinds = {bool: "bool", int: "i64", float: "f64", str: "str"}
     schema = {f: kinds[type(v)] for f, v in payload.items()}
-    assert _record_line(sample, schema) == json_line(sample)
+    assert record_line(sample, schema) == json_line(sample)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -759,7 +772,8 @@ def test_record_line_refuses_non_finite_floats(tmp_path, value):
 BLOCK_TOPICS = {"b.one": {"v": "f64"}, "b.xyz": {"x": "f64", "y": "f64", "z": "f64"},
                 "a.mix": {"n": "i64", "s": "str", "ok": "bool", "l": "f64?"},
                 "c.flt": {"v": "f64"}}
-SINGLE_ONLY = {"a.mix", "c.flt"}
+# Topics whose blocks come as one float ndarray; the others' come as lists.
+AS_ARRAY = {"b.one", "b.xyz"}
 
 
 @st.composite
@@ -781,7 +795,7 @@ def publish_scripts(draw):
             rows.append(row)
         i = 0
         while i < len(times):
-            size = 1 if name in SINGLE_ONLY else draw(st.integers(1, 6))
+            size = draw(st.integers(1, 6))
             events.append((name, times[i:i + size], rows[i:i + size]))
             i += size
     order = draw(st.permutations(range(len(events))))
@@ -805,9 +819,10 @@ def write_script(path, script, flushes, blocks: bool):
     for k, (name, times, rows) in enumerate(script):
         if k in flushes:  # the latest watermark no later sample falls before
             w.flush_until(min((ts[0] for ts in pending.values() if ts), default=10**6))
-        if blocks and name not in SINGLE_ONLY:
-            columns = np.array([[r[f] for r in rows] for f in BLOCK_TOPICS[name]])
-            bus.publish_block(topics[name], np.array(times), columns)
+        if blocks:
+            columns = [[r.get(f) for r in rows] for f in BLOCK_TOPICS[name]]
+            bus.publish_block(topics[name], np.array(times),
+                              np.array(columns) if name in AS_ARRAY else columns)
         else:
             for t, row in zip(times, rows):
                 bus.publish(topics[name], row, t_ns=t)
@@ -875,7 +890,7 @@ def reader_bodies(draw):
             samples[i] = samples[i]._replace(seq=draw(SEQS))
         else:
             samples[i] = samples[i]._replace(topic="z.z")
-    lines = [_record_line(s, schema).encode() for s, schema in zip(samples, schemas)]
+    lines = [record_line(s, schema).encode() for s, schema in zip(samples, schemas)]
     for i in draw(st.sets(st.integers(0, max(len(lines) - 1, 0)), max_size=2)):
         if lines:
             lines[i] = json.dumps(json.loads(lines[i])).encode() + b"\n"
@@ -896,18 +911,11 @@ def reader_bag(directory, body):
     return bag_with_lines(directory / "r.bag", body, FUZZ_TOPICS, READER_RATES)
 
 
-def topic_streams(items):
-    """Topic -> its samples, in the order seen, from TimedSamples and the
-    rows of SampleBlocks."""
+def topic_streams(blocks):
+    """Topic -> the rows of the blocks a listener saw, in the order seen."""
     streams = {}
-    for item in items:
-        if isinstance(item, SampleBlock):
-            rows = [TimedSample(item.topic, t, item.seq0 + i, dict(zip(item.fields, values)))
-                    for i, (t, *values) in enumerate(zip(item.times_ns.tolist(),
-                                                         *item.columns.tolist()))]
-        else:
-            rows = [item]
-        for sample in rows:
+    for block in blocks:
+        for sample in block_samples(block):
             streams.setdefault(sample.topic, []).append(exact(sample))
     return streams
 
@@ -1002,7 +1010,7 @@ def test_serve_bag_equals_the_record_loop(tmp_path_factory, body, share):
 
 
 def test_serve_bag_stops_at_a_line_too_long_for_a_frame(tmp_path):
-    lines = [_record_line(TimedSample("m.x", i, i, {"n": i, "s": "x" * (600 if i == 3 else 1),
+    lines = [record_line(TimedSample("m.x", i, i, {"n": i, "s": "x" * (600 if i == 3 else 1),
                                                     "ok": True}), FUZZ_TOPICS["m.x"]).encode()
              for i in range(6)]
     path = bag_with_lines(tmp_path / "long.bag", lines, FUZZ_TOPICS)
@@ -1016,7 +1024,7 @@ def test_serve_bag_stops_at_a_line_too_long_for_a_frame(tmp_path):
 
 def test_validate_keeps_the_running_max_after_a_zero_stamp(tmp_path):
     topics = {"a.x": {"v": "f64"}, "b.x": {"v": "f64"}, "c.x": {"v": "f64"}}
-    lines = [_record_line(TimedSample(topic, t, 0, {"v": 0.0}), topics[topic]).encode()
+    lines = [record_line(TimedSample(topic, t, 0, {"v": 0.0}), topics[topic]).encode()
              for topic, t in (("a.x", 0), ("b.x", -5), ("c.x", -3))]
     path = bag_with_lines(tmp_path / "zero.bag", lines, topics)
     report = validate(path)

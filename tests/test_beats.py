@@ -14,9 +14,10 @@ from mwpipe.features.beats import (
     _peaks_above_half_rollmax,
     detect_beats,
 )
-from mwpipe.features.windowing import Window, make_windows
+from mwpipe.features.windowing import Window
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
-from oracles import argmax_near_oracle, half_rollmax_peaks_oracle, refractory_oracle
+from oracles import (argmax_near_oracle, half_rollmax_peaks_oracle, make_windows,
+                     refractory_oracle)
 
 
 def windows_of(wf, len_s=30, stride_s=30):

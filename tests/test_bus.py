@@ -25,7 +25,7 @@ from mwpipe.errors import (
     TimestampRegression,
     UnknownTopic,
 )
-from oracles import load_samples, sample_time_ns
+from oracles import block_samples, load_samples, sample_time_ns
 
 ECG = TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0)
 
@@ -63,7 +63,7 @@ def test_publish_first_sample_t0():
     bus = make_bus()
     h = bus.open_topic(ECG)
     s = bus.publish(h, {"v": 1.0}, t_ns=0)
-    assert s.seq == 0 and s.t_ns == 0
+    assert (s.seq0, s.times_ns, s.columns) == (0, [0], [[1.0]])
 
 
 def test_publish_timestamp_regression():
@@ -104,8 +104,8 @@ def test_publish_takes_an_i64_in_the_int64_range_only():
     """Every i64 value the bus passes is an int64, as a bag reader reads it."""
     bus = make_bus()
     h = bus.open_topic(TopicDescriptor("c.n", {"n": "i64"}))
-    assert [bus.publish(h, {"n": n}, t_ns=i).payload for i, n in enumerate([-2**63, 2**63 - 1])] \
-        == [{"n": -2**63}, {"n": 2**63 - 1}]
+    assert [bus.publish(h, {"n": n}, t_ns=i).columns for i, n in enumerate([-2**63, 2**63 - 1])] \
+        == [[[-2**63]], [[2**63 - 1]]]
     for n in (2**63, -2**63 - 1, 2**70):
         with pytest.raises(SchemaMismatch):
             bus.publish(h, {"n": n}, t_ns=5)
@@ -119,7 +119,7 @@ def test_publish_rejects_a_stamp_that_is_not_integer_ns(t_ns):
     with pytest.raises(SchemaMismatch):
         bus.publish(h, {"v": 1.0}, t_ns=t_ns)
     assert (h.next_seq, h.last_t_ns) == (0, None)
-    assert bus.publish(h, {"v": 1.0}, t_ns=np.int64(3)).t_ns == 3
+    assert bus.publish(h, {"v": 1.0}, t_ns=np.int64(3)).times_ns == [3]
 
 
 def test_publish_252_samples_spacing():
@@ -129,7 +129,7 @@ def test_publish_252_samples_spacing():
     times = [sample_time_ns(0, i, 252.0) for i in range(252)]
     for i, t in enumerate(times):
         s = bus.publish(h, {"v": 0.0}, t_ns=t)
-        assert s.seq == i
+        assert s.seq0 == i
     deltas = {b - a for a, b in zip(times, times[1:])}
     assert deltas <= {3_968_253, 3_968_254}
     # one second of samples lands on the second boundary within rounding
@@ -193,7 +193,7 @@ def test_concurrent_publishers_per_topic_order():
     for t in threads:
         t.join()
     for h in topics:
-        samples = [s for s in seen if s.topic == h.name]
+        samples = [s for b in seen if b.topic == h.name for s in block_samples(b)]
         assert [s.seq for s in samples] == list(range(200))
         assert [s.t_ns for s in samples] == list(range(1, 201))
         assert [s.payload for s in samples] == [{"v": float(k)} for k in range(200)]
@@ -248,19 +248,44 @@ def test_publish_block_hands_listeners_one_block():
     first = bus.publish(h, {"x": 0.0, "y": 0.0}, t_ns=5)
     block = bus.publish_block(h, np.array([7, 9]), np.array([[1, 2], [3.5, 4.5]]))
     assert seen == [first, block]
-    assert isinstance(block, SampleBlock)
+    assert first == SampleBlock("bio.gaze", [5], 0, ("x", "y"), [[0.0], [0.0]])
     assert (block.topic, block.seq0, block.fields) == ("bio.gaze", 1, ("x", "y"))
-    assert block.times_ns.dtype == np.int64 and block.times_ns.tolist() == [7, 9]
-    assert block.columns.dtype == np.float64  # integer values publish as floats
-    assert block.columns.tolist() == [[1.0, 2.0], [3.5, 4.5]]
+    assert block.times_ns == [7, 9] and type(block.times_ns[0]) is int
+    assert block.columns == [[1.0, 2.0], [3.5, 4.5]]
+    assert {type(v) for c in block.columns for v in c} == {float}  # ints publish as floats
     assert (h.next_seq, h.last_t_ns) == (3, 9)
     assert bus.publish_block(h, np.array([], dtype=np.int64), np.empty((2, 0))).seq0 == 3
     assert len(seen) == 2 and (h.next_seq, h.last_t_ns) == (3, 9)
 
 
+def test_publish_refuses_an_f64_too_large_for_a_float():
+    """float() of such an int overflows; the bus says why, as a misfit."""
+    bus = make_bus()
+    h = bus.open_topic(ECG)
+    seen = []
+    bus.add_listener(seen.append)
+    for publish in (lambda: bus.publish(h, {"v": 10**400}, t_ns=0),
+                    lambda: bus.publish_block(h, [0, 1], [[0.5, -10**400]])):
+        with pytest.raises(SchemaMismatch, match="'v' is outside the float range"):
+            publish()
+    assert (seen, h.next_seq, h.last_t_ns) == ([], 0, None)
+
+
 XY = {"x": "f64", "y": "f64"}
+MIX = {"x": "f64", "n": "i64", "s": "str", "ok": "bool", "y": "f64?"}
 T = np.array([20, 30])
 COLS = np.array([[1.0, 2.0], [3.0, 4.0]])
+# Columns of every kind, as lists: a value may be None only in an optional field.
+MIX_COLS = [[1.0, 2.0], [3, -4], ["a", ""], [True, False], [None, 0.5]]
+
+
+def mix_with(k, i, value):
+    """MIX_COLS with row i of column k set to value."""
+    columns = [list(c) for c in MIX_COLS]
+    columns[k][i] = value
+    return columns
+
+
 # (schema, times, columns, error); the topic's last sample is at t=10.
 BAD_BLOCKS = {
     "nan": (XY, T, [[1.0, np.nan], [3.0, 4.0]], SchemaMismatch),
@@ -278,10 +303,17 @@ BAD_BLOCKS = {
     "column_too_short": (XY, T, COLS[:, :1], SchemaMismatch),
     "column_too_long": (XY, T, np.hstack([COLS, COLS]), SchemaMismatch),
     "ragged_columns": (XY, T, [[1.0, 2.0], [3.0]], SchemaMismatch),
-    "i64_field": ({"x": "f64", "n": "i64"}, T, COLS, SchemaMismatch),
-    "str_field": ({"x": "f64", "s": "str"}, T, COLS, SchemaMismatch),
-    "optional_field": ({"x": "f64", "y": "f64?"}, T, COLS, SchemaMismatch),
+    "bool_in_i64": (MIX, T, mix_with(1, 1, True), SchemaMismatch),
+    "i64_beyond_int64": (MIX, T, mix_with(1, 0, 2**63), SchemaMismatch),
+    "non_str_in_str": (MIX, T, mix_with(2, 1, 5), SchemaMismatch),
+    "none_in_required": (MIX, T, mix_with(0, 1, None), SchemaMismatch),
+    "nan_in_optional": (MIX, T, mix_with(4, 1, float("nan")), SchemaMismatch),
 }
+
+
+def block_row(schema, columns, i):
+    """Row i of block columns as the payload that publish takes."""
+    return {f: c[i] for f, c in zip(schema, columns) if c[i] is not None}
 
 
 @pytest.mark.parametrize("schema, times, columns, error", BAD_BLOCKS.values(), ids=BAD_BLOCKS)
@@ -290,11 +322,54 @@ def test_bad_block_is_rejected_and_changes_nothing(schema, times, columns, error
     h = bus.open_topic(TopicDescriptor("a.b", schema))
     seen = []
     bus.add_listener(seen.append)
-    zero = {"f64": 0.0, "f64?": 0.0, "i64": 0, "str": ""}
+    zero = {"f64": 0.0, "f64?": 0.0, "i64": 0, "str": "", "bool": False}
     first = bus.publish(h, {f: zero[kind] for f, kind in schema.items()}, t_ns=10)
-    with pytest.raises(error):
+    with pytest.raises(error) as raised:
         bus.publish_block(h, times, columns)
     assert (h.next_seq, h.last_t_ns, seen) == (1, 10, [first])
+    if schema is MIX:  # published one by one, the rows raise the same at the bad one
+        with pytest.raises(error) as alone:
+            for i, t in enumerate(times.tolist()):
+                bus.publish(h, block_row(schema, columns, i), t_ns=t)
+        assert str(alone.value) == str(raised.value)
+
+
+# (schema, times, columns, the columns the bus hands on) of blocks beyond all-required f64.
+GOOD_BLOCKS = {
+    "i64_field": ({"x": "f64", "n": "i64"}, T, [[1.0, 2.0], np.array([3, 4])],
+                  [[1.0, 2.0], [3, 4]]),
+    "str_field": ({"x": "f64", "s": "str"}, T, [np.array([1, 2]), ["a", "é"]],
+                  [[1.0, 2.0], ["a", "é"]]),
+    "optional_field": ({"x": "f64", "y": "f64?"}, T, [[1.0, 2.0], [None, 4]],
+                       [[1.0, 2.0], [None, 4.0]]),
+    "every_kind": (MIX, T, MIX_COLS, MIX_COLS),
+}
+
+
+@pytest.mark.parametrize("schema, times, columns, canonical", GOOD_BLOCKS.values(),
+                         ids=GOOD_BLOCKS)
+def test_block_of_any_schema_is_accepted(tmp_path, schema, times, columns, canonical):
+    """A block holds every kind; its rows reach listeners and the bag as the
+    same rows published one by one do."""
+    bags = []
+    for by_block in (True, False):
+        bus = make_bus()
+        h = bus.open_topic(TopicDescriptor("a.b", schema))
+        seen = []
+        bus.add_listener(seen.append)
+        writer = BagWriter(tmp_path / f"{by_block}.bag", bus)
+        if by_block:
+            block = bus.publish_block(h, times, columns)
+            assert seen == [block] and block.columns == canonical
+            assert [type(v) for c in block.columns for v in c] == \
+                [type(v) for c in canonical for v in c]
+        else:
+            for i, t in enumerate(times.tolist()):
+                bus.publish(h, block_row(schema, canonical, i), t_ns=t)
+        writer.close()
+        bags.append(load_samples(writer.path))
+        assert [s for b in seen for s in block_samples(b)] == bags[-1]
+    assert bags[0] == bags[1] and len(bags[0]) == len(times)
 
 
 def merged_bag(streams):
@@ -306,7 +381,8 @@ def merged_bag(streams):
         published = []
         for i, stamps in enumerate(streams):
             h = bus.open_topic(TopicDescriptor(f"s.t{i}", {"v": "f64"}))
-            published += [bus.publish(h, {"v": 0.0}, t_ns=t) for t in stamps]
+            published += [s for t in stamps
+                          for s in block_samples(bus.publish(h, {"v": 0.0}, t_ns=t))]
         w.close()
         return load_samples(Path(d) / "m.bag"), published
 

@@ -6,9 +6,9 @@ from mwpipe.errors import WindowTooShort
 from mwpipe.features.eda import eda_decompose, eda_features
 from mwpipe.features.respiration import resp_features
 from mwpipe.features.skintemp import st_features
-from mwpipe.features.windowing import Window, make_windows
+from mwpipe.features.windowing import Window
 from mwpipe.synth import SynthProfile, gen_drift_st, gen_eda, gen_resp
-from oracles import trapezoid_oracle
+from oracles import make_windows, trapezoid_oracle
 
 
 def one_window(wf):

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import mwpipe.bag as mbag
-from mwpipe.bag import BagWriter, _record_line, replay, validate
+from mwpipe.bag import BagWriter, replay, validate
 from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor
 from mwpipe.cli import main
 from mwpipe.errors import CorruptBag
@@ -20,7 +20,7 @@ from mwpipe.features import BIO_TOPICS, FEATURE_CATALOG
 from mwpipe.session import SESSION_TOPICS, SessionPlan, StitchState, phase_waveforms, run_session
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
 
-from oracles import extract_csv_oracle, load_samples
+from oracles import extract_csv_oracle, load_samples, record_line
 
 
 def write_single_modality_bag(path, duration_s=60):
@@ -251,7 +251,7 @@ def streaming_bags(draw):
     lines = []
     for t, topic, payload in sorted(records, key=lambda r: (r[0], r[1])):
         seq = seqs[topic] = seqs.get(topic, -1) + 1
-        lines.append(_record_line(TimedSample(topic, t, seq, payload), SCHEMAS[topic]).encode())
+        lines.append(record_line(TimedSample(topic, t, seq, payload), SCHEMAS[topic]).encode())
     if lines:
         i = draw(st.integers(0, len(lines) - 1))
         spaced = json.loads(lines[i])

@@ -16,9 +16,10 @@ from mwpipe.features import BIO_TOPICS, FeaturePipeline
 from mwpipe.features.beats import _bandpass, _filtfilt, detect_beats
 from mwpipe.features.extract import extract_window
 from mwpipe.features.ppg import ppg_features
-from mwpipe.features.windowing import make_windows
 from mwpipe.session import SessionPlan, StitchState, phase_waveforms, run_session
 from mwpipe.synth import SynthProfile
+
+from oracles import make_windows
 
 
 def bits(values: dict) -> dict:

@@ -9,7 +9,7 @@ from mwpipe.errors import TooManyInvalidSamples
 from mwpipe.features.beats import BeatSeries, _local_maxima, detect_beats
 from mwpipe.features.gaze import classify_gaze, gaze_features
 from mwpipe.features.ppg import _first_in, _trapezoid, ppg_features
-from mwpipe.features.windowing import Window, make_windows
+from mwpipe.features.windowing import Window
 from mwpipe.synth import (
     GazeEvent,
     SynthProfile,
@@ -19,7 +19,7 @@ from mwpipe.synth import (
     render_cardiac,
     saccade_battery_script,
 )
-from oracles import first_local_max_oracle, first_local_min_oracle
+from oracles import first_local_max_oracle, first_local_min_oracle, make_windows
 
 
 def one_window(wf):

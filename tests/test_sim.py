@@ -7,9 +7,11 @@ import pytest
 from mwpipe.errors import IncompleteTrace, PlanInvalid
 from mwpipe.sim.difficulty import HIGH, LOW, preset, validate_pair
 from mwpipe.sim.operator import PolicyConfig
-from mwpipe.sim.outcome import evaluate_run, run_closed_loop
+from mwpipe.sim.outcome import evaluate_run
 from mwpipe.sim.rover import (DEFAULT_PHYSICS, OperatorAction, RoverSim, bearing_deg, init_run,
                               step_dynamics, update_radar, wrap_deg)
+
+from oracles import run_closed_loop
 
 
 def test_init_run_deterministic():

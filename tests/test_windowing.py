@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwpipe.bus import NS_PER_S
-from mwpipe.features.windowing import SlidingWindower, make_windows
-from oracles import window_count_oracle
+from mwpipe.features.windowing import SlidingWindower
+from oracles import make_windows, window_count_oracle
 
 
 def uniform_stream(duration_s, fs):
