@@ -263,8 +263,11 @@ class Bus:
         """
         handle = topic if isinstance(topic, Topic) else self.topic(topic)
         schema = handle.desc.schema
-        times = np.asarray(times_ns)
-        if times.ndim != 1 or times.dtype.kind != "i":
+        try:
+            times = np.asarray(times_ns)
+        except ValueError:  # ragged
+            times = None
+        if times is None or times.ndim != 1 or times.dtype.kind != "i":
             raise SchemaMismatch(f"{handle.name}: block times must be a 1-D integer array")
         n = len(times)
         if len(columns) != len(schema) or any(not hasattr(c, "__len__") or len(c) != n

@@ -28,7 +28,7 @@ from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
 from .sim.difficulty import preset
 from .sim.operator import PolicyConfig, ScriptedOperator, WanderOperator
-from .sim.outcome import TickRecord, evaluate_run, run_end
+from .sim.outcome import RunOutcome, RunTally
 from .sim.rover import DEFAULT_PHYSICS, DT_S, PhysicsParams, RoverSim
 from .synth import (
     SynthProfile,
@@ -124,7 +124,7 @@ class TLXResponse:
 class RunRecord:
     run_index: int
     difficulty: str
-    outcome: object
+    outcome: RunOutcome
     tlx: TLXResponse | None
     t_start_ns: int
     t_end_ns: int
@@ -470,12 +470,12 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                 sim = RoverSim(plan.seed * 100 + 50 + run_index, preset(level),
                                plan.physics, task_active=True)
                 operator = ScriptedOperator(plan.policy, phase_seed)
+                tally = RunTally(sim)
             else:
                 sim = RoverSim(phase_seed, preset("low"), plan.physics, task_active=False)
                 operator = WanderOperator(phase_seed)
 
             publish_meta(phase_start, phase_name, run_index if run_index is not None else -1, level)
-            trace: list[TickRecord] = []
             n_ticks = round(duration_s / DT_S)
             for k in range(n_ticks):
                 tick_t = phase_start + k * TICK_NS
@@ -518,16 +518,13 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                 if (k + 1) % _FLUSH_TICKS == 0:
                     # the bag is flushed up to the previous flush point
                     features.flush(tick_end)
-                if is_run:
-                    trace.append(TickRecord(state, action, events))
-                    if run_end(sim, state, action) is not None:
-                        t_ns = tick_end
-                        break
                 t_ns = tick_end
+                if is_run and tally.add(state, action, events) is not None:
+                    break
             phase_end = t_ns
             features.flush(phase_end)
             if is_run:
-                outcome = evaluate_run(trace, sim)
+                outcome = tally.outcome()
                 tlx = collect_tlx(run_index, level, outcome.status, plan.seed,
                                   plan.tlx_jitter, tlx_interactive_prompt)
                 bus.publish(topics["survey.tlx"], tlx.as_payload(), t_ns=phase_end)

@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bus import NS_PER_S
 from ..errors import IncompleteTrace
 from .rover import DT_S, OperatorAction, RoverSim, RoverState
-
-
-@dataclass
-class TickRecord:
-    state: RoverState
-    action: OperatorAction
-    events: list = field(default_factory=list)
 
 
 @dataclass
@@ -22,44 +15,6 @@ class RunOutcome:
     completion_time_s: float
     distance_m: float
     alert_response_stats: dict
-
-
-def _comm_stats(trace) -> dict:
-    latencies = []
-    prompts = 0
-    reprompts = 0
-    for rec in trace:
-        for ev in rec.events:
-            if ev["event"] == "request" and ev["reprompts"] == 0:
-                prompts += 1
-            elif ev["event"] == "request":
-                reprompts += 1
-            elif ev["event"] == "response":
-                latencies.append(ev["latency_s"])
-    unanswered = 1 if trace and trace[-1].state.pending_prompt is not None else 0
-    return {
-        "comm_prompt_count": prompts,
-        "comm_mean_latency_s": sum(latencies) / len(latencies) if latencies else None,
-        "comm_miss_count": reprompts + unanswered,
-    }
-
-
-def _radar_stats(trace) -> dict:
-    episodes = 0
-    recovery = []
-    below_since = None
-    for rec in trace:
-        low = rec.state.radar_state < 4
-        if low and below_since is None:
-            below_since = rec.state.t_ns
-            episodes += 1
-        elif not low and below_since is not None:
-            recovery.append((rec.state.t_ns - below_since) / NS_PER_S)
-            below_since = None
-    return {
-        "radar_drop_count": episodes,
-        "radar_mean_recovery_s": sum(recovery) / len(recovery) if recovery else None,
-    }
 
 
 def run_end(sim: RoverSim, state: RoverState, action: OperatorAction) -> str | None:
@@ -80,25 +35,57 @@ def run_end(sim: RoverSim, state: RoverState, action: OperatorAction) -> str | N
     return None
 
 
-def evaluate_run(trace: list, sim: RoverSim) -> RunOutcome:
-    """Apply the run-end rule to a per-tick trace of sim's run; a trace that
-    never meets it is aborted."""
-    if not trace:
-        raise IncompleteTrace("empty trace")
-    status = "aborted"
-    end_index = len(trace) - 1
-    for i, rec in enumerate(trace):
-        end = run_end(sim, rec.state, rec.action)
-        if end is not None:
-            status, end_index = end, i
-            break
-    last = trace[end_index].state
-    stats = _comm_stats(trace[: end_index + 1])
-    stats.update(_radar_stats(trace[: end_index + 1]))
-    return RunOutcome(
-        status=status,
-        completion_time_s=(last.t_ns - trace[0].state.t_ns) / NS_PER_S + DT_S,
-        distance_m=last.distance_traveled_m,
-        alert_response_stats=stats,
-    )
+class RunTally:
+    """The outcome of sim's run, folded tick by tick: add each tick until add
+    returns a status, then read outcome(). A run that never meets the
+    run-end rule is aborted at its last tick."""
 
+    def __init__(self, sim: RoverSim):
+        self._sim = sim
+        self._end = self._first_t_ns = self._last = self._below_since = None
+        self._prompts = self._reprompts = self._radar_drops = 0
+        self._latency_sum, self._responses = 0.0, 0
+        self._recovery_sum, self._recoveries = 0.0, 0
+
+    def add(self, state: RoverState, action: OperatorAction, events: list) -> str | None:
+        """Fold one tick in; returns the status that ends the run here, or None."""
+        if self._last is None:
+            self._first_t_ns = state.t_ns
+        self._last = state
+        for ev in events:
+            if ev["event"] == "request" and ev["reprompts"] == 0:
+                self._prompts += 1
+            elif ev["event"] == "request":
+                self._reprompts += 1
+            elif ev["event"] == "response":
+                self._latency_sum += ev["latency_s"]
+                self._responses += 1
+        low = state.radar_state < 4
+        if low and self._below_since is None:
+            self._below_since = state.t_ns
+            self._radar_drops += 1
+        elif not low and self._below_since is not None:
+            self._recovery_sum += (state.t_ns - self._below_since) / NS_PER_S
+            self._recoveries += 1
+            self._below_since = None
+        self._end = run_end(self._sim, state, action)
+        return self._end
+
+    def outcome(self) -> RunOutcome:
+        last = self._last
+        if last is None:
+            raise IncompleteTrace("no tick of the run was added")
+        return RunOutcome(
+            status=self._end or "aborted",
+            completion_time_s=(last.t_ns - self._first_t_ns) / NS_PER_S + DT_S,
+            distance_m=last.distance_traveled_m,
+            alert_response_stats={
+                "comm_prompt_count": self._prompts,
+                "comm_mean_latency_s":
+                    self._latency_sum / self._responses if self._responses else None,
+                "comm_miss_count": self._reprompts + (last.pending_prompt is not None),
+                "radar_drop_count": self._radar_drops,
+                "radar_mean_recovery_s":
+                    self._recovery_sum / self._recoveries if self._recoveries else None,
+            },
+        )

@@ -429,8 +429,8 @@ def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5, fs: float = GA
     rng = _rng(seed, _STREAM_GAZE)
     n = int(dur * fs + 1e-9)
     t = np.arange(n) / fs
-    x = np.zeros(n)
-    y = np.zeros(n)
+    values = np.zeros((n, 3))  # x, y, diameter, rendered in place
+    x, y, diameter = values.T
     pos = np.array([0.0, 0.0])
     if script and script[0].kind == "fixation" and script[0].x_deg is not None:
         pos = np.array([script[0].x_deg, script[0].y_deg or 0.0])
@@ -495,8 +495,7 @@ def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5, fs: float = GA
 
     if np.any(np.abs(x) > 60.0) or np.any(np.abs(y) > 45.0):
         raise InvalidProfile("gaze positions exceed +-60 deg horizontal / +-45 deg vertical")
-    diameter = pupil_base_mm + 0.15 * np.sin(2 * math.pi * 0.1 * t)
-    values = np.column_stack([x, y, diameter])
+    diameter[:] = pupil_base_mm + 0.15 * np.sin(2 * math.pi * 0.1 * t)
     return Waveform("gaze", fs, values, 0,
                     {"script": list(script), "pupil_base_mm": pupil_base_mm},
                     round(dur * NS_PER_S))

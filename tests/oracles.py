@@ -4,10 +4,12 @@ Pure-python loop implementations of the definitional formulas, written
 without numpy so they share nothing with the library code they check. The
 bag reader oracles and the batch export at the end are the exception: they
 read records through the library's own verdicts, and the export computes
-features with the library's own pipeline.
+features with the library's own pipeline. evaluate_run, the reference for
+the run tally, likewise applies the library's own run-end rule.
 """
 
 import math
+from dataclasses import dataclass, field
 from operator import itemgetter
 
 import numpy as np
@@ -16,13 +18,13 @@ from mwpipe.bag import (ValidationIssue, ValidationReport, _block_lines, header_
                         iter_samples, judged_chunks, manifest_topics, read_manifest)
 from mwpipe.bus import (DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, SampleBlock, TimedSample,
                         align_nearest_samples)
-from mwpipe.errors import CorruptBag, WireError
+from mwpipe.errors import CorruptBag, IncompleteTrace, WireError
 from mwpipe.export import JOINED_COLUMNS, META_TOPIC
 from mwpipe.features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
 from mwpipe.features.windowing import SlidingWindower
 from mwpipe.sim.operator import PolicyConfig, ScriptedOperator
-from mwpipe.sim.outcome import TickRecord, evaluate_run, run_end
-from mwpipe.sim.rover import DEFAULT_PHYSICS, DT_S, RoverSim
+from mwpipe.sim.outcome import RunOutcome, RunTally, run_end
+from mwpipe.sim.rover import DEFAULT_PHYSICS, DT_S, OperatorAction, RoverSim, RoverState
 
 
 def hrv_oracle(intervals_ms):
@@ -150,26 +152,98 @@ def make_windows(times_ns, values, modality: str, fs_hz: float,
     return w.advance_to(end)
 
 
+def sample_time_ns(t0_ns, index, fs_hz):
+    """Time of sample `index` on a uniform grid, rounded per index (no drift):
+    the reference for Waveform.times_ns."""
+    return t0_ns + round(index * 1_000_000_000 / fs_hz)
+
+
+# -- the per-tick run trace and its outcome ------------------------------------
+
+
+@dataclass
+class TickRecord:
+    state: RoverState
+    action: OperatorAction
+    events: list = field(default_factory=list)
+
+
+def _comm_stats(trace) -> dict:
+    latencies = []
+    prompts = 0
+    reprompts = 0
+    for rec in trace:
+        for ev in rec.events:
+            if ev["event"] == "request" and ev["reprompts"] == 0:
+                prompts += 1
+            elif ev["event"] == "request":
+                reprompts += 1
+            elif ev["event"] == "response":
+                latencies.append(ev["latency_s"])
+    unanswered = 1 if trace and trace[-1].state.pending_prompt is not None else 0
+    return {
+        "comm_prompt_count": prompts,
+        "comm_mean_latency_s": sum(latencies) / len(latencies) if latencies else None,
+        "comm_miss_count": reprompts + unanswered,
+    }
+
+
+def _radar_stats(trace) -> dict:
+    episodes = 0
+    recovery = []
+    below_since = None
+    for rec in trace:
+        low = rec.state.radar_state < 4
+        if low and below_since is None:
+            below_since = rec.state.t_ns
+            episodes += 1
+        elif not low and below_since is not None:
+            recovery.append((rec.state.t_ns - below_since) / NS_PER_S)
+            below_since = None
+    return {
+        "radar_drop_count": episodes,
+        "radar_mean_recovery_s": sum(recovery) / len(recovery) if recovery else None,
+    }
+
+
+def evaluate_run(trace: list, sim: RoverSim) -> RunOutcome:
+    """Apply the run-end rule to a per-tick trace of sim's run; a trace that
+    never meets it is aborted."""
+    if not trace:
+        raise IncompleteTrace("empty trace")
+    status = "aborted"
+    end_index = len(trace) - 1
+    for i, rec in enumerate(trace):
+        end = run_end(sim, rec.state, rec.action)
+        if end is not None:
+            status, end_index = end, i
+            break
+    last = trace[end_index].state
+    stats = _comm_stats(trace[: end_index + 1])
+    stats.update(_radar_stats(trace[: end_index + 1]))
+    return RunOutcome(
+        status=status,
+        completion_time_s=(last.t_ns - trace[0].state.t_ns) / NS_PER_S + DT_S,
+        distance_m=last.distance_traveled_m,
+        alert_response_stats=stats,
+    )
+
+
 def run_closed_loop(seed, difficulty, policy=PolicyConfig(), breath_rate_bpm=15.0,
                     timeout_s=720.0, physics=DEFAULT_PHYSICS):
     """Run one full closed-loop trial, as a session's run phase does without
-    the bus; returns (trace, outcome)."""
+    the bus; returns (trace, outcome), the outcome from the run's tally."""
     sim = RoverSim(seed, difficulty, physics)
     op = ScriptedOperator(policy, seed)
+    tally = RunTally(sim)
     trace = []
     for _ in range(int(timeout_s / DT_S)):
         action = op.act(sim, sim.state)
         state, events = sim.step(action, breath_rate_bpm)
         trace.append(TickRecord(state, action, events))
-        if run_end(sim, state, action) is not None:
+        if tally.add(state, action, events) is not None:
             break
-    return trace, evaluate_run(trace, sim)
-
-
-def sample_time_ns(t0_ns, index, fs_hz):
-    """Time of sample `index` on a uniform grid, rounded per index (no drift):
-    the reference for Waveform.times_ns."""
-    return t0_ns + round(index * 1_000_000_000 / fs_hz)
+    return trace, tally.outcome()
 
 
 # -- whole-bag reads for the tests ---------------------------------------------

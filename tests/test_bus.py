@@ -298,6 +298,8 @@ BAD_BLOCKS = {
     "t0_before_last_t": (XY, np.array([5, 30]), COLS, TimestampRegression),
     "float_times": (XY, np.array([20.0, 30.0]), COLS, SchemaMismatch),
     "times_2d": (XY, T.reshape(1, 2), COLS, SchemaMismatch),
+    "ragged_times": (XY, [[20], [30, 40]], COLS, SchemaMismatch),
+    "str_times": (XY, ["20", "30"], COLS, SchemaMismatch),
     "one_column_short": (XY, T, COLS[:1], SchemaMismatch),
     "one_column_extra": (XY, T, np.vstack([COLS, COLS[:1]]), SchemaMismatch),
     "column_too_short": (XY, T, COLS[:, :1], SchemaMismatch),

@@ -3,15 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwpipe.errors import IncompleteTrace, PlanInvalid
 from mwpipe.sim.difficulty import HIGH, LOW, preset, validate_pair
 from mwpipe.sim.operator import PolicyConfig
-from mwpipe.sim.outcome import evaluate_run
-from mwpipe.sim.rover import (DEFAULT_PHYSICS, OperatorAction, RoverSim, bearing_deg, init_run,
-                              step_dynamics, update_radar, wrap_deg)
+from mwpipe.sim.outcome import RunTally, run_end
+from mwpipe.sim.rover import (DEFAULT_PHYSICS, DT_S, OperatorAction, RoverSim, bearing_deg,
+                              init_run, step_dynamics, update_radar, wrap_deg)
 
-from oracles import run_closed_loop
+from oracles import evaluate_run, run_closed_loop
 
 
 def test_init_run_deterministic():
@@ -191,6 +192,29 @@ def test_evaluate_run_failure_rules():
     assert out.distance_m > 0
     with pytest.raises(IncompleteTrace):
         evaluate_run([], RoverSim(3, LOW))
+    with pytest.raises(IncompleteTrace):
+        RunTally(RoverSim(3, LOW)).outcome()
+
+
+POLICIES = st.one_of(st.just(PolicyConfig()), st.just(PolicyConfig(reaction_mean_s=math.inf)),
+                     st.floats(0.0, 1.0).map(lambda rate: PolicyConfig(error_rate=rate)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), level=st.sampled_from(["low", "high"]), policy=POLICIES,
+       timeout_s=st.one_of(st.integers(1, 60).map(float), st.just(720.0)),
+       co2_fail_pct=st.one_of(st.just(DEFAULT_PHYSICS.co2_fail_pct), st.floats(30.0, 100.0)))
+def test_run_tally_equals_evaluate_run(seed, level, policy, timeout_s, co2_fail_pct):
+    """The tally folded tick by tick gives the outcome the kept trace gives,
+    and stops the run on the trace's first run-end tick."""
+    physics = replace(DEFAULT_PHYSICS, co2_fail_pct=co2_fail_pct)
+    trace, out = run_closed_loop(seed, preset(level), policy, timeout_s=timeout_s,
+                                 physics=physics)
+    sim = RoverSim(seed, preset(level), physics)
+    assert out == evaluate_run(trace, sim)
+    ends = [run_end(sim, rec.state, rec.action) for rec in trace]
+    assert not any(ends[:-1])
+    assert ends[-1] or len(trace) == int(timeout_s / DT_S)
 
 
 def test_configured_co2_limit_ends_and_reports_the_run():
