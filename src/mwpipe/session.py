@@ -45,10 +45,11 @@ from .synth import (
 TICK_NS = round(DT_S * NS_PER_S)
 TICK_HZ = 1 / DT_S
 
-# The feature worker is handed the samples every _FLUSH_TICKS ticks (10 s of
-# session time) and at every phase end. The bag is flushed one such interval
-# behind, once the worker's rows for it are published, so the writer buffers
-# at most about 20 s of the session.
+# Every _FLUSH_TICKS ticks (10 s of session time) and at every phase end, the
+# loop publishes what it gathered, one block per topic, and hands the feature
+# worker the samples. The bag is flushed one such interval behind, once the
+# worker's rows for it are published, so the writer buffers at most about
+# 20 s of the session.
 _FLUSH_TICKS = 100
 
 TLX_SCALES = ("mental", "physical", "temporal", "performance", "effort", "frustration")
@@ -193,6 +194,7 @@ class SessionPlan:
             raise PlanInvalid(f"every phase must last at least one {DT_S} s tick: {durations}")
         if (ticks[0] + 3 * ticks[1] + 4 * ticks[2]) * TICK_NS >= 2**63:
             raise PlanInvalid("a session with every phase at full length overruns 2**63 ns")
+        self._validate_simulator(ticks[2] * DT_S)
         unknown = set(self.phase_profiles) - {"baseline", "run", "freeplay"}
         if unknown:
             raise PlanInvalid(f"unknown phase_profiles keys: {sorted(unknown)}")
@@ -202,6 +204,39 @@ class SessionPlan:
             except InvalidProfile as e:
                 raise PlanInvalid(f"{name}: {e}") from e
         return self
+
+    def _validate_simulator(self, run_s: float):
+        """Refuse physics and policy under which the simulator would place
+        the rover and goal forever, divide by zero, refuse the operator's
+        throttle, or overflow a prompt time or its flash rate."""
+        p, c = self.physics, self.policy
+        delays = [p.reprompt_base_s, p.reprompt_floor_s]
+        if not math.isinf(c.reaction_mean_s):  # an infinite mean never responds
+            delays += [c.reaction_mean_s, c.reaction_jitter_s]
+        # The flash rate doubles every flash_double_s of a run; the per-tick
+        # sum of DT_S may pass run_s, so allow one doubling more.
+        doublings = run_s / p.flash_double_s if p.flash_double_s > 0 else math.inf
+        for ok, rule in (
+            (p.map_size_m > 0, "physics map_size_m > 0"),
+            # two points of a square map lie its side apart often enough;
+            # farther than its diagonal, never
+            (0 <= p.min_separation_m <= p.map_size_m,
+             "physics 0 <= min_separation_m <= map_size_m"),
+            (p.radar_state_span_deg > 0, "physics radar_state_span_deg > 0"),
+            (p.gravity_g > 0 and p.traction_mu > 0 and p.gravity_g * p.traction_mu > 0,
+             "physics gravity_g * traction_mu > 0"),
+            # a prompt's next time is a sum of a few of these, in int ns
+            (all(abs(d) * NS_PER_S < 2**63 for d in delays),
+             "physics reprompt_base_s, reprompt_floor_s and policy reaction_mean_s, "
+             "reaction_jitter_s under 2**63 ns"),
+            (doublings < 1023
+             and math.isfinite(p.flash_base_hz * 2.0 ** (math.floor(doublings) + 1)),
+             "physics flash_double_s > 0 and flash_base_hz * 2 ** (run_timeout_s / "
+             "flash_double_s) within the float range"),
+            (0 <= c.cruise_throttle <= 1, "policy cruise_throttle in [0, 1]"),
+        ):
+            if not ok:
+                raise PlanInvalid(f"the simulator needs {rule}")
 
     def profile_for(self, phase_name: str) -> SynthProfile:
         return self.phase_profiles.get(phase_name, self.profile)
@@ -264,7 +299,8 @@ def phase_waveforms(profile: SynthProfile, duration_s: float, seed: int,
 
 
 class _PhaseStreams:
-    """Pregenerated physiology for one phase, published tick by tick.
+    """Pregenerated physiology for one phase, published one block per
+    modality at each flush point and at the phase end.
 
     Cardiac channels are tapered to their DC at the stitch; respiration
     continues the previous phase's cycle; the gaze script opens where the
@@ -294,8 +330,10 @@ class _PhaseStreams:
         return StitchState(resp_phase_rad=resp_phase % (2.0 * math.pi), gaze_x_deg=gaze_x)
 
     def publish_until(self, bus, topics, queue: list, t_limit_ns: int):
-        """Publish every sample with t < t_limit_ns, and queue each published
-        slice as (modality, times, values) for the feature pipeline."""
+        """Publish each modality's samples with t < t_limit_ns not published
+        yet as one block, and queue each block's slice as (modality, times,
+        values) for the feature pipeline. carry_out reads how far gaze got,
+        so the phase end publishes before it."""
         for m, s in self.streams.items():
             times, feed, i = s["times"], s["feed"], s["ptr"]
             j = int(np.searchsorted(times, t_limit_ns, side="left"))
@@ -304,6 +342,27 @@ class _PhaseStreams:
             bus.publish_block(topics[f"bio.{m}"], times[i:j], feed[i:j].reshape(j - i, -1).T)
             queue.append((m, times[i:j], feed[i:j]))
             s["ptr"] = j
+
+
+class _PendingRows:
+    """The sim.* rows of the ticks since the last flush point, kept per topic
+    and published as one block per topic at the next one."""
+
+    def __init__(self, topics):
+        self._topics = topics
+        self._rows: dict = {}  # topic name -> (times, rows)
+
+    def add(self, name: str, t_ns: int, row: tuple):
+        """Queue one row: the topic's values in schema order, None for an
+        absent optional field."""
+        times, rows = self._rows.setdefault(name, ([], []))
+        times.append(t_ns)
+        rows.append(row)
+
+    def publish(self, bus):
+        for name, (times, rows) in self._rows.items():
+            bus.publish_block(self._topics[name], times, list(zip(*rows)))
+        self._rows.clear()
 
 
 def _publish_feature_rows(bus, topics, rows):
@@ -344,12 +403,13 @@ class _FeatureWorker:
     """The session's FeaturePipeline in a forked process, one flush interval
     behind the tick loop.
 
-    flush(w) hands the worker the slices queued since the last flush and
-    watermark w. Before that it drains the interval still in flight: it
-    publishes that interval's rows and flushes the bag up to its watermark.
-    So at most one interval is in flight, across phase ends too, and the
-    worker never holds a reply while the parent sends: neither can block
-    the other on a full pipe.
+    flush(w) takes the reply for the interval still in flight, hands the
+    worker the slices queued since the last flush and watermark w, and only
+    then publishes that reply's rows and flushes the bag up to its
+    watermark, so the worker extracts while the parent publishes. At most
+    one interval is in flight, across phase ends too, and the worker never
+    holds a reply while the parent sends: neither can block the other on a
+    full pipe.
     """
 
     def __init__(self, pipeline, bus, topics, writer):
@@ -374,34 +434,46 @@ class _FeatureWorker:
         child_end.close()
 
     def flush(self, watermark_ns: int):
-        """Drain, then hand over the slices queued below watermark_ns. A
-        phase that ends on a flush point has handed them over already."""
+        """Take the reply in flight, hand over the slices queued below
+        watermark_ns, then publish the reply. A phase that ends on a flush
+        point has handed them over already."""
         if watermark_ns == self._in_flight:
             return
-        self.drain()
+        done = self._take_reply()
         self._conn.send((self.slices, watermark_ns))
         self.slices.clear()
         self._in_flight = watermark_ns
+        self._publish(done)
 
     def drain(self):
         """Publish the rows of the interval in flight, if any, and flush the
         bag up to its watermark."""
-        # Safe to flush: the interval's rows are now published, and every
-        # later publish carries t >= its watermark. The next interval's rows
-        # end after it, and all else the loop publishes from here on is
-        # stamped at or after the end of the current tick, which is at or
-        # past that watermark.
+        self._publish(self._take_reply())
+
+    def _take_reply(self):
+        """(watermark, rows) of the interval in flight, once the worker has
+        sent them, or None when no interval is in flight."""
         if self._in_flight is None:
-            return
+            return None
         try:
             reply = self._conn.recv()
         except EOFError:
             raise RuntimeError("the feature worker exited before it replied") from None
         if isinstance(reply, Exception):
             raise reply
-        _publish_feature_rows(self._bus, self._topics, reply)
-        self._writer.flush_until(self._in_flight)
-        self._in_flight = None
+        done, self._in_flight = (self._in_flight, reply), None
+        return done
+
+    def _publish(self, done):
+        # Safe to flush: the interval's rows are now published, and every
+        # later publish carries t >= its watermark. The next interval's rows
+        # end after it, and all else the loop publishes from here on is
+        # stamped at or after the current hand-over point, which is at or
+        # past that watermark.
+        if done is not None:
+            watermark, rows = done
+            _publish_feature_rows(self._bus, self._topics, rows)
+            self._writer.flush_until(watermark)
 
     def close(self):
         """Stop the worker and wait for it. Closing the pipe first ends a
@@ -445,18 +517,27 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
     t_ns = 0
     stitch = StitchState()
 
-    def publish_meta(t, phase_name, run_index, difficulty):
-        bus.publish(topics["sim.meta"], {
-            "phase": phase_name, "run_index": run_index,
-            "difficulty": difficulty, "elapsed_s": t / NS_PER_S,
-        }, t_ns=t)
+    pending = _PendingRows(topics)
+
+    def queue_meta(t, phase_name, run_index, difficulty):
+        pending.add("sim.meta", t, (phase_name, run_index, difficulty, t / NS_PER_S))
 
     # forked, it shares the SciPy already loaded here and starts in milliseconds
     features = _FeatureWorker(pipeline, bus, topics, writer)
+
+    def hand_over(streams, t):
+        """Publish every sample and row stamped before t, then flush the
+        features up to t. Publishing first is what makes the bag flush in
+        features.flush safe."""
+        streams.publish_until(bus, topics, features.slices, t)
+        pending.publish(bus)
+        features.flush(t)
+
     try:
         for phase_index, (phase_name, run_index) in enumerate(phases):
             is_run = phase_name == "run"
             level = plan.run_order[run_index] if is_run else ""
+            meta_index = run_index if run_index is not None else -1
             duration_s = {
                 "baseline": plan.baseline_s,
                 "freeplay": plan.interrun_s,
@@ -475,54 +556,38 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                 sim = RoverSim(phase_seed, preset("low"), plan.physics, task_active=False)
                 operator = WanderOperator(phase_seed)
 
-            publish_meta(phase_start, phase_name, run_index if run_index is not None else -1, level)
+            queue_meta(phase_start, phase_name, meta_index, level)
             n_ticks = round(duration_s / DT_S)
             for k in range(n_ticks):
                 tick_t = phase_start + k * TICK_NS
                 tick_end = tick_t + TICK_NS
                 if tick_t % NS_PER_S == 0 and tick_t != phase_start:
-                    publish_meta(tick_t, phase_name,
-                                 run_index if run_index is not None else -1, level)
-                streams.publish_until(bus, topics, features.slices, tick_end)
+                    queue_meta(tick_t, phase_name, meta_index, level)
                 action = operator.act(sim, sim.state)
                 state, events = sim.step(action, streams.breath_rate_bpm)
-                bus.publish(topics["sim.rover"], {
-                    "x_m": state.x_m, "y_m": state.y_m,
-                    "heading_deg": state.heading_deg, "speed_m_s": state.speed_m_s,
-                    "angular_vel_deg_s": state.angular_vel_deg_s,
-                    "battery_pct": state.battery_pct,
-                    "motor_temp_c": state.motor_temp_c, "stalled": state.stalled,
-                    "overdrive_s": state.overdrive_remaining_s,
-                    "distance_m": state.distance_traveled_m,
-                }, t_ns=tick_t)
-                bus.publish(topics["sim.resources"],
-                            {"o2_pct": state.o2_pct, "co2_pct": state.co2_pct}, t_ns=tick_t)
-                bus.publish(topics["sim.radar"], {
-                    "state": state.radar_state,
-                    "dish_heading_deg": state.radar_heading_deg,
-                    "flash_hz": state.flash_hz,
-                }, t_ns=tick_t)
+                pending.add("sim.rover", tick_t, (
+                    state.x_m, state.y_m, state.heading_deg, state.speed_m_s,
+                    state.angular_vel_deg_s, state.battery_pct, state.motor_temp_c,
+                    state.stalled, state.overdrive_remaining_s, state.distance_traveled_m))
+                pending.add("sim.resources", tick_t, (state.o2_pct, state.co2_pct))
+                pending.add("sim.radar", tick_t,
+                            (state.radar_state, state.radar_heading_deg, state.flash_hz))
                 if events:
-                    payload = {
-                        "request": any(e["event"] == "request" for e in events),
-                        "response": any(e["event"] == "response" for e in events),
-                        "kind": events[-1].get("kind", ""),
-                        "target": events[-1].get("target", ""),
-                        "channel": state.comm_channel,
-                    }
                     latencies = [e["latency_s"] for e in events if "latency_s" in e]
-                    if latencies:
-                        payload["latency_s"] = latencies[-1]
-                    bus.publish(topics["sim.comms"], payload, t_ns=tick_t)
+                    pending.add("sim.comms", tick_t, (
+                        any(e["event"] == "request" for e in events),
+                        any(e["event"] == "response" for e in events),
+                        events[-1].get("kind", ""), events[-1].get("target", ""),
+                        state.comm_channel, latencies[-1] if latencies else None))
                 bus.clock.advance_to(tick_end)
                 if (k + 1) % _FLUSH_TICKS == 0:
                     # the bag is flushed up to the previous flush point
-                    features.flush(tick_end)
+                    hand_over(streams, tick_end)
                 t_ns = tick_end
                 if is_run and tally.add(state, action, events) is not None:
                     break
             phase_end = t_ns
-            features.flush(phase_end)
+            hand_over(streams, phase_end)
             if is_run:
                 outcome = tally.outcome()
                 tlx = collect_tlx(run_index, level, outcome.status, plan.seed,
@@ -533,7 +598,8 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
             stitch = streams.carry_out((phase_end - phase_start) / NS_PER_S, stitch)
             phase_spans.append((phase_name, phase_start, phase_end))
         features.drain()
-        publish_meta(t_ns, "end", -1, "")
+        queue_meta(t_ns, "end", -1, "")
+        pending.publish(bus)
         writer.flush_until(t_ns + 1)
     finally:
         try:

@@ -175,6 +175,20 @@ BAD_CONFIGS = {
     "gaze_events_overlap": ('{"profile": {"gaze_script": [{"kind": "fixation", "start_s": 0, '
                             '"duration_s": 2}, {"kind": "fixation", "start_s": 1, '
                             '"duration_s": 2}]}}'),
+    # physics and policy the simulator would hang or crash on
+    "physics_map_size_zero": '{"physics": {"map_size_m": 0}}',
+    "physics_map_size_negative": '{"physics": {"map_size_m": -1}}',
+    "physics_min_separation_beyond_map": '{"physics": {"min_separation_m": 5000}}',
+    "physics_radar_state_span_zero": '{"physics": {"radar_state_span_deg": 0}}',
+    "physics_flash_double_zero": '{"physics": {"flash_double_s": 0}}',
+    "physics_flash_rate_overflows": '{"physics": {"flash_double_s": 0.01}}',
+    "physics_gravity_zero": '{"physics": {"gravity_g": 0}}',
+    "physics_traction_zero": '{"physics": {"traction_mu": 0}}',
+    "physics_reprompt_base_beyond_ns": '{"physics": {"reprompt_base_s": 1e300}}',
+    "policy_cruise_throttle_above_1": '{"policy": {"cruise_throttle": 2.0}}',
+    "policy_cruise_throttle_negative": '{"policy": {"cruise_throttle": -0.5}}',
+    "policy_reaction_mean_beyond_ns": '{"policy": {"reaction_mean_s": 1e300}}',
+    "policy_reaction_jitter_beyond_ns": '{"policy": {"reaction_jitter_s": 1e300}}',
     "gaze_event_kind_unknown": ('{"profile": {"gaze_script": [{"kind": "blink", "start_s": 0, '
                                 '"duration_s": 1}]}}'),
 }

@@ -10,7 +10,7 @@ import pytest
 
 import mwpipe.features.extract as mextract
 import mwpipe.session as msession
-from mwpipe.bag import validate
+from mwpipe.bag import BagWriter, validate
 from mwpipe.errors import PlanInvalid, ScaleOutOfRange
 from mwpipe.session import (
     TLX_SCALES,
@@ -153,6 +153,41 @@ def test_bag_body_does_not_depend_on_the_flush_cadence(tmp_path, monkeypatch, ti
     monkeypatch.setattr(msession, "_FLUSH_TICKS", ticks)
     flushed = run_session(plan, tmp_path / "flushed.bag")
     assert body_bytes(flushed.bag_path) == body_bytes(default.bag_path)
+    # the session publishes once per flush interval, so this also checks
+    # that the run outcomes do not depend on how the rows are split up
+    assert flushed.run_records == default.run_records
+    assert flushed.phases == default.phases
+
+
+def test_session_publishes_once_per_interval(tmp_path, monkeypatch):
+    """The bag writer gets each bio.* and sim.* topic as at most one block
+    per flush interval of each phase; sim.meta's session-end row is its own
+    block."""
+    blocks = []
+    on_publish = BagWriter._on_publish
+
+    def counting(writer, block):
+        blocks.append((block.topic, block.times_ns[0], block.times_ns[-1]))
+        on_publish(writer, block)
+
+    monkeypatch.setattr(BagWriter, "_on_publish", counting)
+    result = run_session(SessionPlan(**WORKER_PLAN), tmp_path / "s.bag")
+    interval_ns = msession._FLUSH_TICKS * msession.TICK_NS
+
+    def interval(t):
+        for i, (_, start, end) in enumerate(result.phases):
+            if start <= t < end:
+                return i, (t - start) // interval_ns
+        return "session end"
+
+    seen = defaultdict(list)
+    for topic, first, last in blocks:
+        if topic.startswith(("bio.", "sim.")):
+            assert interval(first) == interval(last), topic
+            seen[topic].append(interval(first))
+    assert {"bio.ecg", "bio.gaze", "sim.rover", "sim.radar", "sim.meta"} <= set(seen)
+    for topic, intervals in seen.items():
+        assert len(intervals) == len(set(intervals)), topic
 
 
 def test_feature_topics_present(small_session):
