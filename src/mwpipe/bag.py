@@ -350,10 +350,6 @@ class Rows:
                     for vals in values)
         return (dict(zip(self.fields, vals)) for vals in values)
 
-    def samples(self) -> list[TimedSample]:
-        return list(map(TimedSample, repeat(self.topic), self.t.tolist(), self.seq,
-                        self.payloads()))
-
 
 class Chunk(NamedTuple):
     """One judged chunk of a bag body: the piece of the file it was judged
@@ -478,6 +474,20 @@ def _judge_chunk(data: bytes, offset: int, final: bool, path, schemas: dict,
         dec = next(d for d in decoders if d.name == topic)
         groups[topic] = _with_decoded(dec, groups.get(topic), items)
     return Chunk(data, offsets, list(groups.values()), refused)
+
+
+def in_row_order(chunk: Chunk, streams: list, max_t: int):
+    """streams, each the (rows, t) of a topic in chunk, merged in row order:
+    the stream, row and t of each row, and the running maximum of t from
+    max_t before each row and after the last (a row below it is late)."""
+    t = np.zeros(len(chunk.offsets), np.int64)
+    source = np.full(len(chunk.offsets), -1)
+    for k, (rows, times) in enumerate(streams):
+        t[rows] = times
+        source[rows] = k
+    rows = np.flatnonzero(source >= 0)
+    t = t[rows]
+    return source[rows], rows, t, np.maximum.accumulate(np.concatenate(([max_t], t)))
 
 
 def judged_chunks(path):
@@ -708,8 +718,7 @@ class _Checks:
                 items.sort(key=itemgetter(0))
             rows, t, seq = zip(*items)
             streams[topic] = topic, np.array(rows), np.array(t, dtype=np.int64), list(seq)
-        if streams:
-            self.order(list(streams.values()))
+        self.order(chunk, list(streams.values()))
         for stream in streams.values():
             self.topic(*stream)
         self.found.sort(key=itemgetter(0, 1))
@@ -719,19 +728,12 @@ class _Checks:
     def flag(self, row, rank: int, kind: str, topic: str, message: str):
         self.found.append((int(row), rank, ValidationIssue(kind, topic, message, int(self.at[row]))))
 
-    def order(self, streams: list):
+    def order(self, chunk: Chunk, streams: list):
         """Each record's t is at least every earlier one's."""
-        t = np.zeros(len(self.at), np.int64)
-        source = np.full(len(self.at), -1)
-        for k, (_, rows, times, _) in enumerate(streams):
-            t[rows] = times
-            source[rows] = k
-        rows = np.flatnonzero(source >= 0)
-        t = t[rows]
-        running = np.maximum.accumulate(np.concatenate(([self.max_t], t)))
+        source, rows, t, running = in_row_order(
+            chunk, [(rows, times) for _, rows, times, _ in streams], self.max_t)
         for i in np.flatnonzero(t < running[:-1]).tolist():
-            self.flag(rows[i], 1, "order", streams[source[rows[i]]][0],
-                      f"t={t[i]} after t={running[i]}")
+            self.flag(rows[i], 1, "order", streams[source[i]][0], f"t={t[i]} after t={running[i]}")
         self.max_t = int(running[-1])
 
     def topic(self, topic: str, rows: np.ndarray, t: np.ndarray, seq: list):

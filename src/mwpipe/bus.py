@@ -9,20 +9,21 @@ guarantee. Every sample enters as a row of a block: publish_block checks a
 block of rows, a column per schema field, and publish one row, by the same
 per-kind rules. The bus keeps no copy of what it publishes: listeners are
 the one way to observe it, and each receives every publish as one
-SampleBlock. The alignment operator is a pure function of its input
-streams, so re-running it on the same samples is bit-identical.
+SampleBlock. The alignment operator, align_nearest_samples, joins stamp
+columns: one np.searchsorted per topic gives the index of each topic's
+sample nearest every anchor stamp. It is a pure function of those stamps,
+so re-running it is bit-identical.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 import re
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -72,14 +73,6 @@ class SampleBlock(NamedTuple):
     seq0: int
     fields: tuple
     columns: list
-
-
-class AlignedFrame(NamedTuple):
-    """One anchor sample joined with the nearest-in-time sample per other topic."""
-
-    anchor_topic: str
-    anchor_t_ns: int
-    joined: dict  # topic -> (TimedSample, offset_ns)
 
 
 @dataclass(frozen=True)
@@ -309,40 +302,26 @@ class Bus:
 # -- time alignment -----------------------------------------------------------
 
 
-def _nearest_index(times: Sequence[int], t: int) -> int | None:
-    """Index of the sample nearest t; earlier sample wins exact ties."""
-    if not times:
-        return None
-    i = bisect.bisect_right(times, t)
-    if i == 0:
-        return 0
-    if i == len(times):
-        return len(times) - 1
-    before, after = times[i - 1], times[i]
-    # |t-before| <= |after-t| keeps the earlier sample on ties
-    return i - 1 if t - before <= after - t else i
-
-
-def align_nearest_samples(
-    anchor_samples: Sequence[TimedSample],
-    others: Mapping[str, Sequence[TimedSample]],
-    tolerance_ns: int,
-) -> list[AlignedFrame]:
-    """One frame per anchor sample; each other topic joins its nearest
-    sample when |offset| <= tolerance_ns, else is absent from the frame."""
+def align_nearest_samples(anchor_ns, others: Mapping[str, np.ndarray], tolerance_ns: int) -> dict:
+    """For each topic of others, which maps it to its int64 stamps in
+    nondecreasing order, the index of its sample nearest each anchor stamp,
+    or -1 where none is within tolerance_ns: the earlier sample wins a tie,
+    and one exactly tolerance_ns away joins."""
     if tolerance_ns <= 0:
         raise ValueError("tolerance_ns must be positive")
-    other_times = {name: [s.t_ns for s in samples] for name, samples in others.items()}
-    frames = []
-    for a in anchor_samples:
-        joined = {}
-        for name, samples in others.items():
-            idx = _nearest_index(other_times[name], a.t_ns)
-            if idx is None:
-                continue
-            cand = samples[idx]
-            offset = cand.t_ns - a.t_ns
-            if abs(offset) <= tolerance_ns:
-                joined[name] = (cand, offset)
-        frames.append(AlignedFrame(a.topic, a.t_ns, joined))
-    return frames
+    anchors = np.asarray(anchor_ns, dtype=np.int64)
+    tolerance = np.uint64(min(tolerance_ns, 2**64 - 1))  # any int64 distance fits in uint64
+    out = {}
+    for name, times in others.items():
+        if not len(times):
+            out[name] = np.full(len(anchors), -1)
+            continue
+        i = np.searchsorted(times, anchors, side="right")
+        before, after = np.maximum(i - 1, 0), np.minimum(i, len(times) - 1)
+        # exact where that side has a sample; where it has none, the other side is taken
+        to_before = anchors.view(np.uint64) - times[before].view(np.uint64)
+        to_after = times[after].view(np.uint64) - anchors.view(np.uint64)
+        later = (anchors < times[before]) | ((anchors < times[after]) & (to_after < to_before))
+        out[name] = np.where(np.where(later, to_after, to_before) <= tolerance,
+                             np.where(later, after, before), -1)
+    return out

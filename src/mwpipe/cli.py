@@ -13,7 +13,7 @@ from .bag import replay as bag_replay
 from .bag import validate as bag_validate
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, Bus, ManualClock
 from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
-from .errors import InvalidProfile, PlanInvalid, WireError
+from .errors import InvalidProfile, MwpipeError
 from .session import SESSION_TOPICS, StitchState, phase_waveforms, run_session
 
 
@@ -63,13 +63,18 @@ def _host_port(ctx, param, value):
 _FILE = click.Path(exists=True, dir_okay=False)
 
 
-def _from_config(build, path):
-    """build(load_config(path)); a bad config file or MWPIPE_SEED value is
-    reported as a command-line error, not a traceback."""
+def _reported(call, *args, **kwargs):
+    """call(*args, **kwargs), with a pipeline error (a bad config file,
+    MWPIPE_SEED value or bag, or an address it cannot listen on) reported
+    as a command-line error, not a traceback."""
     try:
-        return build(load_config(path))
-    except PlanInvalid as e:
+        return call(*args, **kwargs)
+    except MwpipeError as e:
         raise click.ClickException(str(e)) from e
+
+
+def _from_config(build, path):
+    return _reported(lambda: build(load_config(path)))
 
 
 @click.group()
@@ -143,9 +148,9 @@ def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
     """Derive the per-window feature table from a bag."""
     from .export import extract_csv  # the feature stack, SciPy included
 
-    path = extract_csv(bag_path, out_path, window_s=window_s, stride_s=stride_s,
-                       align_tolerance_ns=round(tolerance_ms * 1e6),
-                       gaze_thresholds=_from_config(gaze_thresholds_from_config, config_path))
+    path = _reported(extract_csv, bag_path, out_path, window_s=window_s, stride_s=stride_s,
+                     align_tolerance_ns=round(tolerance_ms * 1e6),
+                     gaze_thresholds=_from_config(gaze_thresholds_from_config, config_path))
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = sum(1 for _ in csv.reader(fh)) - 1
     click.echo(f"wrote {rows} rows to {path}")
@@ -164,15 +169,12 @@ def replay(bag_path, rate, bind_addr):
 
         host, port = bind_addr
         click.echo(f"serving {bag_path} on {host}:{port} (rate={rate})")
-        try:
-            bound_host, bound_port, sent = serve_bag(
-                bag_path, host or "127.0.0.1", port, rate,
-                ready=lambda h, p: click.echo(f"listening on {h}:{p}"))
-        except WireError as e:
-            raise click.ClickException(str(e)) from e
+        bound_host, bound_port, sent = _reported(
+            serve_bag, bag_path, host or "127.0.0.1", port, rate,
+            ready=lambda h, p: click.echo(f"listening on {h}:{p}"))
         click.echo(f"sent {sent} records")
         return
-    bus = bag_replay(bag_path, rate=rate)
+    bus = _reported(bag_replay, bag_path, rate=rate)
     total = sum(bus.topic(d.name).next_seq for d in bus.topics())
     click.echo(f"replayed {total} records across {len(bus.topics())} topics")
 

@@ -9,14 +9,17 @@ with shortest round-trip decimals, and absent values are empty cells.
 The bag is read one judged chunk at a time, so memory is bounded by a
 window, a chunk and the join tolerance, not by the bag. Each chunk's bio
 rows feed one FeaturePipeline, which advances as far as the bag's order
-makes safe. A row is joined once the records read are past its end by more
-than the tolerance, and goes to a spool file beside out_path. The header
-depends on which modalities and joined topics the whole bag holds, so it is
-settled at the end, and only then is out_path written from the spool.
+makes safe. A row is joined once the records read are past its end by
+more than the tolerance, by indexing each joined topic's columns (as
+parsed) where align_nearest_samples finds its nearest t, and goes to a
+spool file beside out_path. The header depends on which modalities and
+joined topics the whole bag holds, so it is settled at the end, and only
+then is out_path written from the spool.
 
 This rests on the bag's order: a bio or joined record whose t is below that
 of an earlier record of those topics raises CorruptBag, as does a record
-that bag.paced_chunks refuses, and no CSV is written.
+that bag.paced_chunks refuses, or a manifest that does not give a field the
+export reads its SESSION_TOPICS kind, required; and no CSV is written.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ import json
 import math
 import os
 import tempfile
-from bisect import bisect_left
 from itertools import takewhile
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
-from .bag import Chunk, paced_chunks
-from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, TimedSample, align_nearest_samples
+from .bag import Chunk, in_row_order, manifest_topics, paced_chunks, read_manifest
+from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, align_nearest_samples
 from .errors import CorruptBag
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.extract import FeaturePipeline
@@ -43,6 +45,9 @@ from .session import SESSION_TOPICS
 JOINED_COLUMNS = {t.name: t.columns for t in SESSION_TOPICS if t.columns}
 META_TOPIC = "sim.meta"
 _BIO = {f"bio.{m}": (m, t.fields) for m, t in BIO_TOPICS.items()}
+# (topic, field, kind) of every field the export reads.
+_READ = [(t.name, f, t.schema[f]) for t in SESSION_TOPICS if t.name in _BIO or t.columns
+         for f in t.columns or t.schema]
 # Every column a row can fill. A CSV's header is the part of it that the
 # bag's topics settle, in the same order.
 _ALL_COLUMNS = sorted({f"{m}.{c}" for m, names in FEATURE_CATALOG.items()
@@ -69,7 +74,14 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
     """Write the feature table of a bag to out_path and return that path. A
     refused record (one that cannot be decoded, does not fit its topic's
     schema or is on a topic the manifest does not list), or a bio or joined
-    record out of order, raises CorruptBag."""
+    record out of order, or a manifest at odds with a field the export
+    reads, raises CorruptBag."""
+    descs = manifest_topics(read_manifest(bag_path))
+    for topic, f, kind in _READ:  # checked before the body is read
+        found = descs[topic].schema.get(f) if topic in descs else kind
+        if found != kind:
+            raise CorruptBag(f"manifest topic {topic} gives field {f!r} kind {found!r:.40}, "
+                             f"where the export reads {kind!r}")
     spool_dir = os.path.dirname(os.path.abspath(out_path))
     with tempfile.TemporaryFile("w+", encoding="ascii", dir=spool_dir) as spool:
         table = _Table(window_s, stride_s, align_tolerance_ns, gaze_thresholds, spool)
@@ -97,7 +109,8 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
 class _Table:
     """What extract_csv carries from one judged chunk to the next: the
     pipeline, the rows it emitted that are not yet joined, and the joined
-    samples that such a row or a later one may still join."""
+    samples that such a row or a later one may still join: per topic, their
+    t array and a list of values per JOINED_COLUMNS field."""
 
     def __init__(self, window_s, stride_s, tolerance_ns, gaze_thresholds, spool):
         self.pipeline_args = dict(len_s=window_s, stride_s=stride_s,
@@ -110,7 +123,8 @@ class _Table:
         self.end = -2**63  # greatest last t + one period of any modality so far
         self.modalities: set[str] = set()
         self.joined_seen: set[str] = set()
-        self.joined: dict[str, list[TimedSample]] = {t: [] for t in JOINED_COLUMNS}
+        self.joined = {t: (np.zeros(0, np.int64), [[] for _ in columns])
+                       for t, columns in JOINED_COLUMNS.items()}
         self.rows: dict[int, dict] = {}  # t_end -> cells, in t_end order
         self.in_baseline = False
         self.baseline_end = None
@@ -124,21 +138,22 @@ class _Table:
         if hi < len(chunk.offsets):
             return
 
-        joined = {t: g.samples() for t, g in groups.items() if t in self.joined}
-        for topic, samples in joined.items():
-            self.joined[topic] += samples
-            self.joined_seen.add(topic)
-        if self.baseline_end is None and META_TOPIC in joined:
-            self.read_phases(joined[META_TOPIC])
-
         bio = {}  # modality -> (first row, times, values)
         for topic, g in groups.items():
+            columns = dict(zip(g.fields, g.columns))
             if topic in _BIO:
                 m, fields = _BIO[topic]
-                columns = dict(zip(g.fields, g.columns))
                 values = [np.asarray(columns[f], dtype=float) for f in fields]
                 bio[m] = (int(g.rows[0]), g.t,
                           values[0] if len(values) == 1 else np.column_stack(values))
+                continue
+            t, values = self.joined[topic]
+            for f, column in zip(JOINED_COLUMNS[topic], values):
+                column += columns[f]
+            self.joined[topic] = np.concatenate((t, g.t)), values
+            self.joined_seen.add(topic)
+            if topic == META_TOPIC and self.baseline_end is None:
+                self.read_phases(g.t.tolist(), columns["phase"])
         if not bio and self.pipeline is None:
             self.trim()
             return
@@ -158,28 +173,23 @@ class _Table:
     def check_order(self, chunk: Chunk, hi: int, streams: list):
         """Raise the chunk's first order fault before row hi; else carry the
         greatest t on."""
-        if streams:
-            rows = np.concatenate([r for r, _ in streams])
-            order = np.argsort(rows)
-            rows, t = rows[order], np.concatenate([t for _, t in streams])[order]
-            running = np.maximum.accumulate(np.concatenate(([self.max_t], t)))
-            late = np.flatnonzero(t < running[:-1])
-            if len(late) and rows[late[0]] < hi:
-                i = late[0]
-                raise CorruptBag(f"record at byte {int(chunk.offsets[rows[i]])} is out of "
-                                 f"order: t={t[i]} after t={running[i]}")
-            self.max_t = int(running[-1])
+        _, rows, t, running = in_row_order(chunk, streams, self.max_t)
+        late = np.flatnonzero(t < running[:-1])
+        if len(late) and rows[late[0]] < hi:
+            i = late[0]
+            raise CorruptBag(f"record at byte {int(chunk.offsets[rows[i]])} is out of "
+                             f"order: t={t[i]} after t={running[i]}")
+        self.max_t = int(running[-1])
 
-    def read_phases(self, meta: list[TimedSample]):
+    def read_phases(self, times: list, phases: list):
         """Find where sim.meta first leaves the baseline phase."""
-        for s in meta:
-            phase = s.payload.get("phase")
+        for t, phase in zip(times, phases):
             if not self.in_baseline:
                 self.in_baseline = phase == "baseline"
             elif phase != "baseline":
-                self.baseline_end = s.t_ns
+                self.baseline_end = t
                 if self.pipeline is not None:
-                    self.pipeline.baseline_end_ns = s.t_ns
+                    self.pipeline.baseline_end_ns = t
                 return
 
     def advance(self, watermark_ns: int):
@@ -195,13 +205,16 @@ class _Table:
         t_ends = list(takewhile(lambda t_end: t_end < until, self.rows))
         if not t_ends:
             return
-        anchors = [TimedSample("rows", t, i, {}) for i, t in enumerate(t_ends)]
-        for t_end, frame in zip(t_ends, align_nearest_samples(anchors, self.joined,
-                                                              self.tolerance_ns)):
+        nearest = align_nearest_samples(
+            t_ends, {topic: t for topic, (t, _) in self.joined.items()}, self.tolerance_ns)
+        picks = [(JOINED_COLUMNS[topic].values(), self.joined[topic][1], index.tolist())
+                 for topic, index in nearest.items()]
+        for k, t_end in enumerate(t_ends):
             cells = self.rows.pop(t_end)
-            for topic, (sample, _) in frame.joined.items():
-                for f, column in JOINED_COLUMNS[topic].items():
-                    cells[column] = sample.payload[f]
+            for names, values, index in picks:
+                if index[k] >= 0:
+                    for name, column in zip(names, values):
+                        cells[name] = column[index[k]]
             self.spool.write(json.dumps([str(t_end)] + [
                 _fmt(cells[c]) if c in cells else "" for c in _ALL_COLUMNS]) + "\n")
 
@@ -209,9 +222,12 @@ class _Table:
         """Drop the joined samples more than the tolerance before the oldest
         row still to join: its nearest sample is never one of them."""
         oldest = next(iter(self.rows), self.max_t if self.watermark is None else self.watermark)
-        cutoff = oldest - self.tolerance_ns
-        for samples in self.joined.values():
-            del samples[:bisect_left(samples, cutoff, key=attrgetter("t_ns"))]
+        cutoff = max(oldest - self.tolerance_ns, -2**63)
+        for topic, (t, values) in self.joined.items():
+            k = int(np.searchsorted(t, cutoff))
+            for column in values:
+                del column[:k]
+            self.joined[topic] = t[k:], values
 
     def finish(self):
         """Advance to the end of the streams and join every row left."""

@@ -504,40 +504,6 @@ def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5, fs: float = GA
 # -- script builders (canonical test/demo scripts) ------------------------------
 
 
-def saccade_battery_script(n_saccades: int = 9, total_s: float = 30.0,
-                           amplitude_deg: float = 8.0, saccade_s: float = 0.040) -> list[GazeEvent]:
-    """n saccades separated by n+1 equal fixations, exactly total_s long.
-
-    Saccades alternate direction so gaze stays near the origin.
-    """
-    fix_s = (total_s - n_saccades * saccade_s) / (n_saccades + 1)
-    script = []
-    cursor = 0.0
-    direction = 0.0
-    script.append(GazeEvent("fixation", cursor, fix_s, x_deg=-amplitude_deg / 2, y_deg=0.0))
-    cursor += fix_s
-    for _ in range(n_saccades):
-        script.append(GazeEvent("saccade", cursor, saccade_s,
-                                amplitude_deg=amplitude_deg, direction_deg=direction))
-        cursor += saccade_s
-        script.append(GazeEvent("fixation", cursor, fix_s))
-        cursor += fix_s
-        direction = 180.0 - direction
-    return script
-
-
-def pursuit_script(total_s: float = 30.0, pursuit_s: float = 2.0,
-                   velocity_deg_s: float = 15.0) -> list[GazeEvent]:
-    """One centered pursuit between two fixations."""
-    fix_s = (total_s - pursuit_s) / 2
-    off = velocity_deg_s * pursuit_s / 2
-    return [
-        GazeEvent("fixation", 0.0, fix_s, x_deg=-off, y_deg=0.0),
-        GazeEvent("pursuit", fix_s, pursuit_s, velocity_deg_s=velocity_deg_s, direction_deg=0.0),
-        GazeEvent("fixation", fix_s + pursuit_s, fix_s),
-    ]
-
-
 def default_gaze_script(duration_s: float, seed: int = 0,
                         start_x_deg: float = -4.0) -> list[GazeEvent]:
     """Continuous scanning behavior for arbitrary durations.

@@ -8,16 +8,18 @@ features with the library's own pipeline. evaluate_run, the reference for
 the run tally, likewise applies the library's own run-end rule.
 """
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from mwpipe.bag import (ValidationIssue, ValidationReport, _block_lines, header_lines,
                         iter_samples, judged_chunks, manifest_topics, read_manifest)
-from mwpipe.bus import (DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, SampleBlock, TimedSample,
-                        align_nearest_samples)
+from mwpipe.bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, SampleBlock, TimedSample
 from mwpipe.errors import CorruptBag, IncompleteTrace, WireError
 from mwpipe.export import JOINED_COLUMNS, META_TOPIC
 from mwpipe.features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
@@ -25,6 +27,7 @@ from mwpipe.features.windowing import SlidingWindower
 from mwpipe.sim.operator import PolicyConfig, ScriptedOperator
 from mwpipe.sim.outcome import RunOutcome, RunTally, run_end
 from mwpipe.sim.rover import DEFAULT_PHYSICS, DT_S, OperatorAction, RoverSim, RoverState
+from mwpipe.synth import GazeEvent
 
 
 def hrv_oracle(intervals_ms):
@@ -158,6 +161,43 @@ def sample_time_ns(t0_ns, index, fs_hz):
     return t0_ns + round(index * 1_000_000_000 / fs_hz)
 
 
+# -- gaze scripts for the classifier tests -------------------------------------
+
+
+def saccade_battery_script(n_saccades: int = 9, total_s: float = 30.0,
+                           amplitude_deg: float = 8.0, saccade_s: float = 0.040) -> list[GazeEvent]:
+    """n saccades separated by n+1 equal fixations, exactly total_s long.
+
+    Saccades alternate direction so gaze stays near the origin.
+    """
+    fix_s = (total_s - n_saccades * saccade_s) / (n_saccades + 1)
+    script = []
+    cursor = 0.0
+    direction = 0.0
+    script.append(GazeEvent("fixation", cursor, fix_s, x_deg=-amplitude_deg / 2, y_deg=0.0))
+    cursor += fix_s
+    for _ in range(n_saccades):
+        script.append(GazeEvent("saccade", cursor, saccade_s,
+                                amplitude_deg=amplitude_deg, direction_deg=direction))
+        cursor += saccade_s
+        script.append(GazeEvent("fixation", cursor, fix_s))
+        cursor += fix_s
+        direction = 180.0 - direction
+    return script
+
+
+def pursuit_script(total_s: float = 30.0, pursuit_s: float = 2.0,
+                   velocity_deg_s: float = 15.0) -> list[GazeEvent]:
+    """One centered pursuit between two fixations."""
+    fix_s = (total_s - pursuit_s) / 2
+    off = velocity_deg_s * pursuit_s / 2
+    return [
+        GazeEvent("fixation", 0.0, fix_s, x_deg=-off, y_deg=0.0),
+        GazeEvent("pursuit", fix_s, pursuit_s, velocity_deg_s=velocity_deg_s, direction_deg=0.0),
+        GazeEvent("fixation", fix_s + pursuit_s, fix_s),
+    ]
+
+
 # -- the per-tick run trace and its outcome ------------------------------------
 
 
@@ -166,6 +206,15 @@ class TickRecord:
     state: RoverState
     action: OperatorAction
     events: list = field(default_factory=list)
+
+
+def _sum_left(values) -> float:
+    """values added left to right, as RunTally adds them (sum compensates
+    rounding from Python 3.12 on)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def _comm_stats(trace) -> dict:
@@ -183,7 +232,7 @@ def _comm_stats(trace) -> dict:
     unanswered = 1 if trace and trace[-1].state.pending_prompt is not None else 0
     return {
         "comm_prompt_count": prompts,
-        "comm_mean_latency_s": sum(latencies) / len(latencies) if latencies else None,
+        "comm_mean_latency_s": _sum_left(latencies) / len(latencies) if latencies else None,
         "comm_miss_count": reprompts + unanswered,
     }
 
@@ -202,7 +251,7 @@ def _radar_stats(trace) -> dict:
             below_since = None
     return {
         "radar_drop_count": episodes,
-        "radar_mean_recovery_s": sum(recovery) / len(recovery) if recovery else None,
+        "radar_mean_recovery_s": _sum_left(recovery) / len(recovery) if recovery else None,
     }
 
 
@@ -249,6 +298,12 @@ def run_closed_loop(seed, difficulty, policy=PolicyConfig(), breath_rate_bpm=15.
 # -- whole-bag reads for the tests ---------------------------------------------
 
 
+def group_samples(group):
+    """The rows of a judged topic's Rows as TimedSamples, in row order."""
+    return list(map(TimedSample, repeat(group.topic), group.t.tolist(), group.seq,
+                    group.payloads()))
+
+
 def load_samples(path):
     """Every sample of a bag, as iter_samples yields them."""
     return [s for _, s in iter_samples(path)]
@@ -290,7 +345,7 @@ def records(path):
     be decoded; reason is why a record is refused, or None."""
     for chunk in judged_chunks(path):
         accepted = [(row, sample, None) for g in chunk.groups
-                    for row, sample in zip(g.rows.tolist(), g.samples())]
+                    for row, sample in zip(g.rows.tolist(), group_samples(g))]
         for row, sample, reason in sorted(accepted + chunk.refused, key=itemgetter(0)):
             yield int(chunk.offsets[row]), sample, reason
 
@@ -375,6 +430,53 @@ def serve_bag_oracle(path, max_frame_bytes):
 # -- the batch feature-table export ---------------------------------------------
 
 
+class AlignedFrame(NamedTuple):
+    """One anchor sample joined with the nearest-in-time sample per other topic."""
+
+    anchor_topic: str
+    anchor_t_ns: int
+    joined: dict  # topic -> (TimedSample, offset_ns)
+
+
+def _nearest_index(times: Sequence[int], t: int) -> int | None:
+    """Index of the sample nearest t; earlier sample wins exact ties."""
+    if not times:
+        return None
+    i = bisect.bisect_right(times, t)
+    if i == 0:
+        return 0
+    if i == len(times):
+        return len(times) - 1
+    before, after = times[i - 1], times[i]
+    # |t-before| <= |after-t| keeps the earlier sample on ties
+    return i - 1 if t - before <= after - t else i
+
+
+def align_nearest_samples(
+    anchor_samples: Sequence[TimedSample],
+    others: Mapping[str, Sequence[TimedSample]],
+    tolerance_ns: int,
+) -> list[AlignedFrame]:
+    """One frame per anchor sample; each other topic joins its nearest
+    sample when |offset| <= tolerance_ns, else is absent from the frame."""
+    if tolerance_ns <= 0:
+        raise ValueError("tolerance_ns must be positive")
+    other_times = {name: [s.t_ns for s in samples] for name, samples in others.items()}
+    frames = []
+    for a in anchor_samples:
+        joined = {}
+        for name, samples in others.items():
+            idx = _nearest_index(other_times[name], a.t_ns)
+            if idx is None:
+                continue
+            cand = samples[idx]
+            offset = cand.t_ns - a.t_ns
+            if abs(offset) <= tolerance_ns:
+                joined[name] = (cand, offset)
+        frames.append(AlignedFrame(a.topic, a.t_ns, joined))
+    return frames
+
+
 def _baseline_interval(meta_samples):
     start = None
     for s in meta_samples:
@@ -423,7 +525,7 @@ def extract_csv_oracle(bag_path, out_path, window_s=30.0, stride_s=1.0,
                 bio.setdefault(m, []).append(
                     (group.t, values[0] if len(values) == 1 else np.column_stack(values)))
             elif group.topic in joined:
-                joined[group.topic].extend(group.samples())
+                joined[group.topic].extend(group_samples(group))
 
     modalities = tuple(sorted(bio))
     rows = []

@@ -28,11 +28,10 @@ from mwpipe.synth import (
     gen_eda,
     gen_gaze,
     gen_rr_series,
-    pursuit_script,
     render_cardiac,
-    saccade_battery_script,
 )
-from oracles import body_bytes, hrv_oracle, make_windows, run_closed_loop
+from oracles import (body_bytes, hrv_oracle, make_windows, pursuit_script, run_closed_loop,
+                     saccade_battery_script)
 
 
 def _report(n, detail=""):

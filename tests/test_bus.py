@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mwpipe.bag import BagWriter, read_manifest
 
@@ -25,6 +25,7 @@ from mwpipe.errors import (
     TimestampRegression,
     UnknownTopic,
 )
+from oracles import align_nearest_samples as align_samples_oracle
 from oracles import block_samples, load_samples, sample_time_ns
 
 ECG = TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0)
@@ -151,30 +152,31 @@ def test_subscribe_merged_empty_set(tmp_path):
     assert load_samples(tmp_path / "none.bag") == []
 
 
-def test_align_nearest_spec_examples():
-    def ts(topic, t, seq):
-        return TimedSample(topic, t, seq, {"v": 0.0})
+def stamps(*t):
+    return np.array(t, dtype=np.int64)
 
-    anchor = [ts("a.t", 1000, 0)]
+
+def test_align_nearest_spec_examples():
     # nearest of 980/1030 within tol 50 joins 980 with offset -20
-    frames = align_nearest_samples(anchor, {"o.t": [ts("o.t", 980, 0), ts("o.t", 1030, 1)]}, 50)
-    assert frames[0].joined["o.t"][1] == -20
+    times = stamps(980, 1030)
+    (i,) = align_nearest_samples([1000], {"o.t": times}, 50)["o.t"]
+    assert times[i] - 1000 == -20
     # nearest at 1100 with tol 50 is absent
-    frames = align_nearest_samples(anchor, {"o.t": [ts("o.t", 1100, 0)]}, 50)
-    assert frames[0].joined == {}
+    assert align_nearest_samples([1000], {"o.t": stamps(1100)}, 50)["o.t"].tolist() == [-1]
     # exact tie |10|: earlier sample wins
-    frames = align_nearest_samples(anchor, {"o.t": [ts("o.t", 990, 0), ts("o.t", 1010, 1)]}, 50)
-    assert frames[0].joined["o.t"][0].t_ns == 990
+    times = stamps(990, 1010)
+    (i,) = align_nearest_samples([1000], {"o.t": times}, 50)["o.t"]
+    assert times[i] == 990
+    # a tolerance of 0 or less is refused
+    for tolerance in (0, -1):
+        with pytest.raises(ValueError):
+            align_nearest_samples([1000], {"o.t": times}, tolerance)
 
 
 def test_align_infinite_tolerance_joins_every_topic_once():
-    def ts(topic, t, seq):
-        return TimedSample(topic, t, seq, {"v": 0.0})
-
-    anchor = [ts("a.t", i * 100, i) for i in range(5)]
-    others = {"o.t": [ts("o.t", 5_000_000, 0)]}
-    frames = align_nearest_samples(anchor, others, 2**62)
-    assert all(len(f.joined) == 1 for f in frames)
+    anchor = [i * 100 for i in range(5)]
+    index = align_nearest_samples(anchor, {"o.t": stamps(5_000_000)}, 2**62)
+    assert list(index) == ["o.t"] and index["o.t"].tolist() == [0] * 5
 
 
 def test_concurrent_publishers_per_topic_order():
@@ -408,12 +410,39 @@ def test_align_offsets_within_tolerance_property():
     import random
 
     rng = random.Random(7)
-    anchor = [TimedSample("a.t", t, i, {}) for i, t in enumerate(sorted(rng.sample(range(10**6), 50)))]
-    others = {
-        "b.t": [TimedSample("b.t", t, i, {}) for i, t in enumerate(sorted(rng.sample(range(10**6), 80)))]
-    }
-    frames = align_nearest_samples(anchor, others, DEFAULT_ALIGN_TOLERANCE_NS)
-    for f in frames:
-        for _, (s, off) in f.joined.items():
-            assert abs(off) <= DEFAULT_ALIGN_TOLERANCE_NS
-            assert s.t_ns - f.anchor_t_ns == off
+    anchor = sorted(rng.sample(range(10**6), 50))
+    times = stamps(*sorted(rng.sample(range(10**6), 80)))
+    (index,) = align_nearest_samples(anchor, {"b.t": times}, DEFAULT_ALIGN_TOLERANCE_NS).values()
+    assert len(index) == len(anchor) and (index >= 0).all()
+    for a, i in zip(anchor, index.tolist()):
+        assert abs(int(times[i]) - a) <= DEFAULT_ALIGN_TOLERANCE_NS
+
+
+# Stamps near each other, so that ties, duplicates and samples exactly at
+# the tolerance come up, and at the ends of the int64 range.
+join_stamps = st.one_of(st.integers(-40, 40), st.integers(-2**63, 2**63 - 1),
+                        st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchor=st.lists(join_stamps, max_size=12).map(sorted),
+       others=st.lists(st.lists(join_stamps, max_size=12).map(sorted), max_size=3),
+       tolerance=st.one_of(st.integers(1, 40), st.integers(1, 2**66),
+                           st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 1])))
+@example(anchor=[-2**63], others=[[2**63 - 1]], tolerance=1)
+@example(anchor=[2**63 - 1], others=[[-2**63]], tolerance=2**64 - 2)
+@example(anchor=[-2**63, 2**63 - 1], others=[[2**63 - 1], [-2**63]], tolerance=2**64 - 1)
+def test_align_equals_the_sample_join(anchor, others, tolerance):
+    """The column join picks, for every anchor and topic, the sample the
+    per-sample reference join picks, and -1 where that joins none."""
+    topics = {f"o.t{k}": times for k, times in enumerate(others)}
+    index = align_nearest_samples(anchor, {name: stamps(*times) for name, times in topics.items()},
+                                  tolerance)
+    frames = align_samples_oracle(
+        [TimedSample("a.t", t, i, {}) for i, t in enumerate(anchor)],
+        {name: [TimedSample(name, t, i, {}) for i, t in enumerate(times)]
+         for name, times in topics.items()}, tolerance)
+    assert list(index) == list(topics)
+    for name in topics:
+        assert index[name].tolist() == [f.joined[name][0].seq if name in f.joined else -1
+                                        for f in frames]

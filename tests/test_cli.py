@@ -74,6 +74,21 @@ def test_replay_bind_on_a_port_in_use_is_a_command_line_error(runner, tmp_path):
     assert f"Error: cannot listen on 127.0.0.1:{port}" in r.output
 
 
+@pytest.mark.parametrize("command", ["extract", "replay"])
+def test_corrupt_bag_is_a_command_line_error(runner, tmp_path, command):
+    """A record on a topic the manifest does not list is refused with its
+    offset, not with a traceback."""
+    bag = tmp_path / "c.bag"
+    bag.write_bytes(b'MWBAG1\n{"topics":[]}\n{"t":0,"topic":"x.y","seq":0,"data":{}}\n')
+    out = tmp_path / "c.csv"
+    args = ["--out", str(out)] if command == "extract" else []
+    r = runner.invoke(main, [command, "--bag", str(bag), *args])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)  # a clean exit, no traceback
+    assert "Error: record at byte 21 is refused: topic not in manifest" in r.output
+    assert not out.exists()
+
+
 # (arguments, the option named in the error); DIR, BAG and OUT stand for a
 # directory, an existing file and a path to write.
 BAD_OPTIONS = {

@@ -154,9 +154,9 @@ MISFIT_RECORDS = {
 }
 
 
-def bag_with_lines(path, lines):
+def bag_with_lines(path, lines, topics=FIT_TOPICS):
     manifest = {"format": "MWBAG1", "topics": [{"name": n, "schema": s}
-                                               for n, s in FIT_TOPICS.items()]}
+                                               for n, s in topics.items()]}
     path.write_bytes(b"MWBAG1\n" + json.dumps(manifest).encode() + b"\n" + b"".join(lines))
     return path
 
@@ -180,6 +180,41 @@ def test_record_that_misfits_its_schema_is_corrupt_bag(tmp_path, topic, data):
     bad = bag_with_record(tmp_path / "bad.bag", topic, data)
     with pytest.raises(CorruptBag):
         extract_csv(bad, tmp_path / "bad.csv")
+
+
+# A manifest at odds with a field the export reads: (topic, its schema, the
+# data of its records, which fit that schema, and the field named). A bio.st
+# schema goes with every bio.st record; another topic's with one record at
+# t=35 s, where it lines up with a row.
+FOREIGN_SCHEMAS = {
+    "joined_field_missing": ("sim.resources", {"o2_pct": "f64"}, b'{"o2_pct":20.5}', "co2_pct"),
+    "joined_field_optional": ("sim.resources", {"o2_pct": "f64", "co2_pct": "f64?"},
+                              b'{"o2_pct":20.5}', "co2_pct"),
+    "meta_phase_only": ("sim.meta", {"phase": "str"}, b'{"phase":"run"}', "difficulty"),
+    "bio_field_renamed": ("bio.st", {"w": "f64"}, b'{"w":30.5}', "v"),
+    "bio_field_str": ("bio.st", {"v": "str"}, b'{"v":"x"}', "v"),
+    "bio_field_optional": ("bio.st", {"v": "f64?"}, b"{}", "v"),
+}
+
+
+@pytest.mark.parametrize("topic, schema, data, field", FOREIGN_SCHEMAS.values(),
+                         ids=FOREIGN_SCHEMAS)
+def test_manifest_at_odds_with_a_field_read_is_corrupt_bag(tmp_path, topic, schema, data, field):
+    """A bag whose records fit its manifest, but whose manifest drops a field
+    the export reads, makes it optional or gives it another kind, is refused
+    by name, and no CSV is written."""
+    lines = [b'{"t":%d,"topic":"bio.st","seq":%d,"data":%s}\n'
+             % (i * 250_000_000, i, data if topic == "bio.st" else b'{"v":%r}' % (30.0 + i / 64))
+             for i in range(160)]
+    if topic != "bio.st":
+        lines.insert(141, b'{"t":35000000000,"topic":"%s","seq":0,"data":%s}\n'
+                     % (topic.encode(), data))
+    path = bag_with_lines(tmp_path / "foreign.bag", lines, {**FIT_TOPICS, topic: schema})
+    assert validate(path).ok
+    out = tmp_path / "foreign.csv"
+    with pytest.raises(CorruptBag, match=f"manifest topic {topic} gives field '{field}'"):
+        extract_csv(path, out)
+    assert not out.exists()
 
 
 # -- the streaming export against the batch oracle ------------------------------

@@ -15,11 +15,10 @@ from mwpipe.synth import (
     SynthProfile,
     gen_gaze,
     gen_rr_series,
-    pursuit_script,
     render_cardiac,
-    saccade_battery_script,
 )
-from oracles import first_local_max_oracle, first_local_min_oracle, make_windows
+from oracles import (first_local_max_oracle, first_local_min_oracle, make_windows, pursuit_script,
+                     saccade_battery_script)
 
 
 def one_window(wf):

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from mwpipe.bus import NS_PER_S
 from mwpipe.features import BIO_TOPICS
-from oracles import sample_time_ns
+from oracles import pursuit_script, saccade_battery_script, sample_time_ns
 
 from mwpipe.errors import (
     EmptySeries,
@@ -28,9 +28,7 @@ from mwpipe.synth import (
     gen_gaze,
     gen_resp,
     gen_rr_series,
-    pursuit_script,
     render_cardiac,
-    saccade_battery_script,
 )
 
 
