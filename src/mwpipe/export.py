@@ -8,13 +8,14 @@ with shortest round-trip decimals, and absent values are empty cells.
 
 The bag is read one judged chunk at a time, so memory is bounded by a
 window, a chunk and the join tolerance, not by the bag. Each chunk's bio
-rows feed one FeaturePipeline, which advances as far as the bag's order
-makes safe. A row is joined once the records read are past its end by
-more than the tolerance, by indexing each joined topic's columns (as
-parsed) where align_nearest_samples finds its nearest t, and goes to a
-spool file beside out_path. The header depends on which modalities and
-joined topics the whole bag holds, so it is settled at the end, and only
-then is out_path written from the spool.
+rows go to one FeaturePipeline in a features.worker.FeatureWorker, which
+advances as far as the bag's order makes safe and extracts while the next
+chunk is judged, so rows come back one chunk late. A row is joined once
+the records read are past its end by more than the tolerance, by indexing
+each joined topic's columns (as parsed) where align_nearest_samples finds
+its nearest t, and goes to a spool file beside out_path. The header
+depends on which modalities and joined topics the whole bag holds, so it
+is settled at the end, and only then is out_path written from the spool.
 
 This rests on the bag's order: a bio or joined record whose t is below that
 of an earlier record of those topics raises CorruptBag, as does a record
@@ -28,8 +29,8 @@ import json
 import math
 import os
 import tempfile
+from contextlib import closing
 from itertools import takewhile
-from operator import itemgetter
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .errors import CorruptBag
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.extract import FeaturePipeline
 from .features.gaze import DEFAULT_THRESHOLDS
+from .features.worker import FeatureWorker
 from .session import SESSION_TOPICS
 
 # Topic -> {payload field: CSV column} of every topic joined onto the rows.
@@ -83,8 +85,8 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
             raise CorruptBag(f"manifest topic {topic} gives field {f!r} kind {found!r:.40}, "
                              f"where the export reads {kind!r}")
     spool_dir = os.path.dirname(os.path.abspath(out_path))
-    with tempfile.TemporaryFile("w+", encoding="ascii", dir=spool_dir) as spool:
-        table = _Table(window_s, stride_s, align_tolerance_ns, gaze_thresholds, spool)
+    with tempfile.TemporaryFile("w+", encoding="ascii", dir=spool_dir) as spool, closing(
+            _Table(window_s, stride_s, align_tolerance_ns, gaze_thresholds, spool)) as table:
         for chunk, _, hi in paced_chunks(bag_path):  # at rate "max": rows 0 to hi
             table.read(chunk, hi)
             del chunk  # not alive while the next chunk is judged
@@ -108,18 +110,19 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
 
 class _Table:
     """What extract_csv carries from one judged chunk to the next: the
-    pipeline, the rows it emitted that are not yet joined, and the joined
-    samples that such a row or a later one may still join: per topic, their
-    t array and a list of values per JOINED_COLUMNS field."""
+    feature worker, the rows it sent back that are not yet joined, and the
+    joined samples that such a row, one in flight or a later one may still
+    join: per topic, their t array and a list of values per JOINED_COLUMNS
+    field."""
 
     def __init__(self, window_s, stride_s, tolerance_ns, gaze_thresholds, spool):
         self.pipeline_args = dict(len_s=window_s, stride_s=stride_s,
                                   gaze_thresholds=gaze_thresholds)
         self.tolerance_ns = tolerance_ns
         self.spool = spool
-        self.pipeline: FeaturePipeline | None = None
+        self.worker: FeatureWorker | None = None
         self.max_t = -2**63  # greatest t read of the bio and joined topics
-        self.watermark = None  # where the pipeline was last advanced to
+        self.received = -2**63  # every row that ends at or before it is received
         self.end = -2**63  # greatest last t + one period of any modality so far
         self.modalities: set[str] = set()
         self.joined_seen: set[str] = set()
@@ -138,14 +141,14 @@ class _Table:
         if hi < len(chunk.offsets):
             return
 
-        bio = {}  # modality -> (first row, times, values)
+        bio = []  # (first row, modality, times, values)
         for topic, g in groups.items():
             columns = dict(zip(g.fields, g.columns))
             if topic in _BIO:
                 m, fields = _BIO[topic]
                 values = [np.asarray(columns[f], dtype=float) for f in fields]
-                bio[m] = (int(g.rows[0]), g.t,
-                          values[0] if len(values) == 1 else np.column_stack(values))
+                bio.append((int(g.rows[0]), m, g.t,
+                            values[0] if len(values) == 1 else np.column_stack(values)))
                 continue
             t, values = self.joined[topic]
             for f, column in zip(JOINED_COLUMNS[topic], values):
@@ -154,19 +157,19 @@ class _Table:
             self.joined_seen.add(topic)
             if topic == META_TOPIC and self.baseline_end is None:
                 self.read_phases(g.t.tolist(), columns["phase"])
-        if not bio and self.pipeline is None:
+        if not bio and self.worker is None:
+            self.received = self.max_t  # rows end after the first bio record, at or past it
             self.trim()
             return
-        if self.pipeline is None:
-            _, times, _ = min(bio.values(), key=itemgetter(0))  # the first bio record's
-            self.pipeline = FeaturePipeline(t0_ns=int(times[0]),
-                                            baseline_end_ns=self.baseline_end, **self.pipeline_args)
-        for m, (_, times, values) in bio.items():
-            self.pipeline.feed(m, times, values)
+        if self.worker is None:
+            self.worker = FeatureWorker(FeaturePipeline(  # t0: the first bio record's
+                t0_ns=int(min(bio)[2][0]), baseline_end_ns=self.baseline_end, **self.pipeline_args))
+        for _, m, times, _ in bio:
             self.modalities.add(m)
-            end = int(times[-1]) + round(NS_PER_S / BIO_TOPICS[m].rate_hz)
-            self.end = max(self.end, end)
-        self.advance(min(self.max_t, self.end))
+            self.end = max(self.end, int(times[-1]) + round(NS_PER_S / BIO_TOPICS[m].rate_hz))
+        # the baseline end goes with the first slices that pass it
+        self.take(self.worker.advance([s[1:] for s in bio], min(self.max_t, self.end),
+                                      self.baseline_end))
         self.join(self.max_t - self.tolerance_ns)
         self.trim()
 
@@ -188,20 +191,21 @@ class _Table:
                 self.in_baseline = phase == "baseline"
             elif phase != "baseline":
                 self.baseline_end = t
-                if self.pipeline is not None:
-                    self.pipeline.baseline_end_ns = t
                 return
 
-    def advance(self, watermark_ns: int):
-        self.watermark = watermark_ns
-        for row in self.pipeline.advance_to(watermark_ns):
+    def take(self, done):
+        """Add the rows of a worker reply (watermark, rows), if any: every
+        row that ends at or before its watermark is then received."""
+        self.received, rows = done or (self.received, [])
+        for row in rows:
             cells = self.rows.setdefault(row.t_end_ns, {})
             for k, v in row.values.items():
                 cells[f"{row.modality}.{k}"] = v
             cells[f"{row.modality}.quality"] = row.quality
 
     def join(self, until):
-        """Join the rows that end before until, oldest first, and spool them."""
+        """Join the rows received that end before until, oldest first, and
+        spool them. A row in flight ends after every row received."""
         t_ends = list(takewhile(lambda t_end: t_end < until, self.rows))
         if not t_ends:
             return
@@ -220,8 +224,9 @@ class _Table:
 
     def trim(self):
         """Drop the joined samples more than the tolerance before the oldest
-        row still to join: its nearest sample is never one of them."""
-        oldest = next(iter(self.rows), self.max_t if self.watermark is None else self.watermark)
+        row still to join, received or in flight: its nearest sample is
+        never one of them."""
+        oldest = next(iter(self.rows), self.received)
         cutoff = max(oldest - self.tolerance_ns, -2**63)
         for topic, (t, values) in self.joined.items():
             k = int(np.searchsorted(t, cutoff))
@@ -230,7 +235,13 @@ class _Table:
             self.joined[topic] = t[k:], values
 
     def finish(self):
-        """Advance to the end of the streams and join every row left."""
-        if self.pipeline is not None:
-            self.advance(self.end)
+        """Advance to the end of the streams, drain the worker and join every
+        row left."""
+        if self.worker is not None:
+            self.take(self.worker.advance([], self.end, self.baseline_end))
+            self.take(self.worker.drain())
         self.join(math.inf)
+
+    def close(self):
+        if self.worker is not None:
+            self.worker.close()

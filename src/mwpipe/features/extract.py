@@ -3,7 +3,9 @@
 A FeatureRow is a pure function of its Window (plus, for PPG, the frozen
 session baseline pulse amplitude), so identical windows always produce
 bit-identical rows. Rows are computed only when at least 70% of the
-window's nominal samples are valid; below that only quality is reported.
+window's nominal samples are valid; below that, or when a gaze window has
+too many invalid samples or an EDA window is too short to decompose, only
+quality is reported.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TooManyInvalidSamples
+from ..errors import TooManyInvalidSamples, WindowTooShort
 from .beats import detect_beats
 from .catalog import BIO_TOPICS, FEATURE_CATALOG
 from .eda import eda_decompose, eda_features
@@ -54,27 +56,26 @@ def extract_window(window: Window, ppg_baseline_pa: float | None = None,
     if quality < MIN_QUALITY:
         return FeatureRow(window.modality, window.t_end_ns, {}, quality)
     m = window.modality
-    if m == "ecg":
-        beats = detect_beats(window)
-        values = hrv_stat_features(beats)
-        values.update(hrv_frequency(beats))
-    elif m == "ppg":
-        beats = detect_beats(window)
-        values = ppg_features(window, beats, baseline_pa=ppg_baseline_pa, memo=ppg_memo)
-    elif m == "resp":
-        values = resp_features(window)
-    elif m == "eda":
-        values = eda_features(eda_decompose(window))
-    elif m == "st":
-        values = st_features(window)
-    elif m == "gaze":
-        try:
-            events = classify_gaze(window, gaze_thresholds)
-        except TooManyInvalidSamples:
-            return FeatureRow(m, window.t_end_ns, {}, quality)
-        values = gaze_features(events, window)
-    else:
-        raise ValueError(f"unknown modality {m!r}")
+    try:
+        if m == "ecg":
+            beats = detect_beats(window)
+            values = hrv_stat_features(beats)
+            values.update(hrv_frequency(beats))
+        elif m == "ppg":
+            beats = detect_beats(window)
+            values = ppg_features(window, beats, baseline_pa=ppg_baseline_pa, memo=ppg_memo)
+        elif m == "resp":
+            values = resp_features(window)
+        elif m == "eda":
+            values = eda_features(eda_decompose(window))
+        elif m == "st":
+            values = st_features(window)
+        elif m == "gaze":
+            values = gaze_features(classify_gaze(window, gaze_thresholds), window)
+        else:
+            raise ValueError(f"unknown modality {m!r}")
+    except (TooManyInvalidSamples, WindowTooShort):  # gaze and EDA: too little to decompose
+        return FeatureRow(m, window.t_end_ns, {}, quality)
     unknown = set(values) - set(FEATURE_CATALOG[m])
     if unknown:
         raise AssertionError(f"features outside the {m} catalog: {sorted(unknown)}")

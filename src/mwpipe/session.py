@@ -8,15 +8,13 @@ resource drain) are active only during runs. Identical plan and seed yield
 a byte-identical bag body.
 
 Window extraction runs beside the tick loop, not inside it: each session
-forks one feature worker process (os.fork, so on Linux, as in CI) that runs
-the session's FeaturePipeline one flush interval behind the loop. There is
-no serial fallback.
+forks one features.worker.FeatureWorker, which runs the session's
+FeaturePipeline one flush interval behind the loop.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -365,131 +363,28 @@ class _PendingRows:
         self._rows.clear()
 
 
-def _publish_feature_rows(bus, topics, rows):
-    """Publish an interval's feature rows, each modality's as one block."""
+def _publish_features(bus, topics, writer, done):
+    """Publish a feature worker reply's rows, each modality's as one block,
+    then flush the bag up to its watermark. Safe: the next interval's rows
+    end after it, and all else the loop publishes from here on is stamped at
+    or after the current hand-over point, which is at or past it."""
+    if done is None:
+        return
+    watermark, rows = done
     for m in dict.fromkeys(row.modality for row in rows):
         group = [row for row in rows if row.modality == m]
         # the schema's fields: the catalog's, then quality
         columns = [[row.values.get(f) for row in group] for f in FEATURE_CATALOG[m]]
         bus.publish_block(topics[f"feat.{m}"], [row.t_end_ns for row in group],
                           [*columns, [row.quality for row in group]])
-
-
-def _extract_in_worker(conn, parent_end, pipeline):
-    """Body of the feature worker. Each message is (slices, watermark): feed
-    the slices, advance to the watermark and send back the rows, or the
-    exception that extraction raised. It stops on None, or once the parent
-    is gone (end of file on recv, a broken pipe on send)."""
-    import signal  # loaded by multiprocessing already; not with this module
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to report
-    parent_end.close()  # else this copy would keep recv from seeing the parent die
-    with conn:
-        try:
-            while (message := conn.recv()) is not None:
-                slices, watermark = message
-                try:
-                    for m, times, values in slices:
-                        pipeline.feed(m, times, values)
-                    reply = pipeline.advance_to(watermark)
-                except Exception as e:
-                    reply = e
-                conn.send(reply)
-        except (EOFError, OSError):
-            pass
-
-
-class _FeatureWorker:
-    """The session's FeaturePipeline in a forked process, one flush interval
-    behind the tick loop.
-
-    flush(w) takes the reply for the interval still in flight, hands the
-    worker the slices queued since the last flush and watermark w, and only
-    then publishes that reply's rows and flushes the bag up to its
-    watermark, so the worker extracts while the parent publishes. At most
-    one interval is in flight, across phase ends too, and the worker never
-    holds a reply while the parent sends: neither can block the other on a
-    full pipe.
-    """
-
-    def __init__(self, pipeline, bus, topics, writer):
-        # Imported here, not with the module: it takes 10 to 15 ms, which
-        # building a plan or reading a bag never needs.
-        from multiprocessing import Pipe
-
-        self.slices: list = []  # (modality, times, values) published since the last flush
-        self._bus, self._topics, self._writer = bus, topics, writer
-        self._in_flight = None  # the watermark of the interval being extracted
-        self._conn, child_end = Pipe()
-        # A plain fork, not multiprocessing.Process, which refuses to start
-        # from a daemonic process such as a multiprocessing.Pool worker.
-        self._pid = os.fork()
-        if self._pid == 0:
-            status = 1  # whatever escapes ends the worker without a traceback
-            try:
-                _extract_in_worker(child_end, self._conn, pipeline)
-                status = 0
-            finally:
-                os._exit(status)  # never back into the session's stack
-        child_end.close()
-
-    def flush(self, watermark_ns: int):
-        """Take the reply in flight, hand over the slices queued below
-        watermark_ns, then publish the reply. A phase that ends on a flush
-        point has handed them over already."""
-        if watermark_ns == self._in_flight:
-            return
-        done = self._take_reply()
-        self._conn.send((self.slices, watermark_ns))
-        self.slices.clear()
-        self._in_flight = watermark_ns
-        self._publish(done)
-
-    def drain(self):
-        """Publish the rows of the interval in flight, if any, and flush the
-        bag up to its watermark."""
-        self._publish(self._take_reply())
-
-    def _take_reply(self):
-        """(watermark, rows) of the interval in flight, once the worker has
-        sent them, or None when no interval is in flight."""
-        if self._in_flight is None:
-            return None
-        try:
-            reply = self._conn.recv()
-        except EOFError:
-            raise RuntimeError("the feature worker exited before it replied") from None
-        if isinstance(reply, Exception):
-            raise reply
-        done, self._in_flight = (self._in_flight, reply), None
-        return done
-
-    def _publish(self, done):
-        # Safe to flush: the interval's rows are now published, and every
-        # later publish carries t >= its watermark. The next interval's rows
-        # end after it, and all else the loop publishes from here on is
-        # stamped at or after the current hand-over point, which is at or
-        # past that watermark.
-        if done is not None:
-            watermark, rows = done
-            _publish_feature_rows(self._bus, self._topics, rows)
-            self._writer.flush_until(watermark)
-
-    def close(self):
-        """Stop the worker and wait for it. Closing the pipe first ends a
-        worker that is still sending a reply no one will read."""
-        try:
-            self._conn.send(None)
-        except OSError:  # the worker is gone already
-            pass
-        self._conn.close()
-        os.waitpid(self._pid, 0)
+    writer.flush_until(watermark)
 
 
 def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> SessionResult:
     # Imported here, not with the module: the extraction stack loads SciPy,
     # which building a plan or reading a bag never needs.
     from .features.extract import FeaturePipeline
+    from .features.worker import FeatureWorker
 
     plan.validate()
     bus = Bus(clock=ManualClock())
@@ -523,15 +418,19 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
         pending.add("sim.meta", t, (phase_name, run_index, difficulty, t / NS_PER_S))
 
     # forked, it shares the SciPy already loaded here and starts in milliseconds
-    features = _FeatureWorker(pipeline, bus, topics, writer)
+    features = FeatureWorker(pipeline)
+    slices = []  # (modality, times, values) published since the last hand-over
 
     def hand_over(streams, t):
-        """Publish every sample and row stamped before t, then flush the
-        features up to t. Publishing first is what makes the bag flush in
-        features.flush safe."""
-        streams.publish_until(bus, topics, features.slices, t)
+        """Publish every sample and row stamped before t, then hand the
+        worker the slices up to t (unless a flush point at the phase end has
+        already) and publish the rows of the interval before, so the worker
+        extracts while the loop publishes and flushes."""
+        streams.publish_until(bus, topics, slices, t)
         pending.publish(bus)
-        features.flush(t)
+        if t != features.in_flight:
+            _publish_features(bus, topics, writer, features.advance(slices, t))
+            slices.clear()
 
     try:
         for phase_index, (phase_name, run_index) in enumerate(phases):
@@ -597,7 +496,7 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                                              phase_start, phase_end))
             stitch = streams.carry_out((phase_end - phase_start) / NS_PER_S, stitch)
             phase_spans.append((phase_name, phase_start, phase_end))
-        features.drain()
+        _publish_features(bus, topics, writer, features.drain())
         queue_meta(t_ns, "end", -1, "")
         pending.publish(bus)
         writer.flush_until(t_ns + 1)

@@ -1,3 +1,4 @@
+import csv
 import json
 import socket
 
@@ -23,6 +24,23 @@ def test_synth_validate_extract_pipeline(runner, tmp_path):
     r = runner.invoke(main, ["extract", "--bag", str(bag), "--out", str(csv_path)])
     assert r.exit_code == 0, r.output
     assert "11 rows" in r.output
+
+
+def test_a_window_too_short_for_eda_gives_quality_only_eda_rows(runner, tmp_path):
+    """EDA decomposition needs 8 s of samples. A window that holds fewer, as
+    every 5 s window does, leaves its row's EDA features empty and keeps its
+    EDA quality, rather than ending the export."""
+    bag, out = tmp_path / "s.bag", tmp_path / "s.csv"
+    assert runner.invoke(main, ["synth", "--duration", "40", "--out", str(bag)]).exit_code == 0
+    r = runner.invoke(main, ["extract", "--bag", str(bag), "--window", "5", "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 36 and f"wrote {len(rows)} rows" in r.output
+    eda = [c for c in rows[0] if c.startswith("eda.") and c != "eda.quality"]
+    assert eda and all(row[c] == "" for row in rows for c in eda)
+    assert all(float(row["eda.quality"]) == 1.0 for row in rows)
+    assert all(row["st.mean_c"] for row in rows)  # other modalities keep their features
 
 
 def test_validate_exits_nonzero_on_corruption(runner, tmp_path):

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mwpipe.bag as mbag
 from mwpipe.bag import BagWriter, replay, validate
@@ -240,43 +240,25 @@ def telemetry_payload(topic: str, k: int) -> dict:
     return {f: kinds[kind](i) for i, (f, kind) in enumerate(SCHEMAS[topic].items())}
 
 
-@st.composite
-def streaming_bags(draw):
-    """Record lines in bag order for a bag of at most 70 s, with the size of
-    its chunks and the join tolerance."""
-    duration_ns = draw(st.integers(31, 70)) * 10**9
+def session_lines(duration_ns: int, modalities, late=None, late_ns=0, telemetry=None,
+                  leave="none") -> list:
+    """Record lines in bag order for a bag of at most 70 s: the modalities,
+    late from late_ns on, telemetry on a 250 ms grid ({topic: (gaps as
+    ranges of ticks, ticks doubled)}), and sim.meta on whole seconds leaving
+    the baseline phase at leave (None never; "none" for no sim.meta)."""
     records = []  # (t, topic, payload)
-    modalities = draw(st.lists(st.sampled_from(list(BIO_TOPICS)), unique=True, min_size=1))
-    late = draw(st.sampled_from(modalities))
-    late_ns = draw(st.integers(0, 40 * 10**9))
-    last_bio = 0
     for m in modalities:
         times, values = waveforms_70s()[m]
         keep = (times < duration_ns) & (times >= (late_ns if m == late else 0))
         fields = BIO_TOPICS[m].fields
         records += [(t, f"bio.{m}", dict(zip(fields, v)))
                     for t, v in zip(times[keep].tolist(), values[keep].tolist())]
-        last_bio = max([last_bio, *times[keep].tolist()])
-    # telemetry on a 250 ms grid, so that stamps fall on row ends and on
-    # row ends plus or minus the tolerance
-    ticks, per_s = duration_ns // TICK_NS, 10**9 // TICK_NS
-    for topic in draw(st.lists(st.sampled_from(TELEMETRY), unique=True)):
-        # each gap is around a whole second, where a row may end
-        gaps = [(second * per_s - before, second * per_s + after)
-                for second, before, after in draw(st.lists(st.tuples(
-                    st.integers(30, 70), st.integers(0, 12), st.integers(0, 12)), max_size=6))]
-        doubled = draw(st.sets(st.integers(0, ticks), max_size=4))
-        for k in range(ticks):
+    for topic, (gaps, doubled) in (telemetry or {}).items():
+        for k in range(duration_ns // TICK_NS):
             if not any(a <= k < b for a, b in gaps):
                 sample = (k * TICK_NS, topic, telemetry_payload(topic, k))
                 records += [sample] * (1 + (k in doubled))
-    meta = draw(st.sampled_from(["none", "never", "before", "tied", "after"]))
-    if meta != "none":
-        bio_stamps = [t for t, topic, _ in records if topic.startswith("bio.")]
-        leave = {"never": None,
-                 "before": draw(st.integers(1, duration_ns // 10**9 - 1)) * 10**9,
-                 "tied": draw(st.sampled_from(bio_stamps)) if bio_stamps else 30 * 10**9,
-                 "after": last_bio + draw(st.sampled_from([1, TICK_NS, 10**9, 3 * 10**9]))}[meta]
+    if leave != "none":
         stamps = sorted({*range(0, duration_ns, 10**9), *([leave] if leave else [])})
         for t in stamps:
             phase = "baseline" if leave is None or t < leave else "run"
@@ -287,6 +269,38 @@ def streaming_bags(draw):
     for t, topic, payload in sorted(records, key=lambda r: (r[0], r[1])):
         seq = seqs[topic] = seqs.get(topic, -1) + 1
         lines.append(record_line(TimedSample(topic, t, seq, payload), SCHEMAS[topic]).encode())
+    return lines
+
+
+@st.composite
+def streaming_bags(draw):
+    """Record lines in bag order for a bag of at most 70 s, with the size of
+    its chunks and the join tolerance."""
+    duration_ns = draw(st.integers(31, 70)) * 10**9
+    modalities = draw(st.lists(st.sampled_from(list(BIO_TOPICS)), unique=True, min_size=1))
+    late = draw(st.sampled_from(modalities))
+    late_ns = draw(st.integers(0, 40 * 10**9))
+    # telemetry on a 250 ms grid, so that stamps fall on row ends and on
+    # row ends plus or minus the tolerance
+    ticks, per_s = duration_ns // TICK_NS, 10**9 // TICK_NS
+    telemetry = {}
+    for topic in draw(st.lists(st.sampled_from(TELEMETRY), unique=True)):
+        # each gap is around a whole second, where a row may end
+        gaps = [(second * per_s - before, second * per_s + after)
+                for second, before, after in draw(st.lists(st.tuples(
+                    st.integers(30, 70), st.integers(0, 12), st.integers(0, 12)), max_size=6))]
+        telemetry[topic] = gaps, draw(st.sets(st.integers(0, ticks), max_size=4))
+    meta = draw(st.sampled_from(["none", "never", "before", "tied", "after"]))
+    leave = "none"
+    if meta != "none":
+        bio_stamps = [t for m in modalities for t in waveforms_70s()[m][0].tolist()
+                      if t < duration_ns and (m != late or t >= late_ns)]
+        leave = {"never": None,
+                 "before": draw(st.integers(1, duration_ns // 10**9 - 1)) * 10**9,
+                 "tied": draw(st.sampled_from(bio_stamps)) if bio_stamps else 30 * 10**9,
+                 "after": max(bio_stamps, default=0)
+                 + draw(st.sampled_from([1, TICK_NS, 10**9, 3 * 10**9]))}[meta]
+    lines = session_lines(duration_ns, modalities, late, late_ns, telemetry, leave)
     if lines:
         i = draw(st.integers(0, len(lines) - 1))
         spaced = json.loads(lines[i])
@@ -308,14 +322,29 @@ def csv_or_error(extract, path, out, tolerance_ns):
         return str(e)
 
 
+# Rows come back from the feature worker one chunk late. With a 20 s
+# tolerance, a row waits for about 180 chunks of 4 KiB, and sim.resources
+# (which ends at 36 s) and sim.radar (which starts at 45 s) join rows 20 s
+# away; with 1 ns, a row joins only the sample at its very end.
+LATE_ROWS = dict(telemetry={"sim.rover": ([], set()), "sim.resources": ([(144, 280)], set()),
+                            "sim.radar": ([(0, 180)], set())}, leave=41_500_000_000)
+
+
 @settings(max_examples=30, deadline=None)
 @given(bag=streaming_bags())
+@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 4096, 20 * 10**9))
+@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 4096, 1))
+# the baseline phase ends inside a chunk of about 20 s
+@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 128 * 1024, 50_000_000))
+# the whole bag in one chunk: every row is in flight until the end
+@example(bag=(session_lines(70 * 10**9, ("st",), telemetry={"sim.rover": ([], set())}),
+              128 * 1024, 1))
 def test_streamed_csv_equals_the_batch_export(tmp_path_factory, bag):
     """Modalities that start late or are absent, sim.meta leaving the baseline
-    phase before, at, or after the last bio stamp, or never, telemetry gaps
-    wider than the tolerance and repeated stamps, a spaced or refused line and
-    a truncated final line, at any chunk size: the same CSV bytes, or the
-    same CorruptBag."""
+    phase before, at, or after the last bio stamp, or never, inside a chunk,
+    telemetry gaps wider than the tolerance and repeated stamps, a tolerance
+    that spans many chunks, a spaced or refused line and a truncated final
+    line, at any chunk size: the same CSV bytes, or the same CorruptBag."""
     lines, chunk_bytes, tolerance_ns = bag
     tmp = tmp_path_factory.mktemp("stream")
     path = tmp / "s.bag"

@@ -2,8 +2,8 @@
 
 validate, replay and synth need the bag, the bus and the synthesis code,
 and building a plan needs the config dataclasses; none of them may import
-SciPy or the extraction modules, nor multiprocessing, which only
-simulate's feature worker needs. Each case is its own interpreter
+SciPy or the extraction modules, nor multiprocessing, which only the
+feature worker of simulate and extract needs. Each case is its own interpreter
 (test_memory.run_alone), so its sys.modules and its peak are its own.
 """
 

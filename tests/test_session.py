@@ -5,13 +5,17 @@ import subprocess
 import sys
 import time
 from collections import defaultdict
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import mwpipe.bag as mbag
 import mwpipe.features.extract as mextract
 import mwpipe.session as msession
 from mwpipe.bag import BagWriter, validate
-from mwpipe.errors import PlanInvalid, ScaleOutOfRange
+from mwpipe.errors import CorruptBag, PlanInvalid, ScaleOutOfRange
+from mwpipe.export import extract_csv
 from mwpipe.session import (
     TLX_SCALES,
     SessionPlan,
@@ -261,19 +265,55 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_no_worker_outlives_a_session(tmp_path):
-    run_session(SessionPlan(**WORKER_PLAN), tmp_path / "ok.bag")
+@pytest.fixture(scope="module")
+def worker_bag(tmp_path_factory):
+    path = tmp_path_factory.mktemp("worker") / "worker.bag"
+    run_session(SessionPlan(**WORKER_PLAN), path)
+    return path
+
+
+@pytest.fixture(params=["run_session", "extract_csv"])
+def driver(request, tmp_path):
+    """A call that forks a feature worker, as (function, args, the path it
+    writes, a reader of that path's deterministic bytes)."""
+    if request.param == "run_session":
+        out = tmp_path / "out.bag"
+        return run_session, (SessionPlan(**WORKER_PLAN), out), out, body_bytes
+    out = tmp_path / "out.csv"
+    return extract_csv, (request.getfixturevalue("worker_bag"), out), out, Path.read_bytes
+
+
+def test_no_worker_outlives_a_run(driver):
+    function, args, _, _ = driver
+    function(*args)
     assert_no_child_process()
 
 
-def test_an_extraction_error_in_the_worker_is_raised_by_the_session(tmp_path, monkeypatch):
+def test_an_extraction_error_in_the_worker_is_raised_by_the_caller(driver, monkeypatch):
     def broken(window, **kwargs):
         raise ValueError(f"no features for {window.modality}")
 
+    function, args, out, _ = driver
     # the worker is forked, so it inherits the patch
     monkeypatch.setattr(mextract, "extract_window", broken)
     with pytest.raises(ValueError, match="^no features for [a-z]+$"):
-        run_session(SessionPlan(**WORKER_PLAN), tmp_path / "broken.bag")
+        function(*args)
+    assert_no_child_process()
+    if function is extract_csv:
+        assert not out.exists()
+
+
+def test_a_bag_corrupt_halfway_leaves_no_csv_and_no_worker(worker_bag, tmp_path):
+    """A garbage line after about half the body, read in small chunks, so
+    that the worker has extracted many of them and has one in flight."""
+    lines = worker_bag.read_bytes().splitlines(keepends=True)
+    lines.insert(len(lines) // 2, b"not a record\n")
+    bag, out = tmp_path / "garbage.bag", tmp_path / "garbage.csv"
+    bag.write_bytes(b"".join(lines))
+    with mock.patch.object(mbag, "_CHUNK_BYTES", 4096), \
+            pytest.raises(CorruptBag, match="^record at byte [0-9]+ is refused"):
+        extract_csv(bag, out)
+    assert not out.exists()
     assert_no_child_process()
 
 
@@ -294,14 +334,15 @@ def test_a_tlx_prompt_error_after_the_first_run_is_raised(tmp_path, error):
     assert_no_child_process()
 
 
-def test_a_session_runs_in_a_pool_worker(tmp_path):
+def test_a_run_in_a_pool_worker(driver):
     """Pool workers are daemonic, and multiprocessing.Process refuses to
     start there; perfbench/pin.py records its sessions in such a pool."""
-    plan = SessionPlan(**WORKER_PLAN)
+    function, args, out, read = driver
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        pooled = pool.apply(run_session, (plan, tmp_path / "pooled.bag"))
-    direct = run_session(plan, tmp_path / "direct.bag")
-    assert body_bytes(pooled.bag_path) == body_bytes(direct.bag_path)
+        pool.apply(function, args)
+    pooled = read(out)
+    function(*args)
+    assert read(out) == pooled
 
 
 def _running(pid: int) -> bool:
