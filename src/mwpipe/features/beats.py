@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d
-from scipy.signal import butter, sosfilt, sosfilt_zi, sosfiltfilt
+from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from ..bus import NS_PER_S
 from .windowing import Window
@@ -25,6 +25,7 @@ REFRACTORY_S = 0.25
 ROLLMAX_S = 2.0
 INTERVAL_MIN_MS = 200.0
 INTERVAL_MAX_MS = 3000.0
+BANDS = {"ecg": (5.0, 25.0), "ppg": (0.5, 8.0)}  # band-pass edges, Hz
 
 
 @dataclass
@@ -61,10 +62,8 @@ def _bandpass(lo: float, hi: float, fs: float):
 def _filtfilt(x: np.ndarray, lo: float, hi: float, fs: float) -> np.ndarray:
     """sosfiltfilt(sos, x) of the band, bit for bit: the same odd extension
     and the same two sosfilt passes, with zi and the pad length computed once
-    per band. A signal no longer than the pad goes to sosfiltfilt itself."""
+    per band. x must be longer than the pad, as sosfiltfilt requires."""
     sos, zi, edge = _bandpass(lo, hi, fs)
-    if len(x) <= edge:
-        return sosfiltfilt(sos, x)
     ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x, 2 * x[-1:] - x[-2:-(edge + 2):-1]))
     y, _ = sosfilt(sos, ext, zi=zi * ext[:1])
     y, _ = sosfilt(sos, y[::-1], zi=zi * y[-1:])
@@ -106,7 +105,7 @@ def _apply_refractory(indices: np.ndarray, fs: float) -> list[int]:
 
 
 def _detect_ecg(x: np.ndarray, fs: float) -> list[int]:
-    xf = _filtfilt(x, 5.0, 25.0, fs)
+    xf = _filtfilt(x, *BANDS["ecg"], fs)
     energy = (np.diff(xf) * fs) ** 2
     cands = np.array(_apply_refractory(_peaks_above_half_rollmax(energy, fs), fs), dtype=np.int64)
     # snap each detection to the R peak of the band-passed signal
@@ -115,17 +114,18 @@ def _detect_ecg(x: np.ndarray, fs: float) -> list[int]:
 
 
 def _detect_ppg(x: np.ndarray, fs: float) -> list[int]:
-    xf = _filtfilt(x, 0.5, 8.0, fs)
+    xf = _filtfilt(x, *BANDS["ppg"], fs)
     cands = _peaks_above_half_rollmax(xf, fs)
     return _apply_refractory(cands[xf[cands] > 0], fs)
 
 
 def detect_beats(window: Window) -> BeatSeries:
-    """Detect beats in a cardiac window; flatline input yields no beats."""
-    if window.modality not in ("ecg", "ppg"):
+    """Detect beats in a cardiac window; flatline input, or a window no
+    longer than its band-pass's pad, yields no beats."""
+    if window.modality not in BANDS:
         raise ValueError(f"detect_beats expects ecg or ppg, got {window.modality!r}")
     x = np.asarray(window.values, dtype=float)
-    if len(x) < 8 or np.ptp(x) == 0.0:
+    if len(x) <= _bandpass(*BANDS[window.modality], window.fs_hz)[2] or np.ptp(x) == 0.0:
         return BeatSeries(np.empty(0, dtype=np.int64))
     if window.modality == "ecg":
         idx = _detect_ecg(x, window.fs_hz)

@@ -42,7 +42,7 @@ class FeatureWorker:
 
     def __init__(self, pipeline):
         from multiprocessing import Pipe  # 10 to 15 ms, which reading a bag never needs
-        self.in_flight = None  # the watermark of the interval being extracted
+        self._in_flight = None  # the watermark of the interval being extracted
         self._conn, child_end = Pipe()
         # A plain fork, not multiprocessing.Process, which refuses to start
         # from a daemonic process such as a multiprocessing.Pool worker.
@@ -62,13 +62,13 @@ class FeatureWorker:
         and the watermark."""
         done = self.drain()
         self._conn.send((slices, baseline_end_ns, watermark_ns))
-        self.in_flight = watermark_ns
+        self._in_flight = watermark_ns
         return done
 
     def drain(self):
         """(watermark, rows) of the interval in flight, once the worker has
         sent them (every row that ends by the watermark), or None."""
-        if self.in_flight is None:
+        if self._in_flight is None:
             return None
         try:
             reply = self._conn.recv()
@@ -76,7 +76,7 @@ class FeatureWorker:
             raise RuntimeError("the feature worker exited before it replied") from None
         if isinstance(reply, Exception):
             raise reply
-        done, self.in_flight = (self.in_flight, reply), None
+        done, self._in_flight = (self._in_flight, reply), None
         return done
 
     def close(self):

@@ -27,7 +27,7 @@ from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
 from .sim.difficulty import preset
 from .sim.operator import PolicyConfig, ScriptedOperator, WanderOperator
 from .sim.outcome import RunOutcome, RunTally
-from .sim.rover import DEFAULT_PHYSICS, DT_S, PhysicsParams, RoverSim
+from .sim.rover import DEFAULT_PHYSICS, DT_S, TICK_NS, PhysicsParams, RoverSim
 from .synth import (
     SynthProfile,
     default_gaze_script,
@@ -40,7 +40,6 @@ from .synth import (
     render_cardiac,
 )
 
-TICK_NS = round(DT_S * NS_PER_S)
 TICK_HZ = 1 / DT_S
 
 # Every _FLUSH_TICKS ticks (10 s of session time) and at every phase end, the
@@ -423,14 +422,13 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
 
     def hand_over(streams, t):
         """Publish every sample and row stamped before t, then hand the
-        worker the slices up to t (unless a flush point at the phase end has
-        already) and publish the rows of the interval before, so the worker
-        extracts while the loop publishes and flushes."""
+        worker the slices up to t and publish the rows of the interval
+        before, so the worker extracts while the loop publishes and flushes.
+        Each point is handed over once: a phase's last tick is its end's."""
         streams.publish_until(bus, topics, slices, t)
         pending.publish(bus)
-        if t != features.in_flight:
-            _publish_features(bus, topics, writer, features.advance(slices, t))
-            slices.clear()
+        _publish_features(bus, topics, writer, features.advance(slices, t))
+        slices.clear()
 
     try:
         for phase_index, (phase_name, run_index) in enumerate(phases):
@@ -479,12 +477,12 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                         events[-1].get("kind", ""), events[-1].get("target", ""),
                         state.comm_channel, latencies[-1] if latencies else None))
                 bus.clock.advance_to(tick_end)
-                if (k + 1) % _FLUSH_TICKS == 0:
-                    # the bag is flushed up to the previous flush point
-                    hand_over(streams, tick_end)
                 t_ns = tick_end
                 if is_run and tally.add(state, action, events) is not None:
                     break
+                if (k + 1) % _FLUSH_TICKS == 0 and k + 1 < n_ticks:
+                    # the bag is flushed up to the previous flush point
+                    hand_over(streams, tick_end)
             phase_end = t_ns
             hand_over(streams, phase_end)
             if is_run:

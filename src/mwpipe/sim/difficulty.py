@@ -2,7 +2,7 @@
 
 High difficulty strictly tightens every knob relative to low: shorter mean
 prompt interval, faster radar drift, larger drain/thermal/terrain/CO2
-scales. validate_pair enforces that relationship for custom sets.
+scales.
 """
 
 from __future__ import annotations
@@ -51,15 +51,3 @@ def preset(level: str) -> DifficultyParams:
         return HIGH
     raise PlanInvalid(f"unknown difficulty level {level!r}")
 
-
-def validate_pair(low: DifficultyParams, high: DifficultyParams):
-    checks = (
-        high.comm_mean_interval_s < low.comm_mean_interval_s,
-        high.radar_decay_deg_per_s > low.radar_decay_deg_per_s,
-        high.battery_drain_scale > low.battery_drain_scale,
-        high.temp_gain_scale > low.temp_gain_scale,
-        high.terrain_roughness > low.terrain_roughness,
-        high.co2_rate_scale > low.co2_rate_scale,
-    )
-    if not all(checks):
-        raise PlanInvalid("high difficulty must strictly tighten every field of low")

@@ -1,8 +1,9 @@
 """Rover state, fixed-step dynamics, and the four task subsystems.
 
-Single-threaded dt=0.1 s core; every step function is a pure state-to-state
-map given its inputs, so (seed, difficulty, policy) determines the whole
-trace bit-for-bit. Coefficients are sized so that full oxygen lasts about
+Single-threaded DT_S = 0.1 s core: each RoverSim.step computes the tick
+from the current state and the operator's action and builds one fresh
+RoverState, so (seed, difficulty, policy) determines the whole trace
+bit-for-bit. Coefficients are sized so that full oxygen lasts about
 45 minutes at 15 breaths/min and CO2 venting is needed a few times per run;
 all of them live on PhysicsParams and the shared config file.
 """
@@ -10,7 +11,7 @@ all of them live on PhysicsParams and the shared config file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from ..bus import NS_PER_S
 from .difficulty import DifficultyParams
 
 DT_S = 0.1  # the one tick of the simulator and of the session clock
+TICK_NS = round(DT_S * NS_PER_S)
 
 _STREAM_PLACEMENT = 10
 _STREAM_COMMS = 11
@@ -153,165 +155,10 @@ def bearing_deg(from_xy: tuple, to_xy: tuple) -> float:
     return math.degrees(math.atan2(to_xy[1] - from_xy[1], to_xy[0] - from_xy[0]))
 
 
-def init_run(seed: int, difficulty: DifficultyParams,
-             physics: PhysicsParams = DEFAULT_PHYSICS):
-    """Seeded placement of rover and goal with separation >= 300 m.
-
-    Returns (state, goal_xy, terrain, comms_rng).
-    """
-    rng = np.random.default_rng([seed, _STREAM_PLACEMENT])
-    size = physics.map_size_m
-    while True:
-        rx, ry, gx, gy = rng.uniform(0.0, size, 4)
-        if math.hypot(gx - rx, gy - ry) >= physics.min_separation_m:
-            break
-    state = RoverState(
-        x_m=float(rx),
-        y_m=float(ry),
-        heading_deg=float(rng.uniform(-180.0, 180.0)),
-        motor_temp_c=physics.ambient_c,
-    )
-    state.radar_heading_deg = bearing_deg((state.x_m, state.y_m), physics.relay_pos_m)
-    comms_rng = np.random.default_rng([seed, _STREAM_COMMS])
-    return state, (float(gx), float(gy)), Terrain(seed, difficulty.terrain_roughness, size), comms_rng
-
-
-def step_dynamics(s: RoverState, a: OperatorAction, breath_rate_bpm: float,
-                  dt: float = DT_S, difficulty: DifficultyParams = None,
-                  physics: PhysicsParams = DEFAULT_PHYSICS,
-                  terrain: Terrain | None = None) -> RoverState:
-    """Vehicle, thermal and resource dynamics for one tick (clamping, not faults)."""
-    drain_scale = difficulty.battery_drain_scale if difficulty else 1.0
-    temp_scale = difficulty.temp_gain_scale if difficulty else 1.0
-    co2_scale = difficulty.co2_rate_scale if difficulty else 1.0
-
-    battery = s.battery_pct
-    overdrive_remaining = s.overdrive_remaining_s
-    if a.overdrive and overdrive_remaining <= 0.0 and battery > physics.overdrive_cost_pct:
-        overdrive_remaining = physics.overdrive_s
-        battery -= physics.overdrive_cost_pct
-    boosting = overdrive_remaining > 0.0
-
-    # stall latch: on at stall_on_c, released once cooled to stall_off_c
-    stalled = s.stalled
-    if s.motor_temp_c >= physics.stall_on_c:
-        stalled = True
-    elif stalled and s.motor_temp_c <= physics.stall_off_c:
-        stalled = False
-
-    torque = 0.0 if stalled else a.throttle * (physics.overdrive_torque if boosting else 1.0)
-    factor = terrain.speed_factor(s.x_m, s.y_m, s.heading_deg, physics) if terrain else 1.0
-    speed = 0.0 if stalled else (
-        a.throttle * physics.v_max_m_s * (physics.overdrive_speed if boosting else 1.0) * factor
-    )
-
-    temp = s.motor_temp_c + dt * (
-        physics.k_temp * temp_scale * torque * torque
-        - physics.k_cool * (s.motor_temp_c - physics.ambient_c)
-    )
-    battery -= dt * drain_scale * (
-        physics.c_speed * speed
-        + physics.c_torque * torque
-        + physics.c_temp * max(0.0, s.motor_temp_c - 100.0)
-    )
-    o2 = s.o2_pct - dt * physics.k_o2 * breath_rate_bpm
-    co2 = 0.0 if a.vent_co2 else s.co2_pct + dt * co2_scale * physics.k_co2 * breath_rate_bpm
-
-    angular_vel = a.steer * physics.turn_rate_deg_s
-    heading = wrap_deg(s.heading_deg + angular_vel * dt)
-    h = math.radians(heading)
-    x = min(max(s.x_m + speed * dt * math.cos(h), 0.0), physics.map_size_m)
-    y = min(max(s.y_m + speed * dt * math.sin(h), 0.0), physics.map_size_m)
-
-    return replace(
-        s,
-        t_ns=s.t_ns + round(dt * NS_PER_S),
-        x_m=x,
-        y_m=y,
-        heading_deg=heading,
-        speed_m_s=speed,
-        angular_vel_deg_s=angular_vel,
-        battery_pct=min(max(battery, 0.0), 100.0),
-        motor_temp_c=min(max(temp, 20.0), 200.0),
-        stalled=stalled,
-        o2_pct=min(max(o2, 0.0), 100.0),
-        co2_pct=min(max(co2, 0.0), 100.0),
-        overdrive_remaining_s=max(0.0, overdrive_remaining - dt),
-        distance_traveled_m=s.distance_traveled_m + speed * dt,
-    )
-
-
-def update_radar(s: RoverState, a: OperatorAction, dt: float = DT_S,
-                 difficulty: DifficultyParams = None,
-                 physics: PhysicsParams = DEFAULT_PHYSICS) -> RoverState:
-    """Dish drift/slew and the 12-state antenna accuracy indicator."""
-    decay = difficulty.radar_decay_deg_per_s if difficulty else 0.0
-    dish = s.radar_heading_deg + s.angular_vel_deg_s * dt + decay * dt
-    dish += a.rotate_dish * physics.dish_slew_deg_s * dt
-    dish = wrap_deg(dish)
-    err = abs(wrap_deg(dish - bearing_deg((s.x_m, s.y_m), physics.relay_pos_m)))
-    state = int(min(max(11 - math.floor(err / physics.radar_state_span_deg), 0), 11))
-    if state < 4:
-        uncorrected = s.flash_uncorrected_s + dt
-        flash_hz = physics.flash_base_hz * (2.0 ** math.floor(uncorrected / physics.flash_double_s))
-    else:
-        uncorrected = 0.0
-        flash_hz = 0.0
-    return replace(s, radar_heading_deg=dish, radar_state=state,
-                   flash_uncorrected_s=uncorrected, flash_hz=flash_hz)
-
-
-def step_comms(s: RoverState, a: OperatorAction, rng, next_arrival_ns: int,
-               dt: float = DT_S, difficulty: DifficultyParams = None,
-               physics: PhysicsParams = DEFAULT_PHYSICS):
-    """Prompt arrivals, re-prompt halving, and response bookkeeping.
-
-    Returns (state, next_arrival_ns, events); events are dicts published on
-    the comms topic ({"request"/"response", kind, latency_s, ...}).
-    """
-    t = s.t_ns
-    events = []
-    pending = s.pending_prompt
-    channel = s.comm_channel
-
-    if pending is not None:
-        answered = (
-            (pending.kind == "switch" and a.switch_channel == pending.target)
-            or (pending.kind == "report" and a.acknowledge)
-        )
-        if answered:
-            latency_s = (t - pending.issued_t_ns) / NS_PER_S
-            events.append({"event": "response", "kind": pending.kind,
-                           "latency_s": latency_s, "reprompts": pending.reprompt_count})
-            pending = None
-
-    if a.switch_channel is not None:
-        channel = a.switch_channel
-
-    if pending is not None and t >= pending.next_reprompt_ns:
-        count = pending.reprompt_count + 1
-        gap_s = max(physics.reprompt_floor_s, physics.reprompt_base_s / (2 ** count))
-        pending = replace(pending, reprompt_count=count,
-                          next_reprompt_ns=t + round(gap_s * NS_PER_S))
-        events.append({"event": "request", "kind": pending.kind,
-                       "target": pending.target or "", "reprompts": count})
-
-    if pending is None and t >= next_arrival_ns:
-        mean = difficulty.comm_mean_interval_s if difficulty else 45.0
-        if rng.random() < physics.report_in_fraction:
-            kind, target = "report", None
-        else:
-            kind, target = "switch", ("B" if channel == "A" else "A")
-        pending = Prompt(kind, target, t,
-                         next_reprompt_ns=t + round(physics.reprompt_base_s * NS_PER_S))
-        events.append({"event": "request", "kind": kind, "target": target or "", "reprompts": 0})
-        next_arrival_ns = t + round(float(rng.exponential(mean)) * NS_PER_S)
-
-    return replace(s, pending_prompt=pending, comm_channel=channel), next_arrival_ns, events
-
-
 class RoverSim:
-    """One run's worth of simulation context (terrain, goal, comms RNG).
+    """One run's worth of simulation: the seeded placement of rover and goal
+    (at least min_separation_m apart), the terrain, the comms RNG and the
+    current state.
 
     task_active=False (baseline / free play) freezes the information
     systems and resources: no prompts, no radar drift, no battery/O2/CO2
@@ -320,33 +167,145 @@ class RoverSim:
 
     def __init__(self, seed: int, difficulty: DifficultyParams,
                  physics: PhysicsParams = DEFAULT_PHYSICS, task_active: bool = True):
-        self.seed = seed
         self.difficulty = difficulty
         self.physics = physics
         self.task_active = task_active
-        self.state, self.goal, self.terrain, self._rng = init_run(seed, difficulty, physics)
+        rng = np.random.default_rng([seed, _STREAM_PLACEMENT])
+        size = physics.map_size_m
+        while True:
+            rx, ry, gx, gy = rng.uniform(0.0, size, 4)
+            if math.hypot(gx - rx, gy - ry) >= physics.min_separation_m:
+                break
+        start = (float(rx), float(ry))
+        self.state = RoverState(x_m=start[0], y_m=start[1],
+                                heading_deg=float(rng.uniform(-180.0, 180.0)),
+                                motor_temp_c=physics.ambient_c,
+                                radar_heading_deg=bearing_deg(start, physics.relay_pos_m))
+        self.goal = (float(gx), float(gy))
+        self.terrain = Terrain(seed, difficulty.terrain_roughness, size)
+        self._rng = np.random.default_rng([seed, _STREAM_COMMS])
         first_gap = float(self._rng.exponential(difficulty.comm_mean_interval_s))
         self._next_arrival_ns = round(first_gap * NS_PER_S)
 
-    def distance_to_goal(self, state: RoverState | None = None) -> float:
-        st = state if state is not None else self.state
-        return math.hypot(self.goal[0] - st.x_m, self.goal[1] - st.y_m)
+    def distance_to_goal(self, state: RoverState) -> float:
+        return math.hypot(self.goal[0] - state.x_m, self.goal[1] - state.y_m)
 
     def step(self, action: OperatorAction, breath_rate_bpm: float):
-        """Advance one 0.1 s tick; returns (state, comm_events)."""
-        s = self.state
+        """Advance one DT_S tick; returns (state, comm_events). The events
+        are dicts published on the comms topic ({"request"/"response",
+        kind, latency_s, ...})."""
+        s, a, p, d = self.state, action, self.physics, self.difficulty
+        t = s.t_ns + TICK_NS
+
+        # vehicle and thermals; clamping, not faults
+        battery = s.battery_pct
+        overdrive_remaining = s.overdrive_remaining_s
+        if a.overdrive and overdrive_remaining <= 0.0 and battery > p.overdrive_cost_pct:
+            overdrive_remaining = p.overdrive_s
+            battery -= p.overdrive_cost_pct
+        boosting = overdrive_remaining > 0.0
+
+        # stall latch: on at stall_on_c, released once cooled to stall_off_c
+        stalled = s.stalled
+        if s.motor_temp_c >= p.stall_on_c:
+            stalled = True
+        elif stalled and s.motor_temp_c <= p.stall_off_c:
+            stalled = False
+
+        torque = 0.0 if stalled else a.throttle * (p.overdrive_torque if boosting else 1.0)
+        speed = 0.0 if stalled else (
+            a.throttle * p.v_max_m_s * (p.overdrive_speed if boosting else 1.0)
+            * self.terrain.speed_factor(s.x_m, s.y_m, s.heading_deg, p)
+        )
+        temp_scale = d.temp_gain_scale if self.task_active else 1.0  # free play heats unscaled
+        temp = s.motor_temp_c + DT_S * (
+            p.k_temp * temp_scale * torque * torque
+            - p.k_cool * (s.motor_temp_c - p.ambient_c)
+        )
+        angular_vel = a.steer * p.turn_rate_deg_s
+        heading = wrap_deg(s.heading_deg + angular_vel * DT_S)
+        h = math.radians(heading)
+        x = min(max(s.x_m + speed * DT_S * math.cos(h), 0.0), p.map_size_m)
+        y = min(max(s.y_m + speed * DT_S * math.sin(h), 0.0), p.map_size_m)
+
         if self.task_active:
-            s = step_dynamics(s, action, breath_rate_bpm, DT_S, self.difficulty,
-                              self.physics, self.terrain)
-            s = update_radar(s, action, DT_S, self.difficulty, self.physics)
-            s, self._next_arrival_ns, events = step_comms(
-                s, action, self._rng, self._next_arrival_ns, DT_S,
-                self.difficulty, self.physics)
-        else:
-            frozen = (s.battery_pct, s.o2_pct, s.co2_pct)
-            s = step_dynamics(s, action, 0.0, DT_S, None, self.physics, self.terrain)
-            s = replace(s, battery_pct=frozen[0], o2_pct=frozen[1], co2_pct=frozen[2],
-                        radar_state=11, flash_hz=0.0, flash_uncorrected_s=0.0)
+            battery -= DT_S * d.battery_drain_scale * (
+                p.c_speed * speed
+                + p.c_torque * torque
+                + p.c_temp * max(0.0, s.motor_temp_c - 100.0)
+            )
+            battery = min(max(battery, 0.0), 100.0)
+            o2 = min(max(s.o2_pct - DT_S * p.k_o2 * breath_rate_bpm, 0.0), 100.0)
+            co2 = 0.0 if a.vent_co2 else s.co2_pct + DT_S * d.co2_rate_scale * p.k_co2 * breath_rate_bpm
+            co2 = min(max(co2, 0.0), 100.0)
+
+            # dish drift and slew; the 12-state antenna accuracy indicator
+            # is read at the tick's new position
+            dish = s.radar_heading_deg + angular_vel * DT_S + d.radar_decay_deg_per_s * DT_S
+            dish += a.rotate_dish * p.dish_slew_deg_s * DT_S
+            dish = wrap_deg(dish)
+            err = abs(wrap_deg(dish - bearing_deg((x, y), p.relay_pos_m)))
+            radar_state = int(min(max(11 - math.floor(err / p.radar_state_span_deg), 0), 11))
+            if radar_state < 4:
+                uncorrected = s.flash_uncorrected_s + DT_S
+                flash_hz = p.flash_base_hz * (2.0 ** math.floor(uncorrected / p.flash_double_s))
+            else:
+                uncorrected = flash_hz = 0.0
+
+            # prompt arrivals, re-prompt halving and response bookkeeping
             events = []
-        self.state = s
-        return s, events
+            pending = s.pending_prompt
+            if pending is not None and (
+                (pending.kind == "switch" and a.switch_channel == pending.target)
+                or (pending.kind == "report" and a.acknowledge)
+            ):
+                latency_s = (t - pending.issued_t_ns) / NS_PER_S
+                events.append({"event": "response", "kind": pending.kind,
+                               "latency_s": latency_s, "reprompts": pending.reprompt_count})
+                pending = None
+            channel = s.comm_channel if a.switch_channel is None else a.switch_channel
+            if pending is not None and t >= pending.next_reprompt_ns:
+                count = pending.reprompt_count + 1
+                gap_s = max(p.reprompt_floor_s, p.reprompt_base_s / (2 ** count))
+                pending = Prompt(pending.kind, pending.target, pending.issued_t_ns, count,
+                                 t + round(gap_s * NS_PER_S))
+                events.append({"event": "request", "kind": pending.kind,
+                               "target": pending.target or "", "reprompts": count})
+            if pending is None and t >= self._next_arrival_ns:
+                if self._rng.random() < p.report_in_fraction:
+                    kind, target = "report", None
+                else:
+                    kind, target = "switch", ("B" if channel == "A" else "A")
+                pending = Prompt(kind, target, t,
+                                 next_reprompt_ns=t + round(p.reprompt_base_s * NS_PER_S))
+                events.append({"event": "request", "kind": kind, "target": target or "",
+                               "reprompts": 0})
+                gap_s = float(self._rng.exponential(d.comm_mean_interval_s))
+                self._next_arrival_ns = t + round(gap_s * NS_PER_S)
+        else:  # free play: resources, dish, prompt and channel stay as they were
+            battery, o2, co2 = s.battery_pct, s.o2_pct, s.co2_pct
+            dish, radar_state, uncorrected, flash_hz = s.radar_heading_deg, 11, 0.0, 0.0
+            pending, channel, events = s.pending_prompt, s.comm_channel, []
+
+        self.state = RoverState(
+            t_ns=t,
+            x_m=x,
+            y_m=y,
+            heading_deg=heading,
+            speed_m_s=speed,
+            angular_vel_deg_s=angular_vel,
+            battery_pct=battery,
+            motor_temp_c=min(max(temp, 20.0), 200.0),
+            stalled=stalled,
+            o2_pct=o2,
+            co2_pct=co2,
+            radar_state=radar_state,
+            radar_heading_deg=dish,
+            comm_channel=channel,
+            pending_prompt=pending,
+            overdrive_remaining_s=max(0.0, overdrive_remaining - DT_S),
+            distance_traveled_m=s.distance_traveled_m + speed * DT_S,
+            flash_uncorrected_s=uncorrected,
+            flash_hz=flash_hz,
+        )
+        return self.state, events

@@ -5,12 +5,13 @@ without numpy so they share nothing with the library code they check. The
 bag reader oracles and the batch export at the end are the exception: they
 read records through the library's own verdicts, and the export computes
 features with the library's own pipeline. evaluate_run, the reference for
-the run tally, likewise applies the library's own run-end rule.
+the run tally, likewise applies the library's own run-end rule, and the
+simulator's reference tick uses its placement, terrain and comms RNG.
 """
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -26,7 +27,9 @@ from mwpipe.features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, Fea
 from mwpipe.features.windowing import SlidingWindower
 from mwpipe.sim.operator import PolicyConfig, ScriptedOperator
 from mwpipe.sim.outcome import RunOutcome, RunTally, run_end
-from mwpipe.sim.rover import DEFAULT_PHYSICS, DT_S, OperatorAction, RoverSim, RoverState
+from mwpipe.sim.difficulty import DifficultyParams
+from mwpipe.sim.rover import (DEFAULT_PHYSICS, DT_S, OperatorAction, PhysicsParams, Prompt,
+                              RoverSim, RoverState, Terrain, bearing_deg, wrap_deg)
 from mwpipe.synth import GazeEvent
 
 
@@ -293,6 +296,166 @@ def run_closed_loop(seed, difficulty, policy=PolicyConfig(), breath_rate_bpm=15.
         if tally.add(state, action, events) is not None:
             break
     return trace, tally.outcome()
+
+
+# -- the simulator tick as three step functions ---------------------------------
+# The reference for RoverSim.step: one state-to-state function per subsystem,
+# each returning a copy of the state, composed as reference_step does.
+
+
+def step_dynamics(s: RoverState, a: OperatorAction, breath_rate_bpm: float,
+                  dt: float = DT_S, difficulty: DifficultyParams = None,
+                  physics: PhysicsParams = DEFAULT_PHYSICS,
+                  terrain: Terrain | None = None) -> RoverState:
+    """Vehicle, thermal and resource dynamics for one tick (clamping, not faults)."""
+    drain_scale = difficulty.battery_drain_scale if difficulty else 1.0
+    temp_scale = difficulty.temp_gain_scale if difficulty else 1.0
+    co2_scale = difficulty.co2_rate_scale if difficulty else 1.0
+
+    battery = s.battery_pct
+    overdrive_remaining = s.overdrive_remaining_s
+    if a.overdrive and overdrive_remaining <= 0.0 and battery > physics.overdrive_cost_pct:
+        overdrive_remaining = physics.overdrive_s
+        battery -= physics.overdrive_cost_pct
+    boosting = overdrive_remaining > 0.0
+
+    # stall latch: on at stall_on_c, released once cooled to stall_off_c
+    stalled = s.stalled
+    if s.motor_temp_c >= physics.stall_on_c:
+        stalled = True
+    elif stalled and s.motor_temp_c <= physics.stall_off_c:
+        stalled = False
+
+    torque = 0.0 if stalled else a.throttle * (physics.overdrive_torque if boosting else 1.0)
+    factor = terrain.speed_factor(s.x_m, s.y_m, s.heading_deg, physics) if terrain else 1.0
+    speed = 0.0 if stalled else (
+        a.throttle * physics.v_max_m_s * (physics.overdrive_speed if boosting else 1.0) * factor
+    )
+
+    temp = s.motor_temp_c + dt * (
+        physics.k_temp * temp_scale * torque * torque
+        - physics.k_cool * (s.motor_temp_c - physics.ambient_c)
+    )
+    battery -= dt * drain_scale * (
+        physics.c_speed * speed
+        + physics.c_torque * torque
+        + physics.c_temp * max(0.0, s.motor_temp_c - 100.0)
+    )
+    o2 = s.o2_pct - dt * physics.k_o2 * breath_rate_bpm
+    co2 = 0.0 if a.vent_co2 else s.co2_pct + dt * co2_scale * physics.k_co2 * breath_rate_bpm
+
+    angular_vel = a.steer * physics.turn_rate_deg_s
+    heading = wrap_deg(s.heading_deg + angular_vel * dt)
+    h = math.radians(heading)
+    x = min(max(s.x_m + speed * dt * math.cos(h), 0.0), physics.map_size_m)
+    y = min(max(s.y_m + speed * dt * math.sin(h), 0.0), physics.map_size_m)
+
+    return replace(
+        s,
+        t_ns=s.t_ns + round(dt * NS_PER_S),
+        x_m=x,
+        y_m=y,
+        heading_deg=heading,
+        speed_m_s=speed,
+        angular_vel_deg_s=angular_vel,
+        battery_pct=min(max(battery, 0.0), 100.0),
+        motor_temp_c=min(max(temp, 20.0), 200.0),
+        stalled=stalled,
+        o2_pct=min(max(o2, 0.0), 100.0),
+        co2_pct=min(max(co2, 0.0), 100.0),
+        overdrive_remaining_s=max(0.0, overdrive_remaining - dt),
+        distance_traveled_m=s.distance_traveled_m + speed * dt,
+    )
+
+
+def update_radar(s: RoverState, a: OperatorAction, dt: float = DT_S,
+                 difficulty: DifficultyParams = None,
+                 physics: PhysicsParams = DEFAULT_PHYSICS) -> RoverState:
+    """Dish drift/slew and the 12-state antenna accuracy indicator."""
+    decay = difficulty.radar_decay_deg_per_s if difficulty else 0.0
+    dish = s.radar_heading_deg + s.angular_vel_deg_s * dt + decay * dt
+    dish += a.rotate_dish * physics.dish_slew_deg_s * dt
+    dish = wrap_deg(dish)
+    err = abs(wrap_deg(dish - bearing_deg((s.x_m, s.y_m), physics.relay_pos_m)))
+    state = int(min(max(11 - math.floor(err / physics.radar_state_span_deg), 0), 11))
+    if state < 4:
+        uncorrected = s.flash_uncorrected_s + dt
+        flash_hz = physics.flash_base_hz * (2.0 ** math.floor(uncorrected / physics.flash_double_s))
+    else:
+        uncorrected = 0.0
+        flash_hz = 0.0
+    return replace(s, radar_heading_deg=dish, radar_state=state,
+                   flash_uncorrected_s=uncorrected, flash_hz=flash_hz)
+
+
+def step_comms(s: RoverState, a: OperatorAction, rng, next_arrival_ns: int,
+               dt: float = DT_S, difficulty: DifficultyParams = None,
+               physics: PhysicsParams = DEFAULT_PHYSICS):
+    """Prompt arrivals, re-prompt halving, and response bookkeeping.
+
+    Returns (state, next_arrival_ns, events); events are dicts published on
+    the comms topic ({"request"/"response", kind, latency_s, ...}).
+    """
+    t = s.t_ns
+    events = []
+    pending = s.pending_prompt
+    channel = s.comm_channel
+
+    if pending is not None:
+        answered = (
+            (pending.kind == "switch" and a.switch_channel == pending.target)
+            or (pending.kind == "report" and a.acknowledge)
+        )
+        if answered:
+            latency_s = (t - pending.issued_t_ns) / NS_PER_S
+            events.append({"event": "response", "kind": pending.kind,
+                           "latency_s": latency_s, "reprompts": pending.reprompt_count})
+            pending = None
+
+    if a.switch_channel is not None:
+        channel = a.switch_channel
+
+    if pending is not None and t >= pending.next_reprompt_ns:
+        count = pending.reprompt_count + 1
+        gap_s = max(physics.reprompt_floor_s, physics.reprompt_base_s / (2 ** count))
+        pending = replace(pending, reprompt_count=count,
+                          next_reprompt_ns=t + round(gap_s * NS_PER_S))
+        events.append({"event": "request", "kind": pending.kind,
+                       "target": pending.target or "", "reprompts": count})
+
+    if pending is None and t >= next_arrival_ns:
+        mean = difficulty.comm_mean_interval_s if difficulty else 45.0
+        if rng.random() < physics.report_in_fraction:
+            kind, target = "report", None
+        else:
+            kind, target = "switch", ("B" if channel == "A" else "A")
+        pending = Prompt(kind, target, t,
+                         next_reprompt_ns=t + round(physics.reprompt_base_s * NS_PER_S))
+        events.append({"event": "request", "kind": kind, "target": target or "", "reprompts": 0})
+        next_arrival_ns = t + round(float(rng.exponential(mean)) * NS_PER_S)
+
+    return replace(s, pending_prompt=pending, comm_channel=channel), next_arrival_ns, events
+
+
+def reference_step(sim: RoverSim, action: OperatorAction, breath_rate_bpm: float):
+    """One tick of sim by the three step functions, as RoverSim.step
+    composed them; advances sim's state and comms RNG the same way."""
+    s = sim.state
+    if sim.task_active:
+        s = step_dynamics(s, action, breath_rate_bpm, DT_S, sim.difficulty,
+                          sim.physics, sim.terrain)
+        s = update_radar(s, action, DT_S, sim.difficulty, sim.physics)
+        s, sim._next_arrival_ns, events = step_comms(
+            s, action, sim._rng, sim._next_arrival_ns, DT_S,
+            sim.difficulty, sim.physics)
+    else:
+        frozen = (s.battery_pct, s.o2_pct, s.co2_pct)
+        s = step_dynamics(s, action, 0.0, DT_S, None, sim.physics, sim.terrain)
+        s = replace(s, battery_pct=frozen[0], o2_pct=frozen[1], co2_pct=frozen[2],
+                    radar_state=11, flash_hz=0.0, flash_uncorrected_s=0.0)
+        events = []
+    sim.state = s
+    return s, events
 
 
 # -- whole-bag reads for the tests ---------------------------------------------

@@ -22,7 +22,7 @@ from mwpipe.features.gaze import classify_gaze, gaze_features
 from mwpipe.features.hrv import hrv_frequency, hrv_stat_features
 from mwpipe.session import SessionPlan, run_session
 from mwpipe.sim.difficulty import HIGH, LOW
-from mwpipe.sim.rover import DEFAULT_PHYSICS, OperatorAction, init_run, step_dynamics
+from mwpipe.sim.rover import OperatorAction, RoverSim
 from mwpipe.synth import (
     SynthProfile,
     gen_eda,
@@ -263,12 +263,12 @@ def test_criterion_9_simulator_invariants():
     assert stats["high"][1] > stats["low"][1]
 
     # force a stall to keep the latch clause non-vacuous
-    s, _, terrain, _ = init_run(1, HIGH)
+    sim = RoverSim(1, HIGH)
+    s = sim.state
     stalled_at = released_at = None
     for _ in range(6000):
         throttle = 0.0 if s.stalled else 1.0
-        s = step_dynamics(s, OperatorAction(throttle=throttle, overdrive=True),
-                          15.0, 0.1, HIGH, DEFAULT_PHYSICS, terrain)
+        s, _ = sim.step(OperatorAction(throttle=throttle, overdrive=True), 15.0)
         if s.stalled and stalled_at is None:
             stalled_at = s.motor_temp_c
             assert s.speed_m_s == 0.0

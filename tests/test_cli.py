@@ -43,6 +43,26 @@ def test_a_window_too_short_for_eda_gives_quality_only_eda_rows(runner, tmp_path
     assert all(row["st.mean_c"] for row in rows)  # other modalities keep their features
 
 
+@pytest.mark.parametrize("window", ["0.05", "0.2"])
+def test_a_window_too_short_for_the_cardiac_band_pass_gives_quality_only_cardiac_rows(
+        runner, tmp_path, window):
+    """The ECG and PPG band-passes pad a window with 15 samples on each side.
+    A window of no more samples (0.05 s of 252 Hz ECG, 0.2 s of 64 Hz PPG)
+    leaves its row's cardiac features empty and keeps their quality, rather
+    than ending the export."""
+    bag, out = tmp_path / "s.bag", tmp_path / "s.csv"
+    assert runner.invoke(main, ["synth", "--duration", "40", "--out", str(bag)]).exit_code == 0
+    r = runner.invoke(main, ["extract", "--bag", str(bag), "--window", window, "--out", str(out)])
+    assert r.exit_code == 0, r.output
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and f"wrote {len(rows)} rows" in r.output
+    for m in ("ecg", "ppg"):
+        features = [c for c in rows[0] if c.startswith(f"{m}.") and c != f"{m}.quality"]
+        assert features and all(row[c] == "" for row in rows for c in features)
+        assert all(float(row[f"{m}.quality"]) > 0 for row in rows)
+
+
 def test_validate_exits_nonzero_on_corruption(runner, tmp_path):
     bag = tmp_path / "c.bag"
     r = runner.invoke(main, ["synth", "--duration", "35", "--out", str(bag)])

@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import signal
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +18,7 @@ import mwpipe.session as msession
 from mwpipe.bag import BagWriter, validate
 from mwpipe.errors import CorruptBag, PlanInvalid, ScaleOutOfRange
 from mwpipe.export import extract_csv
+from mwpipe.features.worker import FeatureWorker
 from mwpipe.session import (
     TLX_SCALES,
     SessionPlan,
@@ -24,6 +27,8 @@ from mwpipe.session import (
     run_session,
     scripted_tlx,
 )
+from mwpipe.sim.operator import PolicyConfig
+from mwpipe.sim.rover import DEFAULT_PHYSICS
 
 from oracles import body_bytes, load_samples
 
@@ -192,6 +197,40 @@ def test_session_publishes_once_per_interval(tmp_path, monkeypatch):
     assert {"bio.ecg", "bio.gaze", "sim.rover", "sim.radar", "sim.meta"} <= set(seen)
     for topic, intervals in seen.items():
         assert len(intervals) == len(set(intervals)), topic
+
+
+# An operator who never vents ends each run on CO2 within 10 s.
+EARLY_END = dict(seed=5, baseline_s=12.0, interrun_s=10.0, run_timeout_s=20.0,
+                 policy=PolicyConfig(reaction_mean_s=math.inf),
+                 physics=replace(DEFAULT_PHYSICS, co2_fail_pct=5.0))
+
+
+@pytest.mark.parametrize("plan, flush_ticks", [
+    (dict(seed=5, baseline_s=30.0, interrun_s=10.0, run_timeout_s=20.0), None),
+    (EARLY_END, None),
+    # every tick a flush point, so each run ends on one
+    (EARLY_END, 1),
+], ids=["whole_intervals", "early_end", "early_end_on_a_flush_point"])
+def test_each_point_is_handed_to_the_worker_once(tmp_path, monkeypatch, plan, flush_ticks):
+    """The watermarks the session hands the feature worker rise strictly,
+    whether a phase ends on a flush point or a run ends early."""
+    watermarks = []
+    advance = FeatureWorker.advance
+
+    def recording(worker, slices, watermark_ns, *args):
+        watermarks.append(watermark_ns)
+        return advance(worker, slices, watermark_ns, *args)
+
+    monkeypatch.setattr(FeatureWorker, "advance", recording)
+    if flush_ticks is not None:
+        monkeypatch.setattr(msession, "_FLUSH_TICKS", flush_ticks)
+    result = run_session(SessionPlan(**plan), tmp_path / "s.bag")
+    assert all(a < b for a, b in zip(watermarks, watermarks[1:])), watermarks
+    assert watermarks[-1] == result.phases[-1][2]
+    if plan is EARLY_END:
+        assert all(r.outcome.status == "failed_co2" for r in result.run_records)
+    else:  # every 10 s of the session, each phase end among them
+        assert watermarks == list(range(10 * 10**9, result.phases[-1][2] + 1, 10 * 10**9))
 
 
 def test_feature_topics_present(small_session):
