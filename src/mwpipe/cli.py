@@ -14,7 +14,9 @@ from .bag import validate as bag_validate
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, Bus, ManualClock
 from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
 from .errors import InvalidProfile, MwpipeError
+from .export import extract_csv
 from .session import SESSION_TOPICS, StitchState, phase_waveforms, run_session
+from .wire import serve_bag
 
 
 class _Positive(click.ParamType):
@@ -146,8 +148,6 @@ def simulate(config_path, out_path, tlx):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
     """Derive the per-window feature table from a bag."""
-    from .export import extract_csv  # the feature stack, SciPy included
-
     path = _reported(extract_csv, bag_path, out_path, window_s=window_s, stride_s=stride_s,
                      align_tolerance_ns=round(tolerance_ms * 1e6),
                      gaze_thresholds=_from_config(gaze_thresholds_from_config, config_path))
@@ -165,8 +165,6 @@ def extract(bag_path, window_s, stride_s, tolerance_ms, config_path, out_path):
 def replay(bag_path, rate, bind_addr):
     """Republish a bag, paced or at full speed, locally or over a socket."""
     if bind_addr is not None:
-        from .wire import serve_bag
-
         host, port = bind_addr
         click.echo(f"serving {bag_path} on {host}:{port} (rate={rate})")
         bound_host, bound_port, sent = _reported(

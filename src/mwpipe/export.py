@@ -8,14 +8,15 @@ with shortest round-trip decimals, and absent values are empty cells.
 
 The bag is read one judged chunk at a time, so memory is bounded by a
 window, a chunk and the join tolerance, not by the bag. Each chunk's bio
-rows go to one FeaturePipeline in a features.worker.FeatureWorker, which
-advances as far as the bag's order makes safe and extracts while the next
-chunk is judged, so rows come back one chunk late. A row is joined once
-the records read are past its end by more than the tolerance, by indexing
-each joined topic's columns (as parsed) where align_nearest_samples finds
-its nearest t, and goes to a spool file beside out_path. The header
-depends on which modalities and joined topics the whole bag holds, so it
-is settled at the end, and only then is out_path written from the spool.
+rows go to one features.worker.FeatureWorker, whose FeaturePipeline (and
+SciPy) lives in the worker only. It advances as far as the bag's order
+makes safe and extracts while the next chunk is judged, so rows come back
+one chunk late. A row is joined once the records read are past its end by
+more than the tolerance, by indexing each joined topic's columns (as
+parsed) where align_nearest_samples finds its nearest t, and is spooled
+beside out_path. The header depends on which modalities and joined topics
+the whole bag holds, so it is settled at the end, and only then is
+out_path written from the spool.
 
 This rests on the bag's order: a bio or joined record whose t is below that
 of an earlier record of those topics raises CorruptBag, as does a record
@@ -38,7 +39,6 @@ from .bag import Chunk, in_row_order, manifest_topics, paced_chunks, read_manife
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, align_nearest_samples
 from .errors import CorruptBag
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
-from .features.extract import FeaturePipeline
 from .features.gaze import DEFAULT_THRESHOLDS
 from .features.worker import FeatureWorker
 from .session import SESSION_TOPICS
@@ -162,8 +162,8 @@ class _Table:
             self.trim()
             return
         if self.worker is None:
-            self.worker = FeatureWorker(FeaturePipeline(  # t0: the first bio record's
-                t0_ns=int(min(bio)[2][0]), baseline_end_ns=self.baseline_end, **self.pipeline_args))
+            self.worker = FeatureWorker(  # t0: the first bio record's
+                t0_ns=int(min(bio)[2][0]), baseline_end_ns=self.baseline_end, **self.pipeline_args)
         for _, m, times, _ in bio:
             self.modalities.add(m)
             self.end = max(self.end, int(times[-1]) + round(NS_PER_S / BIO_TOPICS[m].rate_hz))

@@ -1,15 +1,16 @@
 """Rolling-window biofeature extraction for the six raw modalities.
 
-catalog and gaze need numpy only and load with the package. The extraction
-stack (extract, and through it beats and hrv, which import SciPy) loads on
-the first use of one of its names, so building a plan or reading a bag
-never pays for it.
+catalog, gaze and windowing (FeatureRow too) need numpy only and load with
+the package. The extraction stack (extract, and through it beats and hrv,
+which import SciPy) loads in the feature worker that simulate and extract
+fork (features.worker), and elsewhere on the first use of one of its names.
 """
 
 from .catalog import BIO_TOPICS, FEATURE_CATALOG
 from .gaze import DEFAULT_THRESHOLDS, GazeThresholds
+from .windowing import FeatureRow
 
-_EXTRACT_NAMES = frozenset({"FeaturePipeline", "FeatureRow", "MIN_QUALITY", "extract_window"})
+_EXTRACT_NAMES = frozenset({"FeaturePipeline", "MIN_QUALITY", "extract_window"})
 
 
 def __getattr__(name):

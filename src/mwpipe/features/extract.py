@@ -23,17 +23,9 @@ from .hrv import hrv_frequency, hrv_stat_features
 from .ppg import ppg_features
 from .respiration import resp_features
 from .skintemp import st_features
-from .windowing import SlidingWindower, Window
+from .windowing import FeatureRow, SlidingWindower, Window
 
 MIN_QUALITY = 0.7
-
-
-@dataclass
-class FeatureRow:
-    modality: str
-    t_end_ns: int
-    values: dict
-    quality: float
 
 
 def window_quality(window: Window) -> float:

@@ -36,6 +36,14 @@ class Window:
         return len(self.times_ns)
 
 
+@dataclass
+class FeatureRow:
+    modality: str
+    t_end_ns: int
+    values: dict
+    quality: float
+
+
 class SlidingWindower:
     """Incremental windower fed by sample blocks and an explicit watermark.
 

@@ -1,25 +1,32 @@
-"""A FeaturePipeline in a forked process (os.fork, so on Linux, as in CI),
-one interval behind simulate's tick loop or extract's judge. There is no
-serial fallback."""
+"""A FeaturePipeline built in a forked process (os.fork, so on Linux, as in
+CI) and run one interval behind simulate's tick loop or extract's judge.
+Only the worker loads the extraction stack, SciPy and all; no serial fallback."""
 
 from __future__ import annotations
 
 import os
 
 
-def _extract_in_worker(conn, parent_end, pipeline):
-    """Body of the feature worker: for each message, set the baseline end
-    if given, feed the slices, advance to the watermark and send back the
-    rows, or the exception that extraction raised. It stops on None, or once
-    the parent is gone (end of file on recv, a broken pipe on send)."""
+def _extract_in_worker(conn, parent_end, pipeline_args):
+    """Body of the feature worker: build the pipeline, then for each message
+    set the baseline end if given, feed the slices, advance to the watermark
+    and send back the rows, or what the build or extraction raised. It stops
+    on None, or once the parent is gone (end of file on recv, a broken pipe on send)."""
     import signal  # loaded by multiprocessing already; not with this module
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to report
     parent_end.close()  # else this copy would keep recv from seeing the parent die
+    try:  # while the parent gathers the first interval
+        from .extract import FeaturePipeline
+        pipeline = FeaturePipeline(**pipeline_args)
+    except Exception as e:  # the reply to every message
+        pipeline = e
     with conn:
         try:
             while (message := conn.recv()) is not None:
                 slices, baseline_end_ns, watermark = message
                 try:
+                    if isinstance(pipeline, Exception):
+                        raise pipeline
                     if baseline_end_ns is not None:
                         pipeline.baseline_end_ns = baseline_end_ns
                     for m, times, values in slices:
@@ -33,14 +40,14 @@ def _extract_in_worker(conn, parent_end, pipeline):
 
 
 class FeatureWorker:
-    """pipeline in a forked process, with at most one interval in flight.
+    """A FeaturePipeline in a forked process, with at most one interval in flight.
 
     advance takes the reply in flight before it sends the next interval, so
     the worker never holds a reply while the parent sends: neither can block
     the other on a full pipe. close must follow on every path.
     """
 
-    def __init__(self, pipeline):
+    def __init__(self, **pipeline_args):
         from multiprocessing import Pipe  # 10 to 15 ms, which reading a bag never needs
         self._in_flight = None  # the watermark of the interval being extracted
         self._conn, child_end = Pipe()
@@ -50,7 +57,7 @@ class FeatureWorker:
         if self._pid == 0:
             status = 1  # whatever escapes ends the worker without a traceback
             try:
-                _extract_in_worker(child_end, self._conn, pipeline)
+                _extract_in_worker(child_end, self._conn, pipeline_args)
                 status = 0
             finally:
                 os._exit(status)  # never back into the parent's stack

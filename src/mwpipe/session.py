@@ -7,9 +7,9 @@ through every phase; the task information systems (prompts, radar drift,
 resource drain) are active only during runs. Identical plan and seed yield
 a byte-identical bag body.
 
-Window extraction runs beside the tick loop, not inside it: each session
-forks one features.worker.FeatureWorker, which runs the session's
-FeaturePipeline one flush interval behind the loop.
+Window extraction runs beside the tick loop, not inside it, and SciPy with
+it: each session forks one features.worker.FeatureWorker, which builds the
+session's FeaturePipeline and runs it one flush interval behind the loop.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .bus import Bus, ManualClock, NS_PER_S, TopicDescriptor
 from .errors import InvalidProfile, PlanInvalid, ScaleOutOfRange
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
+from .features.worker import FeatureWorker
 from .sim.difficulty import preset
 from .sim.operator import PolicyConfig, ScriptedOperator, WanderOperator
 from .sim.outcome import RunOutcome, RunTally
@@ -177,6 +178,11 @@ class SessionPlan:
     physics: PhysicsParams = DEFAULT_PHYSICS
 
     def validate(self):
+        if self.seed < 0:
+            raise PlanInvalid(f"seed must not be negative: {self.seed!r:.40}")
+        # scripted_tlx draws from [-tlx_jitter, tlx_jitter] in int64
+        if not 0 <= self.tlx_jitter < 2**63:
+            raise PlanInvalid(f"tlx_jitter must be in [0, 2**63 - 1]: {self.tlx_jitter!r:.40}")
         order = tuple(self.run_order)
         if len(order) != 4 or sorted(order) != ["high", "high", "low", "low"]:
             raise PlanInvalid(f"run_order needs two low and two high: {order}")
@@ -380,11 +386,6 @@ def _publish_features(bus, topics, writer, done):
 
 
 def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> SessionResult:
-    # Imported here, not with the module: the extraction stack loads SciPy,
-    # which building a plan or reading a bag never needs.
-    from .features.extract import FeaturePipeline
-    from .features.worker import FeatureWorker
-
     plan.validate()
     bus = Bus(clock=ManualClock())
     topics = {t.name: bus.open_topic(t) for t in SESSION_TOPICS}
@@ -396,9 +397,6 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
         "run_timeout_s": plan.run_timeout_s,
     })
     writer.start()
-    # the baseline phase never ends early, so its end is known now
-    pipeline = FeaturePipeline(t0_ns=0, gaze_thresholds=plan.gaze_thresholds,
-                               baseline_end_ns=round(plan.baseline_s / DT_S) * TICK_NS)
 
     phases = [("baseline", None)]
     for i, level in enumerate(plan.run_order):
@@ -416,8 +414,9 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
     def queue_meta(t, phase_name, run_index, difficulty):
         pending.add("sim.meta", t, (phase_name, run_index, difficulty, t / NS_PER_S))
 
-    # forked, it shares the SciPy already loaded here and starts in milliseconds
-    features = FeatureWorker(pipeline)
+    # the baseline phase never ends early, so its end is known now
+    features = FeatureWorker(t0_ns=0, gaze_thresholds=plan.gaze_thresholds,
+                             baseline_end_ns=round(plan.baseline_s / DT_S) * TICK_NS)
     slices = []  # (modality, times, values) published since the last hand-over
 
     def hand_over(streams, t):

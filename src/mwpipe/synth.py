@@ -121,6 +121,8 @@ class SynthProfile:
     def validate(self):
         """self, if every generator accepts it and its duration fits in int64
         nanoseconds; otherwise InvalidProfile."""
+        if self.seed < 0:
+            raise InvalidProfile(f"seed must not be negative: {self.seed!r:.40}")
         if not 0 < self.duration_s * NS_PER_S < 2**63:
             raise InvalidProfile(f"duration_s must be positive and under 2**63 ns: "
                                  f"{self.duration_s}")

@@ -33,20 +33,14 @@ _RECV_BYTES = 64 * 1024
 _SEND_ROWS = 512
 
 
-def _frame(payload: bytes) -> bytes:
-    if len(payload) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
-    return b"%d\n%b" % (len(payload), payload)
-
-
 def send_frame(sock: socket.socket, payload: bytes):
-    sock.sendall(_frame(payload))
+    _send_frames(sock, [payload])
 
 
 def recv_frames(sock: socket.socket):
     """Yield payload bytes per frame until the peer closes the stream.
 
-    A header that is not a decimal length as _frame writes it (digits
+    A header that is not a decimal length as _send_frames writes it (digits
     only, no leading zero), or a length above MAX_FRAME_BYTES, raises
     WireError, and so does a close inside a frame, in its header or its
     payload; a close between frames ends the stream.
@@ -98,7 +92,7 @@ def _send_frames(conn: socket.socket, payloads: list):
     if payloads and max(map(len, payloads)) > MAX_FRAME_BYTES:
         k = next(i for i, p in enumerate(payloads) if len(p) > MAX_FRAME_BYTES)
         _send_frames(conn, payloads[:k])
-        _frame(payloads[k])  # raises WireError
+        raise WireError(f"frame of {len(payloads[k])} bytes exceeds {MAX_FRAME_BYTES}")
     parts = [b""] * (2 * len(payloads))
     parts[::2] = map(b"%d\n".__mod__, map(len, payloads))
     parts[1::2] = payloads
@@ -130,7 +124,7 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
             ready(bound[0], bound[1])
         conn, _ = srv.accept()
         with conn:
-            conn.sendall(_frame(manifest_line))
+            _send_frames(conn, [manifest_line])
             for chunk, lo, hi in chunks:
                 at = chunk.offsets
                 for a in range(lo, hi, _SEND_ROWS):

@@ -231,6 +231,40 @@ def test_seed_env_not_integer_is_a_command_line_error(runner, tmp_path):
     assert "MWPIPE_SEED" in r.output
 
 
+@pytest.mark.parametrize("command, config, env", [
+    ("simulate", {"seed": -1}, {}),
+    ("synth", {"seed": -1, "duration_s": 2}, {}),
+    ("synth", None, {"MWPIPE_SEED": "-5"}),
+], ids=["simulate_config", "synth_profile", "synth_env"])
+def test_a_negative_seed_is_a_command_line_error(runner, tmp_path, command, config, env):
+    bag = tmp_path / "x.bag"
+    args = [command, "--out", str(bag)]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config" if command == "simulate" else "--profile", str(cfg)]
+    else:
+        args += ["--duration", "2"]
+    r = runner.invoke(main, args, env=env)
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)  # a clean exit, no traceback
+    assert "Error: " in r.output and "seed must not be negative" in r.output
+    assert not bag.exists()
+
+
+def test_a_tlx_jitter_out_of_range_is_a_command_line_error(runner, tmp_path):
+    """Refused by the plan, not by scripted_tlx after the first run."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tlx_jitter": -1, "baseline_s": 2, "interrun_s": 1,
+                               "run_timeout_s": 1}))
+    bag = tmp_path / "x.bag"
+    r = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(bag)])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)
+    assert "Error: tlx_jitter must be in [0, 2**63 - 1]: -1" in r.output
+    assert not bag.exists()
+
+
 def test_bad_config_file_is_a_command_line_error(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"policy": {"reaction_mean_s": "x"}}')

@@ -87,6 +87,19 @@ def test_seed_env_not_integer_is_plan_invalid(monkeypatch):
         profile_from_config({})
 
 
+def test_a_negative_seed_is_plan_invalid(monkeypatch):
+    """default_rng takes no negative seed, whether from the file or from
+    MWPIPE_SEED; a large one is fine."""
+    with pytest.raises(PlanInvalid, match="seed must not be negative"):
+        profile_from_config({"seed": -1})
+    assert profile_from_config({"seed": 2**70}).seed == 2**70
+    monkeypatch.setenv("MWPIPE_SEED", "-5")
+    with pytest.raises(PlanInvalid, match="seed must not be negative"):
+        plan_from_config({})
+    with pytest.raises(PlanInvalid, match="seed must not be negative"):
+        profile_from_config({})
+
+
 def test_phase_profile_override_runs(tmp_path):
     base = SynthProfile(rr_mean_ms=800.0)
     fast = SynthProfile(rr_mean_ms=650.0, resp_rate_bpm=20.0)
@@ -138,7 +151,11 @@ BAD_CONFIGS = {
     "scr_events_not_list": '{"profile": {"scr_events": 5}}',
     "gaze_script_entry_not_object": '{"profile": {"gaze_script": [5]}}',
     "seed_not_integer": '{"seed": "x"}',
+    "seed_negative": '{"seed": -1}',
     "tlx_jitter_not_integer": '{"tlx_jitter": "x"}',
+    # scripted_tlx draws from [-tlx_jitter, tlx_jitter] in int64
+    "tlx_jitter_negative": '{"tlx_jitter": -1}',
+    "tlx_jitter_beyond_int64": '{"tlx_jitter": 9223372036854775808}',
     "policy_value_not_number": '{"policy": {"reaction_mean_s": "x"}}',
     "policy_value_bool": '{"policy": {"error_rate": true}}',
     "policy_not_object": '{"policy": [1]}',

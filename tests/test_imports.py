@@ -1,27 +1,36 @@
-"""Only extract and simulate load the feature stack.
+"""Only the feature worker loads the extraction stack.
 
 validate, replay and synth need the bag, the bus and the synthesis code,
 and building a plan needs the config dataclasses; none of them may import
 SciPy or the extraction modules, nor multiprocessing, which only the
-feature worker of simulate and extract needs. Each case is its own interpreter
-(test_memory.run_alone), so its sys.modules and its peak are its own.
+feature worker of simulate and extract needs. simulate and extract fork
+that worker, and it alone imports the extraction stack, SciPy included.
+Each case is its own interpreter (test_memory.run_alone), so its
+sys.modules and its peak are its own.
 """
 
+import csv
 import json
 import os
 
 import pytest
 
+from oracles import load_samples
 from test_memory import SRC, run_alone
 
 DEFAULT_CONFIG = os.path.join(os.path.dirname(SRC), "configs", "default.json")
-FEATURE_STACK = ("scipy", "mwpipe.features.beats", "mwpipe.features.hrv",
-                 "mwpipe.features.extract", "multiprocessing")
+EXTRACTION_STACK = ("scipy", "mwpipe.features.beats", "mwpipe.features.hrv",
+                    "mwpipe.features.extract")
+FEATURE_STACK = (*EXTRACTION_STACK, "multiprocessing")
 # A log command needs numpy and the bag code (about 32 MB); the feature
 # stack alone adds about 75 MB.
 LOG_PEAK_LIMIT_MB = 45.0
+# simulate and extract peak at about 43 and 37 MB in their own process on
+# a 780 s session (about 110 and 107 MB with the extraction stack there).
+# The launcher's peak would count the worker, so the probe reads its own.
+DRIVER_PEAK_LIMIT_MB = 60.0
 PROBE = """
-import json, sys
+import json, resource, sys
 args = sys.argv[1:]
 code = 0
 if args[0] == "plan":
@@ -33,13 +42,15 @@ else:
         main(args)
     except SystemExit as e:
         code = e.code
-print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+print(json.dumps({"code": code, "modules": sorted(sys.modules),
+                  "self_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
 
 def probe(*args) -> dict:
     """Run one CLI call (or "plan" and a config path) in a fresh interpreter;
-    returns its exit code, the modules it loaded and its peak in MB."""
+    returns its exit code, the modules it loaded, its own peak in MB
+    (self_mb) and that of it and its children (peak_mb)."""
     out, peak_mb = run_alone(PROBE, *args)
     result = json.loads(out.splitlines()[-1])
     assert result["code"] == 0, out
@@ -74,17 +85,30 @@ def test_log_commands_leave_out_the_feature_stack(synth_run, command):
     assert result["peak_mb"] < LOG_PEAK_LIMIT_MB, result["peak_mb"]
 
 
-def test_simulate_loads_multiprocessing(tmp_path):
-    """The multiprocessing gate cannot pass by simulate never needing it."""
+def assert_worker_only(result):
+    """The command drove the feature worker and left the extraction stack
+    to it."""
+    assert [m for m in EXTRACTION_STACK if m in result["modules"]] == []
+    assert {"mwpipe.features.worker", "multiprocessing"} <= set(result["modules"])
+    assert result["self_mb"] < DRIVER_PEAK_LIMIT_MB, result["self_mb"]
+
+
+def test_simulate_leaves_the_extraction_stack_to_the_worker(tmp_path):
+    """Not by skipping the work: the worker's ECG rows reach the bag."""
     config = tmp_path / "short.json"
-    config.write_text(json.dumps({"baseline_s": 2.0, "interrun_s": 1.0, "run_timeout_s": 1.0}))
-    result = probe("simulate", "--config", config, "--out", tmp_path / "short.bag")
-    assert "multiprocessing" in result["modules"]
+    config.write_text(json.dumps({"baseline_s": 32.0, "interrun_s": 1.0, "run_timeout_s": 1.0}))
+    bag = tmp_path / "short.bag"
+    assert_worker_only(probe("simulate", "--config", config, "--out", bag))
+    rows = [s.payload for s in load_samples(bag) if s.topic == "feat.ecg"]
+    assert rows and all("rr_mean_ms" in row for row in rows), rows
 
 
-def test_extract_loads_the_feature_stack(synth_run, tmp_path):
-    """The gate above cannot pass by a command skipping its work."""
+def test_extract_leaves_the_extraction_stack_to_the_worker(synth_run, tmp_path):
+    """Not by skipping the work: the CSV has ECG features."""
     bag, _ = synth_run
-    result = probe("extract", "--bag", bag, "--out", tmp_path / "s.csv")
-    assert "mwpipe.features.extract" in result["modules"]
-    assert (tmp_path / "s.csv").stat().st_size > 0
+    out = tmp_path / "s.csv"
+    assert_worker_only(probe("extract", "--bag", bag, "--out", out))
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    ecg = [i for i, column in enumerate(header) if column.startswith("ecg.rr_")]
+    assert ecg and rows and all(row[i] for row in rows for i in ecg), header

@@ -2,8 +2,9 @@
 data, not by the length of the session.
 
 Each run is its own interpreter, started through run_alone, so its
-getrusage peak is its own. Import alone is about 105 MB; a plan three times
-as long may add only a few MB.
+getrusage peak is its own and its feature worker's, whichever is higher.
+The worker's imports alone are about 105 MB; a plan three times as long
+may add only a few MB.
 """
 
 import os

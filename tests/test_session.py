@@ -342,6 +342,17 @@ def test_an_extraction_error_in_the_worker_is_raised_by_the_caller(driver, monke
         assert not out.exists()
 
 
+def test_a_pipeline_the_worker_cannot_build_is_raised_by_the_caller(worker_bag, tmp_path):
+    """The worker builds the pipeline after the fork; the windower's error
+    comes back as its reply to the first interval, with no CSV and no worker
+    left."""
+    out = tmp_path / "tiny.csv"
+    with pytest.raises(ValueError, match="^len_s and stride_s must be at least 1 ns$"):
+        extract_csv(worker_bag, out, window_s=1e-10)
+    assert not out.exists()
+    assert_no_child_process()
+
+
 def test_a_bag_corrupt_halfway_leaves_no_csv_and_no_worker(worker_bag, tmp_path):
     """A garbage line after about half the body, read in small chunks, so
     that the worker has extracted many of them and has one in flight."""
