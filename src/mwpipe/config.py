@@ -136,15 +136,22 @@ _PLAN_SCALARS = {"seed": int, "baseline_s": _NUMBER, "interrun_s": _NUMBER,
                  "run_timeout_s": _NUMBER, "tlx_jitter": int}
 
 
+def _plan_profile(key: str, d) -> SynthProfile:
+    """profile_from_dict(d) for a plan, which has one seed, its own: PlanInvalid on a seed."""
+    if isinstance(d, dict) and "seed" in d:
+        raise PlanInvalid(f"config {key} has a seed; a plan takes only the top-level seed")
+    return profile_from_dict(d)
+
+
 def plan_from_config(cfg: dict) -> SessionPlan:
     """The session plan a config object describes; a value of the wrong type
     or out of range raises PlanInvalid."""
     plan = SessionPlan()
     if "profile" in cfg:
-        plan.profile = profile_from_dict(cfg["profile"])
+        plan.profile = _plan_profile("profile", cfg["profile"])
     if "phase_profiles" in cfg:
         plan.phase_profiles = {
-            name: profile_from_dict(d)
+            name: _plan_profile(f"phase_profiles {name}", d)
             for name, d in _of_type("phase_profiles", cfg["phase_profiles"], dict).items()
         }
     if "policy" in cfg:

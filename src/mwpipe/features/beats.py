@@ -19,7 +19,7 @@ from scipy.ndimage import maximum_filter1d
 from scipy.signal import butter, sosfilt, sosfilt_zi
 
 from ..bus import NS_PER_S
-from .windowing import Window
+from .windowing import Window, stacks
 
 REFRACTORY_S = 0.25
 ROLLMAX_S = 2.0
@@ -60,14 +60,16 @@ def _bandpass(lo: float, hi: float, fs: float):
 
 
 def _filtfilt(x: np.ndarray, lo: float, hi: float, fs: float) -> np.ndarray:
-    """sosfiltfilt(sos, x) of the band, bit for bit: the same odd extension
-    and the same two sosfilt passes, with zi and the pad length computed once
-    per band. x must be longer than the pad, as sosfiltfilt requires."""
+    """sosfiltfilt(sos, x) of the band along x's last axis, bit for bit: the same odd
+    extension and the same two sosfilt passes, with zi and the pad length computed
+    once per band. x must be longer than the pad, as sosfiltfilt requires."""
     sos, zi, edge = _bandpass(lo, hi, fs)
-    ext = np.concatenate((2 * x[:1] - x[edge:0:-1], x, 2 * x[-1:] - x[-2:-(edge + 2):-1]))
-    y, _ = sosfilt(sos, ext, zi=zi * ext[:1])
-    y, _ = sosfilt(sos, y[::-1], zi=zi * y[-1:])
-    return y[::-1][edge:-edge]
+    zi = zi.reshape(len(zi), *(1,) * (x.ndim - 1), 2)  # broadcast over the rows, as sosfiltfilt's
+    ext = np.concatenate((2 * x[..., :1] - x[..., edge:0:-1], x,
+                          2 * x[..., -1:] - x[..., -2:-(edge + 2):-1]), axis=-1)
+    y, _ = sosfilt(sos, ext, zi=zi * ext[..., :1])
+    y, _ = sosfilt(sos, y[..., ::-1], zi=zi * y[..., -1:])
+    return y[..., ::-1][..., edge:-edge]
 
 
 def _local_maxima(x: np.ndarray) -> np.ndarray:
@@ -104,8 +106,7 @@ def _apply_refractory(indices: np.ndarray, fs: float) -> list[int]:
     return keep
 
 
-def _detect_ecg(x: np.ndarray, fs: float) -> list[int]:
-    xf = _filtfilt(x, *BANDS["ecg"], fs)
+def _detect_ecg(xf: np.ndarray, fs: float) -> list[int]:
     energy = (np.diff(xf) * fs) ** 2
     cands = np.array(_apply_refractory(_peaks_above_half_rollmax(energy, fs), fs), dtype=np.int64)
     # snap each detection to the R peak of the band-passed signal
@@ -113,22 +114,28 @@ def _detect_ecg(x: np.ndarray, fs: float) -> list[int]:
     return _apply_refractory(np.unique(peaks), fs)
 
 
-def _detect_ppg(x: np.ndarray, fs: float) -> list[int]:
-    xf = _filtfilt(x, *BANDS["ppg"], fs)
+def _detect_ppg(xf: np.ndarray, fs: float) -> list[int]:
     cands = _peaks_above_half_rollmax(xf, fs)
     return _apply_refractory(cands[xf[cands] > 0], fs)
+
+
+def detect_beats_batch(windows: list[Window]) -> list[BeatSeries]:
+    """detect_beats of each window: one band-pass per stack of equal sample count."""
+    beats, keyed = [None] * len(windows), []
+    for i, w in enumerate(windows):
+        if w.modality not in BANDS:
+            raise ValueError(f"detect_beats expects ecg or ppg, got {w.modality!r}")
+        x = np.asarray(w.values, dtype=float)
+        if len(x) > _bandpass(*BANDS[w.modality], w.fs_hz)[2] and np.ptp(x) != 0.0:
+            keyed.append((i, (w.modality, w.fs_hz, len(x)), x))
+    for (modality, fs, _), idx, x in stacks(keyed):
+        detect = _detect_ecg if modality == "ecg" else _detect_ppg
+        for i, xf in zip(idx, _filtfilt(x, *BANDS[modality], fs)):
+            beats[i] = BeatSeries(windows[i].times_ns[detect(xf, fs)])
+    return [b if b is not None else BeatSeries(np.empty(0, dtype=np.int64)) for b in beats]
 
 
 def detect_beats(window: Window) -> BeatSeries:
     """Detect beats in a cardiac window; flatline input, or a window no
     longer than its band-pass's pad, yields no beats."""
-    if window.modality not in BANDS:
-        raise ValueError(f"detect_beats expects ecg or ppg, got {window.modality!r}")
-    x = np.asarray(window.values, dtype=float)
-    if len(x) <= _bandpass(*BANDS[window.modality], window.fs_hz)[2] or np.ptp(x) == 0.0:
-        return BeatSeries(np.empty(0, dtype=np.int64))
-    if window.modality == "ecg":
-        idx = _detect_ecg(x, window.fs_hz)
-    else:
-        idx = _detect_ppg(x, window.fs_hz)
-    return BeatSeries(window.times_ns[idx])
+    return detect_beats_batch([window])[0]

@@ -1,11 +1,13 @@
-"""Per-window feature dispatch and the streaming extraction pipeline.
+"""Feature dispatch over batches of windows, and the streaming pipeline.
 
 A FeatureRow is a pure function of its Window (plus, for PPG, the frozen
 session baseline pulse amplitude), so identical windows always produce
-bit-identical rows. Rows are computed only when at least 70% of the
-window's nominal samples are valid; below that, or when a gaze window has
-too many invalid samples or an EDA window is too short to decompose, only
-quality is reported.
+bit-identical rows, in any batch. Each advance extracts one modality's new
+windows at once: the cardiac band-pass and the resp and HRV Welch are one
+call per stack of equal-length windows, and the rest runs per window. Rows
+are computed only when at least 70% of the window's nominal samples are
+valid; below that, or when a gaze window has too many invalid samples or an
+EDA window is too short to decompose, only quality is reported.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import TooManyInvalidSamples, WindowTooShort
-from .beats import detect_beats
+from .beats import detect_beats_batch
 from .catalog import BIO_TOPICS, FEATURE_CATALOG
 from .eda import eda_decompose, eda_features
 from .gaze import DEFAULT_THRESHOLDS, GazeThresholds, classify_gaze, gaze_features
-from .hrv import hrv_frequency, hrv_stat_features
+from .hrv import hrv_frequency_batch, hrv_stat_features
 from .ppg import ppg_features
-from .respiration import resp_features
+from .respiration import resp_features_batch
 from .skintemp import st_features
 from .windowing import FeatureRow, SlidingWindower, Window
 
@@ -38,40 +40,48 @@ def window_quality(window: Window) -> float:
     return min(1.0, n_valid / expected)
 
 
-def extract_window(window: Window, ppg_baseline_pa: float | None = None,
-                   gaze_thresholds: GazeThresholds = DEFAULT_THRESHOLDS,
-                   ppg_memo: dict | None = None) -> FeatureRow:
-    """Compute the catalog features for one window of any modality. ppg_memo
-    is the per-beat memo of the window's PPG stream (see ppg_features); the
-    row is the same with or without it."""
-    quality = window_quality(window)
-    if quality < MIN_QUALITY:
-        return FeatureRow(window.modality, window.t_end_ns, {}, quality)
-    m = window.modality
-    try:
-        if m == "ecg":
-            beats = detect_beats(window)
-            values = hrv_stat_features(beats)
-            values.update(hrv_frequency(beats))
-        elif m == "ppg":
-            beats = detect_beats(window)
-            values = ppg_features(window, beats, baseline_pa=ppg_baseline_pa, memo=ppg_memo)
-        elif m == "resp":
-            values = resp_features(window)
-        elif m == "eda":
-            values = eda_features(eda_decompose(window))
-        elif m == "st":
-            values = st_features(window)
-        elif m == "gaze":
-            values = gaze_features(classify_gaze(window, gaze_thresholds), window)
-        else:
-            raise ValueError(f"unknown modality {m!r}")
-    except (TooManyInvalidSamples, WindowTooShort):  # gaze and EDA: too little to decompose
-        return FeatureRow(m, window.t_end_ns, {}, quality)
-    unknown = set(values) - set(FEATURE_CATALOG[m])
-    if unknown:
-        raise AssertionError(f"features outside the {m} catalog: {sorted(unknown)}")
-    return FeatureRow(m, window.t_end_ns, values, quality)
+def _features(windows: list[Window], ppg_baseline_pa, gaze_thresholds, ppg_memo) -> list[dict]:
+    """The feature values of each of one modality's windows."""
+    m = windows[0].modality
+    if m == "ecg":
+        beats = detect_beats_batch(windows)
+        return [hrv_stat_features(b) | f for b, f in zip(beats, hrv_frequency_batch(beats))]
+    if m == "ppg":  # the memo is filled in window order
+        return [ppg_features(w, b, baseline_pa=ppg_baseline_pa, memo=ppg_memo)
+                for w, b in zip(windows, detect_beats_batch(windows))]
+    if m == "resp":
+        return resp_features_batch(windows)
+    per_window = {"st": st_features, "eda": lambda w: eda_features(eda_decompose(w)),
+                  "gaze": lambda w: gaze_features(classify_gaze(w, gaze_thresholds), w)}[m]
+    out = []
+    for w in windows:
+        try:
+            out.append(per_window(w))
+        except (TooManyInvalidSamples, WindowTooShort):  # gaze and EDA: too little to decompose
+            out.append({})
+    return out
+
+
+def extract_windows(windows: list[Window], ppg_baseline_pa: float | None = None,
+                    gaze_thresholds: GazeThresholds = DEFAULT_THRESHOLDS,
+                    ppg_memo: dict | None = None) -> list[FeatureRow]:
+    """The row of each of one modality's windows, in order; ppg_memo is their PPG
+    stream's per-beat memo (see ppg_features). Neither it nor the batch changes a row."""
+    quality = [window_quality(w) for w in windows]
+    passed = [w for w, q in zip(windows, quality) if q >= MIN_QUALITY]
+    values = iter(_features(passed, ppg_baseline_pa, gaze_thresholds, ppg_memo) if passed else ())
+    rows = []
+    for w, q in zip(windows, quality):
+        v = next(values) if q >= MIN_QUALITY else {}
+        if unknown := set(v) - set(FEATURE_CATALOG[w.modality]):
+            raise AssertionError(f"features outside the {w.modality} catalog: {sorted(unknown)}")
+        rows.append(FeatureRow(w.modality, w.t_end_ns, v, q))
+    return rows
+
+
+def extract_window(window: Window, *args, **kwargs) -> FeatureRow:
+    """The row of one window of any modality: extract_windows' one-window case."""
+    return extract_windows([window], *args, **kwargs)[0]
 
 
 @dataclass
@@ -129,12 +139,12 @@ class FeaturePipeline:
     def _advance(self, watermark_ns: int) -> list[FeatureRow]:
         rows = []
         for m in self.modalities:
-            for window in self._windowers[m].advance_to(watermark_ns):
-                row = extract_window(window, ppg_baseline_pa=self.ppg_baseline_pa,
-                                     gaze_thresholds=self.gaze_thresholds,
-                                     ppg_memo=self._ppg_memo)
-                if m == "ppg" and not self._frozen and "digital_pa" in row.values:
-                    self._baseline_pa_samples.append(row.values["digital_pa"])
-                rows.append(row)
+            batch = extract_windows(self._windowers[m].advance_to(watermark_ns),
+                                    ppg_baseline_pa=self.ppg_baseline_pa,
+                                    gaze_thresholds=self.gaze_thresholds, ppg_memo=self._ppg_memo)
+            if m == "ppg" and not self._frozen:
+                self._baseline_pa_samples += [row.values["digital_pa"] for row in batch
+                                              if "digital_pa" in row.values]
+            rows += batch
         rows.sort(key=lambda r: (r.t_end_ns, r.modality))
         return rows

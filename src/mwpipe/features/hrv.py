@@ -18,6 +18,7 @@ import numpy as np
 from scipy.signal import welch
 
 from .beats import BeatSeries
+from .windowing import stacks
 
 TRI_BIN_MS = 7.8125  # 1/128 s, the conventional HRV histogram bin
 
@@ -68,8 +69,8 @@ def hrv_stat_features(beats: BeatSeries) -> dict:
     return out
 
 
-def band_powers(x: np.ndarray, fs: float, nperseg: int, bands) -> list[float]:
-    """Power of x in each [lo, hi) band, in x's units squared.
+def band_powers(x: np.ndarray, fs: float, nperseg: int, bands) -> np.ndarray:
+    """Power of each row of x (its last axis) in each [lo, hi) band, in x's units squared.
 
     Welch: Hann-windowed segments of nperseg samples overlapping by half,
     each mean-removed, averaged into a density-scaled periodogram whose
@@ -78,24 +79,29 @@ def band_powers(x: np.ndarray, fs: float, nperseg: int, bands) -> list[float]:
     freqs, psd = welch(x, fs=fs, window="hann", nperseg=nperseg, noverlap=nperseg // 2,
                        detrend="constant", scaling="density")
     df = freqs[1] - freqs[0] if len(freqs) > 1 else 0.0
-    return [float(np.sum(psd[(freqs >= lo) & (freqs < hi)]) * df) for lo, hi in bands]
+    # welch's stack is strided: a C-order copy sums each row's bins as one window's are
+    return np.stack([np.sum(np.ascontiguousarray(psd[..., (freqs >= lo) & (freqs < hi)]),
+                            axis=-1) * df for lo, hi in bands], axis=-1)
+
+
+def hrv_frequency_batch(beats: list[BeatSeries]) -> list[dict]:
+    """hrv_frequency of each beat series: one Welch call per stack of equal grid length."""
+    out, keyed = [{} for _ in beats], []
+    for i, b in enumerate(beats):
+        times_s, iv_ms = b.tachogram()
+        if len(iv_ms) < 3 or len(b.beat_times_ns) < 4 or times_s[-1] - times_s[0] < 10.0:
+            continue
+        grid = np.arange(times_s[0], times_s[-1] + 1e-12, 1.0 / TACHOGRAM_GRID_HZ)
+        keyed.append((i, len(grid), np.interp(grid, times_s, iv_ms)))
+    for n, idx, grids in stacks(keyed):
+        nperseg = min(n, int(MAX_SEGMENT_S * TACHOGRAM_GRID_HZ))
+        powers = band_powers(grids, TACHOGRAM_GRID_HZ, nperseg, (VLF_BAND, LF_BAND, HF_BAND))
+        for i, (vlf, lf, hf) in zip(idx, powers.tolist()):
+            out[i] = {"vlf_power_ms2": vlf, "lf_power_ms2": lf, "hf_power_ms2": hf,
+                      "total_power_ms2": vlf + lf + hf}
+    return out
 
 
 def hrv_frequency(beats: BeatSeries) -> dict:
-    """VLF/LF/HF band powers, in ms^2, of the tachogram resampled to a
-    uniform 4 Hz grid."""
-    times_s, iv_ms = beats.tachogram()
-    if len(iv_ms) < 3 or len(beats.beat_times_ns) < 4:
-        return {}
-    if times_s[-1] - times_s[0] < 10.0:
-        return {}
-    grid = np.arange(times_s[0], times_s[-1] + 1e-12, 1.0 / TACHOGRAM_GRID_HZ)
-    resampled = np.interp(grid, times_s, iv_ms)
-    nperseg = min(len(resampled), int(MAX_SEGMENT_S * TACHOGRAM_GRID_HZ))
-    vlf, lf, hf = band_powers(resampled, TACHOGRAM_GRID_HZ, nperseg, (VLF_BAND, LF_BAND, HF_BAND))
-    return {
-        "vlf_power_ms2": vlf,
-        "lf_power_ms2": lf,
-        "hf_power_ms2": hf,
-        "total_power_ms2": vlf + lf + hf,
-    }
+    """VLF/LF/HF band powers, in ms^2, of the tachogram resampled to a uniform 4 Hz grid."""
+    return hrv_frequency_batch([beats])[0]

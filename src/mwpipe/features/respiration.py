@@ -10,28 +10,34 @@ from __future__ import annotations
 import numpy as np
 
 from .hrv import band_powers
-from .windowing import Window
+from .windowing import Window, stacks
 
 RESP_LF_BAND = (0.05, 0.15)
 RESP_HF_BAND = (0.15, 0.5)
 
 
-def resp_features(window: Window) -> dict:
-    x = np.asarray(window.values, dtype=float)
-    out: dict[str, float] = {}
-    if len(x) == 0:
-        return out
-    mean = float(np.mean(x))
-    crossings = int(np.sum((x[:-1] < mean) & (x[1:] >= mean)))
-    out["rate_bpm"] = 60.0 * crossings / window.span_s
-    if len(x) >= 8 and np.ptp(x) > 0:
-        nperseg = min(len(x), int(window.span_s * window.fs_hz))
-        lf, hf = band_powers(x, window.fs_hz, nperseg, (RESP_LF_BAND, RESP_HF_BAND))
-        out["lf_power"] = lf
-        out["hf_power"] = hf
-        if hf > 0:
-            out["power_ratio"] = lf / hf
-    elif len(x) > 0:
-        out["lf_power"] = 0.0
-        out["hf_power"] = 0.0
+def resp_features_batch(windows: list[Window]) -> list[dict]:
+    """resp_features of each window: one Welch call per stack of equal sample count."""
+    out, keyed = [{} for _ in windows], []
+    for i, w in enumerate(windows):
+        x = np.asarray(w.values, dtype=float)
+        if len(x) == 0:
+            continue
+        mean = float(np.mean(x))
+        crossings = int(np.sum((x[:-1] < mean) & (x[1:] >= mean)))
+        out[i]["rate_bpm"] = 60.0 * crossings / w.span_s
+        if len(x) >= 8 and np.ptp(x) > 0:
+            keyed.append((i, (len(x), min(len(x), int(w.span_s * w.fs_hz)), w.fs_hz), x))
+        else:
+            out[i]["lf_power"] = out[i]["hf_power"] = 0.0
+    for (_, nperseg, fs), idx, x in stacks(keyed):
+        powers = band_powers(x, fs, nperseg, (RESP_LF_BAND, RESP_HF_BAND))
+        for i, (lf, hf) in zip(idx, powers.tolist()):
+            out[i].update(lf_power=lf, hf_power=hf)
+            if hf > 0:
+                out[i]["power_ratio"] = lf / hf
     return out
+
+
+def resp_features(window: Window) -> dict:
+    return resp_features_batch([window])[0]

@@ -15,6 +15,19 @@ import numpy as np
 
 from ..bus import NS_PER_S
 
+STACK_ROWS = 32  # bounds a stack's memory, whatever one advance completes
+
+
+def stacks(keyed):
+    """(key, indices, stacked rows) of the (index, key, row) triples, by key, STACK_ROWS at most."""
+    groups: dict = {}
+    for i, key, row in keyed:
+        groups.setdefault(key, []).append((i, row))
+    for key, group in groups.items():
+        for j in range(0, len(group), STACK_ROWS):
+            idx, rows = zip(*group[j:j + STACK_ROWS])
+            yield key, idx, np.stack(rows)
+
 
 @dataclass
 class Window:

@@ -7,6 +7,9 @@ read records through the library's own verdicts, and the export computes
 features with the library's own pipeline. evaluate_run, the reference for
 the run tally, likewise applies the library's own run-end rule, and the
 simulator's reference tick uses its placement, terrain and comms RNG.
+The per-window feature reference calls the library's per-window stages and
+runs the three stacked ones (band-pass, resp and HRV Welch) one window at a
+time, through SciPy's own sosfiltfilt and a one-row welch.
 """
 
 import bisect
@@ -17,14 +20,25 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
+from scipy.signal import sosfiltfilt
 
 from mwpipe.bag import (ValidationIssue, ValidationReport, _block_lines, header_lines,
                         iter_samples, judged_chunks, manifest_topics, read_manifest)
 from mwpipe.bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, SampleBlock, TimedSample
-from mwpipe.errors import CorruptBag, IncompleteTrace, WireError
+from mwpipe.errors import (CorruptBag, IncompleteTrace, TooManyInvalidSamples, WindowTooShort,
+                           WireError)
 from mwpipe.export import JOINED_COLUMNS, META_TOPIC
 from mwpipe.features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
-from mwpipe.features.windowing import SlidingWindower
+from mwpipe.features.beats import BANDS, BeatSeries, _bandpass, _detect_ecg, _detect_ppg
+from mwpipe.features.eda import eda_decompose, eda_features
+from mwpipe.features.extract import MIN_QUALITY, window_quality
+from mwpipe.features.gaze import classify_gaze, gaze_features
+from mwpipe.features.hrv import (HF_BAND, LF_BAND, MAX_SEGMENT_S, TACHOGRAM_GRID_HZ, VLF_BAND,
+                                 band_powers, hrv_stat_features)
+from mwpipe.features.ppg import ppg_features
+from mwpipe.features.respiration import RESP_HF_BAND, RESP_LF_BAND
+from mwpipe.features.skintemp import st_features
+from mwpipe.features.windowing import FeatureRow, SlidingWindower
 from mwpipe.sim.operator import PolicyConfig, ScriptedOperator
 from mwpipe.sim.outcome import RunOutcome, RunTally, run_end
 from mwpipe.sim.difficulty import DifficultyParams
@@ -162,6 +176,84 @@ def sample_time_ns(t0_ns, index, fs_hz):
     """Time of sample `index` on a uniform grid, rounded per index (no drift):
     the reference for Waveform.times_ns."""
     return t0_ns + round(index * 1_000_000_000 / fs_hz)
+
+
+# -- the per-window feature extraction ------------------------------------------
+
+
+def detect_beats_oracle(window):
+    """detect_beats of one window, band-passed by sosfiltfilt itself."""
+    x = np.asarray(window.values, dtype=float)
+    sos, _, pad = _bandpass(*BANDS[window.modality], window.fs_hz)
+    if len(x) <= pad or np.ptp(x) == 0.0:
+        return BeatSeries(np.empty(0, dtype=np.int64))
+    detect = _detect_ecg if window.modality == "ecg" else _detect_ppg
+    return BeatSeries(window.times_ns[detect(sosfiltfilt(sos, x), window.fs_hz)])
+
+
+def hrv_frequency_oracle(beats):
+    """hrv_frequency of one beat series, through a one-row welch."""
+    times_s, iv_ms = beats.tachogram()
+    if len(iv_ms) < 3 or len(beats.beat_times_ns) < 4 or times_s[-1] - times_s[0] < 10.0:
+        return {}
+    grid = np.arange(times_s[0], times_s[-1] + 1e-12, 1.0 / TACHOGRAM_GRID_HZ)
+    resampled = np.interp(grid, times_s, iv_ms)
+    nperseg = min(len(resampled), int(MAX_SEGMENT_S * TACHOGRAM_GRID_HZ))
+    vlf, lf, hf = band_powers(resampled, TACHOGRAM_GRID_HZ, nperseg,
+                              (VLF_BAND, LF_BAND, HF_BAND)).tolist()
+    return {"vlf_power_ms2": vlf, "lf_power_ms2": lf, "hf_power_ms2": hf,
+            "total_power_ms2": vlf + lf + hf}
+
+
+def resp_features_oracle(window):
+    """resp_features of one window, through a one-row welch."""
+    x = np.asarray(window.values, dtype=float)
+    out = {}
+    if len(x) == 0:
+        return out
+    mean = float(np.mean(x))
+    out["rate_bpm"] = 60.0 * int(np.sum((x[:-1] < mean) & (x[1:] >= mean))) / window.span_s
+    if len(x) >= 8 and np.ptp(x) > 0:
+        nperseg = min(len(x), int(window.span_s * window.fs_hz))
+        lf, hf = band_powers(x, window.fs_hz, nperseg, (RESP_LF_BAND, RESP_HF_BAND)).tolist()
+        out["lf_power"] = lf
+        out["hf_power"] = hf
+        if hf > 0:
+            out["power_ratio"] = lf / hf
+    else:
+        out["lf_power"] = 0.0
+        out["hf_power"] = 0.0
+    return out
+
+
+def extract_window_oracle(window, ppg_baseline_pa=None, gaze_thresholds=DEFAULT_THRESHOLDS,
+                          ppg_memo=None):
+    """The row of one window, one stage at a time: the reference for
+    extract_windows over any batch."""
+    quality = window_quality(window)
+    if quality < MIN_QUALITY:
+        return FeatureRow(window.modality, window.t_end_ns, {}, quality)
+    m = window.modality
+    try:
+        if m == "ecg":
+            beats = detect_beats_oracle(window)
+            values = hrv_stat_features(beats)
+            values.update(hrv_frequency_oracle(beats))
+        elif m == "ppg":
+            values = ppg_features(window, detect_beats_oracle(window),
+                                  baseline_pa=ppg_baseline_pa, memo=ppg_memo)
+        elif m == "resp":
+            values = resp_features_oracle(window)
+        elif m == "eda":
+            values = eda_features(eda_decompose(window))
+        elif m == "st":
+            values = st_features(window)
+        else:
+            values = gaze_features(classify_gaze(window, gaze_thresholds), window)
+    except (TooManyInvalidSamples, WindowTooShort):
+        return FeatureRow(m, window.t_end_ns, {}, quality)
+    assert set(values) <= set(FEATURE_CATALOG[m])
+    return FeatureRow(m, window.t_end_ns, values, quality)
 
 
 # -- gaze scripts for the classifier tests -------------------------------------

@@ -100,6 +100,20 @@ def test_a_negative_seed_is_plan_invalid(monkeypatch):
         profile_from_config({})
 
 
+@pytest.mark.parametrize("cfg, key", [
+    ({"profile": {"seed": 5}, "phase_profiles": {"run": {"seed": 9}}}, "profile"),
+    ({"seed": 3, "phase_profiles": {"rest": {"rr_mean_ms": 700.0}, "run": {"seed": 9}}},
+     "phase_profiles run"),
+], ids=["profile", "phase_profile"])
+def test_a_seed_under_a_profile_of_a_plan_is_refused_by_name(cfg, key, monkeypatch):
+    """plan_from_config recorded seed 0 for the first of these and never
+    used the phase seed; synth's profile_from_config still takes one."""
+    monkeypatch.delenv("MWPIPE_SEED", raising=False)
+    with pytest.raises(PlanInvalid, match=f"^config {key} has a seed"):
+        plan_from_config(cfg)
+    assert profile_from_config({"profile": {"seed": 5}}).seed == 5
+
+
 def test_phase_profile_override_runs(tmp_path):
     base = SynthProfile(rr_mean_ms=800.0)
     fast = SynthProfile(rr_mean_ms=650.0, resp_rate_bpm=20.0)
@@ -152,6 +166,9 @@ BAD_CONFIGS = {
     "gaze_script_entry_not_object": '{"profile": {"gaze_script": [5]}}',
     "seed_not_integer": '{"seed": "x"}',
     "seed_negative": '{"seed": -1}',
+    # a plan has one seed; these were dropped or kept unused
+    "profile_seed": '{"profile": {"seed": 5}}',
+    "phase_profile_seed": '{"phase_profiles": {"run": {"seed": 9}}}',
     "tlx_jitter_not_integer": '{"tlx_jitter": "x"}',
     # scripted_tlx draws from [-tlx_jitter, tlx_jitter] in int64
     "tlx_jitter_negative": '{"tlx_jitter": -1}',

@@ -329,12 +329,14 @@ def test_no_worker_outlives_a_run(driver):
 
 
 def test_an_extraction_error_in_the_worker_is_raised_by_the_caller(driver, monkeypatch):
-    def broken(window, **kwargs):
-        raise ValueError(f"no features for {window.modality}")
+    def broken(windows, **kwargs):
+        if windows:  # an advance that completes no window of a modality passes none
+            raise ValueError(f"no features for {windows[0].modality}")
+        return []
 
     function, args, out, _ = driver
     # the worker is forked, so it inherits the patch
-    monkeypatch.setattr(mextract, "extract_window", broken)
+    monkeypatch.setattr(mextract, "extract_windows", broken)
     with pytest.raises(ValueError, match="^no features for [a-z]+$"):
         function(*args)
     assert_no_child_process()
