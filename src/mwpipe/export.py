@@ -7,11 +7,14 @@ parameters: columns are ordered lexicographically, floats are serialized
 with shortest round-trip decimals, and absent values are empty cells.
 
 The bag is read one judged chunk at a time, so memory is bounded by a
-window, a chunk and the join tolerance, not by the bag. Each chunk's bio
-rows go to one features.worker.FeatureWorker, whose FeaturePipeline (and
-SciPy) lives in the worker only. It advances as far as the bag's order
-makes safe and extracts while the next chunk is judged, so rows come back
-one chunk late. A row is joined once the records read are past its end by
+window, a chunk, two hand-over intervals (features.worker.HAND_OVER_NS of
+bag time each) and the join tolerance, not by the bag. The bio rows of the chunks
+read are held until the records read are HAND_OVER_NS past the last
+hand-over, the cadence of a live session, and then go to one
+features.worker.FeatureWorker, whose FeaturePipeline (and SciPy) lives in
+the worker only. It advances as far as the bag's order makes safe and
+extracts while the next interval is judged, so rows come back one interval
+late. A row is joined once the records read are past its end by
 more than the tolerance, by indexing each joined topic's columns (as
 parsed) where align_nearest_samples finds its nearest t, and is spooled
 beside out_path. The header depends on which modalities and joined topics
@@ -40,7 +43,7 @@ from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, align_nearest_samples
 from .errors import CorruptBag
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.gaze import DEFAULT_THRESHOLDS
-from .features.worker import FeatureWorker
+from .features.worker import HAND_OVER_NS, FeatureWorker
 from .session import SESSION_TOPICS
 
 # Topic -> {payload field: CSV column} of every topic joined onto the rows.
@@ -110,10 +113,10 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
 
 class _Table:
     """What extract_csv carries from one judged chunk to the next: the
-    feature worker, the rows it sent back that are not yet joined, and the
-    joined samples that such a row, one in flight or a later one may still
-    join: per topic, their t array and a list of values per JOINED_COLUMNS
-    field."""
+    feature worker, the bio slices read since the last hand-over to it, the
+    rows it sent back that are not yet joined, and the joined samples that
+    such a row, one in flight or held, or a later one may still join: per
+    topic, their t array and a list of values per JOINED_COLUMNS field."""
 
     def __init__(self, window_s, stride_s, tolerance_ns, gaze_thresholds, spool):
         self.pipeline_args = dict(len_s=window_s, stride_s=stride_s,
@@ -121,6 +124,8 @@ class _Table:
         self.tolerance_ns = tolerance_ns
         self.spool = spool
         self.worker: FeatureWorker | None = None
+        self.held = []  # (modality, times, values) of the bio read since the last hand-over
+        self.handed = None  # max_t at the last hand-over, or the first bio t before one
         self.max_t = -2**63  # greatest t read of the bio and joined topics
         self.received = -2**63  # every row that ends at or before it is received
         self.end = -2**63  # greatest last t + one period of any modality so far
@@ -162,14 +167,15 @@ class _Table:
             self.trim()
             return
         if self.worker is None:
-            self.worker = FeatureWorker(  # t0: the first bio record's
-                t0_ns=int(min(bio)[2][0]), baseline_end_ns=self.baseline_end, **self.pipeline_args)
-        for _, m, times, _ in bio:
+            self.handed = int(min(bio)[2][0])  # t0: the first bio record's
+            self.worker = FeatureWorker(
+                t0_ns=self.handed, baseline_end_ns=self.baseline_end, **self.pipeline_args)
+        for _, m, times, values in bio:
             self.modalities.add(m)
             self.end = max(self.end, int(times[-1]) + round(NS_PER_S / BIO_TOPICS[m].rate_hz))
-        # the baseline end goes with the first slices that pass it
-        self.take(self.worker.advance([s[1:] for s in bio], min(self.max_t, self.end),
-                                      self.baseline_end))
+            self.held.append((m, times, values))
+        if self.max_t - self.handed >= HAND_OVER_NS:
+            self.hand_over(min(self.max_t, self.end))
         self.join(self.max_t - self.tolerance_ns)
         self.trim()
 
@@ -192,6 +198,14 @@ class _Table:
             elif phase != "baseline":
                 self.baseline_end = t
                 return
+
+    def hand_over(self, watermark):
+        """Hand the worker the slices held, the baseline end if known (so it
+        goes with the first slices that pass it) and the watermark, and
+        take the rows of the interval before."""
+        self.take(self.worker.advance(self.held, watermark, self.baseline_end))
+        self.held = []
+        self.handed = self.max_t
 
     def take(self, done):
         """Add the rows of a worker reply (watermark, rows), if any: every
@@ -235,10 +249,10 @@ class _Table:
             self.joined[topic] = t[k:], values
 
     def finish(self):
-        """Advance to the end of the streams, drain the worker and join every
-        row left."""
+        """Hand over the slices still held with the end of the streams as the
+        watermark, drain the worker and join every row left."""
         if self.worker is not None:
-            self.take(self.worker.advance([], self.end, self.baseline_end))
+            self.hand_over(self.end)
             self.take(self.worker.drain())
         self.join(math.inf)
 

@@ -89,7 +89,8 @@ def _peaks_above_half_rollmax(x: np.ndarray, fs: float) -> np.ndarray:
 def _argmax_near(x: np.ndarray, idx: np.ndarray, half: int) -> np.ndarray:
     """For each of idx, the first index of the maximum of x within half
     samples of it; the -inf padding is never that first maximum."""
-    padded = np.pad(x, half, constant_values=-np.inf)
+    pad = np.full(half, -np.inf)
+    padded = np.concatenate((pad, x, pad))
     return idx - half + np.argmax(sliding_window_view(padded, 2 * half + 1)[idx], axis=1)
 
 
@@ -98,11 +99,11 @@ def _apply_refractory(indices: np.ndarray, fs: float) -> list[int]:
     REFRACTORY_S after the last kept."""
     # An integer gap clears REFRACTORY_S * fs exactly when it clears its ceiling.
     gap = math.ceil(REFRACTORY_S * fs)
-    if (np.diff(indices) >= gap).all():
-        return indices.tolist()
-    keep = [int(indices[0])]
-    while (j := int(np.searchsorted(indices, keep[-1] + gap))) < len(indices):
-        keep.append(int(indices[j]))
+    keep, free = [], -math.inf  # free: the first index the last kept one allows
+    for i in indices.tolist():
+        if i >= free:
+            keep.append(i)
+            free = i + gap
     return keep
 
 

@@ -6,6 +6,13 @@ from __future__ import annotations
 
 import os
 
+from ..bus import NS_PER_S
+
+# How much stream time each driver gathers before it hands the worker an
+# interval: enough windows per modality to fill the batched extraction's
+# stacks, few enough to keep the drivers' buffers small.
+HAND_OVER_NS = 10 * NS_PER_S
+
 
 def _extract_in_worker(conn, parent_end, pipeline_args):
     """Body of the feature worker: build the pipeline, then for each message

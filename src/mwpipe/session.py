@@ -24,7 +24,7 @@ from .bus import Bus, ManualClock, NS_PER_S, TopicDescriptor
 from .errors import InvalidProfile, PlanInvalid, ScaleOutOfRange
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
-from .features.worker import FeatureWorker
+from .features.worker import HAND_OVER_NS, FeatureWorker
 from .sim.difficulty import preset
 from .sim.operator import PolicyConfig, ScriptedOperator, WanderOperator
 from .sim.outcome import RunOutcome, RunTally
@@ -43,12 +43,13 @@ from .synth import (
 
 TICK_HZ = 1 / DT_S
 
-# Every _FLUSH_TICKS ticks (10 s of session time) and at every phase end, the
+# Every _FLUSH_TICKS ticks (features.worker.HAND_OVER_NS, 10 s of session
+# time, the hand-over cadence extract keeps too) and at every phase end, the
 # loop publishes what it gathered, one block per topic, and hands the feature
 # worker the samples. The bag is flushed one such interval behind, once the
 # worker's rows for it are published, so the writer buffers at most about
-# 20 s of the session.
-_FLUSH_TICKS = 100
+# two intervals of the session.
+_FLUSH_TICKS = HAND_OVER_NS // TICK_NS
 
 TLX_SCALES = ("mental", "physical", "temporal", "performance", "effort", "frustration")
 

@@ -97,15 +97,28 @@ def test_peaks_above_half_rollmax_equal_the_loop_oracle(values, fs):
 
 
 @settings(max_examples=200)
-@given(data=st.data(), values=small_ints.filter(len), half=st.integers(min_value=0, max_value=5))
+@given(data=st.data(), values=st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
+                                       max_size=80),
+       half=st.integers(min_value=0, max_value=5) | st.just(int(0.06 * 252)))  # the ECG's: 15
 def test_argmax_near_equals_the_loop_oracle(data, values, half):
-    idx = data.draw(st.lists(st.integers(min_value=0, max_value=len(values) - 1), max_size=10))
+    """Indices anywhere in x, and within half samples of either end, where the
+    window reaches into the -inf padding."""
+    last = len(values) - 1
+    near_ends = st.integers(0, min(half, last)) | st.integers(max(0, last - half), last)
+    idx = data.draw(st.lists(st.integers(0, last) | near_ends, max_size=10))
     got = _argmax_near(np.array(values, dtype=float), np.array(idx, dtype=np.int64), half)
     assert got.tolist() == argmax_near_oracle(values, idx, half)
 
 
+# Runs of candidates closer together than the refractory gap (63 samples at
+# the ECG's 252 Hz, 16 at the PPG's 64 Hz), as on a plateau of energy peaks.
+dense_runs = st.lists(st.tuples(st.integers(0, 2000), st.integers(1, 80), st.integers(1, 20)),
+                      max_size=6).map(lambda runs: [start + step * k for start, n, step in runs
+                                                    for k in range(n)])
+
+
 @settings(max_examples=200)
-@given(values=st.lists(st.integers(min_value=0, max_value=300), max_size=40),
+@given(values=st.lists(st.integers(min_value=0, max_value=300), max_size=40) | dense_runs,
        fs=st.sampled_from([1.008, 4.0, 64.0, 250.3, 252.0]))
 def test_apply_refractory_equals_the_loop_oracle(values, fs):
     indices = np.array(sorted(values), dtype=np.int64)

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 import mwpipe.bag as mbag
+import mwpipe.export as mexport
 from mwpipe.bag import BagWriter, replay, validate
 from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor
 from mwpipe.cli import main
@@ -275,7 +276,8 @@ def session_lines(duration_ns: int, modalities, late=None, late_ns=0, telemetry=
 @st.composite
 def streaming_bags(draw):
     """Record lines in bag order for a bag of at most 70 s, with the size of
-    its chunks and the join tolerance."""
+    its chunks, the join tolerance and the bag time between hand-overs to
+    the feature worker."""
     duration_ns = draw(st.integers(31, 70)) * 10**9
     modalities = draw(st.lists(st.sampled_from(list(BIO_TOPICS)), unique=True, min_size=1))
     late = draw(st.sampled_from(modalities))
@@ -311,7 +313,9 @@ def streaming_bags(draw):
             lines[-1] = lines[-1][:len(lines[-1]) // 2]  # a truncated final line
     chunk_bytes = draw(st.sampled_from([300, 4096, 128 * 1024]))
     tolerance_ns = draw(st.sampled_from([1, 50_000_000, TICK_NS, 3 * TICK_NS, 5 * 10**9]))
-    return lines, chunk_bytes, tolerance_ns
+    # every chunk, the default, or only at the end of the bag
+    hand_over_ns = draw(st.sampled_from([1, 10 * 10**9, 100 * 10**9]))
+    return lines, chunk_bytes, tolerance_ns, hand_over_ns
 
 
 def csv_or_error(extract, path, out, tolerance_ns):
@@ -322,34 +326,47 @@ def csv_or_error(extract, path, out, tolerance_ns):
         return str(e)
 
 
-# Rows come back from the feature worker one chunk late. With a 20 s
-# tolerance, a row waits for about 180 chunks of 4 KiB, and sim.resources
-# (which ends at 36 s) and sim.radar (which starts at 45 s) join rows 20 s
-# away; with 1 ns, a row joins only the sample at its very end.
+# Rows come back from the feature worker one hand-over late. With a 20 s
+# tolerance and a hand-over every chunk, a row waits for about 180 chunks of
+# 4 KiB, and sim.resources (which ends at 36 s) and sim.radar (which starts
+# at 45 s) join rows 20 s away; with 1 ns, a row joins only the sample at its
+# very end. sim.meta leaves the baseline phase at 41.5 s.
 LATE_ROWS = dict(telemetry={"sim.rover": ([], set()), "sim.resources": ([(144, 280)], set()),
                             "sim.radar": ([(0, 180)], set())}, leave=41_500_000_000)
 
 
 @settings(max_examples=30, deadline=None)
 @given(bag=streaming_bags())
-@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 4096, 20 * 10**9))
-@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 4096, 1))
+@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 4096, 20 * 10**9, 1))
+@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 4096, 1, 10 * 10**9))
 # the baseline phase ends inside a chunk of about 20 s
-@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 128 * 1024, 50_000_000))
+@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 128 * 1024, 50_000_000,
+              10 * 10**9))
 # the whole bag in one chunk: every row is in flight until the end
 @example(bag=(session_lines(70 * 10**9, ("st",), telemetry={"sim.rover": ([], set())}),
-              128 * 1024, 1))
+              128 * 1024, 1, 10 * 10**9))
+# 10 s hand-overs fall near 10, 20, 31, 41, 52 and 62 s: the baseline end
+# (41.5 s) is read while slices are held, and the bag ends inside a held
+# interval
+@example(bag=(session_lines(70 * 10**9, ("ppg", "st"), **LATE_ROWS), 4096, 50_000_000,
+              10 * 10**9))
+# no hand-over before the end of the bag: the baseline end (52.3 s) and the
+# whole bag are held until finish
+@example(bag=(session_lines(65 * 10**9, ("ecg", "st"), telemetry={"sim.rover": ([], set())},
+                            leave=52_300_000_000), 4096, 1, 100 * 10**9))
 def test_streamed_csv_equals_the_batch_export(tmp_path_factory, bag):
     """Modalities that start late or are absent, sim.meta leaving the baseline
-    phase before, at, or after the last bio stamp, or never, inside a chunk,
-    telemetry gaps wider than the tolerance and repeated stamps, a tolerance
-    that spans many chunks, a spaced or refused line and a truncated final
-    line, at any chunk size: the same CSV bytes, or the same CorruptBag."""
-    lines, chunk_bytes, tolerance_ns = bag
+    phase before, at, or after the last bio stamp, or never, inside a chunk
+    or a held interval, telemetry gaps wider than the tolerance and repeated
+    stamps, a tolerance that spans many chunks, a spaced or refused line and
+    a truncated final line, at any chunk size and hand-over interval: the
+    same CSV bytes, or the same CorruptBag."""
+    lines, chunk_bytes, tolerance_ns, hand_over_ns = bag
     tmp = tmp_path_factory.mktemp("stream")
     path = tmp / "s.bag"
     path.write_bytes(b"MWBAG1\n" + MANIFEST + b"\n" + b"".join(lines))
-    with warnings.catch_warnings(), mock.patch.object(mbag, "_CHUNK_BYTES", chunk_bytes):
+    with warnings.catch_warnings(), mock.patch.object(mbag, "_CHUNK_BYTES", chunk_bytes), \
+            mock.patch.object(mexport, "HAND_OVER_NS", hand_over_ns):
         warnings.simplefilter("ignore")  # a truncated final line is skipped with a warning
         streamed = csv_or_error(extract_csv, path, tmp / "streamed.csv", tolerance_ns)
         batch = csv_or_error(extract_csv_oracle, path, tmp / "batch.csv", tolerance_ns)
