@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bus import Bus, ManualClock, SampleBlock, TimedSample, TopicDescriptor, canonical_row
-from .errors import CorruptBag, InvalidName, SchemaMismatch, UnknownMagic
+from .bus import Bus, SampleBlock, TimedSample, TopicDescriptor, canonical_row
+from .errors import CorruptBag, InvalidName, OutputError, RateTooSlow, SchemaMismatch, UnknownMagic
 
 MAGIC = "MWBAG1"
 
@@ -118,9 +118,9 @@ class BagWriter:
     CorruptBag on the next flush. What is buffered, and so the writer's
     memory, is the lines published since the last flush, with their t: a
     session flushes every 10 s of session time and at each phase end, up to
-    the previous such point, so it buffers at most about 20 s. The
-    manifest is written on the first flush so the file stays readable after
-    abnormal termination.
+    the previous such point, so it buffers at most about 20 s. start, or
+    else the first flush, writes the magic and manifest lines, so the file
+    stays readable after abnormal termination.
     """
 
     def __init__(self, path, bus: Bus, session_meta: dict | None = None):
@@ -140,10 +140,13 @@ class BagWriter:
             times += block.times_ns  # the bus makes each topic's t strictly increasing
             buffered += lines
 
-    def _ensure_started(self):
+    def start(self):
+        """Create the file and write its magic and manifest lines, unless
+        that is done; a file that cannot be created raises OutputError."""
         if self._fh is not None:
             return
-        self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
+        self._fh = open_output(self.path, lambda: open(self.path, "w", encoding="utf-8",
+                                                       newline="\n"))
         manifest = {
             "format": MAGIC,
             "epoch_unix_ns": time.time_ns(),
@@ -160,9 +163,6 @@ class BagWriter:
         self._fh.write(MAGIC + "\n")
         self._fh.write(json.dumps(manifest, separators=(",", ":")) + "\n")
 
-    def start(self):
-        self._ensure_started()
-
     def flush_until(self, watermark_ns: int):
         times, lines = [], []  # each topic's due lines, in topic-name order
         with self._lock:
@@ -171,7 +171,7 @@ class BagWriter:
                 times += t[:k]
                 lines += buffered[:k]
                 del t[:k], buffered[:k]
-        self._ensure_started()
+        self.start()
         if times:
             # a stable sort by t keeps topic-name order among equal t
             order = np.argsort(np.array(times, dtype=np.int64), kind="stable").tolist()
@@ -192,6 +192,15 @@ class BagWriter:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+
+
+def open_output(path, opener):
+    """opener(), which creates a file for path; an OSError it raises (no such
+    directory, say) raises OutputError naming path."""
+    try:
+        return opener()
+    except OSError as e:
+        raise OutputError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def header_lines(path) -> tuple[bytes, bytes]:
@@ -539,7 +548,9 @@ def paced_chunks(path, rate: float | str = "max"):
     "max" each chunk comes out as one range. A numeric rate scales the
     delays between the records' stamps by 1/rate: a range ends before the
     first row not yet due, and the rest of the chunk follows once that row
-    is due. The rate is checked on the call, before the bag is read.
+    is due; a row due further off than time.sleep can wait raises
+    RateTooSlow once every row before it is consumed. The rate is checked
+    on the call, before the bag is read.
     """
     if rate != "max" and not (isinstance(rate, (int, float)) and rate > 0):
         raise ValueError(f"rate must be positive or 'max': {rate!r}")
@@ -564,7 +575,12 @@ def _paced(chunks, rate: float | str):
                     if row > lo:
                         yield chunk, lo, row
                         lo = row
-                    time.sleep(delay)
+                    try:
+                        time.sleep(delay)
+                    except OverflowError:  # beyond the platform's time_t, or inf
+                        raise RateTooSlow(f"record at byte {int(chunk.offsets[row])} is due in "
+                                          f"{delay:.3g} s at rate {rate}, beyond what the clock "
+                                          "can wait") from None
         if lo < n:
             yield chunk, lo, n
         if chunk.refused:
@@ -585,9 +601,10 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
     Each topic's rows keep file order; across topics the order of publishes
     is unspecified, as on the bus. A refused record (paced_chunks), on a
     topic the manifest does not list among them even when the bus has that
-    topic, raises CorruptBag, and a record whose t is not after its topic's
-    previous t raises TimestampRegression, once every record before it in
-    the file is published.
+    topic, raises CorruptBag, a record whose t is not after its topic's
+    previous t TimestampRegression, and a record due further off than the
+    clock can wait RateTooSlow, once every record before it in the file is
+    published.
 
     The bus keeps no history, so retain must be False; the keyword stays
     because perfbench's log_io workload passes retain=False.
@@ -596,7 +613,7 @@ def replay(path, bus: Bus | None = None, rate: float | str = "max",
         raise ValueError("the bus keeps no topic history: retain must be False")
     chunks = paced_chunks(path, rate)
     if bus is None:
-        bus = Bus(clock=ManualClock())
+        bus = Bus()
     for desc in manifest_topics(read_manifest(path)).values():
         bus.open_topic(desc)
     for chunk, lo, hi in chunks:

@@ -171,10 +171,10 @@ def _canonical_column(fname: str, kind: str, values) -> list:
 
 
 class ManualClock:
-    """Session clock advanced explicitly by the orchestrator."""
+    """Session clock from 0, advanced explicitly by the orchestrator."""
 
-    def __init__(self, start_ns: int = 0):
-        self._now = start_ns
+    def __init__(self):
+        self._now = 0
 
     def advance_to(self, t_ns: int):
         if t_ns < self._now:
@@ -200,10 +200,10 @@ class Topic:
 class Bus:
     """Publish/subscribe hub. Topics are registered once per session."""
 
-    def __init__(self, clock=None):
+    def __init__(self):
         # Publishers pass their stamps, so nothing reads the clock: run_session
         # advances it every tick, and perfbench's TickStamps hooks that call.
-        self.clock = clock if clock is not None else ManualClock()
+        self.clock = ManualClock()
         self._topics: dict[str, Topic] = {}
         self._registry_lock = threading.Lock()
         self._bus_listeners: list[Callable[[SampleBlock], None]] = []

@@ -11,7 +11,7 @@ import click
 from .bag import BagWriter
 from .bag import replay as bag_replay
 from .bag import validate as bag_validate
-from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, Bus, ManualClock
+from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, Bus
 from .config import gaze_thresholds_from_config, load_config, plan_from_config, profile_from_config
 from .errors import InvalidProfile, MwpipeError
 from .export import extract_csv
@@ -67,8 +67,9 @@ _FILE = click.Path(exists=True, dir_okay=False)
 
 def _reported(call, *args, **kwargs):
     """call(*args, **kwargs), with a pipeline error (a bad config file,
-    MWPIPE_SEED value or bag, or an address it cannot listen on) reported
-    as a command-line error, not a traceback."""
+    MWPIPE_SEED value or bag, an --out path that cannot be written, a rate
+    too slow to wait for a record, an address it cannot listen on or a
+    client that hangs up) reported as a command-line error, not a traceback."""
     try:
         return call(*args, **kwargs)
     except MwpipeError as e:
@@ -100,16 +101,16 @@ def synth(profile_path, duration_s, out_path):
         except InvalidProfile as e:
             raise click.BadParameter(str(e), param_hint="'--duration'") from e
 
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     topics = {t.name: bus.open_topic(t)
               for t in SESSION_TOPICS if t.name.startswith("bio.")}
     writer = BagWriter(out_path, bus, session_meta={"kind": "synth", "seed": profile.seed})
-    writer.start()
+    _reported(writer.start)
     waveforms = phase_waveforms(profile, profile.duration_s, profile.seed, StitchState())
     n = 0
     for m, wf in waveforms.items():
-        bus.publish_block(topics[f"bio.{m}"], wf.times_ns(),
-                          wf.values.reshape(wf.n, len(wf.fields)).T)
+        topic = topics[f"bio.{m}"]
+        bus.publish_block(topic, wf.times_ns(), wf.values.reshape(wf.n, len(topic.fields)).T)
         n += wf.n
     writer.close()
     click.echo(f"wrote {n} samples across {len(waveforms)} topics to {out_path}")
@@ -127,7 +128,7 @@ def simulate(config_path, out_path, tlx):
     if tlx == "interactive":
         def prompt(scale):
             return click.prompt(f"TLX {scale} (0-100)", type=click.IntRange(0, 100))
-    result = run_session(plan, out_path, tlx_interactive_prompt=prompt)
+    result = _reported(run_session, plan, out_path, tlx_interactive_prompt=prompt)
     for rec in result.run_records:
         click.echo(
             f"run {rec.run_index} [{rec.difficulty}] {rec.outcome.status} "

@@ -37,15 +37,7 @@ class EmptySeries(MwpipeError):
     pass
 
 
-class InvalidRate(MwpipeError):
-    pass
-
-
 class OverlapTooDense(InvalidProfile):
-    pass
-
-
-class InvalidBase(MwpipeError):
     pass
 
 
@@ -85,6 +77,14 @@ class CorruptBag(MwpipeError):
 
 class UnknownMagic(CorruptBag):
     pass
+
+
+class RateTooSlow(MwpipeError):
+    """A paced record is due further off than the clock can wait."""
+
+
+class OutputError(MwpipeError):
+    """An output file cannot be created, as in a directory that does not exist."""
 
 
 # -- wire --------------------------------------------------------------------

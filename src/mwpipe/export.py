@@ -38,7 +38,7 @@ from itertools import takewhile
 
 import numpy as np
 
-from .bag import Chunk, in_row_order, manifest_topics, paced_chunks, read_manifest
+from .bag import Chunk, in_row_order, manifest_topics, open_output, paced_chunks, read_manifest
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, align_nearest_samples
 from .errors import CorruptBag
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
@@ -80,7 +80,8 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
     refused record (one that cannot be decoded, does not fit its topic's
     schema or is on a topic the manifest does not list), or a bio or joined
     record out of order, or a manifest at odds with a field the export
-    reads, raises CorruptBag."""
+    reads, raises CorruptBag; an out_path that cannot be written (in a
+    directory that does not exist, say) raises OutputError naming it."""
     descs = manifest_topics(read_manifest(bag_path))
     for topic, f, kind in _READ:  # checked before the body is read
         found = descs[topic].schema.get(f) if topic in descs else kind
@@ -88,7 +89,8 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
             raise CorruptBag(f"manifest topic {topic} gives field {f!r} kind {found!r:.40}, "
                              f"where the export reads {kind!r}")
     spool_dir = os.path.dirname(os.path.abspath(out_path))
-    with tempfile.TemporaryFile("w+", encoding="ascii", dir=spool_dir) as spool, closing(
+    with open_output(out_path, lambda: tempfile.TemporaryFile(
+            "w+", encoding="ascii", dir=spool_dir)) as spool, closing(
             _Table(window_s, stride_s, align_tolerance_ns, gaze_thresholds, spool)) as table:
         for chunk, _, hi in paced_chunks(bag_path):  # at rate "max": rows 0 to hi
             table.read(chunk, hi)
@@ -103,7 +105,8 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
         ordered = sorted(columns)
         picks = [0] + [1 + _ALL_COLUMNS.index(c) for c in ordered]
         spool.seek(0)
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open_output(out_path, lambda: open(out_path, "w", encoding="utf-8",
+                                                newline="\n")) as fh:
             fh.write(",".join(["t_end_ns"] + ordered) + "\n")
             for line in spool:
                 cells = json.loads(line)

@@ -10,7 +10,7 @@ from .catalog import BIO_TOPICS, FEATURE_CATALOG
 from .gaze import DEFAULT_THRESHOLDS, GazeThresholds
 from .windowing import FeatureRow
 
-_EXTRACT_NAMES = frozenset({"FeaturePipeline", "MIN_QUALITY", "extract_window"})
+_EXTRACT_NAMES = frozenset({"FeaturePipeline", "MIN_QUALITY"})
 
 
 def __getattr__(name):

@@ -121,11 +121,13 @@ def _detect_ppg(xf: np.ndarray, fs: float) -> list[int]:
 
 
 def detect_beats_batch(windows: list[Window]) -> list[BeatSeries]:
-    """detect_beats of each window: one band-pass per stack of equal sample count."""
+    """The beats of each cardiac window ([window] for one), with one band-pass per
+    stack of equal sample count; a flatline window, or one no longer than its
+    band-pass's pad, yields none. No window's beats depend on the others."""
     beats, keyed = [None] * len(windows), []
     for i, w in enumerate(windows):
         if w.modality not in BANDS:
-            raise ValueError(f"detect_beats expects ecg or ppg, got {w.modality!r}")
+            raise ValueError(f"detect_beats_batch expects ecg or ppg, got {w.modality!r}")
         x = np.asarray(w.values, dtype=float)
         if len(x) > _bandpass(*BANDS[w.modality], w.fs_hz)[2] and np.ptp(x) != 0.0:
             keyed.append((i, (w.modality, w.fs_hz, len(x)), x))
@@ -134,9 +136,3 @@ def detect_beats_batch(windows: list[Window]) -> list[BeatSeries]:
         for i, xf in zip(idx, _filtfilt(x, *BANDS[modality], fs)):
             beats[i] = BeatSeries(windows[i].times_ns[detect(xf, fs)])
     return [b if b is not None else BeatSeries(np.empty(0, dtype=np.int64)) for b in beats]
-
-
-def detect_beats(window: Window) -> BeatSeries:
-    """Detect beats in a cardiac window; flatline input, or a window no
-    longer than its band-pass's pad, yields no beats."""
-    return detect_beats_batch([window])[0]

@@ -85,7 +85,8 @@ def band_powers(x: np.ndarray, fs: float, nperseg: int, bands) -> np.ndarray:
 
 
 def hrv_frequency_batch(beats: list[BeatSeries]) -> list[dict]:
-    """hrv_frequency of each beat series: one Welch call per stack of equal grid length."""
+    """VLF/LF/HF band powers, in ms^2, of each beat series' tachogram on a 4 Hz
+    grid ([beats] for one), with one Welch call per stack of equal grid length."""
     out, keyed = [{} for _ in beats], []
     for i, b in enumerate(beats):
         times_s, iv_ms = b.tachogram()
@@ -100,8 +101,3 @@ def hrv_frequency_batch(beats: list[BeatSeries]) -> list[dict]:
             out[i] = {"vlf_power_ms2": vlf, "lf_power_ms2": lf, "hf_power_ms2": hf,
                       "total_power_ms2": vlf + lf + hf}
     return out
-
-
-def hrv_frequency(beats: BeatSeries) -> dict:
-    """VLF/LF/HF band powers, in ms^2, of the tachogram resampled to a uniform 4 Hz grid."""
-    return hrv_frequency_batch([beats])[0]

@@ -17,7 +17,8 @@ RESP_HF_BAND = (0.15, 0.5)
 
 
 def resp_features_batch(windows: list[Window]) -> list[dict]:
-    """resp_features of each window: one Welch call per stack of equal sample count."""
+    """Rate and band powers of each respiration window, with one Welch call per
+    stack of windows of equal sample count; pass [window] for one."""
     out, keyed = [{} for _ in windows], []
     for i, w in enumerate(windows):
         x = np.asarray(w.values, dtype=float)
@@ -37,7 +38,3 @@ def resp_features_batch(windows: list[Window]) -> list[dict]:
             if hf > 0:
                 out[i]["power_ratio"] = lf / hf
     return out
-
-
-def resp_features(window: Window) -> dict:
-    return resp_features_batch([window])[0]

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .bag import BagWriter
-from .bus import Bus, ManualClock, NS_PER_S, TopicDescriptor
+from .bus import Bus, NS_PER_S, TopicDescriptor
 from .errors import InvalidProfile, PlanInvalid, ScaleOutOfRange
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.gaze import DEFAULT_THRESHOLDS, GazeThresholds
@@ -30,6 +31,7 @@ from .sim.operator import PolicyConfig, ScriptedOperator, WanderOperator
 from .sim.outcome import RunOutcome, RunTally
 from .sim.rover import DEFAULT_PHYSICS, DT_S, TICK_NS, PhysicsParams, RoverSim
 from .synth import (
+    PPG_DC_FRAC,
     SynthProfile,
     default_gaze_script,
     default_scr_events,
@@ -60,7 +62,7 @@ TLX_BASE = {
              "performance": 55, "effort": 70, "frustration": 45},
 }
 TLX_FAILURE_ADJUST = {"performance": -25, "frustration": +20}
-
+TLX_JITTER = 8  # scripted scores move by a seeded draw from [-jitter, jitter]
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class RunRecord:
 
 
 def scripted_tlx(run_index: int, difficulty: str, status: str, seed: int,
-                 jitter: int = 8) -> TLXResponse:
+                 jitter: int = TLX_JITTER) -> TLXResponse:
     """Difficulty-monotone synthetic TLX with seeded jitter.
 
     The base-score gap between difficulties (>= 2x jitter) keeps high-run
@@ -149,12 +151,24 @@ def scripted_tlx(run_index: int, difficulty: str, status: str, seed: int,
 
 
 def collect_tlx(run_index: int, difficulty: str, status: str, seed: int,
-                jitter: int = 8, interactive_prompt=None) -> TLXResponse:
+                jitter: int = TLX_JITTER, interactive_prompt=None) -> TLXResponse:
     """Scripted responder by default; interactive entry via the CLI hook."""
     if interactive_prompt is not None:
         values = {name: int(interactive_prompt(name)) for name in TLX_SCALES}
         return TLXResponse(run_index=run_index, **values)
     return scripted_tlx(run_index, difficulty, status, seed, jitter)
+
+
+class Phase(NamedTuple):
+    """One phase of a plan as sim.meta marks it (run_index -1 for the baseline,
+    the run's before it for a gap; difficulty "" outside runs), with its full
+    length in s and in ticks: a run may end before them."""
+
+    name: str  # "baseline", "run" or "freeplay"
+    run_index: int
+    difficulty: str
+    duration_s: float
+    ticks: int
 
 
 @dataclass
@@ -174,7 +188,7 @@ class SessionPlan:
     profile: SynthProfile = field(default_factory=SynthProfile)
     phase_profiles: dict = field(default_factory=dict)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
-    tlx_jitter: int = 8
+    tlx_jitter: int = TLX_JITTER
     gaze_thresholds: GazeThresholds = DEFAULT_THRESHOLDS
     physics: PhysicsParams = DEFAULT_PHYSICS
 
@@ -192,13 +206,12 @@ class SessionPlan:
         durations = (self.baseline_s, self.interrun_s, self.run_timeout_s)
         if not all(0 < d * NS_PER_S < 2**63 for d in durations):
             raise PlanInvalid(f"phase durations must be positive and under 2**63 ns: {durations}")
-        # the baseline, four runs and the three free-play gaps between them
-        ticks = [round(d / DT_S) for d in durations]
-        if min(ticks) < 1:
+        phases = self.phases()
+        if min(p.ticks for p in phases) < 1:
             raise PlanInvalid(f"every phase must last at least one {DT_S} s tick: {durations}")
-        if (ticks[0] + 3 * ticks[1] + 4 * ticks[2]) * TICK_NS >= 2**63:
+        if sum(p.ticks for p in phases) * TICK_NS >= 2**63:
             raise PlanInvalid("a session with every phase at full length overruns 2**63 ns")
-        self._validate_simulator(ticks[2] * DT_S)
+        self._validate_simulator(phases[1].ticks * DT_S)  # the first run
         unknown = set(self.phase_profiles) - {"baseline", "run", "freeplay"}
         if unknown:
             raise PlanInvalid(f"unknown phase_profiles keys: {sorted(unknown)}")
@@ -242,6 +255,15 @@ class SessionPlan:
             if not ok:
                 raise PlanInvalid(f"the simulator needs {rule}")
 
+    def phases(self) -> list[Phase]:
+        """The session's phases in order: the baseline, then each run of
+        run_order, with a free-play gap between each run and the next."""
+        out = [("baseline", -1, "", self.baseline_s)]
+        for i, level in enumerate(self.run_order):
+            out += [("freeplay", i - 1, "", self.interrun_s)] if i else []
+            out.append(("run", i, level, self.run_timeout_s))
+        return [Phase(*p, round(p[3] / DT_S)) for p in out]
+
     def profile_for(self, phase_name: str) -> SynthProfile:
         return self.phase_profiles.get(phase_name, self.profile)
 
@@ -256,11 +278,10 @@ class SessionResult:
 CARDIAC_FADE_S = 0.08
 
 
-def _taper_edges(values: np.ndarray, fs: float, dc: float,
-                 fade_s: float = CARDIAC_FADE_S) -> np.ndarray:
-    """Raised-cosine fade to the channel's DC level at both array ends,
-    suppressing step discontinuities where consecutive phases are stitched."""
-    n_fade = int(fade_s * fs)
+def _taper_edges(values: np.ndarray, fs: float, dc: float) -> np.ndarray:
+    """Raised-cosine fade over CARDIAC_FADE_S to the channel's DC level at both
+    array ends, suppressing step discontinuities where phases are stitched."""
+    n_fade = int(CARDIAC_FADE_S * fs)
     if n_fade < 1 or len(values) < 2 * n_fade:
         return values
     out = values.copy()
@@ -280,7 +301,8 @@ class StitchState:
 
 def phase_waveforms(profile: SynthProfile, duration_s: float, seed: int,
                     stitch: StitchState) -> dict:
-    """The six raw waveforms of one phase, keyed by modality, untapered.
+    """The six raw waveforms of one phase, keyed by modality, untapered, over
+    duration_s in place of the profile's own.
 
     Respiration continues the cycle and the gaze script opens at the
     position that stitch carries over from the previous phase.
@@ -314,14 +336,13 @@ class _PhaseStreams:
     def __init__(self, profile: SynthProfile, duration_s: float, phase_seed: int,
                  t0_ns: int, stitch: StitchState):
         waveforms = phase_waveforms(profile, duration_s, phase_seed, stitch)
-        for m, dc in (("ecg", 0.0), ("ppg", -0.3 * profile.ppg_amplitude)):
+        for m, dc in (("ecg", 0.0), ("ppg", -PPG_DC_FRAC * profile.ppg_amplitude)):
             wf = waveforms[m]
             wf.values = _taper_edges(wf.values, wf.fs_hz, dc)
         self.breath_rate_bpm = profile.resp_rate_bpm
-        self.streams = {}
-        for m, wf in waveforms.items():
-            self.streams[m] = {"times": wf.times_ns() + t0_ns,
-                               "feed": np.asarray(wf.values, dtype=float), "ptr": 0}
+        self.streams = {m: {"times": wf.times_ns() + t0_ns,
+                            "feed": np.asarray(wf.values, dtype=float), "ptr": 0}
+                        for m, wf in waveforms.items()}
 
     def carry_out(self, actual_duration_s: float, stitch: StitchState) -> StitchState:
         """Continuity values at the point this phase actually ended."""
@@ -388,7 +409,7 @@ def _publish_features(bus, topics, writer, done):
 
 def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> SessionResult:
     plan.validate()
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     topics = {t.name: bus.open_topic(t) for t in SESSION_TOPICS}
     writer = BagWriter(out_path, bus, session_meta={
         "seed": plan.seed,
@@ -399,12 +420,7 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
     })
     writer.start()
 
-    phases = [("baseline", None)]
-    for i, level in enumerate(plan.run_order):
-        phases.append(("run", i))
-        if i < len(plan.run_order) - 1:
-            phases.append(("freeplay", i))
-
+    phases = plan.phases()
     run_records: list[RunRecord] = []
     phase_spans: list[tuple] = []
     t_ns = 0
@@ -417,7 +433,7 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
 
     # the baseline phase never ends early, so its end is known now
     features = FeatureWorker(t0_ns=0, gaze_thresholds=plan.gaze_thresholds,
-                             baseline_end_ns=round(plan.baseline_s / DT_S) * TICK_NS)
+                             baseline_end_ns=phases[0].ticks * TICK_NS)
     slices = []  # (modality, times, values) published since the last hand-over
 
     def hand_over(streams, t):
@@ -431,21 +447,14 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
         slices.clear()
 
     try:
-        for phase_index, (phase_name, run_index) in enumerate(phases):
-            is_run = phase_name == "run"
-            level = plan.run_order[run_index] if is_run else ""
-            meta_index = run_index if run_index is not None else -1
-            duration_s = {
-                "baseline": plan.baseline_s,
-                "freeplay": plan.interrun_s,
-                "run": plan.run_timeout_s,
-            }[phase_name]
+        for phase_index, phase in enumerate(phases):
+            is_run = phase.name == "run"
             phase_seed = plan.seed * 100 + phase_index
             phase_start = t_ns
-            streams = _PhaseStreams(plan.profile_for(phase_name), duration_s,
+            streams = _PhaseStreams(plan.profile_for(phase.name), phase.duration_s,
                                     phase_seed, phase_start, stitch)
             if is_run:
-                sim = RoverSim(plan.seed * 100 + 50 + run_index, preset(level),
+                sim = RoverSim(plan.seed * 100 + 50 + phase.run_index, preset(phase.difficulty),
                                plan.physics, task_active=True)
                 operator = ScriptedOperator(plan.policy, phase_seed)
                 tally = RunTally(sim)
@@ -453,13 +462,12 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                 sim = RoverSim(phase_seed, preset("low"), plan.physics, task_active=False)
                 operator = WanderOperator(phase_seed)
 
-            queue_meta(phase_start, phase_name, meta_index, level)
-            n_ticks = round(duration_s / DT_S)
-            for k in range(n_ticks):
+            queue_meta(phase_start, *phase[:3])  # name, run index, difficulty
+            for k in range(phase.ticks):
                 tick_t = phase_start + k * TICK_NS
                 tick_end = tick_t + TICK_NS
                 if tick_t % NS_PER_S == 0 and tick_t != phase_start:
-                    queue_meta(tick_t, phase_name, meta_index, level)
+                    queue_meta(tick_t, *phase[:3])
                 action = operator.act(sim, sim.state)
                 state, events = sim.step(action, streams.breath_rate_bpm)
                 pending.add("sim.rover", tick_t, (
@@ -480,20 +488,20 @@ def run_session(plan: SessionPlan, out_path, tlx_interactive_prompt=None) -> Ses
                 t_ns = tick_end
                 if is_run and tally.add(state, action, events) is not None:
                     break
-                if (k + 1) % _FLUSH_TICKS == 0 and k + 1 < n_ticks:
+                if (k + 1) % _FLUSH_TICKS == 0 and k + 1 < phase.ticks:
                     # the bag is flushed up to the previous flush point
                     hand_over(streams, tick_end)
             phase_end = t_ns
             hand_over(streams, phase_end)
             if is_run:
                 outcome = tally.outcome()
-                tlx = collect_tlx(run_index, level, outcome.status, plan.seed,
+                tlx = collect_tlx(phase.run_index, phase.difficulty, outcome.status, plan.seed,
                                   plan.tlx_jitter, tlx_interactive_prompt)
                 bus.publish(topics["survey.tlx"], tlx.as_payload(), t_ns=phase_end)
-                run_records.append(RunRecord(run_index, level, outcome, tlx,
+                run_records.append(RunRecord(phase.run_index, phase.difficulty, outcome, tlx,
                                              phase_start, phase_end))
             stitch = streams.carry_out((phase_end - phase_start) / NS_PER_S, stitch)
-            phase_spans.append((phase_name, phase_start, phase_end))
+            phase_spans.append((phase.name, phase_start, phase_end))
         _publish_features(bus, topics, writer, features.drain())
         queue_meta(t_ns, "end", -1, "")
         pending.publish(bus)

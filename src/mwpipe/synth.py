@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bus import NS_PER_S
-from .errors import (
-    EmptySeries,
-    InvalidBase,
-    InvalidProfile,
-    InvalidRate,
-    OverlapTooDense,
-    OverlappingEvents,
-)
+from .errors import EmptySeries, InvalidProfile, OverlapTooDense, OverlappingEvents
 from .features.catalog import BIO_TOPICS
 
 ECG_FS = BIO_TOPICS["ecg"].rate_hz
@@ -44,6 +37,11 @@ _STREAM_GAZE = 4
 # SCR kernel time constants (s): fast rise, slower decay.
 SCR_TAU_RISE = 0.75
 SCR_TAU_DECAY = 2.0
+# Time (s) after onset at which the kernel exp(-t/decay) - exp(-t/rise)
+# peaks, and its value there, which scales each event to its amplitude.
+_SCR_PEAK_S = (math.log(SCR_TAU_DECAY / SCR_TAU_RISE) * SCR_TAU_RISE * SCR_TAU_DECAY
+               / (SCR_TAU_DECAY - SCR_TAU_RISE))
+_SCR_PEAK_GAIN = math.exp(-_SCR_PEAK_S / SCR_TAU_DECAY) - math.exp(-_SCR_PEAK_S / SCR_TAU_RISE)
 
 # PPG pulse: rise/decay time constants (s) and dicrotic bump placement.
 PPG_TAU_RISE = 0.04
@@ -51,6 +49,10 @@ PPG_TAU_DECAY = 0.22
 PPG_DICROTIC_FRAC = 0.45
 PPG_DICROTIC_AMP = 0.22
 PPG_DC_FRAC = 0.3  # rendered range is [-0.3, +0.7] * amplitude
+# argmax of the primary pulse (1-exp(-t/a))exp(-t/b), a*ln((a+b)/a), and its value there.
+_PPG_PEAK_TAU = PPG_TAU_RISE * math.log((PPG_TAU_RISE + PPG_TAU_DECAY) / PPG_TAU_RISE)
+_PPG_PEAK = ((1.0 - math.exp(-_PPG_PEAK_TAU / PPG_TAU_RISE))
+             * math.exp(-_PPG_PEAK_TAU / PPG_TAU_DECAY))
 
 # ECG template bumps: (offset_s from beat, sigma_s, amplitude).
 ECG_BUMPS = (
@@ -137,19 +139,27 @@ class SynthProfile:
         if self.eda_tonic_uS <= 0:
             raise InvalidProfile(f"eda_tonic_uS must be positive: {self.eda_tonic_uS}")
         _scr_events(self.scr_events)
-        validate_script(self.gaze_script)
+        prev_end = -math.inf
+        for ev in self.gaze_script:
+            if ev.kind not in ("fixation", "saccade", "pursuit", "pso"):
+                raise InvalidProfile(f"unknown gaze event kind {ev.kind!r}")
+            if ev.duration_s <= 0:
+                raise InvalidProfile("gaze event duration must be positive")
+            if ev.start_s < prev_end - 1e-12:
+                raise OverlappingEvents(
+                    f"{ev.kind} at {ev.start_s}s overlaps previous event ending {prev_end}s")
+            prev_end = ev.end_s
         return self
 
 
 @dataclass
 class RRSeries:
-    """Beat-to-beat intervals; cumulative sums give beat times from t0."""
+    """Beat-to-beat intervals; cumulative sums give beat times from 0."""
 
     intervals_ms: np.ndarray
-    t0_ns: int = 0
 
     def beat_times_s(self) -> np.ndarray:
-        """Start time of each interval, seconds from t0 (one beat per interval)."""
+        """Start time of each interval, in s (one beat per interval)."""
         iv_s = np.asarray(self.intervals_ms, dtype=float) / 1000.0
         return np.concatenate(([0.0], np.cumsum(iv_s)[:-1]))
 
@@ -175,11 +185,6 @@ class Waveform:
     nominal_duration_ns: int | None = None
 
     @property
-    def fields(self) -> tuple:
-        """Payload fields of one sample, from the modality's bio topic."""
-        return BIO_TOPICS[self.modality].fields
-
-    @property
     def n(self) -> int:
         return len(self.values)
 
@@ -202,6 +207,11 @@ class Waveform:
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
+
+
+def _sample_times(duration_s: float, fs: float) -> np.ndarray:
+    """The time in s of every whole sample period at fs within duration_s."""
+    return np.arange(int(duration_s * fs + 1e-9)) / fs
 
 
 # -- cardiac -------------------------------------------------------------------
@@ -231,9 +241,8 @@ def gen_rr_series(profile: SynthProfile) -> RRSeries:
 
 
 def _ecg_from_beats(beat_times_s: np.ndarray, duration_s: float, fs: float) -> np.ndarray:
-    n = int(duration_s * fs + 1e-9)
-    t = np.arange(n) / fs
-    x = np.zeros(n)
+    t = _sample_times(duration_s, fs)
+    x = np.zeros(len(t))
     for bt in beat_times_s:
         for off, sigma, amp in ECG_BUMPS:
             lo = np.searchsorted(t, bt + off - 5 * sigma)
@@ -246,18 +255,11 @@ def _ecg_from_beats(beat_times_s: np.ndarray, duration_s: float, fs: float) -> n
 
 def _ppg_pulse_shape(tau: np.ndarray, interval_s: float) -> np.ndarray:
     primary = (1.0 - np.exp(-tau / PPG_TAU_RISE)) * np.exp(-tau / PPG_TAU_DECAY)
-    peak = (1.0 - math.exp(-_ppg_peak_tau() / PPG_TAU_RISE)) * math.exp(-_ppg_peak_tau() / PPG_TAU_DECAY)
-    primary /= peak
+    primary /= _PPG_PEAK
     mu = PPG_DICROTIC_FRAC * interval_s
     sigma = 0.05 * interval_s
     bump = PPG_DICROTIC_AMP * np.exp(-0.5 * ((tau - mu) / sigma) ** 2)
     return primary + bump
-
-
-def _ppg_peak_tau() -> float:
-    # argmax of (1-exp(-t/a))exp(-t/b) is a*ln((a+b)/a)
-    a, b = PPG_TAU_RISE, PPG_TAU_DECAY
-    return a * math.log((a + b) / a)
 
 
 def render_cardiac(rr: RRSeries, modality: str, amplitude: float | None = None) -> Waveform:
@@ -276,13 +278,12 @@ def render_cardiac(rr: RRSeries, modality: str, amplitude: float | None = None) 
         x = _ecg_from_beats(beat_times, duration, fs)
         truth_beats = np.array([round(bt * NS_PER_S) for bt in beat_times], dtype=np.int64)
         truth = {"beat_times_ns": truth_beats, "intervals_ms": rr.intervals_ms.copy()}
-        return Waveform("ecg", fs, x, rr.t0_ns, truth, round(duration * NS_PER_S))
+        return Waveform("ecg", fs, x, 0, truth, round(duration * NS_PER_S))
     if modality == "ppg":
         fs = PPG_FS
         amp = float(amplitude) if amplitude is not None else 100.0
-        n = int(duration * fs + 1e-9)
-        t = np.arange(n) / fs
-        x = np.zeros(n)
+        t = _sample_times(duration, fs)
+        x = np.zeros(len(t))
         iv_s = np.asarray(rr.intervals_ms, dtype=float) / 1000.0
         peak_times = []
         for bt, T in zip(beat_times, iv_s):
@@ -293,7 +294,7 @@ def render_cardiac(rr: RRSeries, modality: str, amplitude: float | None = None) 
             tau = t[lo:hi] - bt
             shape = _ppg_pulse_shape(tau, T)
             x[lo:hi] += shape
-            peak_times.append(round((bt + _ppg_peak_tau()) * NS_PER_S))
+            peak_times.append(round((bt + _PPG_PEAK_TAU) * NS_PER_S))
         # shape spans [0, ~1] per pulse; recenter so range sits inside +-amp
         x = amp * (x - PPG_DC_FRAC)
         truth = {
@@ -302,7 +303,7 @@ def render_cardiac(rr: RRSeries, modality: str, amplitude: float | None = None) 
             "intervals_ms": rr.intervals_ms.copy(),
             "amplitude": amp,
         }
-        return Waveform("ppg", fs, x, rr.t0_ns, truth, round(duration * NS_PER_S))
+        return Waveform("ppg", fs, x, 0, truth, round(duration * NS_PER_S))
     raise ValueError(f"unknown cardiac modality {modality!r}")
 
 
@@ -310,28 +311,23 @@ def render_cardiac(rr: RRSeries, modality: str, amplitude: float | None = None) 
 
 
 def gen_resp(rate_bpm: float, fs_hz: float = RESP_FS, duration_s: float = 60.0,
-             amplitude: float = 10.0, phase0_rad: float = 0.0) -> Waveform:
+             phase0_rad: float = 0.0) -> Waveform:
     """Sinusoidal respiration at rate_bpm/60 Hz, amplitude +-10.
 
-    phase0_rad lets consecutive segments continue each other's cycle.
+    phase0_rad lets consecutive segments continue each other's cycle. A rate
+    or duration that SynthProfile.validate refuses, or an fs_hz that is not
+    positive, raises InvalidProfile.
     """
-    if not (4.0 < rate_bpm < 60.0):
-        raise InvalidRate(f"rate_bpm must be in (4, 60): {rate_bpm}")
-    if fs_hz <= 0 or duration_s <= 0:
-        raise InvalidRate("fs_hz and duration_s must be positive")
-    n = int(duration_s * fs_hz + 1e-9)
-    t = np.arange(n) / fs_hz
-    x = amplitude * np.sin(2.0 * math.pi * (rate_bpm / 60.0) * t + phase0_rad)
+    SynthProfile(duration_s=duration_s, resp_rate_bpm=rate_bpm).validate()
+    if fs_hz <= 0:
+        raise InvalidProfile(f"fs_hz must be positive: {fs_hz}")
+    t = _sample_times(duration_s, fs_hz)
+    x = 10.0 * np.sin(2.0 * math.pi * (rate_bpm / 60.0) * t + phase0_rad)
     return Waveform("resp", fs_hz, x, 0, {"rate_bpm": rate_bpm},
                     round(duration_s * NS_PER_S))
 
 
 # -- electrodermal -------------------------------------------------------------
-
-
-def _scr_kernel_peak_s() -> float:
-    r, d = SCR_TAU_RISE, SCR_TAU_DECAY
-    return math.log(d / r) * r * d / (d - r)
 
 
 def _scr_events(scr_events) -> list[tuple[float, float]]:
@@ -350,68 +346,45 @@ def _scr_events(scr_events) -> list[tuple[float, float]]:
     return events
 
 
-def gen_eda(profile: SynthProfile, duration_s: float | None = None) -> Waveform:
-    """Tonic level + slow drift + one biexponential bump per SCR event, 4 Hz."""
+def gen_eda(profile: SynthProfile) -> Waveform:
+    """Tonic level + slow drift + one biexponential bump per SCR event, 4 Hz,
+    over the profile's duration_s; a profile validate refuses raises there."""
     profile.validate()
-    dur = duration_s if duration_s is not None else profile.duration_s
     events = _scr_events(profile.scr_events)
-    n = int(dur * EDA_FS + 1e-9)
-    t = np.arange(n) / EDA_FS
+    t = _sample_times(profile.duration_s, EDA_FS)
     x = profile.eda_tonic_uS + (profile.eda_drift_uS_per_min / 60.0) * t
-    peak_gain = (math.exp(-_scr_kernel_peak_s() / SCR_TAU_DECAY)
-                 - math.exp(-_scr_kernel_peak_s() / SCR_TAU_RISE))
     for t0, a0 in events:
         tau = t - t0
         mask = tau >= 0
-        x[mask] += (a0 / peak_gain) * (np.exp(-tau[mask] / SCR_TAU_DECAY)
-                                       - np.exp(-tau[mask] / SCR_TAU_RISE))
+        x[mask] += (a0 / _SCR_PEAK_GAIN) * (np.exp(-tau[mask] / SCR_TAU_DECAY)
+                                            - np.exp(-tau[mask] / SCR_TAU_RISE))
     if profile.eda_noise_uS > 0:
-        x = x + _rng(profile.seed, _STREAM_EDA).standard_normal(n) * profile.eda_noise_uS
+        x = x + _rng(profile.seed, _STREAM_EDA).standard_normal(len(t)) * profile.eda_noise_uS
     return Waveform("eda", EDA_FS, x, 0,
                     {"scr_events": events, "tonic_uS": profile.eda_tonic_uS},
-                    round(dur * NS_PER_S))
+                    round(profile.duration_s * NS_PER_S))
 
 
 # -- skin temperature ----------------------------------------------------------
 
 
-def gen_drift_st(profile: SynthProfile, duration_s: float | None = None) -> Waveform:
-    """Base temperature + linear drift + small seeded gaussian noise, 4 Hz."""
-    if not 25.0 <= profile.st_base_c <= 40.0:
-        raise InvalidBase(f"st_base_c outside [25, 40]: {profile.st_base_c}")
-    dur = duration_s if duration_s is not None else profile.duration_s
-    n = int(dur * ST_FS + 1e-9)
-    t = np.arange(n) / ST_FS
+def gen_drift_st(profile: SynthProfile) -> Waveform:
+    """Base temperature + linear drift + small seeded gaussian noise, 4 Hz,
+    over the profile's duration_s; a profile validate refuses raises there."""
+    profile.validate()
+    t = _sample_times(profile.duration_s, ST_FS)
     x = profile.st_base_c + (profile.st_drift_c_per_min / 60.0) * t
     if profile.st_noise_c > 0:
-        x = x + _rng(profile.seed, _STREAM_ST).standard_normal(n) * profile.st_noise_c
+        x = x + _rng(profile.seed, _STREAM_ST).standard_normal(len(t)) * profile.st_noise_c
     return Waveform("st", ST_FS, x, 0,
                     {"base_c": profile.st_base_c, "drift_c_per_min": profile.st_drift_c_per_min},
-                    round(dur * NS_PER_S))
+                    round(profile.duration_s * NS_PER_S))
 
 
 # -- gaze ------------------------------------------------------------------------
 
 
-def _minimum_jerk(u: np.ndarray) -> np.ndarray:
-    return 10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5
-
-
-def validate_script(script: list[GazeEvent]):
-    prev_end = -math.inf
-    for ev in script:
-        if ev.kind not in ("fixation", "saccade", "pursuit", "pso"):
-            raise InvalidProfile(f"unknown gaze event kind {ev.kind!r}")
-        if ev.duration_s <= 0:
-            raise InvalidProfile("gaze event duration must be positive")
-        if ev.start_s < prev_end - 1e-12:
-            raise OverlappingEvents(
-                f"{ev.kind} at {ev.start_s}s overlaps previous event ending {prev_end}s"
-            )
-        prev_end = ev.end_s
-
-
-def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5, fs: float = GAZE_FS,
+def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5,
              duration_s: float | None = None, fixation_noise_deg: float = 0.1,
              seed: int = 0) -> Waveform:
     """Scripted 2-D gaze position plus pupil diameter at 120 Hz.
@@ -422,16 +395,13 @@ def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5, fs: float = GA
     1.875*A/T). Pursuit is a constant-velocity ramp. A pso is a damped
     oscillation appended after a saccade. Diameter is base + slow sinusoid.
     """
-    validate_script(script)
-    if not 3.0 <= pupil_base_mm <= 6.0:
-        raise InvalidProfile(f"pupil_base_mm outside [3, 6]: {pupil_base_mm}")
+    SynthProfile(gaze_script=script, pupil_base_mm=pupil_base_mm).validate()
     dur = duration_s if duration_s is not None else (script[-1].end_s if script else 0.0)
     if dur <= 0:
         raise InvalidProfile("gaze duration must be positive")
     rng = _rng(seed, _STREAM_GAZE)
-    n = int(dur * fs + 1e-9)
-    t = np.arange(n) / fs
-    values = np.zeros((n, 3))  # x, y, diameter, rendered in place
+    t = _sample_times(dur, GAZE_FS)
+    values = np.zeros((len(t), 3))  # x, y, diameter, rendered in place
     x, y, diameter = values.T
     pos = np.array([0.0, 0.0])
     if script and script[0].kind == "fixation" and script[0].x_deg is not None:
@@ -473,7 +443,7 @@ def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5, fs: float = GA
             d = math.radians(ev.direction_deg)
             vec = np.array([math.cos(d), math.sin(d)])
             u = np.clip((t[lo:hi] - ev.start_s) / ev.duration_s, 0.0, 1.0)
-            ramp = amp * _minimum_jerk(u)
+            ramp = amp * (10.0 * u**3 - 15.0 * u**4 + 6.0 * u**5)  # minimum jerk
             x[lo:hi] = pos[0] + vec[0] * ramp
             y[lo:hi] = pos[1] + vec[1] * ramp
             pos = pos + vec * amp
@@ -498,7 +468,7 @@ def gen_gaze(script: list[GazeEvent], pupil_base_mm: float = 4.5, fs: float = GA
     if np.any(np.abs(x) > 60.0) or np.any(np.abs(y) > 45.0):
         raise InvalidProfile("gaze positions exceed +-60 deg horizontal / +-45 deg vertical")
     diameter[:] = pupil_base_mm + 0.15 * np.sin(2 * math.pi * 0.1 * t)
-    return Waveform("gaze", fs, values, 0,
+    return Waveform("gaze", GAZE_FS, values, 0,
                     {"script": list(script), "pupil_base_mm": pupil_base_mm},
                     round(dur * NS_PER_S))
 
@@ -548,14 +518,14 @@ def default_gaze_script(duration_s: float, seed: int = 0,
     return script
 
 
-def default_scr_events(duration_s: float, seed: int = 0,
-                       amplitude_uS: float = 0.05, mean_spacing_s: float = 22.0) -> list:
-    """Seeded SCR event train with spacing comfortably above the 1 s floor."""
+def default_scr_events(duration_s: float, seed: int = 0) -> list:
+    """Seeded SCR event train, amplitudes within 30% of 0.05 uS and gaps
+    within 40% of 22 s, comfortably above the 1 s floor."""
     rng = _rng(seed, _STREAM_EDA + 100)
     events = []
     t = 6.0 + 4.0 * rng.random()
     while t < duration_s - 4.0:
-        amp = amplitude_uS * (0.7 + 0.6 * rng.random())
+        amp = 0.05 * (0.7 + 0.6 * rng.random())
         events.append((round(t, 3), round(amp, 5)))
-        t += mean_spacing_s * (0.6 + 0.8 * rng.random())
+        t += 22.0 * (0.6 + 0.8 * rng.random())
     return events

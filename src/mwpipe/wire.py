@@ -106,9 +106,11 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
     The manifest is sent as frame 0. ready, when given, is a callable
     invoked with (host, port) once listening (used to synchronize tests).
     A refused record (bag.paced_chunks), on a topic the manifest does not
-    list among them, raises CorruptBag, and a line too long for a frame
-    WireError, once every record before it is sent. An address that cannot
-    be bound (in use, or not this host's) raises WireError.
+    list among them, raises CorruptBag, a record due further off than the
+    clock can wait RateTooSlow, and a line too long for a frame WireError,
+    once every record before it is sent. A client that hangs up raises
+    WireError with the number of records sent before, and so does an
+    address that cannot be bound (in use, or not this host's).
     """
     chunks = paced_chunks(path, rate)
     read_manifest(path)  # raises on a bad header before we bind
@@ -123,15 +125,22 @@ def serve_bag(path, host: str = "127.0.0.1", port: int = 0,
         if ready is not None:
             ready(bound[0], bound[1])
         conn, _ = srv.accept()
+
+        def send(payloads):
+            try:
+                _send_frames(conn, payloads)
+            except OSError as e:  # a reset connection or a broken pipe
+                raise WireError(f"the client hung up after {sent} records: {e}") from e
+
         with conn:
-            _send_frames(conn, [manifest_line])
+            send([manifest_line])
             for chunk, lo, hi in chunks:
                 at = chunk.offsets
                 for a in range(lo, hi, _SEND_ROWS):
                     b = min(a + _SEND_ROWS, hi)
                     end = at[b] - at[0] if b < len(at) else len(chunk.data)
                     lines = chunk.data[at[a] - at[0]:end].split(b"\n")[:b - a]
-                    _send_frames(conn, lines)
+                    send(lines)
                     sent += len(lines)
                 del chunk  # not alive while the next chunk is judged
     return bound[0], bound[1], sent

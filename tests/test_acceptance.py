@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from mwpipe.bag import BagWriter, iter_samples, replay, validate
-from mwpipe.bus import Bus, ManualClock, NS_PER_S
+from mwpipe.bus import Bus, NS_PER_S
 from mwpipe.export import extract_csv
-from mwpipe.features.beats import BeatSeries, detect_beats
+from mwpipe.features.beats import BeatSeries, detect_beats_batch
 from mwpipe.features.eda import eda_decompose
 from mwpipe.features.gaze import classify_gaze, gaze_features
-from mwpipe.features.hrv import hrv_frequency, hrv_stat_features
+from mwpipe.features.hrv import hrv_frequency_batch, hrv_stat_features
 from mwpipe.session import SessionPlan, run_session
 from mwpipe.sim.difficulty import HIGH, LOW
 from mwpipe.sim.rover import OperatorAction, RoverSim
@@ -101,7 +101,7 @@ def test_criterion_2_beat_recovery():
     n_intervals = 0
     for w in make_windows(ecg.times_ns(), ecg.values, "ecg", ecg.fs_hz,
                           len_s=30, stride_s=30, end_ns=ecg.end_ns):
-        beats = detect_beats(w)
+        beats = detect_beats_batch([w])[0]
         assert np.all(np.abs(beats.intervals_ms - 800.0) <= 4.0)
         n_intervals += len(beats.intervals_ms)
     assert n_intervals > 600
@@ -110,7 +110,7 @@ def test_criterion_2_beat_recovery():
     ppg = render_cardiac(gen_rr_series(p2), "ppg")
     (w,) = make_windows(ppg.times_ns(), ppg.values, "ppg", ppg.fs_hz,
                         len_s=30, stride_s=30, end_ns=ppg.end_ns)
-    mean_iv = float(np.mean(detect_beats(w).intervals_ms))
+    mean_iv = float(np.mean(detect_beats_batch([w])[0].intervals_ms))
     assert abs(mean_iv - 1000.0) <= 16.0
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
@@ -124,13 +124,13 @@ def test_criterion_3_spectral_band_placement():
         p = SynthProfile(seed=seed, duration_s=30, rr_mean_ms=800, rr_sdnn_ms=0,
                          hf_mod_hz=0.25, hf_mod_depth_ms=20.0)
         beats = BeatSeries((gen_rr_series(p).beat_times_s() * 1e9).astype(np.int64))
-        f = hrv_frequency(beats)
+        f = hrv_frequency_batch([beats])[0]
         assert f["hf_power_ms2"] / f["total_power_ms2"] > 0.8, seed
     for seed in range(20):
         p = SynthProfile(seed=seed, duration_s=30, rr_mean_ms=800, rr_sdnn_ms=0,
                          hf_mod_hz=0.10, hf_mod_depth_ms=20.0)
         beats = BeatSeries((gen_rr_series(p).beat_times_s() * 1e9).astype(np.int64))
-        f = hrv_frequency(beats)
+        f = hrv_frequency_batch([beats])[0]
         assert f["lf_power_ms2"] > f["hf_power_ms2"], seed
     _report(3, "(20 seeds per band)")
 
@@ -158,7 +158,7 @@ def test_criterion_4_eda_counts_and_additivity():
 
 @criterion(5)
 def test_criterion_5_gaze_exact_counts():
-    wf = gen_gaze(saccade_battery_script(), fs=120.0, fixation_noise_deg=0.0, seed=0)
+    wf = gen_gaze(saccade_battery_script(), fixation_noise_deg=0.0, seed=0)
     (w,) = make_windows(wf.times_ns(), wf.values, "gaze", wf.fs_hz,
                         len_s=30, stride_s=30, end_ns=wf.end_ns)
     events = classify_gaze(w)
@@ -169,7 +169,7 @@ def test_criterion_5_gaze_exact_counts():
     assert counts["fixation"] == 10
     feats = gaze_features(events, w)
     assert feats["saccade_freq_hz"] == 0.3
-    wf2 = gen_gaze(pursuit_script(), fs=120.0, fixation_noise_deg=0.0, seed=0)
+    wf2 = gen_gaze(pursuit_script(), fixation_noise_deg=0.0, seed=0)
     (w2,) = make_windows(wf2.times_ns(), wf2.values, "gaze", wf2.fs_hz,
                          len_s=30, stride_s=30, end_ns=wf2.end_ns)
     pursuits = [e for e in classify_gaze(w2) if e.kind == "pursuit"]
@@ -198,7 +198,7 @@ def test_criterion_7_determinism(default_session, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("det")
     second = run_session(SessionPlan(seed=plan.seed), tmp / "second.bag")
     assert body_bytes(result.bag_path) == body_bytes(second.bag_path)
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     w = BagWriter(tmp / "replayed.bag", bus)
     replay(result.bag_path, bus=bus, rate="max")
     w.close()

@@ -25,8 +25,9 @@ from mwpipe.bag import (
     replay,
     validate,
 )
-from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor, canonical_row
-from mwpipe.errors import CorruptBag, MwpipeError, SchemaMismatch, UnknownMagic, WireError
+from mwpipe.bus import Bus, TimedSample, TopicDescriptor, canonical_row
+from mwpipe.errors import (CorruptBag, MwpipeError, RateTooSlow, SchemaMismatch, UnknownMagic,
+                           WireError)
 from mwpipe.export import extract_csv
 from mwpipe.session import SESSION_TOPICS
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
@@ -37,7 +38,7 @@ from oracles import (block_samples, body_bytes, load_samples, record_line, recor
 
 
 def small_bus():
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     a = bus.open_topic(TopicDescriptor("t.a", {"v": "f64"}, 10.0))
     b = bus.open_topic(TopicDescriptor("t.b", {"v": "f64", "s": "str"}))
     return bus, a, b
@@ -82,7 +83,7 @@ def test_record_read_round_trip_exact(tmp_path):
 
 
 def test_float_payloads_round_trip_bit_exact(tmp_path):
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     t = bus.open_topic(TopicDescriptor("f.x", {"v": "f64"}))
     w = BagWriter(tmp_path / "f.bag", bus)
     w.start()
@@ -96,7 +97,7 @@ def test_float_payloads_round_trip_bit_exact(tmp_path):
 
 def test_replay_preserves_samples_and_seqs(tmp_path):
     path = write_small_bag(tmp_path / "replay.bag")
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     seen = []
     bus.add_listener(seen.append)
     assert replay(path, bus=bus, rate="max") is bus
@@ -119,7 +120,7 @@ def test_replay_takes_retain_false_only(tmp_path):
 
 def test_replay_record_identity_on_body(tmp_path):
     src = write_small_bag(tmp_path / "src.bag")
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     w = BagWriter(tmp_path / "dst.bag", bus)
     replay(src, bus=bus, rate="max")
     w.close()
@@ -140,6 +141,20 @@ def test_replay_rate_pacing(tmp_path):
     assert 0.2 <= elapsed <= 0.4
 
 
+def test_a_rate_too_slow_to_wait_for_a_record_stops_replay_after_the_records_before(tmp_path):
+    """At rate 1e-300 the record at 0.1 s is due some 1e299 s on: the one at
+    0 is published, then replay stops with RateTooSlow, not OverflowError."""
+    bus, a, _ = small_bus()
+    w = BagWriter(tmp_path / "slow.bag", bus)
+    for i in range(3):
+        bus.publish(a, {"v": 0.0}, t_ns=i * 100_000_000)
+    w.close()
+    replayed = Bus()
+    with pytest.raises(RateTooSlow, match=r"record at byte \d+ is due in 1e\+29\d s"):
+        replay(tmp_path / "slow.bag", bus=replayed, rate=1e-300)
+    assert [replayed.topic(d.name).next_seq for d in replayed.topics()] == [1, 0]
+
+
 def test_truncated_final_line_tolerated(tmp_path):
     path = write_small_bag(tmp_path / "trunc.bag")
     with open(path, "rb") as fh:
@@ -150,7 +165,7 @@ def test_truncated_final_line_tolerated(tmp_path):
     with pytest.warns(UserWarning):
         loaded = load_samples(path)
     assert len(loaded) == len(load_samples(full)) - 1
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     with pytest.warns(UserWarning):
         replay(path, bus=bus, rate="max")
 
@@ -279,7 +294,7 @@ def test_validate_detects_schema_violation(tmp_path):
 
 
 def test_validate_detects_rate_gap(tmp_path):
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     t = bus.open_topic(TopicDescriptor("g.x", {"v": "f64"}, 10.0))
     w = BagWriter(tmp_path / "gap.bag", bus)
     w.start()
@@ -305,7 +320,7 @@ def test_validate_detects_unknown_topic(tmp_path):
 def published_order(tmp_path, publishes):
     """(topic, t) of each record of a bag written from the given
     (topic, t) publishes, in the bag's order."""
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     for name in sorted({name for name, _ in publishes}):
         bus.open_topic(TopicDescriptor(name, {"v": "f64"}))
     w = BagWriter(tmp_path / "order.bag", bus)
@@ -364,7 +379,7 @@ def test_a_block_is_written_as_it_was_published(tmp_path):
 
 
 def test_close_closes_the_file_when_the_last_flush_raises(tmp_path):
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     a = bus.open_topic(TopicDescriptor("a.x", {"v": "f64"}))
     b = bus.open_topic(TopicDescriptor("b.x", {"v": "f64"}))
     w = BagWriter(tmp_path / "late.bag", bus)
@@ -628,7 +643,7 @@ def test_readers_take_one_verdict(tmp_path_factory, lines, tail):
 def ecg_bag(path, overflow_at=None):
     """A 35 s bio.ecg bag as BagWriter writes it; with overflow_at, the value
     of that record reads 1e999."""
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     topic = bus.open_topic(TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0))
     w = BagWriter(path, bus)
     wf = render_cardiac(gen_rr_series(SynthProfile(seed=4, duration_s=35.0)), "ecg")
@@ -683,7 +698,7 @@ def test_a_record_on_an_unlisted_topic_is_refused_at_its_offset(tmp_path, topic,
     (issue,) = validate(path).issues
     assert (issue.kind, issue.topic) == ("manifest", topic)
     refused = f"record at byte {issue.byte_offset} is refused: topic not in manifest"
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     bus.open_topic(TopicDescriptor(topic, {"v": "f64"}))
     out = tmp_path / "unlisted.csv"
     with mock.patch.object(mbag, "_CHUNK_BYTES", chunk_bytes):
@@ -810,7 +825,7 @@ def publish_scripts(draw):
 
 
 def write_script(path, script, flushes, blocks: bool):
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     topics = {n: bus.open_topic(TopicDescriptor(n, s))
               for n, s in BLOCK_TOPICS.items()}
     w = BagWriter(path, bus)
@@ -923,7 +938,7 @@ def topic_streams(blocks):
 def replay_outcome(path, run):
     """Each topic's stream a listener sees while run(path, bus) replays a
     bag, with the error it ends with, as (type, message)."""
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     seen = []
     bus.add_listener(seen.append)
     error = None

@@ -10,7 +10,7 @@ from mwpipe.features.beats import (
     _bandpass,
     _filtfilt,
     _peaks_above_half_rollmax,
-    detect_beats,
+    detect_beats_batch,
 )
 from mwpipe.features.windowing import Window
 from mwpipe.synth import SynthProfile, gen_rr_series, render_cardiac
@@ -27,7 +27,7 @@ def test_ecg_constant_rr_intervals_within_one_sample():
     p = SynthProfile(seed=1, duration_s=60, rr_mean_ms=800, rr_sdnn_ms=0, hf_mod_depth_ms=0)
     wf = render_cardiac(gen_rr_series(p), "ecg")
     for w in windows_of(wf):
-        b = detect_beats(w)
+        b = detect_beats_batch([w])[0]
         assert len(b.beat_times_ns) in (37, 38)
         assert np.all(np.abs(b.intervals_ms - 800.0) <= 4.0)
 
@@ -38,7 +38,7 @@ def test_ecg_beat_times_within_one_sample_of_truth():
     truth = wf.truth["beat_times_ns"]
     one_sample_ns = round(1e9 / wf.fs_hz)
     for w in windows_of(wf):
-        b = detect_beats(w)
+        b = detect_beats_batch([w])[0]
         tw = truth[(truth >= w.t_start_ns) & (truth < w.t_end_ns)]
         for t in b.beat_times_ns:
             assert min(abs(int(t) - int(u)) for u in tw) <= one_sample_ns
@@ -48,7 +48,7 @@ def test_flatline_gives_empty_series():
     n = 252 * 30
     times = (np.arange(n) * 1e9 / 252).astype(np.int64)
     w = Window("ecg", 0, 30 * 10**9, times, np.zeros(n), 252.0)
-    b = detect_beats(w)
+    b = detect_beats_batch([w])[0]
     assert len(b.beat_times_ns) == 0
     assert len(b.intervals_ms) == 0
 
@@ -57,7 +57,7 @@ def test_ppg_constant_rr_mean_interval():
     p = SynthProfile(seed=2, duration_s=30, rr_mean_ms=1000, rr_sdnn_ms=0, hf_mod_depth_ms=0)
     wf = render_cardiac(gen_rr_series(p), "ppg")
     (w,) = windows_of(wf)
-    b = detect_beats(w)
+    b = detect_beats_batch([w])[0]
     assert abs(float(np.mean(b.intervals_ms)) - 1000.0) <= 16.0
 
 
@@ -67,7 +67,7 @@ def test_ppg_beat_times_track_truth():
     truth = wf.truth["beat_times_ns"]
     one_sample_ns = round(1e9 / wf.fs_hz)
     (w,) = windows_of(wf)
-    b = detect_beats(w)
+    b = detect_beats_batch([w])[0]
     for t in b.beat_times_ns:
         assert min(abs(int(t) - int(u)) for u in truth) <= one_sample_ns
 
@@ -145,12 +145,13 @@ def test_filtfilt_equals_sosfiltfilt_bit_for_bit(band, values):
     x = np.array(values)
     sos, _, pad = _bandpass(*edges)
     if len(x) <= pad:
-        # sosfiltfilt refuses a signal this short, so detect_beats filters
-        # nothing and finds no beats
+        # sosfiltfilt refuses a signal this short, so detect_beats_batch
+        # filters nothing and finds no beats
         with pytest.raises(ValueError, match="padlen"):
             sosfiltfilt(sos, x)
         times = np.round(np.arange(len(x)) * (1e9 / edges[-1])).astype(np.int64)
-        beats = detect_beats(Window(modality, 0, int(times[-1]) + 1, times, x, edges[-1]))
+        w = Window(modality, 0, int(times[-1]) + 1, times, x, edges[-1])
+        beats = detect_beats_batch([w])[0]
         assert len(beats.beat_times_ns) == 0 and len(beats.intervals_ms) == 0
         return
     assert same_bits(_filtfilt(x, *edges), sosfiltfilt(sos, x))

@@ -12,7 +12,6 @@ from mwpipe.bag import BagWriter, read_manifest
 from mwpipe.bus import (
     Bus,
     DEFAULT_ALIGN_TOLERANCE_NS,
-    ManualClock,
     SampleBlock,
     TimedSample,
     TopicDescriptor,
@@ -32,7 +31,7 @@ ECG = TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0)
 
 
 def make_bus():
-    return Bus(clock=ManualClock())
+    return Bus()
 
 
 def test_open_topic_and_duplicate():

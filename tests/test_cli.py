@@ -112,6 +112,35 @@ def test_replay_bind_on_a_port_in_use_is_a_command_line_error(runner, tmp_path):
     assert f"Error: cannot listen on 127.0.0.1:{port}" in r.output
 
 
+def test_a_rate_too_slow_to_wait_for_a_record_is_a_command_line_error(runner, tmp_path):
+    """At rate 1e-300 the second instant of a bag is due some 1e297 s on,
+    further than time.sleep can wait: replay stops there with one message."""
+    bag = tmp_path / "s.bag"
+    assert runner.invoke(main, ["synth", "--duration", "3", "--out", str(bag)]).exit_code == 0
+    r = runner.invoke(main, ["replay", "--bag", str(bag), "--rate", "1e-300"])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)  # a clean exit, no traceback
+    assert "Error: record at byte " in r.output
+    assert "at rate 1e-300, beyond what the clock can wait" in r.output
+
+
+@pytest.mark.parametrize("command", ["synth", "extract", "simulate"])
+def test_an_out_path_in_a_missing_directory_is_a_command_line_error(runner, tmp_path, command):
+    bag = tmp_path / "s.bag"
+    assert runner.invoke(main, ["synth", "--duration", "3", "--out", str(bag)]).exit_code == 0
+    cfg = tmp_path / "plan.json"
+    cfg.write_text(json.dumps({"baseline_s": 2, "interrun_s": 1, "run_timeout_s": 1}))
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "nodir" / ("x.csv" if command == "extract" else "x.bag")
+    args = {"synth": ["--duration", "3"], "extract": ["--bag", str(bag)],
+            "simulate": ["--config", str(cfg)]}[command]
+    r = runner.invoke(main, [command, *args, "--out", str(out)])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)  # a clean exit, no traceback
+    assert f"Error: cannot write {out}: No such file or directory" in r.output
+    assert sorted(tmp_path.iterdir()) == before  # no file left, not even a spool
+
+
 @pytest.mark.parametrize("command", ["extract", "replay"])
 def test_corrupt_bag_is_a_command_line_error(runner, tmp_path, command):
     """A record on a topic the manifest does not list is refused with its

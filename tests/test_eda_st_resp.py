@@ -4,7 +4,7 @@ import pytest
 from mwpipe.bus import NS_PER_S
 from mwpipe.errors import WindowTooShort
 from mwpipe.features.eda import eda_decompose, eda_features
-from mwpipe.features.respiration import resp_features
+from mwpipe.features.respiration import resp_features_batch
 from mwpipe.features.skintemp import st_features
 from mwpipe.features.windowing import Window
 from mwpipe.synth import SynthProfile, gen_drift_st, gen_eda, gen_resp
@@ -123,23 +123,23 @@ def test_st_default_synth_within_plotted_range():
 # -- respiration --------------------------------------------------------------------
 
 def test_resp_rate_15bpm_within_2():
-    f = resp_features(one_window(gen_resp(15.0, duration_s=30)))
+    f = resp_features_batch([one_window(gen_resp(15.0, duration_s=30))])[0]
     assert abs(f["rate_bpm"] - 15.0) <= 2.0
 
 
 def test_resp_flat_signal():
-    f = resp_features(const_window("resp", 0.0, 1.008))
+    f = resp_features_batch([const_window("resp", 0.0, 1.008)])[0]
     assert f["rate_bpm"] == 0.0
     assert "power_ratio" not in f
 
 
 def test_resp_slow_breathing_lf_dominant():
-    f = resp_features(one_window(gen_resp(6.0, duration_s=30)))  # 0.1 Hz
+    f = resp_features_batch([one_window(gen_resp(6.0, duration_s=30))])[0]  # 0.1 Hz
     assert f["lf_power"] > f["hf_power"]
     assert f["power_ratio"] > 1.0
 
 
 def test_resp_fast_breathing_hf_dominant():
-    f = resp_features(one_window(gen_resp(15.0, duration_s=30)))  # 0.25 Hz
+    f = resp_features_batch([one_window(gen_resp(15.0, duration_s=30))])[0]  # 0.25 Hz
     assert f["hf_power"] > f["lf_power"]
     assert f["power_ratio"] < 1.0

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import mwpipe.bag as mbag
 import mwpipe.export as mexport
 from mwpipe.bag import BagWriter, replay, validate
-from mwpipe.bus import Bus, ManualClock, TimedSample, TopicDescriptor
+from mwpipe.bus import Bus, TimedSample, TopicDescriptor
 from mwpipe.cli import main
 from mwpipe.errors import CorruptBag
 from mwpipe.export import extract_csv
@@ -25,7 +25,7 @@ from oracles import extract_csv_oracle, load_samples, record_line
 
 
 def write_single_modality_bag(path, duration_s=60):
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     t = bus.open_topic(TopicDescriptor("bio.ecg", {"v": "f64"}, 252.0))
     w = BagWriter(path, bus)
     w.start()
@@ -118,7 +118,7 @@ def test_live_feature_rows_match_reextraction(session_bag, tmp_path):
 
 
 def test_extract_over_replayed_bag_identical(session_bag, tmp_path):
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     w = BagWriter(tmp_path / "re.bag", bus)
     replay(session_bag, bus=bus, rate="max")
     w.close()
@@ -433,7 +433,7 @@ def test_cells_with_a_comma_a_quote_or_a_line_break_are_quoted(tmp_path):
     """sim.meta strings holding a comma, a double quote, LF or CR are each one
     quoted cell: every row has the header's column count, each such cell
     reads back exactly, and extract counts rows, not lines."""
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     topics = {d.name: bus.open_topic(d) for d in SESSION_TOPICS
               if d.name in ("bio.st", "sim.meta")}
     path = tmp_path / "quoted.bag"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mwpipe.features.beats import BeatSeries
-from mwpipe.features.hrv import hrv_frequency, hrv_stat_features
+from mwpipe.features.hrv import hrv_frequency_batch, hrv_stat_features
 from mwpipe.synth import SynthProfile, gen_rr_series
 from oracles import hrv_oracle
 
@@ -106,30 +106,30 @@ def beats_from_profile(seed, hz, depth, duration=30):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_hf_modulation_lands_in_hf_band(seed):
-    f = hrv_frequency(beats_from_profile(seed, 0.25, 20.0))
+    f = hrv_frequency_batch([beats_from_profile(seed, 0.25, 20.0)])[0]
     assert f["hf_power_ms2"] / f["total_power_ms2"] > 0.8
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lf_modulation_lands_in_lf_band(seed):
-    f = hrv_frequency(beats_from_profile(seed, 0.10, 20.0))
+    f = hrv_frequency_batch([beats_from_profile(seed, 0.10, 20.0)])[0]
     assert f["lf_power_ms2"] > f["hf_power_ms2"]
 
 
 def test_constant_rr_spectrum_is_empty():
-    f = hrv_frequency(beats_from_profile(0, 0.25, 0.0))
+    f = hrv_frequency_batch([beats_from_profile(0, 0.25, 0.0)])[0]
     for v in f.values():
         assert v < 1e-9
 
 
 def test_too_few_beats_gives_no_features():
-    assert hrv_frequency(beats_from_intervals([800.0, 810.0])) == {}
+    assert hrv_frequency_batch([beats_from_intervals([800.0, 810.0])])[0] == {}
     # 4 beats but spanning < 10 s
-    assert hrv_frequency(beats_from_intervals([500.0, 500.0, 500.0])) == {}
+    assert hrv_frequency_batch([beats_from_intervals([500.0, 500.0, 500.0])])[0] == {}
 
 
 def test_total_is_band_sum():
-    f = hrv_frequency(beats_from_profile(3, 0.25, 15.0))
+    f = hrv_frequency_batch([beats_from_profile(3, 0.25, 15.0)])[0]
     assert f["total_power_ms2"] == pytest.approx(
         f["vlf_power_ms2"] + f["lf_power_ms2"] + f["hf_power_ms2"]
     )

@@ -14,7 +14,7 @@ from scipy.signal import sosfiltfilt
 from mwpipe.bag import judged_chunks
 from mwpipe.bus import NS_PER_S
 from mwpipe.features import BIO_TOPICS, FeaturePipeline
-from mwpipe.features.beats import _bandpass, _filtfilt, detect_beats
+from mwpipe.features.beats import _bandpass, _filtfilt, detect_beats_batch
 from mwpipe.features.extract import extract_windows
 from mwpipe.features.ppg import ppg_features
 from mwpipe.session import SessionPlan, StitchState, phase_waveforms, run_session
@@ -188,7 +188,7 @@ def test_ppg_memo_equals_uncached_on_every_pinned_window(pinned_windows):
     memo = {}
     reused = 0
     for w in pinned_windows["ppg"]:
-        beats = detect_beats(w)
+        beats = detect_beats_batch([w])[0]
         before = set(memo)
         assert bits(ppg_features(w, beats, memo=memo)) == bits(ppg_features(w, beats))
         assert all(key[0] >= w.t_start_ns for key in memo)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mwpipe.bus import NS_PER_S
 from mwpipe.errors import TooManyInvalidSamples
-from mwpipe.features.beats import BeatSeries, _local_maxima, detect_beats
+from mwpipe.features.beats import BeatSeries, _local_maxima, detect_beats_batch
 from mwpipe.features.gaze import classify_gaze, gaze_features
 from mwpipe.features.ppg import _first_in, _trapezoid, ppg_features
 from mwpipe.features.windowing import Window
@@ -37,7 +37,7 @@ def ppg_window(rr_ms=1000.0, amp=50.0, seed=2):
 
 def test_ppg_identical_pulses():
     w = ppg_window()
-    f = ppg_features(w, detect_beats(w))
+    f = ppg_features(w, detect_beats_batch([w])[0])
     assert abs(f["digital_pa"] - 50.0) <= 2.0
     assert abs(f["r2r_ms"] - 1000.0) <= 16.0
     assert f["prv_ms"] <= 2.0
@@ -45,15 +45,15 @@ def test_ppg_identical_pulses():
 
 def test_ppg_svri_self_ratio():
     w = ppg_window()
-    f = ppg_features(w, detect_beats(w))
+    f = ppg_features(w, detect_beats_batch([w])[0])
     assert f["svri"] == 1.0  # no baseline yet
-    f2 = ppg_features(w, detect_beats(w), baseline_pa=f["digital_pa"])
+    f2 = ppg_features(w, detect_beats_batch([w])[0], baseline_pa=f["digital_pa"])
     assert f2["svri"] == pytest.approx(1.0)
 
 
 def test_ppg_reflection_and_ipa_present_with_dicrotic_bump():
     w = ppg_window()
-    f = ppg_features(w, detect_beats(w))
+    f = ppg_features(w, detect_beats_batch([w])[0])
     assert 0.0 < f["reflection_index"] < 1.0
     assert f["ipa"] > 0.0
     assert f["auc"] > 0.0
@@ -72,7 +72,7 @@ def test_ppg_no_dicrotic_bump_ri_ipa_absent():
         x[m] += np.where(tau[m] < 0.1, tau[m] / 0.1, 1.0 - (tau[m] - 0.1) / 0.9) * 50.0
     times = np.array([round(i * NS_PER_S / fs) for i in range(n)], dtype=np.int64)
     w = Window("ppg", 0, 30 * NS_PER_S, times, x, fs)
-    f = ppg_features(w, detect_beats(w))
+    f = ppg_features(w, detect_beats_batch([w])[0])
     assert "digital_pa" in f
     assert "reflection_index" not in f
     assert "ipa" not in f
@@ -87,7 +87,7 @@ def test_ppg_insufficient_beats_all_absent():
 
 def test_ppg_svri_against_frozen_baseline():
     w = ppg_window(amp=50.0)
-    f = ppg_features(w, detect_beats(w), baseline_pa=25.0)
+    f = ppg_features(w, detect_beats_batch([w])[0], baseline_pa=25.0)
     assert f["svri"] == pytest.approx(f["digital_pa"] / 25.0)
 
 
@@ -133,7 +133,7 @@ def test_first_in_local_extrema_equals_the_loop_oracles(values, lo, hi):
 # -- gaze ------------------------------------------------------------------------------
 
 def gaze_window(script, noise=0.0, seed=0):
-    wf = gen_gaze(script, fs=120.0, fixation_noise_deg=noise, seed=seed)
+    wf = gen_gaze(script, fixation_noise_deg=noise, seed=seed)
     return one_window(wf)
 
 

@@ -78,6 +78,31 @@ def test_phase_structure(small_session):
             assert (end - start) / 1e9 == pytest.approx(plan.interrun_s)
 
 
+@pytest.mark.parametrize("order", [("low", "high", "low", "high"),
+                                   ("high", "low", "high", "low")])
+def test_the_phase_table_names_the_phases_of_the_session_and_its_bag(tmp_path, order):
+    """SessionPlan.phases() is the one account of the phases: run_session
+    runs them in its order, and sim.meta marks each with its name, run index
+    and difficulty."""
+    plan = SessionPlan(seed=4, baseline_s=2.0, interrun_s=1.0, run_timeout_s=2.0,
+                       run_order=order)
+    phases = plan.phases()
+    assert [(p.name, p.run_index) for p in phases] == [
+        ("baseline", -1), ("run", 0), ("freeplay", 0), ("run", 1), ("freeplay", 1),
+        ("run", 2), ("freeplay", 2), ("run", 3)]
+    assert [p.difficulty for p in phases if p.name == "run"] == list(order)
+    result = run_session(plan, tmp_path / "phases.bag")
+    assert [name for name, _, _ in result.phases] == [p.name for p in phases]
+    meta = [s for s in load_samples(tmp_path / "phases.bag") if s.topic == "sim.meta"]
+    for p, (_, start, end) in zip(phases, result.phases):
+        marks = {(s.payload["phase"], s.payload["run_index"], s.payload["difficulty"])
+                 for s in meta if start <= s.t_ns < end}
+        assert marks == {(p.name, p.run_index, p.difficulty)}
+    assert meta[-1].payload["phase"] == "end"
+    assert [(r.run_index, r.difficulty) for r in result.run_records] == [
+        (p.run_index, p.difficulty) for p in phases if p.name == "run"]
+
+
 def test_four_runs_with_tlx(small_session):
     _, result, samples = small_session
     assert len(result.run_records) == 4

@@ -12,9 +12,7 @@ from oracles import pursuit_script, saccade_battery_script, sample_time_ns
 
 from mwpipe.errors import (
     EmptySeries,
-    InvalidBase,
     InvalidProfile,
-    InvalidRate,
     OverlapTooDense,
     OverlappingEvents,
 )
@@ -144,9 +142,9 @@ def test_resp_cycles_in_30s():
 
 
 def test_resp_invalid_rate():
-    with pytest.raises(InvalidRate):
+    with pytest.raises(InvalidProfile, match=r"resp_rate_bpm must be in \(4, 60\): 3.0"):
         gen_resp(3.0)
-    with pytest.raises(InvalidRate):
+    with pytest.raises(InvalidProfile, match=r"resp_rate_bpm must be in \(4, 60\): 75.0"):
         gen_resp(75.0)
 
 
@@ -207,7 +205,7 @@ def test_st_default_within_plot_axis():
 
 
 def test_st_invalid_base():
-    with pytest.raises(InvalidBase):
+    with pytest.raises(InvalidProfile, match=r"st_base_c outside \[25, 40\]: 20.0"):
         gen_drift_st(SynthProfile(st_base_c=20.0))
 
 

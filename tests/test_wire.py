@@ -1,5 +1,6 @@
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -7,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mwpipe.bag import BagWriter, header_lines
-from mwpipe.bus import Bus, ManualClock, TopicDescriptor
-from mwpipe.errors import CorruptBag, WireError
+from mwpipe.bus import Bus, TopicDescriptor
+from mwpipe.errors import CorruptBag, RateTooSlow, WireError
 from mwpipe.wire import MAX_FRAME_BYTES, recv_frames, send_frame, serve_bag
 
 from oracles import body_bytes, load_samples
 
 
 def make_bag(path, n=40):
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     t = bus.open_topic(TopicDescriptor("w.x", {"v": "f64"}, 10.0))
     w = BagWriter(path, bus)
     w.start()
@@ -33,6 +34,36 @@ def test_frame_round_trip_over_socketpair():
     a.close()
     assert list(recv_frames(b)) == payloads
     b.close()
+
+
+def test_a_client_that_hangs_up_is_a_wire_error(tmp_path):
+    """The client reads the manifest and the first record, then resets the
+    connection; the next paced record, due 0.4 s on, finds it gone. One
+    record in flight is enough, whatever the size of the socket buffers."""
+    path = make_bag(tmp_path / "wire.bag")  # a record every 100 ms
+    bound, outcome = {}, {}
+    ready = threading.Event()
+
+    def serve():
+        try:
+            serve_bag(path, rate=0.25, ready=lambda h, p: (bound.update(addr=(h, p)), ready.set()))
+        except Exception as e:
+            outcome["error"] = e
+
+    server = threading.Thread(target=serve)
+    server.start()
+    assert ready.wait(5.0)
+    with socket.create_connection(bound["addr"], timeout=5.0) as sock:
+        frames = recv_frames(sock)
+        next(frames), next(frames)
+        # closed with a reset, not an orderly shutdown the server could write past
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    server.join(timeout=10.0)
+    assert not server.is_alive()
+    error = outcome.get("error")
+    assert isinstance(error, WireError), outcome
+    sent = int(str(error).split("the client hung up after ")[1].split(" records")[0])
+    assert 1 <= sent < 40
 
 
 def test_serve_bag_streams_all_records(tmp_path):
@@ -205,7 +236,7 @@ def test_serve_bag_corrupt_record_raises_after_earlier_frames(tmp_path):
 
 
 def test_paced_serve_sends_each_frame_when_due(tmp_path):
-    bus = Bus(clock=ManualClock())
+    bus = Bus()
     t = bus.open_topic(TopicDescriptor("w.x", {"v": "f64"}))
     w = BagWriter(tmp_path / "paced.bag", bus)
     w.start()
@@ -261,3 +292,11 @@ def test_recv_frames_parses_or_raises_wire_error(stream, sizes):
     except WireError:
         return
     assert b"".join(b"%d\n%b" % (len(f), f) for f in frames) == stream
+
+
+def test_a_rate_too_slow_to_wait_for_a_record_stops_serving_after_the_records_before(tmp_path):
+    """At rate 1e-300 the second record is due some 1e296 s on: the first
+    goes out, then serving stops with RateTooSlow."""
+    frames, outcome = serve_in_thread(make_bag(tmp_path / "wire.bag"), 1e-300)
+    assert isinstance(outcome.get("error"), RateTooSlow), outcome
+    assert len(frames) == 2  # the manifest and the one record due at once
