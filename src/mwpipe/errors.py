@@ -45,16 +45,6 @@ class OverlappingEvents(InvalidProfile):
     pass
 
 
-# -- feature extraction ------------------------------------------------------
-
-class WindowTooShort(MwpipeError):
-    pass
-
-
-class TooManyInvalidSamples(MwpipeError):
-    pass
-
-
 # -- simulation / session ----------------------------------------------------
 
 class IncompleteTrace(MwpipeError):

@@ -29,6 +29,7 @@ export reads its SESSION_TOPICS kind, required; and no CSV is written.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -40,7 +41,7 @@ import numpy as np
 
 from .bag import Chunk, in_row_order, manifest_topics, open_output, paced_chunks, read_manifest
 from .bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, align_nearest_samples
-from .errors import CorruptBag
+from .errors import CorruptBag, OutputError
 from .features.catalog import BIO_TOPICS, FEATURE_CATALOG
 from .features.gaze import DEFAULT_THRESHOLDS
 from .features.worker import HAND_OVER_NS, FeatureWorker
@@ -81,7 +82,10 @@ def extract_csv(bag_path, out_path, window_s: float = 30.0, stride_s: float = 1.
     schema or is on a topic the manifest does not list), or a bio or joined
     record out of order, or a manifest at odds with a field the export
     reads, raises CorruptBag; an out_path that cannot be written (in a
-    directory that does not exist, say) raises OutputError naming it."""
+    directory that does not exist, say) raises OutputError naming it, and an
+    out_path that is a directory does so before the bag is read."""
+    if os.path.isdir(out_path):
+        raise OutputError(f"cannot write {out_path}: {os.strerror(errno.EISDIR)}")
     descs = manifest_topics(read_manifest(bag_path))
     for topic, f, kind in _READ:  # checked before the body is read
         found = descs[topic].schema.get(f) if topic in descs else kind

@@ -7,6 +7,11 @@ local maximum (amplitude >= 0.01 uS above onset), and ends at the first
 return to half-amplitude. Onset/peak/duration are found on the phasic
 trace; the reported amplitude is the input's rise from onset to peak, which
 is insensitive to the tonic-median leakage under slow-moving tonic.
+
+eda_decompose_batch takes the running median once over the buffer a batch's
+windows were cut from; only each window's first and last half-width of
+tonic samples, whose medians take in its edge-extended ends, are computed per
+window. Each tonic is the one the window gives on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..bus import NS_PER_S
-from ..errors import WindowTooShort
-from .windowing import Window
+from .windowing import Window, buffers
 
 TONIC_MEDIAN_S = 8.0
 ONSET_SLOPE_US_S = 0.01
@@ -43,25 +48,36 @@ class EDADecomposition:
     t_end_ns: int
 
 
-def _moving_median(x: np.ndarray, k: int) -> np.ndarray:
-    half = k // 2
-    padded = np.pad(x, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k)
-    return np.median(windows, axis=1)
-
-
-def eda_decompose(window: Window) -> EDADecomposition:
-    x = np.asarray(window.values, dtype=float)
-    if window.n / window.fs_hz < 8.0:
-        raise WindowTooShort(f"EDA decomposition needs >= 8 s, got {window.n / window.fs_hz:.1f} s")
-    k = int(TONIC_MEDIAN_S * window.fs_hz)
-    if k % 2 == 0:
-        k += 1
-    tonic = _moving_median(x, k)
-    phasic = x - tonic
-    peaks = _find_peaks(phasic, x, window.times_ns, window.fs_hz)
-    return EDADecomposition(tonic, phasic, peaks, window.times_ns,
-                            window.t_start_ns, window.t_end_ns)
+def eda_decompose_batch(windows: list[Window]) -> list:
+    """The decomposition of each of one stream's windows, in order; None for a
+    window shorter than TONIC_MEDIAN_S."""
+    out = []
+    for run, _, values, spans in buffers(windows):
+        x = np.asarray(values, dtype=float)
+        fs = run[0].fs_hz
+        k = int(TONIC_MEDIAN_S * fs)
+        if k % 2 == 0:
+            k += 1
+        half = k // 2
+        found = [None] * len(run)
+        long_enough = [i for i, (lo, hi) in enumerate(spans) if (hi - lo) / fs >= TONIC_MEDIAN_S]
+        if long_enough:
+            # A window's tonic is the buffer's running median but for its first
+            # and last half samples, whose medians take in its edge-extended ends.
+            inner = np.median(sliding_window_view(x, k), axis=1) if len(x) >= k else x[:0]
+            lo, hi = np.array([spans[i] for i in long_enough]).T
+            ends = np.concatenate((lo[:, None] + np.maximum(np.arange(-half, 2 * half), 0),
+                                   hi[:, None] - 1 + np.minimum(np.arange(1 - 2 * half, half + 1), 0)))
+            heads, tails = np.split(np.median(sliding_window_view(x[ends], k, axis=1), axis=-1), 2)
+            for i, head, tail in zip(long_enough, heads, tails):
+                (lo, hi), w = spans[i], run[i]
+                tonic = np.concatenate((head, inner[lo:hi - 2 * half], tail))
+                phasic = x[lo:hi] - tonic
+                peaks = _find_peaks(phasic, x[lo:hi], w.times_ns, fs)
+                found[i] = EDADecomposition(tonic, phasic, peaks, w.times_ns,
+                                            w.t_start_ns, w.t_end_ns)
+        out += found
+    return out
 
 
 def _find_peaks(phasic: np.ndarray, raw: np.ndarray, times_ns: np.ndarray, fs: float) -> list:

@@ -4,10 +4,12 @@ A FeatureRow is a pure function of its Window (plus, for PPG, the frozen
 session baseline pulse amplitude), so identical windows always produce
 bit-identical rows, in any batch. Each advance extracts one modality's new
 windows at once: the cardiac band-pass and the resp and HRV Welch are one
-call per stack of equal-length windows, and the rest runs per window. Rows
-are computed only when at least 70% of the window's nominal samples are
-valid; below that, or when a gaze window has too many invalid samples or an
-EDA window is too short to decompose, only quality is reported.
+call per stack of equal-length windows, the gaze velocities and the EDA tonic
+median are computed once over the samples the windows were cut from, and the
+rest runs per window. Rows are computed only when at least 70% of the
+window's nominal samples are valid; below that, or when a gaze window has too
+many invalid samples or an EDA window is too short to decompose, only quality
+is reported.
 """
 
 from __future__ import annotations
@@ -16,11 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TooManyInvalidSamples, WindowTooShort
 from .beats import detect_beats_batch
 from .catalog import BIO_TOPICS, FEATURE_CATALOG
-from .eda import eda_decompose, eda_features
-from .gaze import DEFAULT_THRESHOLDS, GazeThresholds, classify_gaze, gaze_features
+from .eda import eda_decompose_batch, eda_features
+from .gaze import DEFAULT_THRESHOLDS, GazeThresholds, classify_gaze_batch, gaze_features
 from .hrv import hrv_frequency_batch, hrv_stat_features
 from .ppg import ppg_features
 from .respiration import resp_features_batch
@@ -51,15 +52,12 @@ def _features(windows: list[Window], ppg_baseline_pa, gaze_thresholds, ppg_memo)
                 for w, b in zip(windows, detect_beats_batch(windows))]
     if m == "resp":
         return resp_features_batch(windows)
-    per_window = {"st": st_features, "eda": lambda w: eda_features(eda_decompose(w)),
-                  "gaze": lambda w: gaze_features(classify_gaze(w, gaze_thresholds), w)}[m]
-    out = []
-    for w in windows:
-        try:
-            out.append(per_window(w))
-        except (TooManyInvalidSamples, WindowTooShort):  # gaze and EDA: too little to decompose
-            out.append({})
-    return out
+    if m == "eda":  # None: too short to decompose
+        return [{} if d is None else eda_features(d) for d in eda_decompose_batch(windows)]
+    if m == "gaze":  # None: too many invalid samples to classify
+        return [{} if e is None else gaze_features(e, w)
+                for w, e in zip(windows, classify_gaze_batch(windows, gaze_thresholds))]
+    return [st_features(w) for w in windows]
 
 
 def extract_windows(windows: list[Window], ppg_baseline_pa: float | None = None,

@@ -5,6 +5,10 @@ with t in [t_end-len, t_end), by integer-nanosecond arithmetic. A window is
 emitted only once the stream watermark has reached its end time, so a 29 s
 stream yields no windows and a 60 s stream with len 30 / stride 1 yields
 exactly 31.
+
+The windows one advance_to emits are views of one buffer of the stream's
+samples, and buffers() finds it again: the gaze and EDA stages compute their
+per-sample arrays once over it and slice them per window.
 """
 
 from __future__ import annotations
@@ -27,6 +31,51 @@ def stacks(keyed):
         for j in range(0, len(group), STACK_ROWS):
             idx, rows = zip(*group[j:j + STACK_ROWS])
             yield key, idx, np.stack(rows)
+
+
+def _row_in(view: np.ndarray) -> int | None:
+    """i if view is rows i to i + len(view) of the array it is a view of, else None."""
+    base = view.base
+    if (not isinstance(base, np.ndarray) or base.ndim == 0 or base.strides[0] <= 0
+            or view.strides != base.strides or view.shape[1:] != base.shape[1:]):
+        return None
+    i, off = divmod(view.ctypes.data - base.ctypes.data, base.strides[0])
+    return i if off == 0 and 0 <= i <= len(base) - len(view) else None
+
+
+def _cut_from(window):
+    """(times, values, row): the buffers whose rows row to row + window.n the
+    window's times and values are, as SlidingWindower.advance_to cuts them; for
+    any other window, its own arrays and 0."""
+    t, v = np.asarray(window.times_ns), np.asarray(window.values)
+    row = _row_in(t)
+    if row is not None and row == _row_in(v):
+        return t.base, v.base, row
+    return t, v, 0
+
+
+def buffers(windows):
+    """(windows, times, values, spans) per run of consecutive windows cut from
+    one sample buffer: the buffer from the run's first window start to its last
+    window end, and each window's [lo, hi) rows in it."""
+    run = []
+    for w in windows:
+        times, values, row = _cut_from(w)
+        if run and (times is not run[0][1] or values is not run[0][2]
+                    or w.fs_hz != run[0][0].fs_hz):
+            yield _trimmed(run)
+            run = []
+        run.append((w, times, values, row))
+    if run:
+        yield _trimmed(run)
+
+
+def _trimmed(run):
+    _, times, values, _ = run[0]
+    lo = min(row for *_, row in run)
+    hi = max(row + w.n for w, *_, row in run)
+    return ([w for w, *_ in run], times[lo:hi], values[lo:hi],
+            [(row - lo, row - lo + w.n) for w, *_, row in run])
 
 
 @dataclass

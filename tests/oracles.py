@@ -9,7 +9,9 @@ the run tally, likewise applies the library's own run-end rule, and the
 simulator's reference tick uses its placement, terrain and comms RNG.
 The per-window feature reference calls the library's per-window stages and
 runs the three stacked ones (band-pass, resp and HRV Welch) one window at a
-time, through SciPy's own sosfiltfilt and a one-row welch.
+time, through SciPy's own sosfiltfilt and a one-row welch. It classifies gaze
+and decomposes EDA on each window's own samples, where the library computes
+their per-sample arrays once per buffer of windows.
 """
 
 import bisect
@@ -25,14 +27,14 @@ from scipy.signal import sosfiltfilt
 from mwpipe.bag import (ValidationIssue, ValidationReport, _block_lines, header_lines,
                         iter_samples, judged_chunks, manifest_topics, read_manifest)
 from mwpipe.bus import DEFAULT_ALIGN_TOLERANCE_NS, NS_PER_S, SampleBlock, TimedSample
-from mwpipe.errors import (CorruptBag, IncompleteTrace, TooManyInvalidSamples, WindowTooShort,
-                           WireError)
+from mwpipe.errors import CorruptBag, IncompleteTrace, WireError
 from mwpipe.export import JOINED_COLUMNS, META_TOPIC
 from mwpipe.features import BIO_TOPICS, DEFAULT_THRESHOLDS, FEATURE_CATALOG, FeaturePipeline
 from mwpipe.features.beats import BANDS, BeatSeries, _bandpass, _detect_ecg, _detect_ppg
-from mwpipe.features.eda import eda_decompose, eda_features
+from mwpipe.features.eda import TONIC_MEDIAN_S, EDADecomposition, _find_peaks, eda_features
 from mwpipe.features.extract import MIN_QUALITY, window_quality
-from mwpipe.features.gaze import classify_gaze, gaze_features
+from mwpipe.features.gaze import (GAP_BRIDGE_S, MAX_INVALID_FRACTION, GazeEventRec,
+                                  gaze_features)
 from mwpipe.features.hrv import (HF_BAND, LF_BAND, MAX_SEGMENT_S, TACHOGRAM_GRID_HZ, VLF_BAND,
                                  band_powers, hrv_stat_features)
 from mwpipe.features.ppg import ppg_features
@@ -226,6 +228,165 @@ def resp_features_oracle(window):
     return out
 
 
+def _smooth3(x):
+    if len(x) < 3:
+        return x.copy()
+    out = np.convolve(x, np.ones(3), mode="same")
+    counts = np.convolve(np.ones(len(x)), np.ones(3), mode="same")
+    return out / counts
+
+
+def _runs(mask):
+    """[(start, stop)) index pairs of true runs."""
+    if not len(mask):
+        return []
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
+    starts = list(edges[mask[edges + 1]] + 1) if len(edges) else []
+    stops = list(edges[~mask[edges + 1]] + 1) if len(edges) else []
+    if mask[0]:
+        starts.insert(0, 0)
+    if mask[-1]:
+        stops.append(len(mask))
+    return list(zip(starts, stops))
+
+
+def classify_gaze_oracle(window, thresholds=DEFAULT_THRESHOLDS):
+    """The events of one window, classified on its own samples, segment by
+    segment, with loops over runs: the reference for classify_gaze_batch. None
+    when more than MAX_INVALID_FRACTION of the samples are invalid."""
+    vals = np.asarray(window.values, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] < 3:
+        raise ValueError("gaze window expects (x_deg, y_deg, d_mm) columns")
+    x = vals[:, 0].copy()
+    y = vals[:, 1].copy()
+    diam = vals[:, 2]
+    n = len(x)
+    if n < 3:
+        return []
+    valid = diam > 0
+    if 1.0 - float(np.mean(valid)) > MAX_INVALID_FRACTION:
+        return None
+    times = window.times_ns
+    period_ns = round(NS_PER_S / window.fs_hz)
+
+    usable = valid.copy()
+    for lo, hi in _runs(~valid):
+        gap_s = (hi - lo) / window.fs_hz
+        if gap_s <= GAP_BRIDGE_S and lo > 0 and hi < n:
+            idx = np.arange(lo, hi)
+            x[idx] = np.interp(idx, [lo - 1, hi], [x[lo - 1], x[hi]])
+            y[idx] = np.interp(idx, [lo - 1, hi], [y[lo - 1], y[hi]])
+            usable[idx] = True
+
+    events = []
+    for seg_lo, seg_hi in _runs(usable):
+        if seg_hi - seg_lo < 3:
+            continue
+        events.extend(
+            _classify_segment(
+                x[seg_lo:seg_hi], y[seg_lo:seg_hi], times[seg_lo:seg_hi],
+                window.fs_hz, period_ns, thresholds,
+            )
+        )
+    events.sort(key=lambda e: e.start_ns)
+    return events
+
+
+def _classify_segment(x, y, times, fs, period_ns, th):
+    dt = 1.0 / fs
+    vx = _smooth3(np.gradient(x, dt))
+    vy = _smooth3(np.gradient(y, dt))
+    speed = np.hypot(vx, vy)
+    n = len(speed)
+    labels = np.zeros(n, dtype=np.int8)
+    events = []
+    unset, saccade, pso, pursuit = 0, 1, 2, 3
+
+    def dur_s(lo, hi):
+        return (times[hi - 1] + period_ns - times[lo]) / NS_PER_S
+
+    def make_event(kind, lo, hi, amp=None):
+        return GazeEventRec(kind, int(times[lo]), int(times[hi - 1] + period_ns), amp)
+
+    # saccades: speed above threshold for enough samples
+    saccade_runs = []
+    for lo, hi in _runs(speed > th.saccade_speed_deg_s):
+        if hi - lo >= th.saccade_min_samples:
+            labels[lo:hi] = saccade
+            amp = float(math.hypot(x[hi - 1] - x[lo], y[hi - 1] - y[lo]))
+            events.append(make_event("saccade", lo, hi, amp))
+            saccade_runs.append((lo, hi))
+
+    # post-saccadic oscillations: dip below the floor then re-exceed in time
+    for _, s_hi in saccade_runs:
+        i = s_hi
+        while i < n and speed[i] > th.pursuit_min_deg_s and labels[i] == unset:
+            i += 1  # decay tail, attached to nothing
+        while i < n and labels[i] == unset and speed[i] <= th.pursuit_min_deg_s:
+            if (times[i] - times[s_hi - 1]) / NS_PER_S > th.pso_latency_s:
+                break
+            i += 1
+        if i >= n or labels[i] != unset or speed[i] <= th.pursuit_min_deg_s:
+            continue
+        if (times[i] - times[s_hi - 1]) / NS_PER_S > th.pso_latency_s:
+            continue
+        j = i
+        while j < n and labels[j] == unset and speed[j] > th.pursuit_min_deg_s:
+            j += 1
+        if dur_s(i, j) <= th.pso_max_s:
+            labels[i:j] = pso
+            events.append(make_event("pso", i, j))
+
+    # pursuit: sustained band speed with consistent heading
+    band = ((labels == unset) & (speed >= th.pursuit_min_deg_s)
+            & (speed <= th.pursuit_max_deg_s))
+    for lo, hi in _runs(band):
+        heading = np.degrees(np.arctan2(vy[lo:hi], vx[lo:hi]))
+        turn = np.abs((np.diff(heading) + 180.0) % 360.0 - 180.0)
+        sub_lo = lo
+        for k in np.flatnonzero(turn >= th.pursuit_max_turn_deg).tolist():
+            if dur_s(sub_lo, lo + k + 1) >= th.min_event_s:
+                labels[sub_lo:lo + k + 1] = pursuit
+                events.append(make_event("pursuit", sub_lo, lo + k + 1))
+            sub_lo = lo + k + 1
+        if dur_s(sub_lo, hi) >= th.min_event_s:
+            labels[sub_lo:hi] = pursuit
+            events.append(make_event("pursuit", sub_lo, hi))
+
+    # fixations: remaining spans, compact and long enough
+    for lo, hi in _runs(labels == unset):
+        if dur_s(lo, hi) < th.min_event_s:
+            continue
+        dispersion = float(np.ptp(x[lo:hi]) + np.ptp(y[lo:hi]))
+        if dispersion < th.fixation_max_dispersion_deg:
+            events.append(make_event("fixation", lo, hi))
+    return events
+
+
+def _moving_median(x, k):
+    half = k // 2
+    padded = np.pad(x, half, mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, k)
+    return np.median(windows, axis=1)
+
+
+def eda_decompose_oracle(window):
+    """The decomposition of one window, its tonic a median over its own
+    edge-extended samples: the reference for eda_decompose_batch. None when the
+    window is shorter than TONIC_MEDIAN_S."""
+    x = np.asarray(window.values, dtype=float)
+    if window.n / window.fs_hz < TONIC_MEDIAN_S:
+        return None
+    k = int(TONIC_MEDIAN_S * window.fs_hz)
+    if k % 2 == 0:
+        k += 1
+    tonic = _moving_median(x, k)
+    phasic = x - tonic
+    peaks = _find_peaks(phasic, x, window.times_ns, window.fs_hz)
+    return EDADecomposition(tonic, phasic, peaks, window.times_ns,
+                            window.t_start_ns, window.t_end_ns)
+
+
 def extract_window_oracle(window, ppg_baseline_pa=None, gaze_thresholds=DEFAULT_THRESHOLDS,
                           ppg_memo=None):
     """The row of one window, one stage at a time: the reference for
@@ -234,24 +395,23 @@ def extract_window_oracle(window, ppg_baseline_pa=None, gaze_thresholds=DEFAULT_
     if quality < MIN_QUALITY:
         return FeatureRow(window.modality, window.t_end_ns, {}, quality)
     m = window.modality
-    try:
-        if m == "ecg":
-            beats = detect_beats_oracle(window)
-            values = hrv_stat_features(beats)
-            values.update(hrv_frequency_oracle(beats))
-        elif m == "ppg":
-            values = ppg_features(window, detect_beats_oracle(window),
-                                  baseline_pa=ppg_baseline_pa, memo=ppg_memo)
-        elif m == "resp":
-            values = resp_features_oracle(window)
-        elif m == "eda":
-            values = eda_features(eda_decompose(window))
-        elif m == "st":
-            values = st_features(window)
-        else:
-            values = gaze_features(classify_gaze(window, gaze_thresholds), window)
-    except (TooManyInvalidSamples, WindowTooShort):
-        return FeatureRow(m, window.t_end_ns, {}, quality)
+    if m == "ecg":
+        beats = detect_beats_oracle(window)
+        values = hrv_stat_features(beats)
+        values.update(hrv_frequency_oracle(beats))
+    elif m == "ppg":
+        values = ppg_features(window, detect_beats_oracle(window),
+                              baseline_pa=ppg_baseline_pa, memo=ppg_memo)
+    elif m == "resp":
+        values = resp_features_oracle(window)
+    elif m == "eda":
+        decomposition = eda_decompose_oracle(window)
+        values = {} if decomposition is None else eda_features(decomposition)
+    elif m == "st":
+        values = st_features(window)
+    else:
+        events = classify_gaze_oracle(window, gaze_thresholds)
+        values = {} if events is None else gaze_features(events, window)
     assert set(values) <= set(FEATURE_CATALOG[m])
     return FeatureRow(m, window.t_end_ns, values, quality)
 

@@ -17,8 +17,8 @@ from mwpipe.bag import BagWriter, iter_samples, replay, validate
 from mwpipe.bus import Bus, NS_PER_S
 from mwpipe.export import extract_csv
 from mwpipe.features.beats import BeatSeries, detect_beats_batch
-from mwpipe.features.eda import eda_decompose
-from mwpipe.features.gaze import classify_gaze, gaze_features
+from mwpipe.features.eda import eda_decompose_batch
+from mwpipe.features.gaze import classify_gaze_batch, gaze_features
 from mwpipe.features.hrv import hrv_frequency_batch, hrv_stat_features
 from mwpipe.session import SessionPlan, run_session
 from mwpipe.sim.difficulty import HIGH, LOW
@@ -148,7 +148,7 @@ def test_criterion_4_eda_counts_and_additivity():
         wf = gen_eda(p)
         (w,) = make_windows(wf.times_ns(), wf.values, "eda", wf.fs_hz,
                             len_s=30, stride_s=30, end_ns=wf.end_ns)
-        d = eda_decompose(w)
+        d = eda_decompose_batch([w])[0]
         assert np.array_equal(d.tonic + d.phasic, np.asarray(w.values))
         if len(d.peaks) == 3:
             hits += 1
@@ -161,7 +161,7 @@ def test_criterion_5_gaze_exact_counts():
     wf = gen_gaze(saccade_battery_script(), fixation_noise_deg=0.0, seed=0)
     (w,) = make_windows(wf.times_ns(), wf.values, "gaze", wf.fs_hz,
                         len_s=30, stride_s=30, end_ns=wf.end_ns)
-    events = classify_gaze(w)
+    events = classify_gaze_batch([w])[0]
     counts = defaultdict(int)
     for e in events:
         counts[e.kind] += 1
@@ -172,7 +172,7 @@ def test_criterion_5_gaze_exact_counts():
     wf2 = gen_gaze(pursuit_script(), fixation_noise_deg=0.0, seed=0)
     (w2,) = make_windows(wf2.times_ns(), wf2.values, "gaze", wf2.fs_hz,
                          len_s=30, stride_s=30, end_ns=wf2.end_ns)
-    pursuits = [e for e in classify_gaze(w2) if e.kind == "pursuit"]
+    pursuits = [e for e in classify_gaze_batch([w2])[0] if e.kind == "pursuit"]
     assert len(pursuits) == 1
     _report(5, "(9 saccades / 10 fixations / 1 pursuit, 0.300 Hz)")
 

@@ -141,6 +141,24 @@ def test_an_out_path_in_a_missing_directory_is_a_command_line_error(runner, tmp_
     assert sorted(tmp_path.iterdir()) == before  # no file left, not even a spool
 
 
+def test_an_out_path_that_is_a_directory_is_refused_before_the_bag_is_read(runner, tmp_path):
+    """extract names the directory, not the garbage line halfway through the
+    bag that reading the bag would have reached first, and leaves no file."""
+    bag = tmp_path / "g.bag"
+    assert runner.invoke(main, ["synth", "--duration", "3", "--out", str(bag)]).exit_code == 0
+    lines = bag.read_bytes().splitlines(keepends=True)
+    lines.insert(len(lines) // 2, b"garbage\n")
+    bag.write_bytes(b"".join(lines))
+    out = tmp_path / "features"
+    out.mkdir()
+    before = sorted(tmp_path.iterdir())
+    r = runner.invoke(main, ["extract", "--bag", str(bag), "--out", str(out)])
+    assert r.exit_code == 1, r.output
+    assert not isinstance(r.exception, Exception)  # a clean exit, no traceback
+    assert r.output.splitlines() == [f"Error: cannot write {out}: Is a directory"]
+    assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["extract", "replay"])
 def test_corrupt_bag_is_a_command_line_error(runner, tmp_path, command):
     """A record on a topic the manifest does not list is refused with its

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mwpipe.bus import NS_PER_S
-from mwpipe.errors import WindowTooShort
-from mwpipe.features.eda import eda_decompose, eda_features
+from mwpipe.features.eda import eda_decompose_batch, eda_features
 from mwpipe.features.respiration import resp_features_batch
 from mwpipe.features.skintemp import st_features
 from mwpipe.features.windowing import Window
@@ -27,7 +26,7 @@ def const_window(modality, value, fs, duration_s=30.0):
 
 def test_eda_constant_input_no_peaks_zero_phasic():
     w = const_window("eda", 0.5, 4.0)
-    d = eda_decompose(w)
+    d = eda_decompose_batch([w])[0]
     assert np.all(d.phasic == 0.0)
     assert d.peaks == []
     f = eda_features(d)
@@ -38,7 +37,7 @@ def test_eda_constant_input_no_peaks_zero_phasic():
 def test_eda_three_scrs_recovered():
     p = SynthProfile(eda_tonic_uS=0.5, duration_s=30, eda_noise_uS=0.0,
                      scr_events=[(5.0, 0.05), (13.0, 0.05), (21.0, 0.05)])
-    d = eda_decompose(one_window(gen_eda(p)))
+    d = eda_decompose_batch([one_window(gen_eda(p))])[0]
     assert len(d.peaks) == 3
     for pk in d.peaks:
         assert abs(pk.amplitude_uS - 0.05) <= 0.01  # within 20%
@@ -48,19 +47,18 @@ def test_eda_additivity_exact():
     p = SynthProfile(seed=3, eda_tonic_uS=0.6, duration_s=30, eda_noise_uS=0.01,
                      scr_events=[(4.0, 0.08), (12.0, 0.03)])
     w = one_window(gen_eda(p))
-    d = eda_decompose(w)
+    d = eda_decompose_batch([w])[0]
     assert np.array_equal(d.tonic + d.phasic, np.asarray(w.values))
 
 
 def test_eda_window_too_short():
     w = const_window("eda", 0.5, 4.0, duration_s=6.0)
-    with pytest.raises(WindowTooShort):
-        eda_decompose(w)
+    assert eda_decompose_batch([w]) == [None]
 
 
 def test_eda_tonic_stats_and_auc():
     w = const_window("eda", 0.5, 4.0)
-    f = eda_features(eda_decompose(w))
+    f = eda_features(eda_decompose_batch([w])[0])
     assert f["tonic_mean_us"] == pytest.approx(0.5)
     assert f["tonic_std_us"] == 0.0
     assert f["tonic_auc_uss"] == pytest.approx(15.0)  # 0.5 uS * 30 s
@@ -73,7 +71,7 @@ def test_eda_auc_matches_trapezoid_oracle_on_ramp():
     times = np.array([round(i * NS_PER_S / fs) for i in range(n)], dtype=np.int64)
     vals = np.linspace(0.5, 0.6, n)
     w = Window("eda", 0, 30 * NS_PER_S, times, vals, fs)
-    f = eda_features(eda_decompose(w))
+    f = eda_features(eda_decompose_batch([w])[0])
     # oracle: edge-held trapezoid over the full 30 s span
     ts = [0.0] + list(times / 1e9) + [30.0]
     vs = [vals[0]] + list(vals) + [vals[-1]]
@@ -83,7 +81,7 @@ def test_eda_auc_matches_trapezoid_oracle_on_ramp():
 
 def test_eda_single_scr_peak_stats():
     p = SynthProfile(eda_tonic_uS=0.5, duration_s=30, scr_events=[(10.0, 0.05)])
-    f = eda_features(eda_decompose(one_window(gen_eda(p))))
+    f = eda_features(eda_decompose_batch([one_window(gen_eda(p))])[0])
     assert f["peak_quantity"] == 1.0
     assert f["peak_max_us"] == f["peak_mean_us"]
     assert abs(f["peak_mean_us"] - 0.05) <= 0.01

@@ -1,6 +1,6 @@
 """The incremental FeaturePipeline against batch windowing, extract_windows
-over any batches against the per-window reference, and the cached and
-stacked feature paths against their references on every window of the
+over any batches against the per-window reference, and the cached, stacked
+and buffered feature paths against their references on every window of the
 pinned seed-11 and seed-23 sessions."""
 
 import functools
@@ -15,12 +15,15 @@ from mwpipe.bag import judged_chunks
 from mwpipe.bus import NS_PER_S
 from mwpipe.features import BIO_TOPICS, FeaturePipeline
 from mwpipe.features.beats import _bandpass, _filtfilt, detect_beats_batch
+from mwpipe.features.eda import eda_decompose_batch
 from mwpipe.features.extract import extract_windows
+from mwpipe.features.gaze import classify_gaze_batch
 from mwpipe.features.ppg import ppg_features
 from mwpipe.session import SessionPlan, StitchState, phase_waveforms, run_session
 from mwpipe.synth import SynthProfile
 
-from oracles import extract_window_oracle, make_windows
+from oracles import (classify_gaze_oracle, eda_decompose_oracle, extract_window_oracle,
+                     make_windows)
 
 
 def bits(values: dict) -> dict:
@@ -107,6 +110,25 @@ def ranges(data, n: int, longest: int, most: int) -> list:
     return out
 
 
+def gaze_gaps(data, times, t0_ns: int, len_s: float, stride_s: float) -> list:
+    """Up to 4 drawn [a, b) index ranges of invalid gaze samples: at most 12
+    samples (100 ms, bridged inside a window) or 13 to 40 (split), anywhere or
+    starting at some window's first sample or ending at some window's last."""
+    out = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        length = data.draw(st.integers(1, 12) | st.integers(13, 40))
+        edge = data.draw(st.sampled_from(["anywhere", "first", "last"]))
+        if edge == "anywhere":
+            a = data.draw(st.integers(0, len(times) - 1))
+        else:
+            k = data.draw(st.integers(0, int((times[-1] - t0_ns) / 1e9 / stride_s)))
+            start = t0_ns + round(k * stride_s * NS_PER_S)
+            bound = int(np.searchsorted(times, start + (0 if edge == "first" else round(len_s * NS_PER_S))))
+            a = bound if edge == "first" else max(0, bound - length)
+        out.append((a, a + length))
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), modality=st.sampled_from(sorted(BIO_TOPICS)),
        len_s=st.sampled_from([0.05, 5.0, 12.0, 30.0]), stride_s=st.sampled_from([0.25, 1.0, 1.5]),
@@ -118,11 +140,16 @@ def test_extract_windows_over_any_batches_equals_the_per_window_reference(
     MIN_QUALITY, flat runs make flatlines, 5 s is too short for the EDA
     decomposition, 0.05 s is no longer than the cardiac band-pass's pad, 30 s
     sums more than 8 Welch bins in a band, and the shortest strides give
-    groups longer than one stack."""
+    groups longer than one stack. Invalid gaze samples make bridged gaps,
+    split segments and gaps at a window's edge, which only that window leaves
+    unbridged."""
     times, values = streams(1)[modality]
     fs = BIO_TOPICS[modality].rate_hz
     n = len(times)
     values = values.copy()
+    if modality == "gaze":
+        for a, b in gaze_gaps(data, times, int(times[0]), len_s, stride_s):
+            values[a:b, 2] = 0.0
     keep = np.ones(n, dtype=bool)
     for a, b in ranges(data, n, n // 4, 3):
         keep[a:b] = False
@@ -140,6 +167,30 @@ def test_extract_windows_over_any_batches_equals_the_per_window_reference(
         for w in windows])
 
 
+def events(found) -> list | None:
+    return None if found is None else [(e.kind, e.start_ns, e.end_ns, e.amplitude_deg)
+                                       for e in found]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), len_s=st.sampled_from([0.05, 5.0, 12.0, 30.0]),
+       stride_s=st.sampled_from([0.25, 1.0, 1.5]))
+def test_gaze_events_over_any_batches_equal_the_per_window_reference(data, len_s, stride_s):
+    """The events themselves, which the gaze features only count and average:
+    drawn gaps bridged, split and at window edges, windows cut into any
+    batches."""
+    times, values = streams(2)["gaze"]
+    values = values.copy()
+    for a, b in gaze_gaps(data, times, int(times[0]), len_s, stride_s):
+        values[a:b, 2] = 0.0
+    windows = make_windows(times, values, "gaze", BIO_TOPICS["gaze"].rate_hz, len_s, stride_s)
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(1, len(windows) - 1)), max_size=6)))
+    found = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(windows)]):
+        found += classify_gaze_batch(windows[lo:hi])
+    assert list(map(events, found)) == [events(classify_gaze_oracle(w)) for w in windows]
+
+
 # -- every window of the pinned sessions --------------------------------------
 
 # The benchmark's pinned plan: 780 s of signal.
@@ -148,15 +199,17 @@ PINNED_PLAN = {"baseline_s": 120.0, "interrun_s": 60.0, "run_timeout_s": 120.0}
 
 @pytest.fixture(scope="module", params=[11, 23])
 def pinned_windows(request, tmp_path_factory) -> dict:
-    """Modality -> every 30 s / 1 s window of the pinned session's ECG and
-    PPG."""
+    """Modality -> every 30 s / 1 s window of the pinned session's ECG, PPG,
+    EDA and gaze."""
     path = tmp_path_factory.mktemp("pinned") / "session.bag"
     run_session(SessionPlan(seed=request.param, **PINNED_PLAN), path)
     parts: dict = {}
     for chunk in judged_chunks(path):
         for group in chunk.groups:
-            if group.topic in ("bio.ecg", "bio.ppg"):
-                parts.setdefault(group.topic[4:], []).append((group.t, group.columns[0]))
+            if group.topic in ("bio.ecg", "bio.ppg", "bio.eda", "bio.gaze"):
+                columns = group.columns
+                parts.setdefault(group.topic[4:], []).append(
+                    (group.t, columns[0] if len(columns) == 1 else np.column_stack(columns)))
     return {m: make_windows(np.concatenate([t for t, _ in p]), np.concatenate([v for _, v in p]),
                             m, BIO_TOPICS[m].rate_hz)
             for m, p in parts.items()}
@@ -194,3 +247,23 @@ def test_ppg_memo_equals_uncached_on_every_pinned_window(pinned_windows):
         assert all(key[0] >= w.t_start_ns for key in memo)
         reused += len(before & set(memo))
     assert reused > 751 * 20  # most beats of a window come from the memo
+
+
+def test_gaze_and_eda_equal_the_reference_on_every_pinned_window(pinned_windows):
+    """Batched 10 at a time, as a live advance batches them: every gaze event
+    and every EDA tonic, phasic and peak, bit for bit."""
+    def decomposition(d):
+        return d.tonic.tobytes(), d.phasic.tobytes(), d.peaks
+
+    gaze, eda = pinned_windows["gaze"], pinned_windows["eda"]
+    assert len(gaze) == len(eda) == 751
+    n_events = 0
+    for start in range(0, 751, 10):
+        batch = gaze[start:start + 10]
+        for found, w in zip(classify_gaze_batch(batch), batch):
+            assert events(found) == events(classify_gaze_oracle(w))
+            n_events += len(found)
+        batch = eda[start:start + 10]
+        for d, w in zip(eda_decompose_batch(batch), batch):
+            assert decomposition(d) == decomposition(eda_decompose_oracle(w))
+    assert n_events > 751 * 10

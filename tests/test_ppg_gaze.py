@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwpipe.bus import NS_PER_S
-from mwpipe.errors import TooManyInvalidSamples
 from mwpipe.features.beats import BeatSeries, _local_maxima, detect_beats_batch
-from mwpipe.features.gaze import classify_gaze, gaze_features
+from mwpipe.features.gaze import classify_gaze_batch, gaze_features
 from mwpipe.features.ppg import _first_in, _trapezoid, ppg_features
 from mwpipe.features.windowing import Window
 from mwpipe.synth import (
@@ -147,7 +146,7 @@ def counts(events):
 def test_pure_fixation_single_event():
     w = gaze_window([GazeEvent("fixation", 0.0, 30.0, x_deg=0.0, y_deg=0.0)],
                     noise=0.1, seed=1)
-    ev = classify_gaze(w)
+    ev = classify_gaze_batch([w])[0]
     c = counts(ev)
     assert c["fixation"] == 1 and c["saccade"] == 0
 
@@ -155,13 +154,13 @@ def test_pure_fixation_single_event():
 def test_saccade_battery_exact_counts():
     for noise, seed in ((0.0, 0), (0.1, 3)):
         w = gaze_window(saccade_battery_script(), noise=noise, seed=seed)
-        c = counts(classify_gaze(w))
+        c = counts(classify_gaze_batch([w])[0])
         assert c == {"fixation": 10, "saccade": 9, "pursuit": 0, "pso": 0}, (noise, seed)
 
 
 def test_pursuit_single_event():
     w = gaze_window(pursuit_script(), noise=0.1, seed=2)
-    c = counts(classify_gaze(w))
+    c = counts(classify_gaze_batch([w])[0])
     assert c["pursuit"] == 1
     assert c["fixation"] == 2
 
@@ -173,13 +172,13 @@ def test_pso_detected_after_saccade():
         GazeEvent("pso", 10.04, 0.076, direction_deg=0.0),
         GazeEvent("fixation", 10.116, 19.884),
     ]
-    c = counts(classify_gaze(gaze_window(script)))
+    c = counts(classify_gaze_batch([gaze_window(script)])[0])
     assert c["saccade"] == 1 and c["pso"] == 1
 
 
 def test_gaze_features_from_battery():
     w = gaze_window(saccade_battery_script())
-    ev = classify_gaze(w)
+    ev = classify_gaze_batch([w])[0]
     f = gaze_features(ev, w)
     assert f["saccade_freq_hz"] == pytest.approx(0.3)
     assert f["fixation_freq_hz"] == pytest.approx(10 / 30)
@@ -194,7 +193,7 @@ def test_gaze_constant_diameter_mean():
     vals = np.asarray(w.values).copy()
     vals[:, 2] = 4.5
     w2 = Window("gaze", w.t_start_ns, w.t_end_ns, w.times_ns, vals, w.fs_hz)
-    f = gaze_features(classify_gaze(w2), w2)
+    f = gaze_features(classify_gaze_batch([w2])[0], w2)
     assert f["pupil_diameter_mm"] == 4.5
 
 
@@ -203,7 +202,7 @@ def test_gaze_invalid_gap_bridged():
     vals = np.asarray(w.values).copy()
     vals[1200:1210, 2] = 0.0  # 83 ms blink gap
     w2 = Window("gaze", w.t_start_ns, w.t_end_ns, w.times_ns, vals, w.fs_hz)
-    c = counts(classify_gaze(w2))
+    c = counts(classify_gaze_batch([w2])[0])
     assert c["fixation"] == 1  # bridged, event not split
 
 
@@ -212,8 +211,39 @@ def test_gaze_long_gap_splits_events():
     vals = np.asarray(w.values).copy()
     vals[1200:1260, 2] = 0.0  # 500 ms gap
     w2 = Window("gaze", w.t_start_ns, w.t_end_ns, w.times_ns, vals, w.fs_hz)
-    c = counts(classify_gaze(w2))
+    c = counts(classify_gaze_batch([w2])[0])
     assert c["fixation"] == 2
+
+
+def fixation_windows(gap_lo, gap_hi, offset):
+    """Two 30 s windows 1 s apart over one fixation stream, cut as one batch;
+    samples [gap_lo, gap_hi) of the second window are invalid, and offset is
+    where that window starts in the first."""
+    wf = gen_gaze([GazeEvent("fixation", 0.0, 31.0, x_deg=0.0, y_deg=0.0)])
+    values = np.asarray(wf.values).copy()
+    values[offset + gap_lo:offset + gap_hi, 2] = 0.0
+    windows = make_windows(wf.times_ns(), values, "gaze", wf.fs_hz, len_s=30, stride_s=1,
+                           end_ns=wf.end_ns)
+    assert len(windows) == 2 and windows[1].times_ns[0] == windows[0].times_ns[offset]
+    return windows
+
+
+@pytest.mark.parametrize("gap", [(0, 10), (1, 11), (3590, 3600), (3589, 3599)])
+def test_a_gap_at_a_window_edge_is_not_bridged(gap):
+    """A 10-sample (83 ms) gap that holds a window's first or last sample splits
+    off the samples it covers, in that window and in any batch; the same gap one
+    sample further in is bridged. In the batch, the first window holds the gap
+    strictly inside and bridges it either way."""
+    lo, hi = gap
+    first, second = fixation_windows(lo, hi, offset=120)
+    t, period = second.times_ns, round(NS_PER_S / second.fs_hz)
+    start = int(t[hi]) if lo == 0 else int(t[0])
+    end = int(t[lo - 1]) + period if hi == len(t) else int(t[-1]) + period
+    for events in (classify_gaze_batch([second])[0], classify_gaze_batch([first, second])[1]):
+        assert [(e.kind, e.start_ns, e.end_ns) for e in events] == [("fixation", start, end)]
+    (whole,) = classify_gaze_batch([first, second])[0]
+    assert (whole.start_ns, whole.end_ns) == (int(first.times_ns[0]),
+                                              int(first.times_ns[-1]) + period)
 
 
 def test_gaze_too_many_invalid_samples():
@@ -221,8 +251,7 @@ def test_gaze_too_many_invalid_samples():
     vals = np.asarray(w.values).copy()
     vals[: int(0.4 * len(vals)), 2] = 0.0
     w2 = Window("gaze", w.t_start_ns, w.t_end_ns, w.times_ns, vals, w.fs_hz)
-    with pytest.raises(TooManyInvalidSamples):
-        classify_gaze(w2)
+    assert classify_gaze_batch([w2]) == [None]
 
 
 edge_floats = (st.floats(allow_nan=False, allow_infinity=False)
