@@ -563,9 +563,8 @@ def _paced(chunks, rate: float | str):
     for chunk in chunks:
         lo, n = 0, chunk.refused[0][0] if chunk.refused else len(chunk.offsets)
         if rate != "max":
-            stamps = sorted(chain.from_iterable(zip(g.rows.tolist(), g.t.tolist())
-                                                for g in chunk.groups))
-            for row, t in stamps:
+            _, rows, stamps, _ = in_row_order(chunk, [(g.rows, g.t) for g in chunk.groups], 0)
+            for row, t in zip(rows.tolist(), stamps.tolist()):
                 if row >= n:
                     break
                 if t0 is None:

@@ -21,7 +21,7 @@ from .wire import serve_bag
 
 class _Positive(click.ParamType):
     """A positive, finite number; with ns_per_unit, also one that is at
-    least 1 ns once rounded to whole nanoseconds."""
+    least 1 ns once rounded to whole nanoseconds, and under 2**63 ns."""
 
     name = "positive number"
     expected = "a positive number"
@@ -36,8 +36,12 @@ class _Positive(click.ParamType):
             number = math.nan
         if not (math.isfinite(number) and number > 0):
             self.fail(f"{value!r} is not {self.expected}", param, ctx)
-        if self.ns_per_unit is not None and round(number * self.ns_per_unit) < 1:
-            self.fail(f"{value!r} is under 1 ns", param, ctx)
+        if self.ns_per_unit is not None:
+            ns = number * self.ns_per_unit
+            if not ns < 2**63:
+                self.fail(f"{value!r} is not under 2**63 ns", param, ctx)
+            if round(ns) < 1:
+                self.fail(f"{value!r} is under 1 ns", param, ctx)
         return number
 
 

@@ -1,12 +1,17 @@
 """Shared JSON config: synthesis profile, session plan, policy, thresholds.
 
-One human-editable file; field names mirror the dataclasses. Every key is
-optional and falls back to the built-in defaults. MWPIPE_SEED in the
-environment overrides any configured seed.
+One human-editable file whose objects and field names mirror the
+dataclasses. One reader, _read, reads each value against the default it
+replaces, so the defaults say which fields an object has and what each
+takes; _FIELDS holds the readers of the few fields whose default does not
+show that. Every key is optional and falls back to its default; an unknown
+key, at any level, or a value of the wrong type or shape raises PlanInvalid.
+MWPIPE_SEED in the environment overrides any configured seed.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -14,70 +19,78 @@ import os
 from .errors import InvalidProfile, PlanInvalid
 from .features.gaze import GazeThresholds
 from .session import SessionPlan
-from .sim.operator import PolicyConfig
-from .sim.rover import PhysicsParams
 from .synth import GazeEvent, SynthProfile
-
-
-_NUMBER = (int, float)
 
 
 def _of_type(key: str, value, kind):
     """value when it is an instance of kind (a bool never is); otherwise
     PlanInvalid."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise PlanInvalid(f"config {key} has the wrong type: {value!r:.40}")
+        raise PlanInvalid(f"{key} has the wrong type: {value!r:.40}")
     return value
 
 
-def _like(key: str, value, default):
-    """value when it has the type of default (a float also takes an int whose
-    float is finite)."""
-    if not isinstance(default, float):
+def _read(key: str, value, default):
+    """value, the config's entry under key, read against the default it
+    replaces: a dataclass takes an object of its fields, each read by its
+    reader in _FIELDS or else like its default; a tuple a list of as many
+    items, each read like the default's; a float or None a number (an int
+    stays an int, if its float is finite), and None also null; anything
+    else a value of the default's type. Anything else raises PlanInvalid."""
+    if dataclasses.is_dataclass(default):
+        names = {f.name for f in dataclasses.fields(default)}
+        fields = {}
+        for name, item in _of_type(key, value, dict).items():
+            if name not in names:
+                raise PlanInvalid(f"{key} has no field {name!r}")
+            fields[name] = _FIELDS.get(name, _read)(f"{key} {name}", item, getattr(default, name))
+        return dataclasses.replace(default, **fields)
+    if isinstance(default, tuple):
+        if len(_of_type(key, value, list)) != len(default):
+            raise PlanInvalid(f"{key} takes {len(default)} items, not {len(value)}")
+        return tuple(_read(key, item, d) for item, d in zip(value, default))
+    if not (default is None or isinstance(default, float)):
         return _of_type(key, value, type(default))
-    if isinstance(_of_type(key, value, _NUMBER), int):
+    if value is None and default is None:
+        return value
+    if isinstance(_of_type(key, value, (int, float)), int):
         try:
             float(value)
         except OverflowError:
-            raise PlanInvalid(f"config {key} is too large for a float: {value!r:.40}") from None
+            raise PlanInvalid(f"{key} is too large for a float: {value!r:.40}") from None
     return value
 
 
-_GAZE_PARAMS = ("x_deg", "y_deg", "amplitude_deg", "velocity_deg_s")
+def _profile_of_plan(key: str, value, default: SynthProfile) -> SynthProfile:
+    """A profile of a plan, which has one seed, its own: PlanInvalid on a seed."""
+    if isinstance(value, dict) and "seed" in value:
+        raise PlanInvalid(f"{key} has a seed; a plan takes only the top-level seed")
+    return _read(key, value, default)
 
 
-def _gaze_event_from_dict(d) -> GazeEvent:
-    """A gaze_script event: a string kind, numeric times and direction, and
-    each target parameter a number or null; anything else raises PlanInvalid."""
-    d = _of_type("gaze_script event", d, dict)
-    return GazeEvent(
-        kind=_of_type("gaze_script kind", d["kind"], str),
-        start_s=float(_of_type("gaze_script start_s", d["start_s"], _NUMBER)),
-        duration_s=float(_of_type("gaze_script duration_s", d["duration_s"], _NUMBER)),
-        direction_deg=float(_of_type("gaze_script direction_deg",
-                                     d.get("direction_deg", 0.0), _NUMBER)),
-        **{k: _of_type(f"gaze_script {k}", d[k], _NUMBER)
-           for k in _GAZE_PARAMS if d.get(k) is not None},
-    )
+def _gaze_event(key: str, value) -> GazeEvent:
+    """A gaze_script event: a text kind, times and direction as floats, and
+    each target parameter a number or null."""
+    event = _read(key, value, GazeEvent("", 0.0, 0.0))
+    missing = {"kind", "start_s", "duration_s"} - value.keys()
+    if missing:
+        raise PlanInvalid(f"{key} event has no {' or '.join(sorted(missing))}")
+    return dataclasses.replace(event, start_s=float(event.start_s),
+                               duration_s=float(event.duration_s),
+                               direction_deg=float(event.direction_deg))
 
 
-def profile_from_dict(d: dict) -> SynthProfile:
-    """A profile whose fields have the types of SynthProfile's defaults
-    (a float field also takes an int); anything else raises PlanInvalid."""
-    profile = SynthProfile()
-    for key, value in _of_type("profile", d, dict).items():
-        if not hasattr(profile, key):
-            raise PlanInvalid(f"unknown profile field {key!r}")
-        value = _like(f"profile {key}", value, getattr(profile, key))
-        try:
-            if key == "scr_events":
-                value = [(float(t), float(a)) for t, a in value]
-            elif key == "gaze_script":
-                value = [_gaze_event_from_dict(e) for e in value]
-        except (TypeError, ValueError, KeyError) as e:
-            raise PlanInvalid(f"bad profile {key}: {e}") from e
-        setattr(profile, key, value)
-    return profile
+# Readers (key, value, default) of the fields whose default does not show
+# what they hold, or which take a rule of the plan's.
+_FIELDS = {
+    "profile": _profile_of_plan,
+    "phase_profiles": lambda key, value, _: {
+        name: _profile_of_plan(f"{key} {name}", d, SynthProfile())
+        for name, d in _of_type(key, value, dict).items()},
+    "scr_events": lambda key, value, _: [  # (time_s, amplitude_uS)
+        tuple(map(float, _read(key, e, (0.0, 0.0)))) for e in _of_type(key, value, list)],
+    "gaze_script": lambda key, value, _: [_gaze_event(key, e) for e in _of_type(key, value, list)],
+}
 
 
 def _finite(text: str) -> float:
@@ -104,18 +117,6 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _from_fields(cls, key: str, fields):
-    """cls(**fields) for the config object under key, each field of the type
-    of cls's default for it; an unknown field or a wrong type raises
-    PlanInvalid."""
-    defaults = cls()
-    for name, value in _of_type(key, fields, dict).items():
-        if not hasattr(defaults, name):
-            raise PlanInvalid(f"unknown {key} field {name!r}")
-        _like(f"{key} {name}", value, getattr(defaults, name))
-    return cls(**fields)
-
-
 def seed_override(seed: int) -> int:
     """MWPIPE_SEED from the environment when set, else seed; a value that is
     not an integer raises PlanInvalid."""
@@ -129,47 +130,13 @@ def seed_override(seed: int) -> int:
 
 
 def gaze_thresholds_from_config(cfg: dict) -> GazeThresholds:
-    return _from_fields(GazeThresholds, "gaze_thresholds", cfg.get("gaze_thresholds", {}))
-
-
-_PLAN_SCALARS = {"seed": int, "baseline_s": _NUMBER, "interrun_s": _NUMBER,
-                 "run_timeout_s": _NUMBER, "tlx_jitter": int}
-
-
-def _plan_profile(key: str, d) -> SynthProfile:
-    """profile_from_dict(d) for a plan, which has one seed, its own: PlanInvalid on a seed."""
-    if isinstance(d, dict) and "seed" in d:
-        raise PlanInvalid(f"config {key} has a seed; a plan takes only the top-level seed")
-    return profile_from_dict(d)
+    return _read("config gaze_thresholds", cfg.get("gaze_thresholds", {}), GazeThresholds())
 
 
 def plan_from_config(cfg: dict) -> SessionPlan:
     """The session plan a config object describes; a value of the wrong type
     or out of range raises PlanInvalid."""
-    plan = SessionPlan()
-    if "profile" in cfg:
-        plan.profile = _plan_profile("profile", cfg["profile"])
-    if "phase_profiles" in cfg:
-        plan.phase_profiles = {
-            name: _plan_profile(f"phase_profiles {name}", d)
-            for name, d in _of_type("phase_profiles", cfg["phase_profiles"], dict).items()
-        }
-    if "policy" in cfg:
-        plan.policy = _from_fields(PolicyConfig, "policy", cfg["policy"])
-    if "physics" in cfg:
-        phys = dict(_of_type("physics", cfg["physics"], dict))
-        if "relay_pos_m" in phys:
-            phys["relay_pos_m"] = tuple(
-                _of_type("physics relay_pos_m", x, _NUMBER)
-                for x in _of_type("physics relay_pos_m", phys["relay_pos_m"], list))
-        plan.physics = _from_fields(PhysicsParams, "physics", phys)
-    plan.gaze_thresholds = gaze_thresholds_from_config(cfg)
-    for key, kind in _PLAN_SCALARS.items():
-        if key in cfg:
-            setattr(plan, key, _of_type(key, cfg[key], kind))
-    if "run_order" in cfg:
-        plan.run_order = tuple(_of_type("run_order", x, str)
-                               for x in _of_type("run_order", cfg["run_order"], list))
+    plan = _read("config", cfg, SessionPlan())
     plan.seed = seed_override(plan.seed)
     plan.profile.seed = plan.seed
     return plan.validate()
@@ -178,7 +145,8 @@ def plan_from_config(cfg: dict) -> SessionPlan:
 def profile_from_config(cfg: dict) -> SynthProfile:
     """The synthesis profile a config object describes; a value of the wrong
     type or out of range raises PlanInvalid."""
-    profile = profile_from_dict(cfg.get("profile", cfg))
+    profile = _read("config profile" if "profile" in cfg else "config",
+                    cfg.get("profile", cfg), SynthProfile())
     profile.seed = seed_override(profile.seed)
     try:
         return profile.validate()

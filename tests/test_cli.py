@@ -198,6 +198,11 @@ BAD_OPTIONS = {
                          "--stride"),
     "tolerance_under_1ns": (["extract", "--bag", "BAG", "--tolerance-ms", "4e-7",
                              "--out", "OUT"], "--tolerance-ms"),
+    # each beyond 2**63 ns, where rounding to whole nanoseconds overflowed
+    "window_1e300": (["extract", "--bag", "BAG", "--window", "1e300", "--out", "OUT"], "--window"),
+    "stride_1e300": (["extract", "--bag", "BAG", "--stride", "1e300", "--out", "OUT"], "--stride"),
+    "tolerance_ms_1e303": (["extract", "--bag", "BAG", "--tolerance-ms", "1e303",
+                            "--out", "OUT"], "--tolerance-ms"),
     "duration_0": (["synth", "--duration", "0", "--out", "OUT"], "--duration"),
     "duration_-1": (["synth", "--duration", "-1", "--out", "OUT"], "--duration"),
     "duration_nan": (["synth", "--duration", "nan", "--out", "OUT"], "--duration"),

@@ -15,9 +15,10 @@ from mwpipe.config import (
 from mwpipe.errors import MwpipeError, PlanInvalid
 from mwpipe.features import GazeThresholds
 from mwpipe.session import SessionPlan, run_session
-from mwpipe.sim.operator import PolicyConfig
-from mwpipe.sim.rover import PhysicsParams
-from mwpipe.synth import SynthProfile
+from mwpipe.sim.difficulty import preset
+from mwpipe.sim.operator import PolicyConfig, ScriptedOperator
+from mwpipe.sim.rover import PhysicsParams, RoverSim
+from mwpipe.synth import GazeEvent, SynthProfile
 
 
 def test_defaults_when_no_config():
@@ -225,6 +226,14 @@ BAD_CONFIGS = {
     "policy_reaction_jitter_beyond_ns": '{"policy": {"reaction_jitter_s": 1e300}}',
     "gaze_event_kind_unknown": ('{"profile": {"gaze_script": [{"kind": "blink", "start_s": 0, '
                                 '"duration_s": 1}]}}'),
+    # a top-level typo once left the default 300 s baseline in place
+    "unknown_top_level_key": '{"basline_s": 3}',
+    # the relay is one point: one number crashed the simulator, a third went unused
+    "relay_pos_one_number": '{"physics": {"relay_pos_m": [500.0]}}',
+    "relay_pos_three_numbers": '{"physics": {"relay_pos_m": [1, 2, 3]}}',
+    # an SCR event is two numbers, never text or a boolean
+    "scr_event_time_is_text": '{"profile": {"scr_events": [["5", 0.1]]}}',
+    "scr_event_time_is_bool": '{"profile": {"scr_events": [[true, 0.1]]}}',
 }
 
 
@@ -296,9 +305,11 @@ config_objects = st.fixed_dictionaries({}, optional={
 
 @settings(max_examples=300, deadline=None)
 @given(cfg=config_objects)
+@example(cfg={"physics": {"relay_pos_m": [500.0]}})
 def test_plan_from_config_gives_a_valid_plan_or_plan_invalid(cfg):
     """Any values under the config's own keys, nested ones included, give a
-    plan that validates or an MwpipeError, never a raw exception."""
+    plan that validates and that the simulator and operator can start on,
+    or an MwpipeError, never a raw exception."""
     with mock.patch.dict(os.environ):
         os.environ.pop("MWPIPE_SEED", None)
         try:
@@ -306,3 +317,57 @@ def test_plan_from_config_gives_a_valid_plan_or_plan_invalid(cfg):
         except MwpipeError:
             return
     plan.validate()
+    sim = RoverSim(0, preset("low"), plan.physics)
+    sim.step(ScriptedOperator(plan.policy, 0).act(sim, sim.state), 15.0)
+
+
+def typed(value):
+    """value with the type of each of its leaves, so that 1 and 1.0 differ."""
+    if dataclasses.is_dataclass(value):
+        return type(value), {f.name: typed(getattr(value, f.name))
+                             for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return type(value), [typed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: typed(v) for k, v in value.items()}
+    return type(value), value
+
+
+DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "default.json")
+MIXED_CONFIG = {
+    "seed": 3,
+    "baseline_s": 35,
+    "profile": {
+        "rr_mean_ms": 900,
+        "scr_events": [[5, 1], [7.5, 0.25]],
+        "gaze_script": [
+            {"kind": "fixation", "start_s": 0, "duration_s": 2, "x_deg": 1, "y_deg": None},
+            {"kind": "saccade", "start_s": 2, "duration_s": 0.04, "amplitude_deg": 8,
+             "direction_deg": 90},
+        ],
+    },
+    "phase_profiles": {"run": {"resp_rate_bpm": 20, "scr_events": [[1, 2]]}},
+    "policy": {"error_rate": 0},
+    "physics": {"relay_pos_m": [500, 1200.5], "v_max_m_s": 2},
+    "gaze_thresholds": {"saccade_min_samples": 3},
+}
+MIXED_PLAN = SessionPlan(
+    seed=3, baseline_s=35,
+    profile=SynthProfile(
+        seed=3, rr_mean_ms=900, scr_events=[(5.0, 1.0), (7.5, 0.25)],
+        gaze_script=[GazeEvent("fixation", 0.0, 2.0, x_deg=1),
+                     GazeEvent("saccade", 2.0, 0.04, amplitude_deg=8, direction_deg=90.0)]),
+    phase_profiles={"run": SynthProfile(resp_rate_bpm=20, scr_events=[(1.0, 2.0)])},
+    policy=PolicyConfig(error_rate=0),
+    physics=PhysicsParams(relay_pos_m=(500, 1200.5), v_max_m_s=2),
+    gaze_thresholds=GazeThresholds(saccade_min_samples=3))
+
+
+@pytest.mark.parametrize("cfg, expected", [(load_config(DEFAULT_CONFIG), SessionPlan()),
+                                           (MIXED_CONFIG, MIXED_PLAN)],
+                         ids=["default_json", "mixed"])
+def test_a_config_reads_to_its_plan_with_the_same_value_types(cfg, expected, monkeypatch):
+    """An int in a float field stays an int, as the session manifest records
+    it; gaze event times and direction and SCR events are floats."""
+    monkeypatch.delenv("MWPIPE_SEED", raising=False)
+    assert typed(plan_from_config(cfg)) == typed(expected)
